@@ -20,10 +20,12 @@ over Laurent fractions if they ever disagree).
 """
 
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import NotInSpan
-from .rootvectors import BasisLabel, eval_label
+from .rootvectors import KINDS, BasisLabel, eval_label
 from .tensormodel import compositions
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "content_low",
     "root_sum",
     "enumerate_basis",
+    "block_index",
     "rank_of_family",
     "RankAccumulator",
     "coordinates",
@@ -42,17 +45,8 @@ __all__ = [
     "structure_table_csv",
 ]
 
-KINDS = ("B1", "B2", "PBW", "PLUS", "MINUS", "BOREL_UP", "BOREL_DOWN", "ZERO")
-
-
-def content(root_data, exponents, side="plus"):
-    """Content of a multi-index: sum of m * eps_j over its roots (i, j).
-
-    The value is independent of which side (plus or minus monomial) the
-    multi-index sits on; the parameter is accepted for callers that
-    track it anyway.
-    """
-    del side
+def content(root_data, exponents):
+    """Content of a multi-index: sum of m * eps_j over its roots (i, j)."""
     out = [0] * root_data.n
     for (i, j), m in zip(root_data.positive_roots, exponents):
         out[j - 1] += m
@@ -328,26 +322,50 @@ def rank_of_family(model, operators, stop_at=None):
     return exact.rank
 
 
-def _label_block(root_data, label):
+def _label_block(label, shift):
     """(source weight, target weight) of a label's operator, when the
-    flavor pins one; None for PBW and bare monomial flavors."""
+    flavor pins one; None for PBW and bare monomial flavors.  ``shift``
+    maps an exponent tuple to its weight shift, as :func:`root_sum`."""
+    lam = label.lam
     if label.flavor == "ZERO":
-        return (label.lam, label.lam)
+        return (lam, lam)
     if label.flavor == "B1":
-        src = tuple(l + r for l, r in zip(label.lam, root_sum(root_data, label.C)))
-        dst = tuple(l + r for l, r in zip(label.lam, root_sum(root_data, label.A)))
-        return (src, dst)
+        return (tuple(map(add, lam, shift(label.C))),
+                tuple(map(add, lam, shift(label.A))))
     if label.flavor == "B2":
-        src = tuple(l - r for l, r in zip(label.lam, root_sum(root_data, label.C)))
-        dst = tuple(l - r for l, r in zip(label.lam, root_sum(root_data, label.A)))
-        return (src, dst)
+        return (tuple(map(sub, lam, shift(label.C))),
+                tuple(map(sub, lam, shift(label.A))))
     if label.flavor == "BOREL_UP":
-        dst = tuple(l + r for l, r in zip(label.lam, root_sum(root_data, label.A)))
-        return (label.lam, dst)
+        return (lam, tuple(map(add, lam, shift(label.A))))
     if label.flavor == "BOREL_DOWN":
-        src = tuple(l + r for l, r in zip(label.lam, root_sum(root_data, label.A)))
-        return (src, label.lam)
+        return (tuple(map(add, lam, shift(label.A))), lam)
     return None
+
+
+def block_index(model, family):
+    """Positions of a label family grouped by weight block.
+
+    Returns ``{(src, dst): [positions in enumeration order]}``, where a
+    label at position k evaluates to an operator 1_dst b 1_src, or None
+    when some label pins no block (PBW and bare monomial flavors).  The
+    index is built once per distinct family and kept on the model.
+    """
+    family = tuple(family)
+    try:
+        return model._block_index[family]
+    except KeyError:
+        pass
+    # Exponent tuples repeat across a family; each shift is computed once.
+    shift = lru_cache(maxsize=None)(partial(root_sum, model.root_data))
+    index = {}
+    for pos, label in enumerate(family):
+        block = _label_block(label, shift)
+        if block is None:
+            index = None
+            break
+        index.setdefault(block, []).append(pos)
+    model._block_index[family] = index
+    return index
 
 
 def _op_blocks(model, op):
@@ -369,13 +387,12 @@ def coordinates(model, op, basis):
     """
     if op.is_zero():
         return {}
-    rd = model.root_data
-    blocks = [_label_block(rd, label) for label in basis]
-    if all(b is not None for b in blocks):
-        touched = _op_blocks(model, op)
-        candidates = [
-            label for label, block in zip(basis, blocks) if block in touched
-        ]
+    index = block_index(model, basis)
+    if index is not None:
+        positions = sorted(
+            pos for block in _op_blocks(model, op) for pos in index.get(block, ())
+        )
+        candidates = [basis[pos] for pos in positions]
     else:
         candidates = list(basis)
     columns = [_operator_row(model, eval_label(model, label)) for label in candidates]

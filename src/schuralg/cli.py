@@ -8,9 +8,11 @@ Subcommands:
 * ``structconst n d`` — expand one product of B1 elements in the B1 basis;
 * ``hecke n d``       — corner-truncation dimension and generation summary.
 
-Exit status: 0 when every requested check passes, 1 when a check fails
-(the failing relation ids appear in the report), 2 on usage errors or
-violated hypotheses, 3 when the model would exceed the word cap.
+Exit status: 0 when every requested check passes; 1 when a check fails
+(the failing relation ids appear in the report) or a computation fails
+mathematically (no expansion in the family, an inexact division); 2 on
+usage errors or violated hypotheses; 3 when the model would exceed the
+word cap.  Any other exception propagates with its traceback.
 
 JSON output is deterministic: keys are sorted, scalars are rendered as
 canonical strings, and no timing information is included, so two runs
@@ -19,9 +21,7 @@ include wall-clock seconds.
 """
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -34,7 +34,7 @@ from .bases import (
     structure_table_csv,
     structure_table_json,
 )
-from .errors import SizeLimit
+from .errors import BadWeight, HypothesisError, NotDivisible, NotInSpan, SizeLimit
 from .hecke import hecke_summary
 from .rootvectors import eval_label, label_key
 from .tensormodel import WORD_CAP_ENV, build_model
@@ -48,6 +48,8 @@ KIND_MAP = {
     "pbw": "PBW",
     "plus": "PLUS",
     "minus": "MINUS",
+    "borel_up": "BOREL_UP",
+    "borel_down": "BOREL_DOWN",
     "zero": "ZERO",
 }
 
@@ -107,6 +109,14 @@ def _add_common(sub, formats=("text", "json")):
         help="refuse models with more than N words "
         f"(default 10000; env {WORD_CAP_ENV})",
     )
+    sub.add_argument(
+        "--spec-points",
+        type=_spec_points,
+        default=None,
+        metavar="P,Q",
+        help="two rational points of v used to certify quantum ranks "
+        "(default 7/5,11/7)",
+    )
 
 
 def build_parser():
@@ -123,14 +133,6 @@ def build_parser():
         "the monomial-counting oracle",
     )
     _add_common(dim)
-    dim.add_argument(
-        "--spec-points",
-        type=_spec_points,
-        default=None,
-        metavar="P,Q",
-        help="two rational points of v used to certify quantum ranks "
-        "(default 7/5,11/7)",
-    )
 
     basis = subs.add_parser("basis", help="enumerate a basis family")
     _add_common(basis, formats=("text", "json", "csv"))
@@ -187,26 +189,12 @@ def _mode(args):
     return "quantum" if args.quantum else "classical"
 
 
+def _config(args):
+    return {"word_cap": args.word_cap, "spec_points": args.spec_points}
+
+
 def _model(args):
-    spec_points = getattr(args, "spec_points", None)
-    return build_model(args.n, args.d, mode=_mode(args), spec_points=spec_points)
-
-
-@contextlib.contextmanager
-def _word_cap(value):
-    """Scope the word cap to one command without leaking env state."""
-    if value is None:
-        yield
-        return
-    old = os.environ.get(WORD_CAP_ENV)
-    os.environ[WORD_CAP_ENV] = str(value)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(WORD_CAP_ENV, None)
-        else:
-            os.environ[WORD_CAP_ENV] = old
+    return build_model(args.n, args.d, mode=_mode(args), **_config(args))
 
 
 def _cmd_dim(args):
@@ -226,9 +214,9 @@ def _cmd_basis(args):
     kind = KIND_MAP[args.kind]
     if args.k0 is not None:
         if kind != "PBW":
-            raise ValueError("--k0 applies only to --kind pbw")
+            raise argparse.ArgumentError(None, "--k0 applies only to --kind pbw")
         if args.k0 > args.n:
-            raise ValueError(f"k0 must be in [1, {args.n}]")
+            raise argparse.ArgumentError(None, f"k0 must be in [1, {args.n}]")
     labels = enumerate_basis(args.n, args.d, kind, k0=args.k0)
     payload = dict(basis_json(model, labels))
     payload["count"] = len(labels)
@@ -238,7 +226,9 @@ def _cmd_basis(args):
 
 
 def _cmd_verify(args):
-    reports = suite_reports(args.n, args.d, mode=_mode(args), suite=args.suite)
+    reports = suite_reports(
+        args.n, args.d, mode=_mode(args), suite=args.suite, **_config(args)
+    )
     ok = all(report.passed for report in reports)
     payload = {"suite": args.suite, "reports": [report.to_json() for report in reports]}
     text = "\n".join(report.render_text() for report in reports) + "\n"
@@ -250,9 +240,10 @@ def _cmd_structconst(args):
     labels = enumerate_basis(args.n, args.d, "B1")
     for name, index in (("left", args.left), ("right", args.right)):
         if index >= len(labels):
-            raise ValueError(
+            raise argparse.ArgumentError(
+                None,
                 f"{name} index {index} out of range: the B1 family for "
-                f"(n, d) = ({args.n}, {args.d}) has {len(labels)} elements"
+                f"(n, d) = ({args.n}, {args.d}) has {len(labels)} elements",
             )
     pairs = [(args.left, args.right)]
     payload = structure_table_json(model, labels, pairs)
@@ -313,14 +304,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _word_cap(args.word_cap):
-            payload, text, csv, ok = _HANDLERS[args.command](args)
+        payload, text, csv, ok = _HANDLERS[args.command](args)
     except SizeLimit as exc:
         print(f"schuralg: error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (HypothesisError, BadWeight, argparse.ArgumentError) as exc:
         print(f"schuralg: error: {exc}", file=sys.stderr)
         return 2
+    except (NotInSpan, NotDivisible) as exc:
+        print(f"schuralg: error: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         out = _envelope(args, payload, ok)
     elif args.format == "csv":

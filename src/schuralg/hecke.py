@@ -7,13 +7,19 @@ and its Hecke deformation in quantum mode.  This module computes the
 truncated family from the three-part basis, certifies its rank, and
 (for n = d) checks that either family of corner products of the simple
 raising and lowering generators generates the whole truncation.
+
+Each B1 label e_A 1_lam f_C maps one weight space to one other, so its
+operator b equals 1_dst b 1_src for the block (src, dst) it pins, and
+1_omega b 1_omega is b on the block (omega, omega) and 0 on every other
+block.  The truncation therefore evaluates only the labels of that
+block: d! of them, against C(n^2 - 1 + d, d) in the whole family.
 """
 
 import time
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bases import RankAccumulator, enumerate_basis, rank_of_family
+from .bases import RankAccumulator, block_index, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .rootvectors import eval_label
 from .tensormodel import generator_action, weight_idempotent
@@ -38,7 +44,6 @@ class TruncationResult:
     omega: tuple
     family: list = field(default_factory=list)
     dim: int = 0
-    generation_pass: bool = None
 
 
 def omega_weight(model):
@@ -51,14 +56,17 @@ def omega_weight(model):
 
 
 def omega_truncation(model):
-    """Corner images 1_omega b 1_omega of the B1 family, with rank."""
+    """Nonzero corner images 1_omega b 1_omega of the B1 family, with rank.
+
+    Only the labels of block (omega, omega) are evaluated: a label of
+    any other block has corner image 0, and one of this block is its own
+    corner image.  The family is the full scan's, in the same order.
+    """
     omega = omega_weight(model)
-    proj = weight_idempotent(model, omega)
-    family = []
-    for label in enumerate_basis(model.n, model.d, "B1"):
-        op = proj @ eval_label(model, label) @ proj
-        if not op.is_zero():
-            family.append(op)
+    labels = enumerate_basis(model.n, model.d, "B1")
+    corner = block_index(model, labels).get((omega, omega), [])
+    family = [eval_label(model, labels[pos]) for pos in corner]
+    family = [op for op in family if not op.is_zero()]
     dim = rank_of_family(model, family)
     return TruncationResult(omega=omega, family=family, dim=dim)
 
@@ -149,7 +157,6 @@ def hecke_summary(model):
     if model.n == model.d:
         rep = check_hecke_generation(model)
         flags = {item.id: item.ok for item in rep.items}
-        result.generation_pass = rep.passed
         data["generation"] = {"EF": flags["EF"], "FE": flags["FE"]}
         data["pass"] = data["pass"] and rep.passed
     return data

@@ -446,10 +446,6 @@ class ClassicalScalars:
     one = 1
 
     @staticmethod
-    def from_int(k):
-        return k
-
-    @staticmethod
     def div(a, b):
         q = Fraction(a) / b
         return int(q) if q.denominator == 1 else q
@@ -474,10 +470,6 @@ class QuantumScalars:
     mode = "quantum"
     zero = LaurentFraction.zero()
     one = LaurentFraction.one()
-
-    @staticmethod
-    def from_int(k):
-        return LaurentFraction(k)
 
     @staticmethod
     def v_power(k):

@@ -28,6 +28,7 @@ from .tensormodel import SparseOperator, weight_idempotent
 
 __all__ = [
     "BasisLabel",
+    "KINDS",
     "root_vector",
     "divided_power",
     "root_divided_power",
@@ -38,7 +39,7 @@ __all__ = [
     "label_key",
 ]
 
-FLAVORS = ("B1", "B2", "PBW", "PLUS", "MINUS", "BOREL_UP", "BOREL_DOWN", "ZERO")
+KINDS = ("B1", "B2", "PBW", "PLUS", "MINUS", "BOREL_UP", "BOREL_DOWN", "ZERO")
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,12 @@ def divided_power(model, op, m):
     )
 
 
-def _root_divided(model, root, sign, m):
+def root_divided_power(model, root, sign, m):
+    """Cached m-th divided power of the root vector for (root, sign)."""
     key = ("divided", root, sign, m)
     if key not in model._op_cache:
         model._op_cache[key] = divided_power(model, root_vector(model, root, sign), m)
     return model._op_cache[key]
-
-
-def root_divided_power(model, root, sign, m):
-    """Cached m-th divided power of the root vector for (root, sign)."""
-    return _root_divided(model, root, sign, m)
 
 
 def _kostant_monomial(model, exponents, sign):
@@ -144,7 +141,7 @@ def _kostant_monomial(model, exponents, sign):
     for root, m in zip(model.root_data.positive_roots, exponents):
         if not m:
             continue
-        factor = _root_divided(model, root, sign, m)
+        factor = root_divided_power(model, root, sign, m)
         out = factor if out is None else out @ factor
     return model.identity() if out is None else out
 
@@ -176,7 +173,7 @@ def eval_label(model, label):
     if cache_key in model._op_cache:
         return model._op_cache[cache_key]
     flavor = label.flavor
-    if flavor not in FLAVORS:
+    if flavor not in KINDS:
         raise ValueError(f"unknown flavor {flavor!r}")
     nroots = len(model.root_data.positive_roots)
     if flavor == "PBW":

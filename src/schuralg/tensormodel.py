@@ -81,10 +81,7 @@ class RootData:
 
     def simple_root(self, i):
         """alpha_i = eps_i - eps_{i+1} as an integer n-tuple."""
-        out = [0] * self.n
-        out[i - 1] = 1
-        out[i] = -1
-        return tuple(out)
+        return self.root_as_vector((i, i + 1))
 
     def root_as_vector(self, root):
         """eps_i - eps_j for a positive root (i, j)."""
@@ -112,21 +109,8 @@ class SparseOperator:
     def __init__(self, cols=None):
         self.cols = cols or {}
 
-    @staticmethod
-    def from_columns(cols):
-        """Build from a possibly unpruned column mapping."""
-        clean = {}
-        for j, col in cols.items():
-            entries = {i: s for i, s in col.items() if not (s == 0)}
-            if entries:
-                clean[j] = entries
-        return SparseOperator(clean)
-
     def is_zero(self):
         return not self.cols
-
-    def column(self, j):
-        return self.cols.get(j, {})
 
     def __add__(self, other):
         if not isinstance(other, SparseOperator):
@@ -217,6 +201,7 @@ class Model:
     spec_points: tuple
     _generators: dict = field(default_factory=dict, repr=False)
     _op_cache: dict = field(default_factory=dict, repr=False)
+    _block_index: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_words(self):

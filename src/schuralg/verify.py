@@ -526,12 +526,13 @@ def check_reduction_formulas(model, family):
     return rep
 
 
-def check_rank_one_presentation(d):
+def check_rank_one_presentation(d, word_cap=None, spec_points=None):
     """Two-generator presentation of the n = 2 algebra, both modes."""
     t0 = time.perf_counter()
     rep = CheckReport("rank-one-presentation", 2, d, "both")
+    config = {"word_cap": word_cap, "spec_points": spec_points}
 
-    mc = build_model(2, d, mode="classical")
+    mc = build_model(2, d, mode="classical", **config)
     e = generator_action(mc, "e", 1)
     f = generator_action(mc, "f", 1)
     h = generator_action(mc, "H", 1) - generator_action(mc, "H", 2)
@@ -571,7 +572,7 @@ def check_rank_one_presentation(d):
         detail=f"count {len(labels)}, rank {rank}, expected {expected}",
     )
 
-    mq = build_model(2, d, mode="quantum")
+    mq = build_model(2, d, mode="quantum", **config)
     E = generator_action(mq, "E", 1)
     F = generator_action(mq, "F", 1)
     K = generator_action(mq, "K", 1) @ generator_action(mq, "K^-1", 2)
@@ -605,46 +606,53 @@ def check_rank_one_presentation(d):
     return rep
 
 
+def _triangular_order(da, db, dc):
+    """Index triples (ia, ib, ic) over three families with the given
+    degree lists, streamed in the order of
+    sorted((da[ia] + db[ib] + dc[ic], ia, ib, ic))."""
+    by_degree = {}
+    for ic, deg in enumerate(dc):
+        by_degree.setdefault(deg, []).append(ic)
+    for total in range(max(da) + max(db) + max(dc) + 1):
+        for ia, a in enumerate(da):
+            if a > total:
+                continue
+            for ib, b in enumerate(db):
+                for ic in by_degree.get(total - a - b, ()):
+                    yield ia, ib, ic
+
+
+def _cartan_product(model, B):
+    """Product of the Cartan binomials binom(H_k, B_k) over k."""
+    op = model.identity()
+    for k, b in enumerate(B, start=1):
+        if b:
+            op = op @ cartan_binomial(model, k, b)
+    return op
+
+
 def _triangular_items(model, rep):
-    n, d = model.n, model.d
-    roots = model.root_data.positive_roots
-    dim = comb(n * n - 1 + d, d)
-    zero_expts = [
-        B for total in range(d + 1) for B in compositions(n, total)
-    ]
-
-    def cartan_product(B):
-        op = model.identity()
-        for k, b in enumerate(B, start=1):
-            if b:
-                op = op @ cartan_binomial(model, k, b)
-        return op
-
     from .bases import _degree_bounded
 
-    plus_family = [
-        (sum(A), eval_label(model, BasisLabel(flavor="PLUS", A=A)))
-        for A in _degree_bounded(len(roots), d)
+    n, d = model.n, model.d
+    dim = comb(n * n - 1 + d, d)
+    exponents = _degree_bounded(len(model.root_data.positive_roots), d)
+    families = {
+        sign: [(sum(A), eval_label(model, BasisLabel(flavor=flavor, A=A)))
+               for A in exponents]
+        for sign, flavor in (("+", "PLUS"), ("-", "MINUS"))
+    }
+    families["0"] = [
+        (total, _cartan_product(model, B))
+        for total in range(d + 1)
+        for B in compositions(n, total)
     ]
-    minus_family = [
-        (sum(A), eval_label(model, BasisLabel(flavor="MINUS", A=A)))
-        for A in _degree_bounded(len(roots), d)
-    ]
-    zero_family = [(sum(B), cartan_product(B)) for B in zero_expts]
-    families = {"+": plus_family, "0": zero_family, "-": minus_family}
     for perm in permutations("+0-"):
         tag = "".join(perm)
         fams = [families[p] for p in perm]
-        triples = sorted(
-            (
-                (da + db + dc, ia, ib, ic)
-                for ia, (da, _) in enumerate(fams[0])
-                for ib, (db, _) in enumerate(fams[1])
-                for ic, (dc, _) in enumerate(fams[2])
-            ),
-        )
+        degrees = [[deg for deg, _ in fam] for fam in fams]
         acc = RankAccumulator(model)
-        for _, ia, ib, ic in triples:
+        for ia, ib, ic in _triangular_order(*degrees):
             acc.add(fams[0][ia][1] @ fams[1][ib][1] @ fams[2][ic][1])
             if acc.rank >= dim:
                 break
@@ -676,11 +684,7 @@ def check_structural_facts(model):
     for total in (d + 1, d + 2):
         agg = _Agg()
         for B in compositions(n, total):
-            op = model.identity()
-            for k, b in enumerate(B, start=1):
-                if b:
-                    op = op @ cartan_binomial(model, k, b)
-            agg.check(op.is_zero(), f"B={B}")
+            agg.check(_cartan_product(model, B).is_zero(), f"B={B}")
         rep.append(agg.item(f"cartan-products-vanish[degree={total}]"))
 
     weights = model.weight_set()
@@ -707,13 +711,14 @@ def check_structural_facts(model):
     return rep
 
 
-def check_specialization(n, d):
+def check_specialization(n, d, word_cap=None, spec_points=None):
     """Entrywise agreement of each quantum basis operator at v = 1 with
     its classical counterpart, for both three-part basis families."""
     t0 = time.perf_counter()
     rep = CheckReport("specialization", n, d, "both")
-    classical = build_model(n, d, mode="classical")
-    quantum = build_model(n, d, mode="quantum")
+    config = {"word_cap": word_cap, "spec_points": spec_points}
+    classical = build_model(n, d, mode="classical", **config)
+    quantum = build_model(n, d, mode="quantum", **config)
     for kind in ("B1", "B2"):
         agg = _Agg()
         for label in enumerate_basis(n, d, kind):
@@ -740,14 +745,16 @@ def check_specialization(n, d):
     return rep
 
 
-def suite_reports(n, d, mode="classical", suite="all"):
-    """Reports for one verification suite on one grid point."""
+def suite_reports(n, d, mode="classical", suite="all", word_cap=None,
+                  spec_points=None):
+    """Reports for one grid point; the configuration reaches every model."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    config = {"word_cap": word_cap, "spec_points": spec_points}
     reports = []
     model = None
     if suite in ("all", "relations", "idempotent", "reduction", "structural"):
-        model = build_model(n, d, mode=mode)
+        model = build_model(n, d, mode=mode, **config)
     if suite in ("all", "relations"):
         reports.append(check_enveloping_relations(model))
         reports.append(check_schur_relations(model))
@@ -762,9 +769,9 @@ def suite_reports(n, d, mode="classical", suite="all"):
     if suite in ("all", "structural"):
         reports.append(check_structural_facts(model))
     if suite in ("all", "specialize"):
-        reports.append(check_specialization(n, d))
+        reports.append(check_specialization(n, d, **config))
     if suite == "rank1" and n != 2:
         raise HypothesisError("the rank-one presentation check needs n = 2")
     if n == 2 and suite in ("all", "rank1"):
-        reports.append(check_rank_one_presentation(d))
+        reports.append(check_rank_one_presentation(d, **config))
     return reports

@@ -2,14 +2,20 @@
 structure constants."""
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
 
 from schuralg.errors import NotInSpan
 from schuralg.bases import (
+    _label_block,
+    _op_blocks,
+    _operator_row,
+    _solve_exact,
     basis_csv,
     basis_json,
+    block_index,
     content,
     content_low,
     coordinates,
@@ -226,3 +232,46 @@ def test_basis_serialization_shapes():
     table = structure_table_json(m, labels, [(0, 0), (0, 1)])
     assert table["triples"][0]["coeffs"] == {"1(2,0)": "1"}
     assert table["triples"][1]["coeffs"] == {}
+
+
+def test_block_index_groups_positions_by_block():
+    m = build_model(3, 3)
+    labels = enumerate_basis(3, 3, "B1")
+    index = block_index(m, labels)
+    shift = partial(root_sum, m.root_data)
+    assert sorted(pos for block in index.values() for pos in block) == list(
+        range(len(labels))
+    )
+    for block, positions in index.items():
+        assert positions == sorted(positions)
+        assert all(_label_block(labels[p], shift) == block for p in positions)
+    # One entry per distinct family, shared by equal families.
+    assert block_index(m, enumerate_basis(3, 3, "B1")) is index
+    assert block_index(m, enumerate_basis(3, 3, "PBW")) is None
+    assert len(m._block_index) == 2
+
+
+def test_coordinates_index_matches_full_filter():
+    # The block index must pick the same candidates, in the same order,
+    # as filtering the whole family by block on every call.
+    m = build_model(3, 3, mode="quantum")
+    labels = enumerate_basis(3, 3, "B1")
+    products = []
+    for i in range(3, len(labels), 23):
+        for j in range(0, len(labels), 17):
+            op = eval_label(m, labels[i]) @ eval_label(m, labels[j])
+            if not op.is_zero():
+                products.append(op)
+                break
+    assert len(products) >= 5
+    shift = partial(root_sum, m.root_data)
+    for op in products:
+        touched = _op_blocks(m, op)
+        candidates = [
+            lab for lab in labels if _label_block(lab, shift) in touched
+        ]
+        columns = [_operator_row(m, eval_label(m, lab)) for lab in candidates]
+        values = _solve_exact(m.scalars, columns, _operator_row(m, op))
+        expected = [(lab, v) for lab, v in zip(candidates, values) if not (v == 0)]
+        assert expected
+        assert list(coordinates(m, op, labels).items()) == expected

@@ -143,3 +143,58 @@ def test_output_file(tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["pass"] is True
+
+
+def _raising(exc):
+    def handler(args):
+        raise exc
+
+    return handler
+
+
+def test_exit_code_1_on_not_in_span(monkeypatch):
+    from schuralg import cli
+    from schuralg.errors import NotInSpan
+
+    monkeypatch.setitem(cli._HANDLERS, "dim", _raising(NotInSpan("no expansion")))
+    code, out, err = run(["dim", "2", "2"])
+    assert code == 1 and out == ""
+    assert err == "schuralg: error: no expansion\n"
+
+
+def test_exit_code_1_on_not_divisible(monkeypatch):
+    from schuralg import cli
+    from schuralg.errors import NotDivisible
+
+    monkeypatch.setitem(cli._HANDLERS, "hecke", _raising(NotDivisible("remainder")))
+    code, out, err = run(["hecke", "2", "2"])
+    assert code == 1 and out == ""
+    assert err == "schuralg: error: remainder\n"
+
+
+def test_unexpected_errors_propagate(monkeypatch):
+    from schuralg import cli
+
+    monkeypatch.setitem(cli._HANDLERS, "dim", _raising(ValueError("internal bug")))
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["dim", "2", "2"])
+
+
+def test_common_options_reach_every_command():
+    argv = ["--spec-points", "3/2,13/4", "--format", "json"]
+    for command in (["verify", "2", "2", "--quantum", "--suite", "specialize"],
+                    ["hecke", "2", "2", "--quantum"],
+                    ["structconst", "2", "2", "--quantum", "--left", "1",
+                     "--right", "2"]):
+        code, out, _ = run(command + argv)
+        assert code == 0 and json.loads(out)["pass"] is True
+    assert run(["verify", "2", "3", "--suite", "specialize", "--word-cap", "7"])[0] == 3
+    assert run(["hecke", "2", "3", "--word-cap", "7"])[0] == 3
+
+
+def test_basis_borel_kinds():
+    for kind, flavor in (("borel_up", "BOREL_UP"), ("borel_down", "BOREL_DOWN")):
+        code, out, _ = run(["basis", "2", "2", "--kind", kind, "--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["kind"] == flavor and data["count"] == 6

@@ -4,6 +4,8 @@ from math import factorial
 
 import pytest
 
+from schuralg import hecke
+from schuralg.bases import enumerate_basis
 from schuralg.errors import HypothesisError
 from schuralg.hecke import (
     check_hecke_generation,
@@ -11,6 +13,7 @@ from schuralg.hecke import (
     omega_truncation,
     omega_weight,
 )
+from schuralg.rootvectors import eval_label
 from schuralg.tensormodel import build_model, weight_idempotent
 
 
@@ -64,3 +67,36 @@ def test_summary_shape():
     assert data["generation"] == {"EF": True, "FE": True}
     data = hecke_summary(build_model(3, 2))
     assert data["generation"] is None and data["pass"] is True
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3)])
+def test_corner_block_equals_full_scan(n, d, mode):
+    # Evaluating only block (omega, omega) must give exactly the nonzero
+    # corner images of a scan over the whole B1 family, in its order.
+    m = build_model(n, d, mode=mode)
+    family = omega_truncation(m).family
+    proj = weight_idempotent(m, omega_weight(m))
+    scan = []
+    for label in enumerate_basis(n, d, "B1"):
+        op = proj @ eval_label(m, label) @ proj
+        if not op.is_zero():
+            scan.append(op)
+    assert len(family) == len(scan) == factorial(d)
+    for ours, theirs in zip(family, scan):
+        assert ours == theirs
+
+
+@pytest.mark.parametrize("n,d,mode", [(3, 3, "classical"), (4, 4, "classical"),
+                                      (4, 3, "quantum")])
+def test_truncation_evaluates_d_factorial_labels(n, d, mode, monkeypatch):
+    calls = []
+
+    def counted(model, label):
+        calls.append(label)
+        return eval_label(model, label)
+
+    monkeypatch.setattr(hecke, "eval_label", counted)
+    result = omega_truncation(build_model(n, d, mode=mode))
+    assert len(calls) == factorial(d)
+    assert result.dim == factorial(d)

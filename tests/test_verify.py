@@ -6,13 +6,17 @@ eigenvalue bookkeeping, hand-expanded reduction instances) so a
 regression in the checkers cannot hide behind their own pass flags.
 """
 
+from itertools import permutations
+
 import pytest
 
+from schuralg.bases import _degree_bounded
 from schuralg.errors import HypothesisError
 from schuralg.ring import LaurentPoly, quantum_integer
 from schuralg.tensormodel import (
     build_model,
     cartan_binomial,
+    compositions,
     generator_action,
     weight_idempotent,
 )
@@ -28,7 +32,7 @@ from schuralg.verify import (
     check_structural_facts,
     suite_reports,
 )
-from schuralg.verify import _Agg
+from schuralg.verify import _Agg, _triangular_order
 
 
 def _ids(report):
@@ -236,3 +240,47 @@ def test_suite_reports_selection():
         suite_reports(3, 2, mode="classical", suite="rank1")
     with pytest.raises(ValueError):
         suite_reports(2, 2, suite="bogus")
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_triangular_order_matches_sorted_triples(n, d):
+    # The streamed order must be the sorted order, so the rank check
+    # stops at the same product as a sort of every index triple would.
+    nroots = n * (n - 1) // 2
+    root_degrees = [sum(A) for A in _degree_bounded(nroots, d)]
+    zero_degrees = [t for t in range(d + 1) for _ in compositions(n, t)]
+    families = {"+": root_degrees, "0": zero_degrees, "-": root_degrees}
+    for perm in permutations("+0-"):
+        da, db, dc = (families[p] for p in perm)
+        expected = [
+            (ia, ib, ic)
+            for _, ia, ib, ic in sorted(
+                (a + b + c, ia, ib, ic)
+                for ia, a in enumerate(da)
+                for ib, b in enumerate(db)
+                for ic, c in enumerate(dc)
+            )
+        ]
+        assert list(_triangular_order(da, db, dc)) == expected
+
+
+def test_suite_reports_pass_configuration_to_every_model(monkeypatch):
+    from fractions import Fraction
+
+    from schuralg import verify
+
+    seen = []
+    real = verify.build_model
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_model", recording)
+    points = (Fraction(3, 2), Fraction(13, 4))
+    reports = suite_reports(2, 2, mode="quantum", suite="all", word_cap=50,
+                            spec_points=points)
+    assert all(report.passed for report in reports)
+    # One model for the suite, two for specialization, two for rank one.
+    assert len(seen) == 5
+    assert all(k["word_cap"] == 50 and k["spec_points"] == points for k in seen)
