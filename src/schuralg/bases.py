@@ -11,17 +11,23 @@ The basis kinds:
   content(A) <= lam,
 * ``ZERO``: the weight idempotents alone.
 
-Rank certification is exact.  Classical families are reduced by
-fraction-free elimination on primitive integer rows.  Quantum families
-are specialized at two fixed rational points of v; a full-rank
-specialization already proves linear independence over the rational
-function field, and the two runs must agree (with an exact fallback
-over Laurent fractions if they ever disagree).
+Rank certification is exact.  Classical operator entries are integers
+and their rows are reduced by fraction-free elimination on primitive
+integer rows.  Quantum entries are integer Laurent polynomials; each row
+is specialized at two fixed rational points v = a/b straight to
+integers: with lo and hi the lowest and highest exponents of v in the
+row, an entry sum c_e v^e becomes sum c_e a^(e - lo) b^(hi - e).  That is
+the value at a/b times a^-lo b^hi, one nonzero constant for the whole
+row, so the integer row has exactly the rank of the specialized one.
+A specialization can only lower the rank, so a full-rank specialization
+already proves linear independence over the rational function field;
+the two runs must agree, with an exact fallback over Laurent fractions
+if they ever disagree.
 """
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
 
 from .errors import NotInSpan
@@ -170,18 +176,22 @@ def _operator_row(model, op):
     return row
 
 
-def _primitive_int_row(row):
-    """Scale a rational row to coprime integers."""
+def _specialized_row(row, point):
+    """Integer row proportional to a row of Laurent polynomials at
+    v = point = a/b: each entry sum c_e v^e becomes
+    sum c_e a^(e - lo) b^(hi - e) for the row's extreme exponents lo, hi."""
     if not row:
         return {}
-    mult = lcm(*(s.denominator for s in row.values()))
-    ints = {k: int(s * mult) for k, s in row.items()}
-    g = 0
-    for c in ints.values():
-        g = gcd(g, c)
-    if g > 1:
-        ints = {k: c // g for k, c in ints.items()}
-    return ints
+    a, b = point.numerator, point.denominator
+    lo = min(min(p.coeffs) for p in row.values())
+    hi = max(max(p.coeffs) for p in row.values())
+    weights = [a**t * b ** (hi - lo - t) for t in range(hi - lo + 1)]
+    out = {}
+    for k, p in row.items():
+        total = sum(c * weights[e - lo] for e, c in p.coeffs.items())
+        if total:
+            out[k] = total
+    return out
 
 
 def _reduce_by_gcd(row):
@@ -277,7 +287,9 @@ class RankAccumulator:
             self._points = (None,)
         else:
             self._echelons = (_IntEchelon(), _IntEchelon())
-            self._points = model.spec_points
+            self._points = tuple(Fraction(p) for p in model.spec_points)
+            if 0 in self._points:
+                raise ValueError("cannot specialize at v = 0")
 
     @property
     def rank(self):
@@ -291,13 +303,8 @@ class RankAccumulator:
         row = _operator_row(self.model, op)
         grew = False
         for ech, point in zip(self._echelons, self._points):
-            if point is None:
-                prepared = _primitive_int_row(row)
-            else:
-                prepared = _primitive_int_row(
-                    {k: s.specialize(point) for k, s in row.items()}
-                )
-            grew = ech.add(prepared) or grew
+            prepared = row if point is None else _specialized_row(row, point)
+            grew = ech.add(_reduce_by_gcd(prepared)) or grew
         return grew
 
 

@@ -2,10 +2,16 @@
 
 Two scalar domains are used throughout the package:
 
-* classical scalars are exact rationals (plain ``int`` where possible,
-  ``fractions.Fraction`` otherwise);
-* quantum scalars are fractions of Laurent polynomials in the parameter
-  ``v`` with integer coefficients (:class:`LaurentFraction`).
+* classical operator entries are integers;
+* quantum operator entries are integer Laurent polynomials in the
+  parameter ``v`` (:class:`LaurentPoly`), the ring A = Z[v, v^-1] over
+  which the divided powers and Cartan binomials are defined.
+
+Division of operator entries is exact: by m! classically and by [m]!
+or prod (v^s - v^-s) quantumly, raising NotDivisible when a quotient
+leaves the ring.  Fractions appear only when solving linear systems:
+the adapters' ``div`` returns a ``fractions.Fraction`` classically and
+a :class:`LaurentFraction` quantumly.
 
 Laurent polynomials are stored sparsely as a mapping from integer
 exponents of ``v`` to nonzero integer coefficients.  No normal form
@@ -14,6 +20,7 @@ cross multiplication.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import NotDivisible
 
@@ -95,17 +102,15 @@ class LaurentPoly:
 
     def __add__(self, other):
         if isinstance(other, int):
+            if not other:
+                return self
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LaurentPoly(out)
+            out[k] = out.get(k, 0) + c
+        return LaurentPoly(out)  # the constructor drops the zeros
 
     __radd__ = __add__
 
@@ -133,11 +138,7 @@ class LaurentPoly:
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -169,6 +170,10 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
+
+    def as_laurent(self):
+        """Return self (a LaurentFraction converts the same way)."""
+        return self
 
     def specialize(self, r):
         """Evaluate at v = r (r a nonzero rational).
@@ -439,25 +444,26 @@ class LaurentFraction:
 
 
 class ClassicalScalars:
-    """Adapter for the rational scalar domain of classical models."""
+    """Adapter for the integer entries of classical models."""
 
     mode = "classical"
     zero = 0
     one = 1
+    factorial = staticmethod(factorial)
 
     @staticmethod
     def div(a, b):
+        """a / b in Q, for solving linear systems."""
         q = Fraction(a) / b
         return int(q) if q.denominator == 1 else q
 
     @staticmethod
-    def to_integral(s):
-        """Coerce a scalar known to be an integer, or raise NotDivisible."""
-        if isinstance(s, int):
-            return s
-        if isinstance(s, Fraction) and s.denominator == 1:
-            return int(s)
-        raise NotDivisible(f"{s} is not an integer")
+    def exact_quotient(a, b):
+        """a / b in Z, or raise NotDivisible."""
+        q, r = divmod(a, b)
+        if r:
+            raise NotDivisible(f"{a} is not divisible by {b}")
+        return q
 
     @staticmethod
     def render(s):
@@ -465,23 +471,22 @@ class ClassicalScalars:
 
 
 class QuantumScalars:
-    """Adapter for the Laurent-fraction scalar domain of quantum models."""
+    """Adapter for the Z[v, v^-1] entries of quantum models."""
 
     mode = "quantum"
-    zero = LaurentFraction.zero()
-    one = LaurentFraction.one()
-
-    @staticmethod
-    def v_power(k):
-        return LaurentFraction.v_power(k)
+    zero = LaurentPoly.zero()
+    one = LaurentPoly.one()
+    v_power = staticmethod(LaurentPoly.v_power)
+    factorial = staticmethod(quantum_factorial)
+    exact_quotient = staticmethod(exact_div)
 
     @staticmethod
     def div(a, b):
+        """a / b in Q(v), for solving linear systems: the one place
+        where polynomial entries become fractions."""
+        if not isinstance(a, LaurentFraction):
+            a = LaurentFraction(a)
         return a / b
-
-    @staticmethod
-    def to_integral(s):
-        return LaurentFraction(s.as_laurent())
 
     @staticmethod
     def render(s):

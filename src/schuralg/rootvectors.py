@@ -20,10 +20,7 @@ tuples are always aligned with RootData.positive_roots (lexicographic
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 
-from .ring import LaurentFraction, quantum_factorial
 from .tensormodel import SparseOperator, weight_idempotent
 
 __all__ = [
@@ -113,18 +110,7 @@ def divided_power(model, op, m):
         return model.identity()
     if m == 1:
         return op
-    power = op**m
-    ring = model.scalars
-    if model.mode == "classical":
-        inv = Fraction(1, factorial(m))
-    else:
-        inv = LaurentFraction(1) / LaurentFraction(quantum_factorial(m))
-    return SparseOperator(
-        {
-            j: {i: ring.to_integral(s * inv) for i, s in col.items()}
-            for j, col in power.cols.items()
-        }
-    )
+    return model.divide(op**m, model.scalars.factorial(m))
 
 
 def root_divided_power(model, root, sign, m):

@@ -158,7 +158,7 @@ class SparseOperator:
                     continue
                 for i, t in acol.items():
                     u = acc.get(i, 0) + t * s
-                    if u == 0:
+                    if not u:
                         acc.pop(i, None)
                     else:
                         acc[i] = u
@@ -213,6 +213,15 @@ class Model:
 
     def zero_op(self):
         return SparseOperator()
+
+    def divide(self, op, den):
+        """``op`` with every entry divided exactly by the scalar ``den``;
+        raises NotDivisible when a quotient leaves the integers
+        (classical) or Z[v, v^-1] (quantum)."""
+        quotient = self.scalars.exact_quotient
+        return SparseOperator(
+            {j: {i: quotient(s, den) for i, s in col.items()} for j, col in op.cols.items()}
+        )
 
     def diagonal(self, value_fn):
         """Diagonal operator with entry value_fn(word_index) per word."""
@@ -377,8 +386,8 @@ def cartan_binomial(model, k, m):
     Classical: binom(H_k, m) = H_k (H_k - 1) ... (H_k - m + 1) / m!.
     Quantum: the Gaussian analogue
     prod_{s=1..m} (K_k v^{1-s} - K_k^{-1} v^{s-1}) / (v^s - v^{-s}).
-    Both are evaluated as genuine operator products; entries must come
-    out integral and are stored reduced.
+    Both are evaluated as genuine operator products whose entries are
+    then divided exactly by the scalar denominator.
     """
     key = ("cartan_binomial", k, m)
     if key in model._op_cache:
@@ -386,42 +395,18 @@ def cartan_binomial(model, k, m):
     if m < 0:
         raise ValueError("need m >= 0")
     ring = model.scalars
-    if m == 0:
-        out = model.identity()
-    elif model.mode == "classical":
-        from math import factorial
-
-        h = model.generator("H", k)
-        ident = model.identity()
-        acc = ident
-        for t in range(m):
-            acc = acc @ (h - ident.scale(t))
-        from fractions import Fraction
-
-        inv = Fraction(1, factorial(m))
-        out = SparseOperator(
-            {
-                j: {i: ring.to_integral(s * inv) for i, s in col.items()}
-                for j, col in acc.cols.items()
-            }
-        )
-    else:
-        from .ring import LaurentFraction, LaurentPoly
-
-        kk = model.generator("K", k)
-        kk_inv = model.generator("K^-1", k)
-        acc = model.identity()
-        den = LaurentPoly.one()
-        for s in range(1, m + 1):
-            acc = acc @ (kk.scale(ring.v_power(1 - s)) - kk_inv.scale(ring.v_power(s - 1)))
-            den = den * (LaurentPoly.v_power(s) - LaurentPoly.v_power(-s))
-        inv = LaurentFraction(LaurentPoly.one(), den)
-        out = SparseOperator(
-            {
-                j: {i: ring.to_integral(s * inv) for i, s in col.items()}
-                for j, col in acc.cols.items()
-            }
-        )
+    ident = model.identity()
+    acc, den = ident, ring.one
+    for s in range(1, m + 1):
+        if model.mode == "classical":
+            factor = model.generator("H", k) - ident.scale(s - 1)
+            den = den * s
+        else:
+            factor = (model.generator("K", k).scale(ring.v_power(1 - s))
+                      - model.generator("K^-1", k).scale(ring.v_power(s - 1)))
+            den = den * (ring.v_power(s) - ring.v_power(-s))
+        acc = acc @ factor
+    out = model.divide(acc, den)
     model._op_cache[key] = out
     return out
 

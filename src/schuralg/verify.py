@@ -22,7 +22,7 @@ from math import comb
 
 from .bases import RankAccumulator, enumerate_basis, rank_of_family
 from .errors import HypothesisError
-from .ring import LaurentFraction, LaurentPoly, gaussian_binomial, quantum_integer
+from .ring import LaurentPoly, gaussian_binomial, quantum_integer
 from .rootvectors import BasisLabel, eval_label, root_divided_power, root_vector
 from .tensormodel import (
     build_model,
@@ -162,9 +162,9 @@ def _power(model, op, m):
     return model.identity() if m == 0 else op**m
 
 
-def _v_minus_inverse_reciprocal():
-    """The scalar 1/(v - v^-1)."""
-    return LaurentFraction(1) / LaurentFraction(LaurentPoly({1: 1, -1: -1}))
+# v - v^-1: Q2 and the rank-one relation EF - FE = (K - K^-1)/(v - v^-1)
+# are checked multiplied through by it, so that no fraction appears.
+_V_MINUS_INVERSE = LaurentPoly({1: 1, -1: -1})
 
 
 def _idem_or_zero(model, lam):
@@ -242,12 +242,11 @@ def check_enveloping_relations(model):
             agg.check(Kinv[i] @ K[i] == ident, f"K{i}^-1K{i}")
         rep.append(agg.item("Q1"))
         agg = _Agg()
-        coeff = _v_minus_inverse_reciprocal()
         for i in rng:
             for j in rng:
-                lhs = E[i] @ F[j] - F[j] @ E[i]
+                lhs = (E[i] @ F[j] - F[j] @ E[i]).scale(_V_MINUS_INVERSE)
                 if i == j:
-                    rhs = (K[i] @ Kinv[i + 1] - Kinv[i] @ K[i + 1]).scale(coeff)
+                    rhs = K[i] @ Kinv[i + 1] - Kinv[i] @ K[i + 1]
                 else:
                     rhs = model.zero_op()
                 agg.check(lhs == rhs, f"(i,j)=({i},{j})")
@@ -584,7 +583,7 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None):
     rep.add("quantum:KFK^-1=v^-2F", K @ F @ Kinv == F.scale(vpow(-2)))
     rep.add(
         "quantum:EF-FE=(K-K^-1)/(v-v^-1)",
-        E @ F - F @ E == (K - Kinv).scale(_v_minus_inverse_reciprocal()),
+        (E @ F - F @ E).scale(_V_MINUS_INVERSE) == K - Kinv,
     )
     acc = qid
     for t in eigens:

@@ -9,6 +9,7 @@ import pytest
 
 from schuralg.errors import NotInSpan
 from schuralg.bases import (
+    RankAccumulator,
     _label_block,
     _op_blocks,
     _operator_row,
@@ -25,8 +26,9 @@ from schuralg.bases import (
     structure_constants,
     structure_table_json,
 )
+from schuralg.ring import LaurentPoly
 from schuralg.rootvectors import BasisLabel, eval_label
-from schuralg.tensormodel import build_model
+from schuralg.tensormodel import SparseOperator, build_model
 
 
 def monomial_count(symbols, degree):
@@ -135,6 +137,22 @@ def test_rank_detects_dependence():
     assert rank_of_family(m, [e, e.scale(3)]) == 1
     assert rank_of_family(m, [m.zero_op()]) == 0
     assert rank_of_family(m, [e, f], stop_at=1) == 1
+
+
+def test_rank_exact_fallback_when_specializations_disagree():
+    """Rows (1, 1) and (5v, 7) are dependent at v = 7/5 but not at 11/7,
+    so the rank comes from exact elimination over Q(v)."""
+    m = build_model(2, 1, mode="quantum", spec_points=(Fraction(7, 5), Fraction(11, 7)))
+    one = LaurentPoly.one()
+    ops = [
+        SparseOperator({0: {0: one, 1: one}}),
+        SparseOperator({0: {0: LaurentPoly({1: 5}), 1: LaurentPoly.constant(7)}}),
+    ]
+    acc = RankAccumulator(m)
+    for op in ops:
+        acc.add(op)
+    assert acc.ranks == (1, 2)
+    assert rank_of_family(m, ops) == 2
 
 
 def test_coordinates_of_basis_elements_are_unit_vectors():

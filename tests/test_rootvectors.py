@@ -2,9 +2,11 @@
 
 import pytest
 
+from schuralg.bases import enumerate_basis
 from schuralg.errors import NotDivisible
-from schuralg.ring import LaurentFraction
+from schuralg.ring import LaurentPoly, quantum_factorial
 from schuralg.rootvectors import (
+    KINDS,
     BasisLabel,
     divided_power,
     eval_label,
@@ -13,7 +15,13 @@ from schuralg.rootvectors import (
     label_to_json,
     root_vector,
 )
-from schuralg.tensormodel import build_model, generator_action, weight_idempotent
+from schuralg.tensormodel import (
+    build_model,
+    cartan_binomial,
+    compositions,
+    generator_action,
+    weight_idempotent,
+)
 
 
 def test_simple_root_vectors_are_generators():
@@ -83,16 +91,40 @@ def test_divided_power_not_divisible():
 
 
 def test_quantum_divided_powers_are_integral():
-    """Divided powers of every root vector stay in Z[v, v^-1]."""
+    """Divided powers of every root vector stay in Z[v, v^-1], and
+    x^(k) times [k]! is x^k entry by entry."""
     m = build_model(3, 2, mode="quantum")
     for root in m.root_data.positive_roots:
         for sign in ("plus", "minus"):
             x = root_vector(m, root, sign)
             for k in (1, 2):
                 dp = divided_power(m, x, k)
-                for col in dp.cols.values():
-                    for s in col.values():
-                        assert s.den.is_one()
+                power = x**k
+                assert dp.cols.keys() == power.cols.keys()
+                for j, col in dp.cols.items():
+                    assert col.keys() == power.cols[j].keys()
+                    for i, s in col.items():
+                        assert isinstance(s, LaurentPoly)
+                        assert s * quantum_factorial(k) == power.cols[j][i]
+
+
+def test_quantum_operators_hold_no_fractions():
+    """Every operator the package builds at (3, 3) has entries in
+    Z[v, v^-1], stored as Laurent polynomials."""
+    m = build_model(3, 3, mode="quantum")
+    ops = list(m._generators.values())
+    for root in m.root_data.positive_roots:
+        for sign in ("plus", "minus"):
+            x = root_vector(m, root, sign)
+            ops.append(x)
+            ops.extend(divided_power(m, x, k) for k in range(4))
+    ops.extend(cartan_binomial(m, k, b) for k in range(1, 4) for b in range(4))
+    ops.extend(weight_idempotent(m, lam) for lam in compositions(3, 3))
+    for kind in KINDS:
+        ops.extend(eval_label(m, label) for label in enumerate_basis(3, 3, kind))
+    for op in ops:
+        for col in op.cols.values():
+            assert all(isinstance(s, LaurentPoly) for s in col.values())
 
 
 def test_nilpotency_index():
@@ -161,6 +193,22 @@ def test_eval_label_quantum_specialization_consistency():
         assert {i: s.specialize(1) for i, s in col.items()} == {
             i: s for i, s in c_op.cols[j].items()
         }
+
+
+@pytest.mark.parametrize("kind", ["PLUS", "MINUS", "BOREL_UP", "BOREL_DOWN"])
+def test_quantum_one_sided_families_specialize_to_classical(kind):
+    """At v = 1 every quantum PLUS, MINUS and Borel operator equals its
+    classical counterpart, entry by entry."""
+    mq = build_model(3, 3, mode="quantum")
+    mc = build_model(3, 3)
+    for label in enumerate_basis(3, 3, kind):
+        q_op = eval_label(mq, label)
+        specialized = {}
+        for j, col in q_op.cols.items():
+            img = {i: s.specialize(1) for i, s in col.items() if s.specialize(1)}
+            if img:
+                specialized[j] = img
+        assert specialized == eval_label(mc, label).cols, label
 
 
 def test_label_json_roundtrip():
