@@ -28,7 +28,7 @@ if they ever disagree.
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
-from operator import add, sub
+from operator import add, le, sub
 
 from .errors import NotInSpan
 from .rootvectors import KINDS, BasisLabel, eval_label
@@ -41,6 +41,7 @@ __all__ = [
     "root_sum",
     "enumerate_basis",
     "block_index",
+    "block_dimension",
     "rank_of_family",
     "RankAccumulator",
     "coordinates",
@@ -373,6 +374,23 @@ def block_index(model, family):
         index.setdefault(block, []).append(pos)
     model._block_index[family] = index
     return index
+
+
+@lru_cache(maxsize=None)
+def block_dimension(src, dst):
+    """dim 1_dst S(n, d) 1_src: the number of n x n matrices of
+    nonnegative integers with row sums ``dst`` and column sums ``src``
+    (the xi-basis count of Green, Polynomial Representations of GL_n,
+    section 2.3).  Summed over all blocks it is C(n^2 - 1 + d, d)."""
+    if sum(src) != sum(dst):
+        return 0
+    if len(dst) <= 1:
+        return 1
+    return sum(
+        block_dimension(tuple(map(sub, src, row)), dst[1:])
+        for row in compositions(len(src), dst[0])
+        if all(map(le, row, src))
+    )
 
 
 def _op_blocks(model, op):

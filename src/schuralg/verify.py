@@ -17,14 +17,24 @@ silent pass.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import comb
+from operator import add, sub
 
-from .bases import RankAccumulator, enumerate_basis, rank_of_family
+from .bases import (
+    RankAccumulator,
+    _degree_bounded,
+    block_dimension,
+    enumerate_basis,
+    rank_of_family,
+    root_sum,
+)
 from .errors import HypothesisError
 from .ring import LaurentPoly, gaussian_binomial, quantum_integer
 from .rootvectors import BasisLabel, eval_label, root_divided_power, root_vector
 from .tensormodel import (
+    SparseOperator,
     build_model,
     cartan_binomial,
     compositions,
@@ -630,41 +640,138 @@ def _cartan_product(model, B):
     return op
 
 
-def _triangular_items(model, rep):
-    from .bases import _degree_bounded
+def _columns_by_source(model, op):
+    """The columns of an operator grouped by source weight:
+    {src: {j: column}}."""
+    out = {}
+    for j, col in op.cols.items():
+        out.setdefault(model.weights[j], {})[j] = col
+    return out
 
+
+def _block_ranks(model, fams):
+    """Rank of every weight block of the products a @ b @ c, with a, b
+    and c drawn from ``fams`` in the order of :func:`_triangular_order`.
+
+    Each family is a list of (degree, weight shift, operator).  A
+    product's column j lies in block (weights[j], weights[j] + delta),
+    where delta is the sum of the three shifts.  Only the columns whose
+    block is still open are computed, each block's piece goes to that
+    block's own RankAccumulator, and a block closes once its rank
+    reaches :func:`block_dimension`.  Returns {(src, dst): rank} over
+    all blocks, sources and targets in weight-set order.
+    """
+    weights = model.weight_set()
+    dims = {(src, dst): block_dimension(src, dst)
+            for src in weights for dst in weights}
+    # Open sources per shift; a dict keeps them in weight-set order.
+    open_sources = {}
+    for src, dst in dims:
+        open_sources.setdefault(tuple(map(sub, dst, src)), {})[src] = None
+    remaining = len(dims)
+    accs = {}
+    split = [_columns_by_source(model, op) for _, _, op in fams[2]]
+    degrees = [[deg for deg, _, _ in fam] for fam in fams]
+    for ia, ib, ic in _triangular_order(*degrees):
+        _, sa, a = fams[0][ia]
+        _, sb, b = fams[1][ib]
+        _, sc, _ = fams[2][ic]
+        delta = tuple(x + y + z for x, y, z in zip(sa, sb, sc))
+        sources = open_sources.get(delta)
+        if not sources:
+            continue
+        c_cols = {}
+        for src in sources:
+            c_cols.update(split[ic].get(src, ()))
+        if not c_cols:
+            continue
+        pieces = _columns_by_source(model, a @ (b @ SparseOperator(c_cols)))
+        for src, piece in pieces.items():
+            block = (src, tuple(map(add, src, delta)))
+            acc = accs.get(block)
+            if acc is None:
+                acc = accs[block] = RankAccumulator(model)
+            acc.add(SparseOperator(piece))
+            if acc.rank >= dims[block]:
+                del sources[src]
+                remaining -= 1
+        if not remaining:
+            break
+    return {block: accs[block].rank if block in accs else 0 for block in dims}
+
+
+def _triangular_families(model):
+    """The factor families of the triangular check by sign: PLUS and
+    MINUS monomials of degree <= d and Cartan products of degree <= d,
+    each entry (degree, weight shift, operator)."""
     n, d = model.n, model.d
-    dim = comb(n * n - 1 + d, d)
+    shift = partial(root_sum, model.root_data)
     exponents = _degree_bounded(len(model.root_data.positive_roots), d)
     families = {
-        sign: [(sum(A), eval_label(model, BasisLabel(flavor=flavor, A=A)))
-               for A in exponents]
-        for sign, flavor in (("+", "PLUS"), ("-", "MINUS"))
+        "+": [(sum(A), shift(A), eval_label(model, BasisLabel(flavor="PLUS", A=A)))
+              for A in exponents],
+        "-": [(sum(A), tuple(-x for x in shift(A)),
+               eval_label(model, BasisLabel(flavor="MINUS", A=A)))
+              for A in exponents],
     }
     families["0"] = [
-        (total, _cartan_product(model, B))
+        (total, (0,) * n, _cartan_product(model, B))
         for total in range(d + 1)
         for B in compositions(n, total)
     ]
-    for perm in permutations("+0-"):
-        tag = "".join(perm)
-        fams = [families[p] for p in perm]
-        degrees = [[deg for deg, _ in fam] for fam in fams]
-        acc = RankAccumulator(model)
-        for ia, ib, ic in _triangular_order(*degrees):
-            acc.add(fams[0][ia][1] @ fams[1][ib][1] @ fams[2][ic][1])
-            if acc.rank >= dim:
-                break
-        rep.add(
-            f"triangular[{tag}]",
-            acc.rank == dim,
-            detail=f"rank {acc.rank} of {dim}",
+    return families
+
+
+def _triangular_item(model, tag, fams):
+    """The item triangular[tag] for three factor families: passes when
+    the block ranks sum to dim S(n, d); a failing detail names the first
+    block short of its dimension."""
+    n, d = model.n, model.d
+    dim = comb(n * n - 1 + d, d)
+    ranks = _block_ranks(model, fams)
+    rank = sum(ranks.values())
+    detail = f"rank {rank} of {dim}"
+    if rank < dim:
+        (src, dst), short = next(
+            (block, r) for block, r in ranks.items() if r < block_dimension(*block)
         )
+        detail += f"; block {src}->{dst} rank {short} of {block_dimension(src, dst)}"
+    return CheckItem(f"triangular[{tag}]", rank == dim, detail=detail)
+
+
+def _triangular_items(model, rep):
+    """One item per order of S+, S0, S-: the triple products of PLUS
+    monomials, Cartan products and MINUS monomials span S(n, d).
+
+    The rank is the sum of the ranks of the weight blocks.  That sum is
+    the rank of the whole family because the family's span is closed
+    under projection onto blocks: PLUS and MINUS monomials are
+    weight-homogeneous, so in 1_mu (a b c) 1_lam the idempotents move
+    next to the Cartan factor, and the Cartan products of degree <= d
+    span every weight idempotent (1_nu is the product of the
+    binom(H_k, nu_k), quantumly of their Gaussian analogues); the
+    projection is again a combination of triple products of the same
+    order.  Skipping closed blocks keeps every
+    PASS a proof: each block rank is the rank of pieces actually
+    computed, which lie in the family's span; pieces of different
+    blocks are independent; and no block exceeds its dimension, so a
+    closed block cannot grow.  In quantum mode each block keeps the
+    two-point specialization certificate of RankAccumulator.
+    """
+    families = _triangular_families(model)
+    for perm in permutations("+0-"):
+        rep.append(_triangular_item(model, "".join(perm), [families[p] for p in perm]))
 
 
 def check_structural_facts(model):
     """Nilpotency indexes, vanishing Cartan products, the idempotent
-    family, and all six triangular decompositions."""
+    family, and all six triangular decompositions.
+
+    Each decomposition is certified by rank, weight block by weight
+    block: the span of its triple products is closed under projection
+    onto blocks, so the block ranks sum to its rank, and a block stops
+    taking products once it reaches its matrix-count dimension (see
+    :func:`_triangular_items`)."""
     t0 = time.perf_counter()
     rep = CheckReport("structural-facts", model.n, model.d, model.mode)
     n, d = model.n, model.d

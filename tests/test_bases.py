@@ -16,6 +16,7 @@ from schuralg.bases import (
     _solve_exact,
     basis_csv,
     basis_json,
+    block_dimension,
     block_index,
     content,
     content_low,
@@ -28,7 +29,7 @@ from schuralg.bases import (
 )
 from schuralg.ring import LaurentPoly
 from schuralg.rootvectors import BasisLabel, eval_label
-from schuralg.tensormodel import SparseOperator, build_model
+from schuralg.tensormodel import SparseOperator, build_model, compositions
 
 
 def monomial_count(symbols, degree):
@@ -267,6 +268,26 @@ def test_block_index_groups_positions_by_block():
     assert block_index(m, enumerate_basis(3, 3, "B1")) is index
     assert block_index(m, enumerate_basis(3, 3, "PBW")) is None
     assert len(m._block_index) == 2
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 3), (3, 5)])
+def test_block_dimension_counts_b1_labels(n, d):
+    # dim 1_mu S 1_lam is the number of matrices with row sums mu and
+    # column sums lam; B1 has exactly that many labels in each block.
+    m = build_model(n, d)
+    index = block_index(m, enumerate_basis(n, d, "B1"))
+    weights = compositions(n, d)
+    dims = {(src, dst): block_dimension(src, dst)
+            for src in weights for dst in weights}
+    assert {block: len(pos) for block, pos in index.items()} == dims
+    assert sum(dims.values()) == comb(n * n - 1 + d, d)
+
+
+def test_block_dimension_small_cases():
+    assert block_dimension((1, 1), (1, 1)) == 2
+    assert block_dimension((2, 0), (0, 2)) == 1
+    assert block_dimension((2, 1, 0), (1, 1, 1)) == 3
+    assert block_dimension((1, 1), (1, 0)) == 0
 
 
 def test_coordinates_index_matches_full_filter():

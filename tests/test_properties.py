@@ -1,12 +1,14 @@
-"""Property tests for Laurent arithmetic and fraction-free specialization."""
+"""Property tests for Laurent arithmetic, Gaussian binomials and
+fraction-free specialization."""
 
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schuralg.bases import _specialized_row
-from schuralg.ring import LaurentPoly, exact_div
+from schuralg.ring import LaurentPoly, exact_div, gaussian_binomial
 
 polys = st.dictionaries(
     st.integers(-6, 6), st.integers(-20, 20), max_size=5
@@ -40,6 +42,31 @@ def test_laurent_ring_axioms(p, q, r):
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_multiplication(p, q):
     assert exact_div(p * q, q) == p
+
+
+binomial_args = st.integers(0, 12).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(0, a))
+)
+
+
+@SETTINGS
+@given(binomial_args)
+def test_gaussian_binomial_symmetry(args):
+    a, b = args
+    assert gaussian_binomial(a, b) == gaussian_binomial(a, a - b)
+
+
+@SETTINGS
+@given(binomial_args)
+def test_gaussian_binomial_is_bar_invariant(args):
+    coeffs = gaussian_binomial(*args).coeffs
+    assert all(coeffs.get(-e) == c for e, c in coeffs.items())
+
+
+@SETTINGS
+@given(binomial_args)
+def test_gaussian_binomial_specializes_to_binomial(args):
+    assert gaussian_binomial(*args).specialize(1) == comb(*args)
 
 
 @SETTINGS

@@ -7,10 +7,11 @@ regression in the checkers cannot hide behind their own pass flags.
 """
 
 from itertools import permutations
+from math import comb
 
 import pytest
 
-from schuralg.bases import _degree_bounded
+from schuralg.bases import RankAccumulator, _degree_bounded, block_dimension
 from schuralg.errors import HypothesisError
 from schuralg.ring import LaurentPoly, quantum_integer
 from schuralg.tensormodel import (
@@ -32,7 +33,13 @@ from schuralg.verify import (
     check_structural_facts,
     suite_reports,
 )
-from schuralg.verify import _Agg, _triangular_order
+from schuralg.verify import (
+    _Agg,
+    _block_ranks,
+    _triangular_families,
+    _triangular_item,
+    _triangular_order,
+)
 
 
 def _ids(report):
@@ -284,3 +291,78 @@ def test_suite_reports_pass_configuration_to_every_model(monkeypatch):
     # One model for the suite, two for specialization, two for rank one.
     assert len(seen) == 5
     assert all(k["word_cap"] == 50 and k["spec_points"] == points for k in seen)
+
+
+def _full_row_rank(model, fams, stop):
+    """Reference rank: every triple product as one full row in a single
+    accumulator, in the streamed order, stopping at ``stop``."""
+    acc = RankAccumulator(model)
+    degrees = [[deg for deg, _, _ in fam] for fam in fams]
+    for ia, ib, ic in _triangular_order(*degrees):
+        acc.add(fams[0][ia][2] @ fams[1][ib][2] @ fams[2][ic][2])
+        if acc.rank >= stop:
+            break
+    return acc.rank
+
+
+def _cut_families(model):
+    """PLUS and MINUS cut to degree < d, Cartan products kept: deficient,
+    but still closed under projection onto weight blocks."""
+    families = _triangular_families(model)
+    return {
+        sign: [f for f in fam if sign == "0" or f[0] < model.d]
+        for sign, fam in families.items()
+    }
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3)])
+def test_block_ranks_match_full_row_rank(n, d, mode):
+    m = build_model(n, d, mode=mode)
+    dim = comb(n * n - 1 + d, d)
+    for families in (_triangular_families(m), _cut_families(m)):
+        for perm in permutations("+0-"):
+            fams = [families[p] for p in perm]
+            ranks = _block_ranks(m, fams)
+            assert all(r <= block_dimension(*block) for block, r in ranks.items())
+            assert sum(ranks.values()) == _full_row_rank(m, fams, dim)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_failing_triangular_item_names_its_block(mode):
+    # Without e^(3) and f^(3) at (2, 3) nothing maps weight (3, 0) to
+    # (0, 3) or back; the first such block in weight order is named.
+    m = build_model(2, 3, mode=mode)
+    families = _cut_families(m)
+    for perm in permutations("+0-"):
+        tag = "".join(perm)
+        item = _triangular_item(m, tag, [families[p] for p in perm])
+        assert item.id == f"triangular[{tag}]" and not item.ok
+        assert item.detail == "rank 18 of 20; block (3, 0)->(0, 3) rank 0 of 1"
+    real = _triangular_families(m)
+    item = _triangular_item(m, "+0-", [real[p] for p in "+0-"])
+    assert item.ok and item.detail == "rank 20 of 20"
+
+
+def test_failing_triangular_item_block_is_short():
+    # The named block's rank is recomputed from full projections.
+    m = build_model(3, 2)
+    families = _cut_families(m)
+    fams = [families[p] for p in "+0-"]
+    item = _triangular_item(m, "+0-", fams)
+    assert not item.ok
+    ranks = _block_ranks(m, fams)
+    block, short = next(
+        (b, r) for b, r in ranks.items() if r < block_dimension(*b)
+    )
+    src, dst = block
+    assert item.detail.endswith(
+        f"block {src}->{dst} rank {short} of {block_dimension(src, dst)}"
+    )
+    one_src, one_dst = weight_idempotent(m, src), weight_idempotent(m, dst)
+    acc = RankAccumulator(m)
+    for a in fams[0]:
+        for b in fams[1]:
+            for c in fams[2]:
+                acc.add(one_dst @ a[2] @ b[2] @ c[2] @ one_src)
+    assert acc.rank == short
