@@ -23,14 +23,28 @@ A specialization can only lower the rank, so a full-rank specialization
 already proves linear independence over the rational function field;
 the two runs must agree, with an exact fallback over Laurent fractions
 if they ever disagree.
+
+Coordinates are solved with a certificate, separately for each group
+of candidate labels whose operators share nonzero positions.  With k
+labels in a group, the equation at each position is {u: entry of label
+u}; equations are specialized the same way until k of them are
+independent.  Their k x k minor is then nonzero at a value of v, hence
+nonzero over Q(v), so the candidates are independent.  Fraction-free
+Bareiss elimination of that minor over the scalar ring gives
+D = +-det != 0 and numerators N_u, and D * target = sum_u N_u * column_u
+is checked exactly at every position, which proves the expansion
+x_u = N_u / D.  Each x_u is returned in the ring when D divides N_u, as
+a fraction otherwise.  If no specialization reaches rank k, exact
+elimination over the fraction field picks the equations instead.
 """
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
 from math import gcd
 from operator import add, le, sub
 
-from .errors import NotInSpan
+from .errors import NotDivisible, NotInSpan
 from .rootvectors import KINDS, BasisLabel, eval_label
 from .tensormodel import compositions
 
@@ -272,6 +286,17 @@ class _FieldEchelon:
         return False
 
 
+def _spec_points(model):
+    """Values of v at which rows are specialized: (None,) classically,
+    where integer rows are exact already."""
+    if model.mode == "classical":
+        return (None,)
+    points = tuple(Fraction(p) for p in model.spec_points)
+    if 0 in points:
+        raise ValueError("cannot specialize at v = 0")
+    return points
+
+
 class RankAccumulator:
     """Incremental exact rank of a stream of operators.
 
@@ -283,14 +308,8 @@ class RankAccumulator:
 
     def __init__(self, model):
         self.model = model
-        if model.mode == "classical":
-            self._echelons = (_IntEchelon(),)
-            self._points = (None,)
-        else:
-            self._echelons = (_IntEchelon(), _IntEchelon())
-            self._points = tuple(Fraction(p) for p in model.spec_points)
-            if 0 in self._points:
-                raise ValueError("cannot specialize at v = 0")
+        self._points = _spec_points(model)
+        self._echelons = tuple(_IntEchelon() for _ in self._points)
 
     @property
     def rank(self):
@@ -407,8 +426,14 @@ def coordinates(model, op, basis):
 
     Solving is restricted to the weight blocks the operator touches
     whenever every candidate label pins a block, which keeps the linear
-    systems small.  Raises NotInSpan if no expansion exists or the
-    family is dependent where it matters.
+    systems small.  With k candidates, k equations whose k x k minor is
+    nonzero at a specialization of v are solved fraction-free over the
+    scalar ring, and the solution is then checked exactly against every
+    equation, so each returned expansion is proved and unique (see
+    :func:`_certified_solve`).  Coefficients are integers classically
+    and Laurent polynomials quantumly whenever they are integral.
+    Raises NotInSpan if no expansion exists or the family is dependent
+    where it matters.
     """
     if op.is_zero():
         return {}
@@ -422,62 +447,182 @@ def coordinates(model, op, basis):
         candidates = list(basis)
     columns = [_operator_row(model, eval_label(model, label)) for label in candidates]
     target = _operator_row(model, op)
-    values = _solve_exact(model.scalars, columns, target)
-    out = {}
-    for label, val in zip(candidates, values):
-        if not (val == 0):
-            out[label] = val
-    return out
+    values = _certified_solve(model, columns, target)
+    return {label: val for label, val in zip(candidates, values) if val}
 
 
-def _solve_exact(scalars, columns, target):
-    """Solve sum_u x_u * columns[u] = target for exact scalars.
+def _certified_solve(model, columns, target):
+    """Solve sum_u x_u * columns[u] = target with the certificate of the
+    module docstring, group by group of columns that share positions.
 
-    Raises NotInSpan when the system is inconsistent or the columns are
-    linearly dependent (no unique expansion).
+    Columns of different groups have disjoint supports, so the expansion
+    is the sum of the groups' expansions and each group's minor stays as
+    small as the structure allows.  An inconsistent system is reported
+    as outside the span before a dependent one is reported as dependent;
+    both raise NotInSpan.
     """
-    equations = {}
-    for u, colrow in enumerate(columns):
-        for k, s in colrow.items():
-            equations.setdefault(k, ({}, [0]))[0][u] = s
-    for k, s in target.items():
-        equations.setdefault(k, ({}, [0]))[1][0] = s
-    div = scalars.div
-    pivots = {}
-    for coeffs, rhs_box in equations.values():
-        coeffs = dict(coeffs)
-        rhs = rhs_box[0]
-        while coeffs:
-            u = min(coeffs)
-            piv = pivots.get(u)
-            if piv is None:
-                lead = coeffs.pop(u)
-                monic = {w: div(c, lead) for w, c in coeffs.items()}
-                pivots[u] = (monic, div(rhs, lead))
-                coeffs = {}
-                break
-            factor = coeffs.pop(u)
-            pcoeffs, prhs = piv
-            for w, c in pcoeffs.items():
-                s = coeffs.get(w, 0) - factor * c
-                if s == 0:
-                    coeffs.pop(w, None)
-                else:
-                    coeffs[w] = s
-            rhs = rhs - factor * prhs
+    values = [model.scalars.zero] * len(columns)
+    rest = dict(target)
+    dependent = False
+    for group in _connected_columns(columns):
+        sub = [columns[u] for u in group]
+        support = set(chain.from_iterable(sub))
+        solved = _solve_connected(
+            model, sub, {k: rest.pop(k) for k in support if k in rest}
+        )
+        if solved is None:
+            dependent = True
         else:
-            if not (rhs == 0):
-                raise NotInSpan("operator is outside the span of the family")
-    if len(pivots) < len(columns):
+            for u, x in zip(group, solved):
+                values[u] = x
+    if rest:
+        raise NotInSpan("operator is outside the span of the family")
+    if dependent:
         raise NotInSpan("family is linearly dependent; no unique expansion")
-    values = [scalars.zero] * len(columns)
-    for u in sorted(pivots, reverse=True):
-        coeffs, rhs = pivots[u]
-        total = rhs
-        for w, c in coeffs.items():
-            total = total - c * values[w]
-        values[u] = total
     return values
+
+
+def _connected_columns(columns):
+    """Indices of ``columns`` grouped by shared positions, each group and
+    the groups in ascending order."""
+    root = list(range(len(columns)))
+
+    def find(u):
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    owner = {}
+    for u, col in enumerate(columns):
+        for k in col:
+            root[find(owner.setdefault(k, u))] = find(u)
+    groups = {}
+    for u in range(len(columns)):
+        groups.setdefault(find(u), []).append(u)
+    return list(groups.values())
+
+
+def _solve_connected(model, columns, target):
+    """Coordinates of ``target`` in ``columns``, or None when the columns
+    are dependent; raises NotInSpan when the system is inconsistent.
+
+    The check D * target = sum_u N_u * columns[u] is divided through by
+    D when D divides every N_u.  A deficient family is checked on the
+    pivot columns of its exact elimination, which span the same space.
+    """
+    scalars = model.scalars
+    rows, cols = _independent_equations(model, columns)
+    zero = scalars.zero
+    det, nums = _bareiss_solve(
+        scalars,
+        [[columns[u].get(k, zero) for u in cols] for k in rows],
+        [target.get(k, zero) for k in rows],
+    )
+    quotients = [_ring_quotient(scalars, num, det) for num in nums]
+    if None in quotients:
+        weights, expected = nums, {k: det * s for k, s in target.items()}
+    else:
+        weights, expected = quotients, target
+    combined = {}
+    for u, w in zip(cols, weights):
+        if w:
+            for k, s in columns[u].items():
+                term = w * s
+                prev = combined.get(k)
+                combined[k] = term if prev is None else prev + term
+    if {k: s for k, s in combined.items() if s} != expected:
+        raise NotInSpan("operator is outside the span of the family")
+    if len(cols) < len(columns):
+        return None
+    return [scalars.div(num, det) if q is None else q
+            for num, q in zip(nums, quotients)]
+
+
+def _independent_equations(model, columns):
+    """Positions of independent equations and the unknowns they pin.
+
+    The equation at a position is {u: columns[u][position]}; equations
+    are taken in order of first appearance.  Returns (rows, cols) with a
+    nonzero minor on those rows and columns: k = len(columns) rows and
+    all k columns as soon as one specialization of v (or the integers
+    themselves, classically) reaches rank k, otherwise the rows and
+    pivot columns of an exact elimination, whose count is the rank.
+    """
+    k = len(columns)
+
+    def equations():
+        for pos in dict.fromkeys(chain.from_iterable(columns)):
+            yield pos, {u: col[pos] for u, col in enumerate(columns) if pos in col}
+
+    def first_independent(echelon, prepared):
+        rows = []
+        for pos, row in prepared:
+            if len(rows) == k:
+                break
+            if echelon.add(row):
+                rows.append(pos)
+        return rows
+
+    for point in _spec_points(model):
+        echelon = _IntEchelon()
+        rows = first_independent(echelon, (
+            (pos, _reduce_by_gcd(eq if point is None else _specialized_row(eq, point)))
+            for pos, eq in equations()
+        ))
+        if len(rows) == k:
+            return rows, list(range(k))
+    if point is not None:  # a classical integer echelon is exact already
+        echelon = _FieldEchelon(model.scalars)
+        rows = first_independent(echelon, equations())
+    return rows, sorted(echelon.pivots)
+
+
+def _bareiss_solve(scalars, matrix, rhs):
+    """Fraction-free solution of a nonsingular square system over an
+    integral domain (Bareiss, Math. Comp. 22, 1968).
+
+    Returns (D, N) with D = +-det(matrix) and matrix * N = D * rhs, so
+    the solution is N / D.  Every division, by the previous pivot in the
+    elimination and by the diagonal in the back substitution, is exact:
+    the quotients are minors of the augmented matrix, and D * x is N.
+
+    >>> from schuralg.ring import CLASSICAL_SCALARS
+    >>> _bareiss_solve(CLASSICAL_SCALARS, [[2, 1], [1, 3]], [3, 5])
+    (5, [4, 7])
+    """
+    quotient = scalars.exact_quotient
+    size = len(matrix)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    prev = scalars.one
+    for i in range(size):
+        swap = next((r for r in range(i, size) if rows[r][i]), None)
+        if swap is None:
+            raise ZeroDivisionError("singular system")
+        rows[i], rows[swap] = rows[swap], rows[i]
+        top = rows[i]
+        pivot = top[i]
+        for row in rows[i + 1:]:
+            factor = row[i]
+            for c in range(i + 1, size + 1):
+                row[c] = quotient(pivot * row[c] - factor * top[c], prev)
+        prev = pivot
+    nums = [None] * size
+    for i in reversed(range(size)):
+        row = rows[i]
+        total = prev * row[size]
+        for c in range(i + 1, size):
+            total = total - row[c] * nums[c]
+        nums[i] = quotient(total, row[i])
+    return prev, nums
+
+
+def _ring_quotient(scalars, num, det):
+    """num / det when it lies in the scalar ring, else None."""
+    try:
+        return scalars.exact_quotient(num, det)
+    except NotDivisible:
+        return None
 
 
 def structure_constants(model, basis, i, j):

@@ -9,9 +9,10 @@ Two scalar domains are used throughout the package:
 
 Division of operator entries is exact: by m! classically and by [m]!
 or prod (v^s - v^-s) quantumly, raising NotDivisible when a quotient
-leaves the ring.  Fractions appear only when solving linear systems:
-the adapters' ``div`` returns a ``fractions.Fraction`` classically and
-a :class:`LaurentFraction` quantumly.
+leaves the ring.  Fractions appear only for a coordinate that is not
+integral and in the exact rank fallback: the adapters' ``div`` returns
+a ``fractions.Fraction`` classically and a :class:`LaurentFraction`
+quantumly.
 
 Laurent polynomials are stored sparsely as a mapping from integer
 exponents of ``v`` to nonzero integer coefficients.  No normal form
@@ -482,8 +483,8 @@ class QuantumScalars:
 
     @staticmethod
     def div(a, b):
-        """a / b in Q(v), for solving linear systems: the one place
-        where polynomial entries become fractions."""
+        """a / b in Q(v): the one place where polynomial entries
+        become fractions."""
         if not isinstance(a, LaurentFraction):
             a = LaurentFraction(a)
         return a / b

@@ -1,6 +1,7 @@
 """Tests for basis enumeration, rank certification, coordinates, and
 structure constants."""
 
+import random
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -10,10 +11,10 @@ import pytest
 from schuralg.errors import NotInSpan
 from schuralg.bases import (
     RankAccumulator,
+    _certified_solve,
     _label_block,
     _op_blocks,
     _operator_row,
-    _solve_exact,
     basis_csv,
     basis_json,
     block_dimension,
@@ -27,7 +28,7 @@ from schuralg.bases import (
     structure_constants,
     structure_table_json,
 )
-from schuralg.ring import LaurentPoly
+from schuralg.ring import LaurentFraction, LaurentPoly
 from schuralg.rootvectors import BasisLabel, eval_label
 from schuralg.tensormodel import SparseOperator, build_model, compositions
 
@@ -231,7 +232,7 @@ def test_structure_constants_integrality_quantum():
     for i in range(len(labels)):
         for j in range(len(labels)):
             for s in structure_constants(m, labels, i, j).values():
-                assert s.as_laurent() is not None, (i, j)
+                assert isinstance(s, LaurentPoly), (i, j, s)
 
 
 def test_basis_serialization_shapes():
@@ -290,6 +291,63 @@ def test_block_dimension_small_cases():
     assert block_dimension((1, 1), (1, 0)) == 0
 
 
+def _reference_solve(scalars, columns, target):
+    """Solve sum_u x_u * columns[u] = target by Gaussian elimination of
+    every equation over the fraction field: the oracle for coordinates.
+
+    Raises NotInSpan when the system is inconsistent or the columns are
+    linearly dependent (no unique expansion).
+    """
+    equations = {}
+    for u, colrow in enumerate(columns):
+        for k, s in colrow.items():
+            equations.setdefault(k, ({}, [0]))[0][u] = s
+    for k, s in target.items():
+        equations.setdefault(k, ({}, [0]))[1][0] = s
+    div = scalars.div
+    pivots = {}
+    for coeffs, rhs_box in equations.values():
+        coeffs = dict(coeffs)
+        rhs = rhs_box[0]
+        while coeffs:
+            u = min(coeffs)
+            piv = pivots.get(u)
+            if piv is None:
+                lead = coeffs.pop(u)
+                monic = {w: div(c, lead) for w, c in coeffs.items()}
+                pivots[u] = (monic, div(rhs, lead))
+                coeffs = {}
+                break
+            factor = coeffs.pop(u)
+            pcoeffs, prhs = piv
+            for w, c in pcoeffs.items():
+                s = coeffs.get(w, 0) - factor * c
+                if s == 0:
+                    coeffs.pop(w, None)
+                else:
+                    coeffs[w] = s
+            rhs = rhs - factor * prhs
+        else:
+            if not (rhs == 0):
+                raise NotInSpan("operator is outside the span of the family")
+    if len(pivots) < len(columns):
+        raise NotInSpan("family is linearly dependent; no unique expansion")
+    values = [scalars.zero] * len(columns)
+    for u in sorted(pivots, reverse=True):
+        coeffs, rhs = pivots[u]
+        total = rhs
+        for w, c in coeffs.items():
+            total = total - c * values[w]
+        values[u] = total
+    return values
+
+
+def _reference_coordinates(m, op, labels, candidates):
+    columns = [_operator_row(m, eval_label(m, lab)) for lab in candidates]
+    values = _reference_solve(m.scalars, columns, _operator_row(m, op))
+    return [(lab, v) for lab, v in zip(candidates, values) if not (v == 0)]
+
+
 def test_coordinates_index_matches_full_filter():
     # The block index must pick the same candidates, in the same order,
     # as filtering the whole family by block on every call.
@@ -309,8 +367,145 @@ def test_coordinates_index_matches_full_filter():
         candidates = [
             lab for lab in labels if _label_block(lab, shift) in touched
         ]
-        columns = [_operator_row(m, eval_label(m, lab)) for lab in candidates]
-        values = _solve_exact(m.scalars, columns, _operator_row(m, op))
-        expected = [(lab, v) for lab, v in zip(candidates, values) if not (v == 0)]
+        expected = _reference_coordinates(m, op, labels, candidates)
         assert expected
         assert list(coordinates(m, op, labels).items()) == expected
+
+
+def _seeded_products(m, labels, count, seed):
+    """Nonzero products of ``count`` seeded B1 pairs that compose."""
+    shift = partial(root_sum, m.root_data)
+    blocks = [_label_block(lab, shift) for lab in labels]
+    rng = random.Random(seed)
+    products = []
+    while len(products) < count:
+        right = rng.randrange(len(labels))
+        lefts = [k for k, b in enumerate(blocks) if b[0] == blocks[right][1]]
+        op = eval_label(m, labels[rng.choice(lefts)]) @ eval_label(m, labels[right])
+        if not op.is_zero():
+            products.append(op)
+    return products
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d,count", [(2, 4, 12), (3, 3, 12), (3, 4, 12)])
+def test_coordinates_match_reference_solve(mode, n, d, count):
+    # Same labels in the same order, with values equal in Q(v) (in Q
+    # classically), as eliminating every equation over the fractions.
+    m = build_model(n, d, mode=mode)
+    labels = enumerate_basis(n, d, "B1")
+    index = block_index(m, labels)
+    for op in _seeded_products(m, labels, count, seed=n * 10 + d):
+        candidates = [
+            labels[pos]
+            for pos in sorted(p for b in _op_blocks(m, op) for p in index.get(b, ()))
+        ]
+        expected = _reference_coordinates(m, op, labels, candidates)
+        got = list(coordinates(m, op, labels).items())
+        assert [lab for lab, _ in got] == [lab for lab, _ in expected]
+        assert all(a == b for (_, a), (_, b) in zip(got, expected))
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_coordinates_match_reference_solve_unblocked(mode, n, d):
+    # PBW labels pin no block: every label is a candidate, and the
+    # system splits only by the columns' shared positions.
+    m = build_model(n, d, mode=mode)
+    labels = enumerate_basis(n, d, "PBW")
+    ops = [eval_label(m, lab) for lab in labels]
+    rng = random.Random(n * 10 + d)
+    e, f = ("e", "f") if mode == "classical" else ("E", "F")
+    targets = [m.identity(), m.generator(e, 1), m.generator(f, n - 1)]
+    while len(targets) < 6:
+        op = ops[rng.randrange(len(ops))] @ ops[rng.randrange(len(ops))]
+        if not op.is_zero():
+            targets.append(op)
+    for op in targets:
+        expected = _reference_coordinates(m, op, labels, labels)
+        got = list(coordinates(m, op, labels).items())
+        assert [lab for lab, _ in got] == [lab for lab, _ in expected]
+        assert all(a == b for (_, a), (_, b) in zip(got, expected))
+
+
+def _solver_case(mode, entries):
+    """A model for ``mode`` and the rows of ``entries`` (one list of
+    Laurent polynomials per column) with classical entries taken at v = 1."""
+    m = build_model(2, 1, mode=mode)
+    if mode == "classical":
+        entries = [[int(p.specialize(1)) for p in col] for col in entries]
+    rows = [{k: s for k, s in enumerate(col) if s} for col in entries]
+    return m, rows
+
+
+def _combine(m, rows, xs):
+    out = {}
+    for row, x in zip(rows, xs):
+        for k, s in row.items():
+            out[k] = out.get(k, m.scalars.zero) + x * s
+    return {k: s for k, s in out.items() if s}
+
+
+V = LaurentPoly.v_power(1)
+ONE = LaurentPoly.one()
+ZERO = LaurentPoly.zero()
+# det [[1, 1], [1, 1 + (5v - 7)(7v - 11)]] vanishes at v = 7/5 and 11/7.
+VANISHING = (5 * V - 7) * (7 * V - 11)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_certified_solve_falls_back_when_minors_vanish(mode, monkeypatch):
+    from schuralg import bases
+
+    built = []
+
+    class Recording(bases._FieldEchelon):
+        def __init__(self, scalars):
+            built.append(scalars)
+            super().__init__(scalars)
+
+    monkeypatch.setattr(bases, "_FieldEchelon", Recording)
+    m, rows = _solver_case(mode, [[ONE, ONE], [ONE, ONE + VANISHING]])
+    xs = [3 * V, 2] if mode == "quantum" else [3, 2]
+    assert _certified_solve(m, rows, _combine(m, rows, xs)) == xs
+    # Specializing at 7/5 and 11/7 leaves rank 1; at v = 1 the integer
+    # minor is 8, so only quantum mode needs exact elimination.
+    assert len(built) == (mode == "quantum")
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_certified_solve_fractional_coordinates(mode):
+    # x0 + x1 = 1 and x0 + (2 + v) x1 = 2: x1 = 1/(1 + v), 1/2 at v = 1.
+    m, rows = _solver_case(mode, [[ONE, ONE], [ONE, 2 + V]])
+    one = m.scalars.one
+    x0, x1 = _certified_solve(m, rows, {0: one, 1: 2 * one})
+    assert x0 + x1 == 1
+    if mode == "quantum":
+        assert isinstance(x1, LaurentFraction) and x1 * (1 + V) == 1
+    else:
+        assert (x0, x1) == (Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_certified_solve_dependent_family(mode):
+    m, rows = _solver_case(mode, [[ONE, V, ZERO], [2 * ONE, 2 * V, ZERO],
+                                  [ZERO, ONE, V]])
+    consistent = _combine(m, rows, [1, 1, 1])
+    with pytest.raises(NotInSpan, match="linearly dependent"):
+        _certified_solve(m, rows, consistent)
+    # An inconsistent system is reported as such, dependent or not.
+    outside = {2: m.scalars.one, 3: m.scalars.one}
+    with pytest.raises(NotInSpan, match="outside the span"):
+        _certified_solve(m, rows, outside)
+    with pytest.raises(NotInSpan, match="outside the span"):
+        _certified_solve(m, [rows[0], rows[2]], outside)
+    with pytest.raises(NotInSpan, match="outside the span"):
+        _certified_solve(m, [], outside)
+    # Also when the dependent columns and the inconsistent equations lie
+    # in different groups of the system.
+    one = m.scalars.one
+    apart = rows + [{5: one, 6: one}]
+    with pytest.raises(NotInSpan, match="outside the span"):
+        _certified_solve(m, apart, {**consistent, 5: one, 6: 2 * one})
+    with pytest.raises(NotInSpan, match="linearly dependent"):
+        _certified_solve(m, apart, {**consistent, 5: one, 6: one})

@@ -94,6 +94,19 @@ def test_structconst_formats():
     assert all(coeff.lstrip("-").isdigit() for coeff in triple["coeffs"].values())
 
 
+def test_structconst_quantum_prints_laurent_polynomials():
+    # Integral quantum coefficients print in canonical polynomial form,
+    # not as an unreduced fraction such as (v^2 - 1)/(v^2 - 1).
+    argv = ["structconst", "2", "2", "--quantum", "--left", "1", "--right", "8"]
+    code, out, _ = run(argv)
+    assert code == 0
+    assert out == "B1[1] * B1[8]:\n  e{1-2:1} 1(0,2) f{1-2:1}: 1\n"
+    code, out, _ = run(argv + ["--format", "json"])
+    assert json.loads(out)["triples"] == [
+        {"left": 1, "right": 8, "coeffs": {"e{1-2:1} 1(0,2) f{1-2:1}": "1"}}
+    ]
+
+
 def test_hecke_text():
     code, out, _ = run(["hecke", "3", "3"])
     assert code == 0
