@@ -37,7 +37,7 @@ from .bases import (
 from .errors import BadWeight, HypothesisError, NotDivisible, NotInSpan, SizeLimit
 from .hecke import hecke_summary
 from .rootvectors import eval_label, label_key
-from .tensormodel import WORD_CAP_ENV, build_model
+from .tensormodel import DEFAULT_WORD_CAP, build_model
 from .verify import SUITES, suite_reports
 
 __all__ = ["main"]
@@ -106,8 +106,7 @@ def _add_common(sub, formats=("text", "json")):
         type=_int_at_least(1, "word-cap"),
         default=None,
         metavar="N",
-        help="refuse models with more than N words "
-        f"(default 10000; env {WORD_CAP_ENV})",
+        help=f"refuse models with more than N words (default {DEFAULT_WORD_CAP})",
     )
     sub.add_argument(
         "--spec-points",

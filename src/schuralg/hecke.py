@@ -113,7 +113,7 @@ def check_hecke_generation(model):
     rep = CheckReport("hecke-generation", model.n, model.d, model.mode)
     proj = weight_idempotent(model, omega_weight(model))
     target = factorial(model.d)
-    esym, fsym = ("E", "F") if model.mode == "quantum" else ("e", "f")
+    esym, fsym = model.names.plus, model.names.minus
     for item_id, first, second in (("EF", esym, fsym), ("FE", fsym, esym)):
         gens = [proj]
         for i in range(1, model.n):

@@ -21,7 +21,7 @@ cross multiplication.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import NotDivisible
 
@@ -445,12 +445,18 @@ class LaurentFraction:
 
 
 class ClassicalScalars:
-    """Adapter for the integer entries of classical models."""
+    """Adapter for the integer entries of classical models: the quantum
+    adapter at v = 1, except that on a word with m letters k the Cartan
+    generator H_k has eigenvalue m where K_k has v^m."""
 
     mode = "classical"
     zero = 0
     one = 1
     factorial = staticmethod(factorial)
+    binomial = staticmethod(comb)
+    # v^k and [m] at v = 1, and the eigenvalue m of H_k.
+    v_power = staticmethod(lambda k: 1)
+    integer = cartan = staticmethod(lambda m: m)
 
     @staticmethod
     def div(a, b):
@@ -478,6 +484,9 @@ class QuantumScalars:
     zero = LaurentPoly.zero()
     one = LaurentPoly.one()
     v_power = staticmethod(LaurentPoly.v_power)
+    cartan = staticmethod(LaurentPoly.v_power)
+    integer = staticmethod(quantum_integer)
+    binomial = staticmethod(gaussian_binomial)
     factorial = staticmethod(quantum_factorial)
     exact_quotient = staticmethod(exact_div)
 

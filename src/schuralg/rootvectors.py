@@ -2,17 +2,18 @@
 
 A positive root of gl_n is a pair (i, j) with i < j.  The plus root
 vector for (i, j) acts like the matrix unit E_{ij}, the minus one like
-E_{ji}.  Classically both act by the Leibniz rule across the tensor
-positions.  In quantum mode the simple ones are the generators E_i,
-F_i and the rest are defined by the commutator-style recursion
+E_{ji}.  The simple ones are the generators and the rest are defined
+by the commutator-style recursion
 
     E_{ij} = E_{i,j-1} E_{j-1,j} - v^{-1} E_{j-1,j} E_{i,j-1}
     F_{ij} = F_{j-1,j} F_{i,j-1} - v      F_{i,j-1} F_{j-1,j}
 
-for j > i + 1.  Divided powers divide the m-th operator power by m!
-(classical) or [m]! (quantum); the division must be exact entrywise and
-raises NotDivisible otherwise, which is how a wrong sign or twist in
-the recursion would surface.
+for j > i + 1, in both modes.  Classically v = 1 and this is the Lie
+bracket [E_{i,j-1}, E_{j-1,j}] = E_{ij} of gl_n, so the root vectors
+act by the Leibniz rule of the matrix units.  Divided powers divide
+the m-th operator power by m! (classical) or [m]! (quantum); the
+division must be exact entrywise and raises NotDivisible otherwise,
+which is how a wrong sign or twist in the recursion would surface.
 
 Basis labels bundle a flavor with multi-index exponents.  Multi-index
 tuples are always aligned with RootData.positive_roots (lexicographic
@@ -21,7 +22,7 @@ tuples are always aligned with RootData.positive_roots (lexicographic
 
 from dataclasses import dataclass
 
-from .tensormodel import SparseOperator, weight_idempotent
+from .tensormodel import generator_action, weight_idempotent
 
 __all__ = [
     "BasisLabel",
@@ -57,20 +58,6 @@ class BasisLabel:
     k0: int | None = None
 
 
-def _leibniz_matrix_unit(model, a, b):
-    """Classical Leibniz action of the matrix unit E_{ab}, a != b."""
-    cols = {}
-    for j, word in enumerate(model.words):
-        img = {}
-        for p in range(model.d):
-            if word[p] == b:
-                target = model.word_index[word[:p] + (a,) + word[p + 1:]]
-                img[target] = img.get(target, 0) + 1
-        if img:
-            cols[j] = img
-    return SparseOperator(cols)
-
-
 def root_vector(model, root, sign):
     """The root vector operator for a positive root (i, j) and a sign.
 
@@ -84,10 +71,9 @@ def root_vector(model, root, sign):
     key = ("root_vector", root, sign)
     if key in model._op_cache:
         return model._op_cache[key]
-    if model.mode == "classical":
-        out = _leibniz_matrix_unit(model, i, j) if sign == "plus" else _leibniz_matrix_unit(model, j, i)
-    elif j == i + 1:
-        out = model.generator("E" if sign == "plus" else "F", i)
+    if j == i + 1:
+        names = model.names
+        out = generator_action(model, names.plus if sign == "plus" else names.minus, i)
     else:
         v = model.scalars.v_power
         if sign == "plus":
@@ -144,10 +130,10 @@ def pbw_generator_list(model, k0):
     gens = []
     for root in model.root_data.positive_roots:
         gens.append((f"minus{root[0]}-{root[1]}", root_vector(model, root, "minus")))
-    cartan = "H" if model.mode == "classical" else "K"
+    cartan = model.names.cartan
     for k in range(1, model.n + 1):
         if k != k0:
-            gens.append((f"{cartan}{k}", model.generator(cartan, k)))
+            gens.append((f"{cartan}{k}", generator_action(model, cartan, k)))
     for root in model.root_data.positive_roots:
         gens.append((f"plus{root[0]}-{root[1]}", root_vector(model, root, "plus")))
     return gens

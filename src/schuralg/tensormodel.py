@@ -4,22 +4,24 @@ A model for parameters (n, d) consists of the n^d basis words of length
 d over the alphabet {1..n}, listed lexicographically, together with the
 action of the generators on them:
 
-* classical mode: e_i, f_i act by the Leibniz rule of the matrix units
-  E_{i,i+1}, E_{i+1,i} across the d tensor positions, and H_k is
-  diagonal with eigenvalue mu_k (the number of letters k in the word);
 * quantum mode: E_i, F_i, K_i act on a single factor by
   K_i u_j = v^{delta_ij} u_j, E_i u_j = delta_{j,i+1} u_i,
   F_i u_j = delta_{j,i} u_{i+1}, extended to d factors through the
   coproduct E_i -> E_i (x) K_i K_{i+1}^{-1} + 1 (x) E_i,
   F_i -> F_i (x) 1 + K_i^{-1} K_{i+1} (x) F_i, K_i -> K_i (x) K_i,
-  iterated coassociatively.
+  iterated coassociatively: E_i and F_i move one letter at one position,
+  twisted by a power of v counted from the other letters;
+* classical mode is the same kernel at v = 1 (the scalar adapter's
+  ``v_power`` is 1): e_i, f_i act by the Leibniz rule of the matrix
+  units E_{i,i+1}, E_{i+1,i} across the d tensor positions, and H_k is
+  diagonal with eigenvalue mu_k (the number of letters k in the word)
+  where K_k has v^{mu_k}.  ``GENERATOR_NAMES`` lists each mode's symbols.
 
 Operators are stored column-sparse: for each input word index, the
 image vector as a mapping from word index to scalar.  Everything is
 exact; no floats appear anywhere.
 """
 
-import os
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -28,6 +30,8 @@ from .ring import scalar_ring
 
 __all__ = [
     "DEFAULT_WORD_CAP",
+    "GENERATOR_NAMES",
+    "GeneratorNames",
     "RootData",
     "SparseOperator",
     "Model",
@@ -40,7 +44,23 @@ __all__ = [
 ]
 
 DEFAULT_WORD_CAP = 10_000
-WORD_CAP_ENV = "SCHUR_WORD_CAP"
+
+
+@dataclass(frozen=True)
+class GeneratorNames:
+    """The generator symbols of one mode: raising, lowering, Cartan, and
+    inverse Cartan (None where the Cartan generators are not inverted)."""
+
+    plus: str
+    minus: str
+    cartan: str
+    cartan_inverse: str | None
+
+
+GENERATOR_NAMES = {
+    "classical": GeneratorNames("e", "f", "H", None),
+    "quantum": GeneratorNames("E", "F", "K", "K^-1"),
+}
 
 
 def word_weight(word, n):
@@ -232,112 +252,68 @@ class Model:
                 cols[j] = {j: s}
         return SparseOperator(cols)
 
-    def generator(self, sym, index=None):
-        key = (sym, index)
-        if key not in self._generators:
-            raise ValueError(f"unknown generator {sym}_{index} in {self.mode} mode")
-        return self._generators[key]
+    @property
+    def names(self):
+        """The generator symbols of this model's mode."""
+        return GENERATOR_NAMES[self.mode]
 
     def weight_set(self):
         return compositions(self.n, self.d)
 
 
-def _classical_generators(model):
-    n, d = model.n, model.d
+def _build_generators(model):
+    """The generators of the model's mode, from one pass over the words.
+
+    A letter a at position p is moved to a - 1 by E_{a-1} and to a + 1
+    by F_a; each move is one image of the coproduct, twisted by v^k.
+    For E_i, k = #i - #(i+1) among the letters right of p (the factor
+    K_i K_{i+1}^{-1} there); for F_i, k is minus that count among the
+    letters left of p (the factor K_i^{-1} K_{i+1}).  Classically
+    v^k = 1 and this is the Leibniz rule.  Distinct positions give
+    distinct target words, so each image entry is a single twist.
+    """
+    n, scalars, names = model.n, model.scalars, model.names
+    index = model.word_index
+    twist = {k: scalars.v_power(k) for k in range(-model.d, model.d + 1)}
+    e_cols = {i: {} for i in range(1, n)}
+    f_cols = {i: {} for i in range(1, n)}
+    for j, (word, mu) in enumerate(zip(model.words, model.weights)):
+        seen = [0] * (n + 1)  # seen[a]: letters a left of p
+        for p, a in enumerate(word):
+            if a > 1:
+                i = a - 1
+                k = (mu[i - 1] - seen[i]) - (mu[i] - seen[a] - 1)
+                target = index[word[:p] + (i,) + word[p + 1:]]
+                e_cols[i].setdefault(j, {})[target] = twist[k]
+            if a < n:
+                target = index[word[:p] + (a + 1,) + word[p + 1:]]
+                f_cols[a].setdefault(j, {})[target] = twist[seen[a + 1] - seen[a]]
+            seen[a] += 1
     gens = {}
     for i in range(1, n):
-        e_cols, f_cols = {}, {}
-        for j, word in enumerate(model.words):
-            e_img, f_img = {}, {}
-            for p in range(d):
-                if word[p] == i + 1:
-                    target = model.word_index[word[:p] + (i,) + word[p + 1:]]
-                    e_img[target] = e_img.get(target, 0) + 1
-                if word[p] == i:
-                    target = model.word_index[word[:p] + (i + 1,) + word[p + 1:]]
-                    f_img[target] = f_img.get(target, 0) + 1
-            if e_img:
-                e_cols[j] = e_img
-            if f_img:
-                f_cols[j] = f_img
-        gens[("e", i)] = SparseOperator(e_cols)
-        gens[("f", i)] = SparseOperator(f_cols)
+        gens[(names.plus, i)] = SparseOperator(e_cols[i])
+        gens[(names.minus, i)] = SparseOperator(f_cols[i])
     for k in range(1, n + 1):
-        cols = {}
-        for j in range(model.num_words):
-            mu = model.weights[j][k - 1]
-            if mu:
-                cols[j] = {j: mu}
-        gens[("H", k)] = SparseOperator(cols)
-    return gens
-
-
-def _quantum_generators(model):
-    n, d = model.n, model.d
-    ring = model.scalars
-    gens = {}
-    for i in range(1, n):
-        e_cols, f_cols = {}, {}
-        for j, word in enumerate(model.words):
-            e_img, f_img = {}, {}
-            for p in range(d):
-                # E_i acts at position p, twisted by K_i K_{i+1}^{-1} on
-                # the factors to the right of p.
-                if word[p] == i + 1:
-                    target = model.word_index[word[:p] + (i,) + word[p + 1:]]
-                    twist = sum(
-                        (1 if letter == i else 0) - (1 if letter == i + 1 else 0)
-                        for letter in word[p + 1:]
-                    )
-                    s = e_img.get(target, ring.zero) + ring.v_power(twist)
-                    if s == 0:
-                        e_img.pop(target, None)
-                    else:
-                        e_img[target] = s
-                # F_i acts at position p, twisted by K_i^{-1} K_{i+1} on
-                # the factors to the left of p.
-                if word[p] == i:
-                    target = model.word_index[word[:p] + (i + 1,) + word[p + 1:]]
-                    twist = sum(
-                        (1 if letter == i else 0) - (1 if letter == i + 1 else 0)
-                        for letter in word[:p]
-                    )
-                    s = f_img.get(target, ring.zero) + ring.v_power(-twist)
-                    if s == 0:
-                        f_img.pop(target, None)
-                    else:
-                        f_img[target] = s
-            if e_img:
-                e_cols[j] = e_img
-            if f_img:
-                f_cols[j] = f_img
-        gens[("E", i)] = SparseOperator(e_cols)
-        gens[("F", i)] = SparseOperator(f_cols)
-    for k in range(1, n + 1):
-        diag = {}
-        diag_inv = {}
-        for j in range(model.num_words):
-            mu = model.weights[j][k - 1]
-            diag[j] = {j: ring.v_power(mu)}
-            diag_inv[j] = {j: ring.v_power(-mu)}
-        gens[("K", k)] = SparseOperator(diag)
-        gens[("K^-1", k)] = SparseOperator(diag_inv)
+        count = [w[k - 1] for w in model.weights]
+        gens[(names.cartan, k)] = model.diagonal(lambda j: scalars.cartan(count[j]))
+        if names.cartan_inverse:
+            gens[(names.cartan_inverse, k)] = model.diagonal(
+                lambda j: scalars.cartan(-count[j]))
     return gens
 
 
 def build_model(n, d, mode="classical", word_cap=None, spec_points=None):
     """Construct the tensor model for (n, d) in the given mode.
 
-    The number of words n^d is capped (default 10^4, or the value of
-    the SCHUR_WORD_CAP environment variable); exceeding it raises
-    SizeLimit rather than thrashing memory.
+    The number of words n^d is capped by ``word_cap`` (default 10^4);
+    exceeding it raises SizeLimit rather than thrashing memory.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if d < 1:
         raise ValueError("need d >= 1")
     if word_cap is None:
-        word_cap = int(os.environ.get(WORD_CAP_ENV, DEFAULT_WORD_CAP))
+        word_cap = DEFAULT_WORD_CAP
     count = n**d
     if count > word_cap:
         raise SizeLimit(f"n^d = {count} exceeds the word cap {word_cap}")
@@ -357,10 +333,7 @@ def build_model(n, d, mode="classical", word_cap=None, spec_points=None):
         scalars=scalar_ring(mode),
         spec_points=tuple(spec_points),
     )
-    if mode == "classical":
-        model._generators.update(_classical_generators(model))
-    else:
-        model._generators.update(_quantum_generators(model))
+    model._generators.update(_build_generators(model))
     return model
 
 
@@ -370,7 +343,10 @@ def generator_action(model, sym, index):
     Classical symbols: "e", "f" (index 1..n-1) and "H" (index 1..n).
     Quantum symbols: "E", "F" (index 1..n-1) and "K", "K^-1" (1..n).
     """
-    return model.generator(sym, index)
+    key = (sym, index)
+    if key not in model._generators:
+        raise ValueError(f"unknown generator {sym}_{index} in {model.mode} mode")
+    return model._generators[key]
 
 
 def _check_weight(model, lam):
@@ -399,11 +375,11 @@ def cartan_binomial(model, k, m):
     acc, den = ident, ring.one
     for s in range(1, m + 1):
         if model.mode == "classical":
-            factor = model.generator("H", k) - ident.scale(s - 1)
+            factor = generator_action(model, "H", k) - ident.scale(s - 1)
             den = den * s
         else:
-            factor = (model.generator("K", k).scale(ring.v_power(1 - s))
-                      - model.generator("K^-1", k).scale(ring.v_power(s - 1)))
+            factor = (generator_action(model, "K", k).scale(ring.v_power(1 - s))
+                      - generator_action(model, "K^-1", k).scale(ring.v_power(s - 1)))
             den = den * (ring.v_power(s) - ring.v_power(-s))
         acc = acc @ factor
     out = model.divide(acc, den)

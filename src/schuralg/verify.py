@@ -31,7 +31,7 @@ from .bases import (
     root_sum,
 )
 from .errors import HypothesisError
-from .ring import LaurentPoly, gaussian_binomial, quantum_integer
+from .ring import LaurentPoly
 from .rootvectors import BasisLabel, eval_label, root_divided_power, root_vector
 from .tensormodel import (
     SparseOperator,
@@ -192,9 +192,9 @@ def check_enveloping_relations(model):
     n = model.n
     rd = model.root_data
     rng = range(1, n)  # off-diagonal generator indices
+    e = {i: generator_action(model, model.names.plus, i) for i in rng}
+    f = {i: generator_action(model, model.names.minus, i) for i in rng}
     if model.mode == "classical":
-        e = {i: generator_action(model, "e", i) for i in rng}
-        f = {i: generator_action(model, "f", i) for i in rng}
         H = {k: generator_action(model, "H", k) for k in range(1, n + 1)}
         agg = _Agg()
         for i in range(1, n + 1):
@@ -221,25 +221,8 @@ def check_enveloping_relations(model):
                     f"H{i},f{j}",
                 )
         rep.append(agg.item("R3"))
-        for item_id, x in (("R4", e), ("R5", f)):
-            agg = _Agg()
-            for i in rng:
-                for j in rng:
-                    if i == j:
-                        continue
-                    if abs(i - j) == 1:
-                        lhs = (
-                            x[i] @ x[i] @ x[j]
-                            - (x[i] @ x[j] @ x[i]).scale(2)
-                            + x[j] @ x[i] @ x[i]
-                        )
-                    else:
-                        lhs = x[i] @ x[j] - x[j] @ x[i]
-                    agg.check(lhs.is_zero(), f"(i,j)=({i},{j})")
-            rep.append(agg.item(item_id, "no generator pairs for n = 2"))
+        serre_ids = ("R4", "R5")
     else:
-        E = {i: generator_action(model, "E", i) for i in rng}
-        F = {i: generator_action(model, "F", i) for i in rng}
         K = {k: generator_action(model, "K", k) for k in range(1, n + 1)}
         Kinv = {k: generator_action(model, "K^-1", k) for k in range(1, n + 1)}
         ident = model.identity()
@@ -254,7 +237,7 @@ def check_enveloping_relations(model):
         agg = _Agg()
         for i in rng:
             for j in rng:
-                lhs = (E[i] @ F[j] - F[j] @ E[i]).scale(_V_MINUS_INVERSE)
+                lhs = (e[i] @ f[j] - f[j] @ e[i]).scale(_V_MINUS_INVERSE)
                 if i == j:
                     rhs = K[i] @ Kinv[i + 1] - Kinv[i] @ K[i + 1]
                 else:
@@ -266,35 +249,36 @@ def check_enveloping_relations(model):
             for j in rng:
                 c = rd.pairing(i, j)
                 agg.check(
-                    K[i] @ E[j] == (E[j] @ K[i]).scale(model.scalars.v_power(c)),
+                    K[i] @ e[j] == (e[j] @ K[i]).scale(model.scalars.v_power(c)),
                     f"K{i},E{j}",
                 )
                 agg.check(
-                    K[i] @ F[j] == (F[j] @ K[i]).scale(model.scalars.v_power(-c)),
+                    K[i] @ f[j] == (f[j] @ K[i]).scale(model.scalars.v_power(-c)),
                     f"K{i},F{j}",
                 )
         rep.append(agg.item("Q3"))
-        vplus = LaurentPoly({1: 1, -1: 1})  # v + v^-1
-        for item_id, X in (("Q4", E), ("Q5", F)):
-            agg = _Agg()
-            for i in rng:
-                for j in rng:
-                    if i == j:
-                        continue
-                    if abs(i - j) == 1:
-                        lhs = (
-                            X[i] @ X[i] @ X[j]
-                            - (X[i] @ X[j] @ X[i]).scale(vplus)
-                            + X[j] @ X[i] @ X[i]
-                        )
-                    else:
-                        lhs = X[i] @ X[j] - X[j] @ X[i]
-                    agg.check(lhs.is_zero(), f"(i,j)=({i},{j})")
-            rep.append(agg.item(item_id, "no generator pairs for n = 2"))
+        serre_ids = ("Q4", "Q5")
         rep.notes.append(
             "distant-index case of Q4/Q5 is the plain commutation of the two"
             " generators"
         )
+    two = model.scalars.integer(2)  # [2] = v + v^-1 quantumly
+    for item_id, x in zip(serre_ids, (e, f)):
+        agg = _Agg()
+        for i in rng:
+            for j in rng:
+                if i == j:
+                    continue
+                if abs(i - j) == 1:
+                    lhs = (
+                        x[i] @ x[i] @ x[j]
+                        - (x[i] @ x[j] @ x[i]).scale(two)
+                        + x[j] @ x[i] @ x[i]
+                    )
+                else:
+                    lhs = x[i] @ x[j] - x[j] @ x[i]
+                agg.check(lhs.is_zero(), f"(i,j)=({i},{j})")
+        rep.append(agg.item(item_id, "no generator pairs for n = 2"))
     rep.seconds = time.perf_counter() - t0
     return rep
 
@@ -310,14 +294,7 @@ def check_schur_relations(model):
         for k in range(1, n + 1):
             total = total + generator_action(model, "H", k)
         rep.add("R6", total == ident.scale(d), detail="sum of H_k equals d")
-        agg = _Agg()
-        for k in range(1, n + 1):
-            Hk = generator_action(model, "H", k)
-            acc = ident
-            for t in range(d + 1):
-                acc = acc @ (Hk - ident.scale(t))
-            agg.check(acc.is_zero(), f"k={k}")
-        rep.append(agg.item("R7"))
+        last_id = "R7"
     else:
         prod = ident
         for k in range(1, n + 1):
@@ -327,14 +304,17 @@ def check_schur_relations(model):
             prod == ident.scale(model.scalars.v_power(d)),
             detail="product of K_k equals v^d",
         )
-        agg = _Agg()
-        for k in range(1, n + 1):
-            Kk = generator_action(model, "K", k)
-            acc = ident
-            for t in range(d + 1):
-                acc = acc @ (Kk - ident.scale(model.scalars.v_power(t)))
-            agg.check(acc.is_zero(), f"k={k}")
-        rep.append(agg.item("Q7"))
+        last_id = "Q7"
+    # Each Cartan generator is killed by the product of C_k - c(t) over
+    # its eigenvalues c(t) on t = 0..d letters k: t for H_k, v^t for K_k.
+    agg = _Agg()
+    for k in range(1, n + 1):
+        cartan = generator_action(model, model.names.cartan, k)
+        acc = ident
+        for t in range(d + 1):
+            acc = acc @ (cartan - ident.scale(model.scalars.cartan(t)))
+        agg.check(acc.is_zero(), f"k={k}")
+    rep.append(agg.item(last_id))
     rep.seconds = time.perf_counter() - t0
     return rep
 
@@ -345,9 +325,8 @@ def check_idempotent_presentation(model):
     t0 = time.perf_counter()
     rep = CheckReport("idempotent-presentation", model.n, model.d, model.mode)
     n, d = model.n, model.d
-    quantum = model.mode == "quantum"
-    suffix = "'" if quantum else ""
-    esym, fsym = ("E", "F") if quantum else ("e", "f")
+    suffix = "'" if model.mode == "quantum" else ""
+    esym, fsym = model.names.plus, model.names.minus
     rd = model.root_data
     weights = model.weight_set()
     idem = {lam: weight_idempotent(model, lam) for lam in weights}
@@ -392,8 +371,7 @@ def check_idempotent_presentation(model):
             if i == j:
                 rhs = model.zero_op()
                 for lam in weights:
-                    m = lam[j - 1] - lam[j]
-                    coeff = quantum_integer(m) if quantum else m
+                    coeff = model.scalars.integer(lam[j - 1] - lam[j])
                     rhs = rhs + idem[lam].scale(coeff)
             else:
                 rhs = model.zero_op()
@@ -407,15 +385,16 @@ def check_idempotent_presentation(model):
     return rep
 
 
+def _root_divided_powers(model):
+    """The maps (root, m) -> m-th divided power of the plus, and of the
+    minus, root vector."""
+    return (lambda root, m: root_divided_power(model, root, "plus", m),
+            lambda root, m: root_divided_power(model, root, "minus", m))
+
+
 def _classical_h_instances(model, rep):
     d = model.d
-
-    def E(root, m):
-        return root_divided_power(model, root, "plus", m)
-
-    def F(root, m):
-        return root_divided_power(model, root, "minus", m)
-
+    E, F = _root_divided_powers(model)
     for root in model.root_data.positive_roots:
         i, j = root
         for item_id, left, right, mid in (
@@ -449,24 +428,17 @@ def _classical_h_instances(model, rep):
             rep.append(agg.item(item_id, "no triples with s >= 1"))
 
 
-def _idempotent_reduction_instances(model, rep, quantum):
+def _idempotent_reduction_instances(model, rep):
     d = model.d
     n = model.n
-
-    def E(root, m):
-        return root_divided_power(model, root, "plus", m)
-
-    def F(root, m):
-        return root_divided_power(model, root, "minus", m)
+    binomial = model.scalars.binomial
+    E, F = _root_divided_powers(model)
 
     def binom_coeff(top, k, s, parity):
-        if quantum:
-            coeff = gaussian_binomial(k - 1, s - 1) * gaussian_binomial(top, k)
-            return -coeff if parity else coeff
-        coeff = comb(k - 1, s - 1) * comb(top, k)
+        coeff = binomial(k - 1, s - 1) * binomial(top, k)
         return -coeff if parity else coeff
 
-    eletter, fletter = ("E", "F") if quantum else ("e", "f")
+    eletter, fletter = model.names.plus, model.names.minus
     for root in model.root_data.positive_roots:
         i, j = root
         alpha = model.root_data.root_as_vector(root)
@@ -530,9 +502,32 @@ def check_reduction_formulas(model, family):
     if family == "classical-H":
         _classical_h_instances(model, rep)
     else:
-        _idempotent_reduction_instances(model, rep, quantum=family.startswith("q"))
+        _idempotent_reduction_instances(model, rep)
     rep.seconds = time.perf_counter() - t0
     return rep
+
+
+def _minimal_polynomial_items(rep, model, op, exponents, shown):
+    """Items asserting that ``op`` has the minimal polynomial
+    prod_t (op - c(t)) over the distinct ``exponents`` t, where c is the
+    Cartan eigenvalue (t classically, v^t quantumly): the product
+    vanishes and no product skipping one factor does.  ``shown(t)``
+    names the skipped eigenvalue in a failure detail."""
+    ident = model.identity()
+    factors = {t: op - ident.scale(model.scalars.cartan(t)) for t in exponents}
+    acc = ident
+    for factor in factors.values():
+        acc = acc @ factor
+    rep.add(f"{model.mode}:minimal-polynomial", acc.is_zero(),
+            detail=f"degree {len(exponents)}")
+    agg = _Agg()
+    for skip in exponents:
+        sub = ident
+        for t, factor in factors.items():
+            if t != skip:
+                sub = sub @ factor
+        agg.check(not sub.is_zero(), f"factor for eigenvalue {shown(skip)}")
+    rep.append(agg.item(f"{model.mode}:no-proper-subproduct-vanishes"))
 
 
 def check_rank_one_presentation(d, word_cap=None, spec_points=None):
@@ -545,23 +540,11 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None):
     e = generator_action(mc, "e", 1)
     f = generator_action(mc, "f", 1)
     h = generator_action(mc, "H", 1) - generator_action(mc, "H", 2)
-    ident = mc.identity()
     rep.add("classical:he-eh=2e", h @ e - e @ h == e.scale(2))
     rep.add("classical:ef-fe=h", e @ f - f @ e == h)
     rep.add("classical:hf-fh=-2f", h @ f - f @ h == f.scale(-2))
     eigens = [d - 2 * k for k in range(d + 1)]
-    acc = ident
-    for t in eigens:
-        acc = acc @ (h - ident.scale(t))
-    rep.add("classical:minimal-polynomial", acc.is_zero(), detail=f"degree {d + 1}")
-    agg = _Agg()
-    for skip in eigens:
-        sub = ident
-        for t in eigens:
-            if t != skip:
-                sub = sub @ (h - ident.scale(t))
-        agg.check(not sub.is_zero(), f"factor for eigenvalue {skip}")
-    rep.append(agg.item("classical:no-proper-subproduct-vanishes"))
+    _minimal_polynomial_items(rep, mc, h, eigens, str)
     labels = [
         (a, b, c)
         for a in range(d + 1)
@@ -595,18 +578,7 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None):
         "quantum:EF-FE=(K-K^-1)/(v-v^-1)",
         (E @ F - F @ E).scale(_V_MINUS_INVERSE) == K - Kinv,
     )
-    acc = qid
-    for t in eigens:
-        acc = acc @ (K - qid.scale(vpow(t)))
-    rep.add("quantum:minimal-polynomial", acc.is_zero(), detail=f"degree {d + 1}")
-    agg = _Agg()
-    for skip in eigens:
-        sub = qid
-        for t in eigens:
-            if t != skip:
-                sub = sub @ (K - qid.scale(vpow(t)))
-        agg.check(not sub.is_zero(), f"factor for eigenvalue v^{skip}")
-    rep.append(agg.item("quantum:no-proper-subproduct-vanishes"))
+    _minimal_polynomial_items(rep, mq, K, eigens, "v^{}".format)
     rep.notes.append(
         "the truncated monomial family is certified in classical mode; the"
         " quantum presentation asserts the relations and minimal polynomial"

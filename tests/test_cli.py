@@ -8,7 +8,6 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from schuralg.cli import main
-from schuralg.tensormodel import WORD_CAP_ENV
 
 
 def run(argv):
@@ -126,12 +125,12 @@ def test_exit_code_2_on_usage_and_hypothesis_errors():
 
 
 def test_exit_code_3_on_word_cap():
-    before = os.environ.get(WORD_CAP_ENV)
+    before = dict(os.environ)
     code, _, err = run(["dim", "3", "3", "--word-cap", "5"])
     assert code == 3
     assert "word cap" in err
     # The scoped cap must not leak into the process environment.
-    assert os.environ.get(WORD_CAP_ENV) == before
+    assert dict(os.environ) == before
 
 
 def test_json_runs_are_byte_identical():

@@ -8,6 +8,8 @@ import pytest
 
 from schuralg.errors import NotDivisible
 from schuralg.ring import (
+    CLASSICAL_SCALARS,
+    QUANTUM_SCALARS,
     LaurentFraction,
     LaurentPoly,
     exact_div,
@@ -211,3 +213,20 @@ def test_fraction_denominator_normalization():
     g = LaurentFraction(LaurentPoly({0: 2, 1: 4}), LaurentPoly({2: 2}))
     assert g.den.is_one()  # monomial denominator folded into the numerator
     assert g == LaurentFraction(LaurentPoly({-2: 1, -1: 2}))
+
+
+def test_classical_adapter_is_quantum_adapter_at_v_equals_one():
+    C, Q = CLASSICAL_SCALARS, QUANTUM_SCALARS
+    for k in range(-4, 5):
+        assert C.v_power(k) == 1 == Q.v_power(k).specialize(1)
+        assert C.integer(k) == k == Q.integer(k).specialize(1)
+        assert Q.integer(k) == quantum_integer(k)
+        # The Cartan eigenvalue on k letters: H_k gives k, K_k gives v^k.
+        assert C.cartan(k) == k
+        assert Q.cartan(k) == LaurentPoly.v_power(k)
+    for a in range(6):
+        for b in range(7):
+            assert C.binomial(a, b) == comb(a, b)
+            assert Q.binomial(a, b) == gaussian_binomial(a, b)
+            assert Q.binomial(a, b).specialize(1) == comb(a, b)
+    assert type(C.v_power(3)) is int and type(C.integer(3)) is int

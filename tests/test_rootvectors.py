@@ -16,6 +16,7 @@ from schuralg.rootvectors import (
     root_vector,
 )
 from schuralg.tensormodel import (
+    SparseOperator,
     build_model,
     cartan_binomial,
     compositions,
@@ -42,15 +43,33 @@ def test_classical_long_root_vector_action():
     assert y.cols == {m.word_index[(1,)]: {j: 1}}
 
 
-def test_classical_long_root_equals_commutator():
-    """Leibniz action of E_13 agrees with the commutator oracle [e1, e2]."""
-    m = build_model(3, 2)
-    e1 = generator_action(m, "e", 1)
-    e2 = generator_action(m, "e", 2)
-    assert root_vector(m, (1, 3), "plus") == (e1 @ e2) - (e2 @ e1)
-    f1 = generator_action(m, "f", 1)
-    f2 = generator_action(m, "f", 2)
-    assert root_vector(m, (1, 3), "minus") == (f2 @ f1) - (f1 @ f2)
+def _leibniz_matrix_unit(model, a, b):
+    """Reference: the classical Leibniz action of the matrix unit E_{ab},
+    a != b, built directly on the words."""
+    cols = {}
+    for j, word in enumerate(model.words):
+        img = {}
+        for p in range(model.d):
+            if word[p] == b:
+                target = model.word_index[word[:p] + (a,) + word[p + 1:]]
+                img[target] = img.get(target, 0) + 1
+        if img:
+            cols[j] = img
+    return SparseOperator(cols)
+
+
+def test_classical_root_vectors_equal_leibniz_oracle():
+    """The commutator recursion at v = 1 gives every classical root
+    vector, plus and minus, as the Leibniz action of its matrix unit."""
+    for n, d in [(3, 3), (4, 3), (5, 2)]:
+        m = build_model(n, d)
+        for i, j in m.root_data.positive_roots:
+            plus = root_vector(m, (i, j), "plus")
+            minus = root_vector(m, (i, j), "minus")
+            assert plus == _leibniz_matrix_unit(m, i, j), (n, d, i, j)
+            assert minus == _leibniz_matrix_unit(m, j, i), (n, d, i, j)
+            assert all(type(s) is int for op in (plus, minus)
+                       for col in op.cols.values() for s in col.values())
 
 
 def test_quantum_long_root_recursion():

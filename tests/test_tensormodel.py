@@ -4,8 +4,9 @@ weight idempotents."""
 import pytest
 
 from schuralg.errors import BadWeight, SizeLimit
-from schuralg.ring import LaurentFraction
+from schuralg.ring import LaurentPoly
 from schuralg.tensormodel import (
+    SparseOperator,
     build_model,
     cartan_binomial,
     compositions,
@@ -21,6 +22,94 @@ def op_as_dict(model, op):
         model.words[j]: {model.words[i]: s for i, s in col.items()}
         for j, col in op.cols.items()
     }
+
+
+def assert_laurent_entries(op):
+    """Every entry is a LaurentPoly, never a fraction or an int."""
+    assert all(isinstance(s, LaurentPoly)
+               for col in op.cols.values() for s in col.values())
+
+
+def _classical_generators(model):
+    """Reference builder: the Leibniz rule, one loop per generator pair."""
+    n, d = model.n, model.d
+    gens = {}
+    for i in range(1, n):
+        e_cols, f_cols = {}, {}
+        for j, word in enumerate(model.words):
+            e_img, f_img = {}, {}
+            for p in range(d):
+                if word[p] == i + 1:
+                    target = model.word_index[word[:p] + (i,) + word[p + 1:]]
+                    e_img[target] = e_img.get(target, 0) + 1
+                if word[p] == i:
+                    target = model.word_index[word[:p] + (i + 1,) + word[p + 1:]]
+                    f_img[target] = f_img.get(target, 0) + 1
+            if e_img:
+                e_cols[j] = e_img
+            if f_img:
+                f_cols[j] = f_img
+        gens[("e", i)] = SparseOperator(e_cols)
+        gens[("f", i)] = SparseOperator(f_cols)
+    for k in range(1, n + 1):
+        cols = {}
+        for j in range(model.num_words):
+            mu = model.weights[j][k - 1]
+            if mu:
+                cols[j] = {j: mu}
+        gens[("H", k)] = SparseOperator(cols)
+    return gens
+
+
+def _quantum_generators(model):
+    """Reference builder: the iterated coproduct, with each twist
+    counted from scratch over the letters right (E) or left (F) of p."""
+    n, d = model.n, model.d
+    ring = model.scalars
+    gens = {}
+    for i in range(1, n):
+        e_cols, f_cols = {}, {}
+        for j, word in enumerate(model.words):
+            e_img, f_img = {}, {}
+            for p in range(d):
+                if word[p] == i + 1:
+                    target = model.word_index[word[:p] + (i,) + word[p + 1:]]
+                    twist = sum(
+                        (1 if letter == i else 0) - (1 if letter == i + 1 else 0)
+                        for letter in word[p + 1:]
+                    )
+                    s = e_img.get(target, ring.zero) + ring.v_power(twist)
+                    if s == 0:
+                        e_img.pop(target, None)
+                    else:
+                        e_img[target] = s
+                if word[p] == i:
+                    target = model.word_index[word[:p] + (i + 1,) + word[p + 1:]]
+                    twist = sum(
+                        (1 if letter == i else 0) - (1 if letter == i + 1 else 0)
+                        for letter in word[:p]
+                    )
+                    s = f_img.get(target, ring.zero) + ring.v_power(-twist)
+                    if s == 0:
+                        f_img.pop(target, None)
+                    else:
+                        f_img[target] = s
+            if e_img:
+                e_cols[j] = e_img
+            if f_img:
+                f_cols[j] = f_img
+        gens[("E", i)] = SparseOperator(e_cols)
+        gens[("F", i)] = SparseOperator(f_cols)
+    for k in range(1, n + 1):
+        diag = {}
+        diag_inv = {}
+        for j in range(model.num_words):
+            mu = model.weights[j][k - 1]
+            diag[j] = {j: ring.v_power(mu)}
+            diag_inv[j] = {j: ring.v_power(-mu)}
+        gens[("K", k)] = SparseOperator(diag)
+        gens[("K^-1", k)] = SparseOperator(diag_inv)
+    return gens
 
 
 def weight_projector(model, lam):
@@ -75,11 +164,12 @@ def test_quantum_k1_diagonal():
     m = build_model(2, 2, mode="quantum")
     k1 = generator_action(m, "K", 1)
     expected = {
-        (1, 1): LaurentFraction.v_power(2),
-        (1, 2): LaurentFraction.v_power(1),
-        (2, 1): LaurentFraction.v_power(1),
-        (2, 2): LaurentFraction.one(),
+        (1, 1): LaurentPoly.v_power(2),
+        (1, 2): LaurentPoly.v_power(1),
+        (2, 1): LaurentPoly.v_power(1),
+        (2, 2): LaurentPoly.one(),
     }
+    assert_laurent_entries(k1)
     for w, s in expected.items():
         j = m.word_index[w]
         assert k1.cols[j] == {j: s}
@@ -89,7 +179,8 @@ def test_quantum_e1_coproduct_action():
     m = build_model(2, 2, mode="quantum")
     e1 = generator_action(m, "E", 1)
     d = op_as_dict(m, e1)
-    v = LaurentFraction.v_power
+    v = LaurentPoly.v_power
+    assert_laurent_entries(e1)
     assert d == {
         (1, 2): {(1, 1): v(0)},
         (2, 1): {(1, 1): v(1)},
@@ -101,7 +192,8 @@ def test_quantum_f1_coproduct_action():
     m = build_model(2, 2, mode="quantum")
     f1 = generator_action(m, "F", 1)
     d = op_as_dict(m, f1)
-    v = LaurentFraction.v_power
+    v = LaurentPoly.v_power
+    assert_laurent_entries(f1)
     assert d == {
         (1, 1): {(2, 1): v(0), (1, 2): v(-1)},
         (1, 2): {(2, 2): v(0)},
@@ -116,6 +208,34 @@ def test_k_inverse_is_inverse():
         kinv = generator_action(m, "K^-1", k)
         assert kk @ kinv == m.identity()
         assert kinv @ kk == m.identity()
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (4, 2), (5, 2)])
+def test_generators_match_reference_builders(mode, n, d):
+    m = build_model(n, d, mode=mode)
+    builder = _classical_generators if mode == "classical" else _quantum_generators
+    reference = builder(m)
+    assert list(m._generators) == list(reference)
+    scalar_type = type(m.scalars.one)
+    for key, expected in reference.items():
+        got = generator_action(m, *key)
+        # Same columns and entries in the same insertion order.
+        assert ([(j, list(col.items())) for j, col in got.cols.items()]
+                == [(j, list(col.items())) for j, col in expected.cols.items()]), key
+        assert all(type(s) is scalar_type
+                   for col in got.cols.values() for s in col.values()), key
+
+
+def test_generator_action_rejects_unknown_symbols():
+    m = build_model(2, 2)
+    with pytest.raises(ValueError, match="unknown generator K_1 in classical mode"):
+        generator_action(m, "K", 1)
+    with pytest.raises(ValueError):
+        generator_action(m, "e", 2)
+    q = build_model(2, 2, mode="quantum")
+    with pytest.raises(ValueError, match="unknown generator H_1 in quantum mode"):
+        generator_action(q, "H", 1)
 
 
 def test_raising_shifts_weight_by_simple_root():
@@ -186,14 +306,14 @@ def test_cartan_binomial_quantum_values():
     for j in range(m.num_words):
         mu2 = m.weights[j][1]
         expected = gaussian_binomial(mu2, 2)
-        got = op.cols.get(j, {}).get(j, LaurentFraction.zero())
+        got = op.cols.get(j, {}).get(j, LaurentPoly.zero())
         assert got == expected
 
 
 def test_operator_algebra_basics():
     m = build_model(2, 2)
-    e1 = m.generator("e", 1)
-    f1 = m.generator("f", 1)
+    e1 = generator_action(m, "e", 1)
+    f1 = generator_action(m, "f", 1)
     assert (e1 + f1) - f1 == e1
     assert e1.scale(0).is_zero()
     assert (e1 @ m.identity()) == e1
