@@ -13,34 +13,39 @@ The basis kinds:
 
 Rank certification is exact.  Classical operator entries are integers
 and their rows are reduced by fraction-free elimination on primitive
-integer rows.  Quantum entries are integer Laurent polynomials; each row
-is specialized at two fixed rational points v = a/b straight to
-integers: with lo and hi the lowest and highest exponents of v in the
-row, an entry sum c_e v^e becomes sum c_e a^(e - lo) b^(hi - e).  That is
-the value at a/b times a^-lo b^hi, one nonzero constant for the whole
-row, so the integer row has exactly the rank of the specialized one.
-A specialization can only lower the rank, so a full-rank specialization
-already proves linear independence over the rational function field;
-the two runs must agree, with an exact fallback over Laurent fractions
-if they ever disagree.
+integer rows, which is exact.  Quantum entries are integer Laurent
+polynomials; each row is specialized at a rational point v = a/b
+straight to integers: with lo and hi the lowest and highest exponents
+of v in the row, an entry sum c_e v^e becomes
+sum c_e a^(e - lo) b^(hi - e).  That is the value at a/b times
+a^-lo b^hi, one nonzero constant for the whole row, so the integer row
+has exactly the rank of the specialized one.  The rows that grow the
+rank at the point have a minor that is nonzero there, hence nonzero
+over Q(v): the specialized rank r is a lower bound.  A span check then
+proves that every other member lies in the span of those r, which
+makes r exact: Bareiss elimination of the minor over Z[v, v^-1] gives
+D = +-det != 0 and numerators N_u, and D * member = sum_u N_u * pivot_u
+is checked exactly at every position.  If a member fails the check,
+the point was a root of a larger minor, and the next point is tried:
+the model's ``spec_points`` in order, then v = 2, 3, 4, ...  A nonzero
+minor has finitely many roots, so the sequence ends.
 
-Coordinates are solved with a certificate, separately for each group
-of candidate labels whose operators share nonzero positions.  With k
-labels in a group, the equation at each position is {u: entry of label
-u}; equations are specialized the same way until k of them are
-independent.  Their k x k minor is then nonzero at a value of v, hence
-nonzero over Q(v), so the candidates are independent.  Fraction-free
-Bareiss elimination of that minor over the scalar ring gives
-D = +-det != 0 and numerators N_u, and D * target = sum_u N_u * column_u
-is checked exactly at every position, which proves the expansion
+Coordinates are solved with the same certificate, separately for each
+group of candidate labels whose operators share nonzero positions.
+With k labels in a group, the equation at each position is {u: entry
+of label u}; equations are specialized the same way until k of them
+are independent, so the candidates are independent, and the span check
+of the target against the candidates proves the expansion
 x_u = N_u / D.  Each x_u is returned in the ring when D divides N_u, as
-a fraction otherwise.  If no specialization reaches rank k, exact
-elimination over the fraction field picks the equations instead.
+a fraction otherwise.  If fewer than k equations are independent at a
+point, the candidates outside the pivot columns are span-checked
+against the pivot columns, which proves the family dependent, or sends
+the solve on to the next point.
 """
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, count
 from math import gcd
 from operator import add, le, sub
 
@@ -251,102 +256,67 @@ class _IntEchelon:
         return False
 
 
-class _FieldEchelon:
-    """Sparse row reduction over an exact field of scalars."""
-
-    def __init__(self, scalars):
-        self.scalars = scalars
-        self.pivots = {}
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def add(self, row):
-        div = self.scalars.div
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                inv = row.pop(lead)
-                monic = {k: div(c, inv) for k, c in row.items()}
-                monic[lead] = self.scalars.one
-                self.pivots[lead] = monic
-                return True
-            factor = row.pop(lead)
-            for k, c in piv.items():
-                if k == lead:
-                    continue
-                s = row.get(k, 0) - factor * c
-                if s == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = s
-        return False
-
-
-def _spec_points(model):
-    """Values of v at which rows are specialized: (None,) classically,
-    where integer rows are exact already."""
+def _points(model):
+    """Values of v tried in turn for a rank certificate: the single
+    point None classically, where integer rows are exact already;
+    quantumly the model's ``spec_points`` in order, then v = 2, 3, 4, ..."""
     if model.mode == "classical":
-        return (None,)
+        yield None
+        return
     points = tuple(Fraction(p) for p in model.spec_points)
     if 0 in points:
         raise ValueError("cannot specialize at v = 0")
-    return points
+    yield from points
+    yield from (Fraction(m) for m in count(2) if m not in points)
+
+
+def _prepared(row, point):
+    """A row as a primitive integer row at ``point`` (None: as it is)."""
+    return _reduce_by_gcd(row if point is None else _specialized_row(row, point))
 
 
 class RankAccumulator:
-    """Incremental exact rank of a stream of operators.
+    """Incremental rank of a stream of operators at one point of v.
 
-    Classical mode reduces primitive integer rows.  Quantum mode keeps
-    two echelons, one per specialization point; ``rank`` is the smaller
-    of the two, a certified lower bound that equals the true rank
-    whenever it reaches the size of an independent family.
+    ``point`` defaults to the first point of :func:`_points`.  The rank
+    is exact classically and a certified lower bound quantumly; a
+    caller that compares it with a known dimension gets a proof when
+    the two meet.  :func:`rank_of_family` certifies the rank itself.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, point=None):
         self.model = model
-        self._points = _spec_points(model)
-        self._echelons = tuple(_IntEchelon() for _ in self._points)
+        self.point = next(_points(model)) if point is None else point
+        self._echelon = _IntEchelon()
 
     @property
     def rank(self):
-        return min(e.rank for e in self._echelons)
-
-    @property
-    def ranks(self):
-        return tuple(e.rank for e in self._echelons)
+        return self._echelon.rank
 
     def add(self, op):
-        row = _operator_row(self.model, op)
-        grew = False
-        for ech, point in zip(self._echelons, self._points):
-            prepared = row if point is None else _specialized_row(row, point)
-            grew = ech.add(_reduce_by_gcd(prepared)) or grew
-        return grew
+        """Reduce ``op``; return True if the rank grew."""
+        return self._echelon.add(_prepared(_operator_row(self.model, op), self.point))
 
 
-def rank_of_family(model, operators, stop_at=None):
+def rank_of_family(model, operators):
     """Exact rank of a family of operators viewed as vectors.
 
-    In quantum mode both specialization ranks must agree; if they ever
-    disagree the rank is recomputed exactly over Laurent fractions.
+    The members that grow a :class:`RankAccumulator` are independent.
+    Quantumly every other member is span-checked against them (see the
+    module docstring), at the points of :func:`_points` in turn until
+    all checks pass.
     """
     operators = list(operators)
-    acc = RankAccumulator(model)
-    for op in operators:
-        acc.add(op)
-        if stop_at is not None and acc.rank >= stop_at:
+    for point in _points(model):
+        acc = RankAccumulator(model, point)
+        grew = [acc.add(op) for op in operators]
+        if point is None or acc.rank == len(operators):
             return acc.rank
-    ranks = acc.ranks
-    if len(set(ranks)) == 1:
-        return ranks[0]
-    exact = _FieldEchelon(model.scalars)
-    for op in operators:
-        exact.add(_operator_row(model, op))
-    return exact.rank
+        pivots = [_operator_row(model, op) for op, g in zip(operators, grew) if g]
+        leads = sorted(acc._echelon.pivots)
+        if all(_span_solve(model.scalars, pivots, leads, _operator_row(model, op))
+               is not None for op, g in zip(operators, grew) if not g):
+            return acc.rank
 
 
 def _label_block(label, shift):
@@ -507,16 +477,59 @@ def _solve_connected(model, columns, target):
     """Coordinates of ``target`` in ``columns``, or None when the columns
     are dependent; raises NotInSpan when the system is inconsistent.
 
-    The check D * target = sum_u N_u * columns[u] is divided through by
-    D when D divides every N_u.  A deficient family is checked on the
-    pivot columns of its exact elimination, which span the same space.
+    A dependent family is checked on its pivot columns, which span the
+    same space.
     """
-    scalars = model.scalars
     rows, cols = _independent_equations(model, columns)
+    values = _span_solve(model.scalars, [columns[u] for u in cols], rows, target)
+    if values is None:
+        raise NotInSpan("operator is outside the span of the family")
+    return values if len(cols) == len(columns) else None
+
+
+def _independent_equations(model, columns):
+    """Positions of independent equations and the unknowns they pin.
+
+    The equation at a position is {u: columns[u][position]}; equations
+    are taken in order of first appearance.  Returns (rows, cols) with a
+    nonzero minor on those rows and columns, whose count is the rank:
+    k = len(columns) rows and all k columns as soon as a point of v (or
+    the integers themselves, classically) reaches rank k.  Below k, the
+    columns outside the pivots must pass the span check against the
+    pivot columns; otherwise the next point of :func:`_points` is tried.
+    """
+    k = len(columns)
+    positions = list(dict.fromkeys(chain.from_iterable(columns)))
+    for point in _points(model):
+        echelon = _IntEchelon()
+        rows = []
+        for pos in positions:
+            eq = {u: col[pos] for u, col in enumerate(columns) if pos in col}
+            if echelon.add(_prepared(eq, point)):
+                rows.append(pos)
+                if len(rows) == k:
+                    return rows, list(range(k))
+        cols = sorted(echelon.pivots)
+        basis = [columns[u] for u in cols]
+        if point is None or all(
+            _span_solve(model.scalars, basis, rows, col) is not None
+            for u, col in enumerate(columns) if u not in echelon.pivots
+        ):
+            return rows, cols
+
+
+def _span_solve(scalars, basis, rows, target):
+    """Coordinates of ``target`` in ``basis``, proved, or None when the
+    target lies outside their span.
+
+    ``rows`` are positions where the minor of ``basis`` is nonzero.  The
+    check D * target = sum_u N_u * basis[u] of the module docstring is
+    divided through by D when D divides every N_u.
+    """
     zero = scalars.zero
     det, nums = _bareiss_solve(
         scalars,
-        [[columns[u].get(k, zero) for u in cols] for k in rows],
+        [[col.get(k, zero) for col in basis] for k in rows],
         [target.get(k, zero) for k in rows],
     )
     quotients = [_ring_quotient(scalars, num, det) for num in nums]
@@ -525,57 +538,16 @@ def _solve_connected(model, columns, target):
     else:
         weights, expected = quotients, target
     combined = {}
-    for u, w in zip(cols, weights):
+    for col, w in zip(basis, weights):
         if w:
-            for k, s in columns[u].items():
+            for k, s in col.items():
                 term = w * s
                 prev = combined.get(k)
                 combined[k] = term if prev is None else prev + term
     if {k: s for k, s in combined.items() if s} != expected:
-        raise NotInSpan("operator is outside the span of the family")
-    if len(cols) < len(columns):
         return None
     return [scalars.div(num, det) if q is None else q
             for num, q in zip(nums, quotients)]
-
-
-def _independent_equations(model, columns):
-    """Positions of independent equations and the unknowns they pin.
-
-    The equation at a position is {u: columns[u][position]}; equations
-    are taken in order of first appearance.  Returns (rows, cols) with a
-    nonzero minor on those rows and columns: k = len(columns) rows and
-    all k columns as soon as one specialization of v (or the integers
-    themselves, classically) reaches rank k, otherwise the rows and
-    pivot columns of an exact elimination, whose count is the rank.
-    """
-    k = len(columns)
-
-    def equations():
-        for pos in dict.fromkeys(chain.from_iterable(columns)):
-            yield pos, {u: col[pos] for u, col in enumerate(columns) if pos in col}
-
-    def first_independent(echelon, prepared):
-        rows = []
-        for pos, row in prepared:
-            if len(rows) == k:
-                break
-            if echelon.add(row):
-                rows.append(pos)
-        return rows
-
-    for point in _spec_points(model):
-        echelon = _IntEchelon()
-        rows = first_independent(echelon, (
-            (pos, _reduce_by_gcd(eq if point is None else _specialized_row(eq, point)))
-            for pos, eq in equations()
-        ))
-        if len(rows) == k:
-            return rows, list(range(k))
-    if point is not None:  # a classical integer echelon is exact already
-        echelon = _FieldEchelon(model.scalars)
-        rows = first_independent(echelon, equations())
-    return rows, sorted(echelon.pivots)
 
 
 def _bareiss_solve(scalars, matrix, rhs):

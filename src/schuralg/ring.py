@@ -9,15 +9,13 @@ Two scalar domains are used throughout the package:
 
 Division of operator entries is exact: by m! classically and by [m]!
 or prod (v^s - v^-s) quantumly, raising NotDivisible when a quotient
-leaves the ring.  Fractions appear only for a coordinate that is not
-integral and in the exact rank fallback: the adapters' ``div`` returns
-a ``fractions.Fraction`` classically and a :class:`LaurentFraction`
-quantumly.
+leaves the ring.  A fraction appears only to render a coordinate that
+is not integral: the adapters' ``div`` returns a ``fractions.Fraction``
+classically and a :class:`LaurentFraction` quantumly, which supports
+equality by cross multiplication and printing, but no arithmetic.
 
 Laurent polynomials are stored sparsely as a mapping from integer
-exponents of ``v`` to nonzero integer coefficients.  No normal form
-beyond zero-pruning is imposed on fractions; equality is decided by
-cross multiplication.
+exponents of ``v`` to nonzero integer coefficients.
 """
 
 from fractions import Fraction
@@ -299,7 +297,8 @@ def gaussian_binomial(a, b):
 
 
 class LaurentFraction:
-    """Quotient of two integer Laurent polynomials.
+    """Quotient of two integer Laurent polynomials, kept to render a
+    coordinate that is not integral.
 
     No gcd reduction is attempted; equality is decided by cross
     multiplication.  The denominator is normalized to have positive
@@ -335,105 +334,21 @@ class LaurentFraction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def zero(cls):
-        return cls(LaurentPoly.zero())
-
-    @classmethod
-    def one(cls):
-        return cls(LaurentPoly.one())
-
-    @classmethod
-    def v_power(cls, k):
-        return cls(LaurentPoly.v_power(k))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
     def __bool__(self):
         return not self.num.is_zero()
 
-    def _coerced(self, other):
-        if isinstance(other, LaurentFraction):
-            return other
-        if isinstance(other, (int, LaurentPoly)):
-            return LaurentFraction(other if isinstance(other, LaurentPoly)
-                                   else LaurentPoly.constant(other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        if self.den is other.den or self.den == other.den:
-            return LaurentFraction(self.num + other.num, self.den)
-        return LaurentFraction(self.num * other.den + other.num * self.den,
-                               self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return LaurentFraction(self.num * other.num)
-        return LaurentFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Laurent fraction")
-        return LaurentFraction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, m):
-        if m < 0:
-            return LaurentFraction.one() / self ** (-m)
-        return LaurentFraction(self.num**m, self.den**m)
-
     def __eq__(self, other):
-        other = self._coerced(other)
-        if other is None:
+        if isinstance(other, (int, LaurentPoly)):
+            other = LaurentFraction(other)
+        if not isinstance(other, LaurentFraction):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("LaurentFraction is not hashable (no normal form)")
 
     def as_laurent(self):
         """Return self as a LaurentPoly, or raise NotDivisible."""
         if self.den.is_one():
             return self.num
         return exact_div(self.num, self.den)
-
-    def specialize(self, r):
-        """Evaluate at v = r; the denominator must not vanish there."""
-        d = self.den.specialize(r)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at v = {r}")
-        return self.num.specialize(r) / d
 
     def __str__(self):
         if self.den.is_one():
@@ -492,11 +407,8 @@ class QuantumScalars:
 
     @staticmethod
     def div(a, b):
-        """a / b in Q(v): the one place where polynomial entries
-        become fractions."""
-        if not isinstance(a, LaurentFraction):
-            a = LaurentFraction(a)
-        return a / b
+        """a / b in Q(v), as a fraction to render."""
+        return LaurentFraction(a, b)
 
     @staticmethod
     def render(s):

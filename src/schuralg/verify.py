@@ -631,7 +631,10 @@ def _block_ranks(model, fams):
     block is still open are computed, each block's piece goes to that
     block's own RankAccumulator, and a block closes once its rank
     reaches :func:`block_dimension`.  Returns {(src, dst): rank} over
-    all blocks, sources and targets in weight-set order.
+    all blocks, sources and targets in weight-set order.  Each rank is
+    a certified lower bound (exact classically) that is compared only
+    with the block's dimension, an upper bound, so a block that reaches
+    it is proved.
     """
     weights = model.weight_set()
     dims = {(src, dst): block_dimension(src, dst)
@@ -727,8 +730,9 @@ def _triangular_items(model, rep):
     PASS a proof: each block rank is the rank of pieces actually
     computed, which lie in the family's span; pieces of different
     blocks are independent; and no block exceeds its dimension, so a
-    closed block cannot grow.  In quantum mode each block keeps the
-    two-point specialization certificate of RankAccumulator.
+    closed block cannot grow.  In quantum mode each block rank is the
+    one-point lower bound of RankAccumulator, so a block that reaches
+    its dimension is certified, and a PASS needs every block there.
     """
     families = _triangular_families(model)
     for perm in permutations("+0-"):

@@ -1,0 +1,35 @@
+"""An independent field for the tests: sympy's Q(v), in which the
+package's scalars are embedded to check its ranks and coordinates."""
+
+from fractions import Fraction
+
+from sympy import QQ, symbols
+from sympy.polys.matrices import DomainMatrix
+
+from schuralg.ring import LaurentFraction, LaurentPoly
+
+FIELD = QQ.frac_field(symbols("v"))
+
+
+def to_field(s, field=FIELD):
+    """An int, Fraction, LaurentPoly or LaurentFraction as an element
+    of ``field`` (Q(v) by default; Q takes the classical scalars)."""
+    if isinstance(s, LaurentFraction):
+        return to_field(s.num, field) / to_field(s.den, field)
+    if isinstance(s, LaurentPoly):
+        if not s:
+            return field.zero
+        lo = min(s.coeffs)
+        num = field.field.ring({(e - lo,): c for e, c in s.coeffs.items()})
+        return field.field(num) * field.gens[0] ** lo
+    s = Fraction(s)
+    return field(s.numerator) / field(s.denominator)
+
+
+def field_rank(rows, field=FIELD):
+    """Rank over ``field`` of sparse rows {position: scalar}."""
+    positions = sorted({k for row in rows for k in row})
+    if not rows or not positions:
+        return 0
+    dense = [[to_field(row.get(k, 0), field) for k in positions] for row in rows]
+    return DomainMatrix(dense, (len(rows), len(positions)), field).rank()

@@ -32,6 +32,8 @@ from schuralg.ring import LaurentFraction, LaurentPoly
 from schuralg.rootvectors import BasisLabel, eval_label
 from schuralg.tensormodel import SparseOperator, build_model, compositions, generator_action
 
+from oracle import FIELD, to_field
+
 
 def monomial_count(symbols, degree):
     """Stars-and-bars oracle: monomials of degree <= degree in the
@@ -138,12 +140,12 @@ def test_rank_detects_dependence():
     assert rank_of_family(m, [e, f, e + f]) == 2
     assert rank_of_family(m, [e, e.scale(3)]) == 1
     assert rank_of_family(m, [m.zero_op()]) == 0
-    assert rank_of_family(m, [e, f], stop_at=1) == 1
 
 
 def test_rank_exact_fallback_when_specializations_disagree():
     """Rows (1, 1) and (5v, 7) are dependent at v = 7/5 but not at 11/7,
-    so the rank comes from exact elimination over Q(v)."""
+    so the lower bound at 7/5 is 1 and the span check sends the rank on
+    to 11/7."""
     m = build_model(2, 1, mode="quantum", spec_points=(Fraction(7, 5), Fraction(11, 7)))
     one = LaurentPoly.one()
     ops = [
@@ -153,8 +155,22 @@ def test_rank_exact_fallback_when_specializations_disagree():
     acc = RankAccumulator(m)
     for op in ops:
         acc.add(op)
-    assert acc.ranks == (1, 2)
+    assert acc.rank == 1
     assert rank_of_family(m, ops) == 2
+
+
+def test_rank_is_exact_when_every_spec_point_is_a_root():
+    # The minor 1 + (5v - 7)(7v - 11) - 1 vanishes at both default
+    # points, so only a later point shows the rank 2.
+    m = build_model(2, 1, mode="quantum")
+    ops = [SparseOperator({0: {0: ONE, 1: ONE}}),
+           SparseOperator({0: {0: ONE, 1: ONE + VANISHING}})]
+    acc = RankAccumulator(m)
+    assert [acc.add(op) for op in ops] == [True, False]
+    assert rank_of_family(m, ops) == 2
+    # A multiple by the same factor stays dependent: the check at 7/5
+    # proves the rank 1 at once.
+    assert rank_of_family(m, [ops[0], ops[0].scale(VANISHING)]) == 1
 
 
 def test_coordinates_of_basis_elements_are_unit_vectors():
@@ -291,20 +307,20 @@ def test_block_dimension_small_cases():
     assert block_dimension((1, 1), (1, 0)) == 0
 
 
-def _reference_solve(scalars, columns, target):
+def _reference_solve(columns, target):
     """Solve sum_u x_u * columns[u] = target by Gaussian elimination of
-    every equation over the fraction field: the oracle for coordinates.
+    every equation over sympy's Q(v): the oracle for coordinates.
 
     Raises NotInSpan when the system is inconsistent or the columns are
     linearly dependent (no unique expansion).
     """
+    zero = FIELD.zero
     equations = {}
     for u, colrow in enumerate(columns):
         for k, s in colrow.items():
-            equations.setdefault(k, ({}, [0]))[0][u] = s
+            equations.setdefault(k, ({}, [zero]))[0][u] = to_field(s)
     for k, s in target.items():
-        equations.setdefault(k, ({}, [0]))[1][0] = s
-    div = scalars.div
+        equations.setdefault(k, ({}, [zero]))[1][0] = to_field(s)
     pivots = {}
     for coeffs, rhs_box in equations.values():
         coeffs = dict(coeffs)
@@ -314,14 +330,14 @@ def _reference_solve(scalars, columns, target):
             piv = pivots.get(u)
             if piv is None:
                 lead = coeffs.pop(u)
-                monic = {w: div(c, lead) for w, c in coeffs.items()}
-                pivots[u] = (monic, div(rhs, lead))
+                monic = {w: c / lead for w, c in coeffs.items()}
+                pivots[u] = (monic, rhs / lead)
                 coeffs = {}
                 break
             factor = coeffs.pop(u)
             pcoeffs, prhs = piv
             for w, c in pcoeffs.items():
-                s = coeffs.get(w, 0) - factor * c
+                s = coeffs.get(w, zero) - factor * c
                 if s == 0:
                     coeffs.pop(w, None)
                 else:
@@ -332,7 +348,7 @@ def _reference_solve(scalars, columns, target):
                 raise NotInSpan("operator is outside the span of the family")
     if len(pivots) < len(columns):
         raise NotInSpan("family is linearly dependent; no unique expansion")
-    values = [scalars.zero] * len(columns)
+    values = [zero] * len(columns)
     for u in sorted(pivots, reverse=True):
         coeffs, rhs = pivots[u]
         total = rhs
@@ -344,7 +360,7 @@ def _reference_solve(scalars, columns, target):
 
 def _reference_coordinates(m, op, labels, candidates):
     columns = [_operator_row(m, eval_label(m, lab)) for lab in candidates]
-    values = _reference_solve(m.scalars, columns, _operator_row(m, op))
+    values = _reference_solve(columns, _operator_row(m, op))
     return [(lab, v) for lab, v in zip(candidates, values) if not (v == 0)]
 
 
@@ -369,7 +385,8 @@ def test_coordinates_index_matches_full_filter():
         ]
         expected = _reference_coordinates(m, op, labels, candidates)
         assert expected
-        assert list(coordinates(m, op, labels).items()) == expected
+        got = coordinates(m, op, labels).items()
+        assert [(lab, to_field(x)) for lab, x in got] == expected
 
 
 def _seeded_products(m, labels, count, seed):
@@ -403,7 +420,7 @@ def test_coordinates_match_reference_solve(mode, n, d, count):
         expected = _reference_coordinates(m, op, labels, candidates)
         got = list(coordinates(m, op, labels).items())
         assert [lab for lab, _ in got] == [lab for lab, _ in expected]
-        assert all(a == b for (_, a), (_, b) in zip(got, expected))
+        assert all(to_field(a) == b for (_, a), (_, b) in zip(got, expected))
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -426,7 +443,7 @@ def test_coordinates_match_reference_solve_unblocked(mode, n, d):
         expected = _reference_coordinates(m, op, labels, labels)
         got = list(coordinates(m, op, labels).items())
         assert [lab for lab, _ in got] == [lab for lab, _ in expected]
-        assert all(a == b for (_, a), (_, b) in zip(got, expected))
+        assert all(to_field(a) == b for (_, a), (_, b) in zip(got, expected))
 
 
 def _solver_case(mode, entries):
@@ -458,20 +475,24 @@ VANISHING = (5 * V - 7) * (7 * V - 11)
 def test_certified_solve_falls_back_when_minors_vanish(mode, monkeypatch):
     from schuralg import bases
 
-    built = []
+    tried = []
+    points = bases._points
 
-    class Recording(bases._FieldEchelon):
-        def __init__(self, scalars):
-            built.append(scalars)
-            super().__init__(scalars)
+    def recording(model):
+        for point in points(model):
+            tried.append(point)
+            yield point
 
-    monkeypatch.setattr(bases, "_FieldEchelon", Recording)
+    monkeypatch.setattr(bases, "_points", recording)
     m, rows = _solver_case(mode, [[ONE, ONE], [ONE, ONE + VANISHING]])
     xs = [3 * V, 2] if mode == "quantum" else [3, 2]
     assert _certified_solve(m, rows, _combine(m, rows, xs)) == xs
-    # Specializing at 7/5 and 11/7 leaves rank 1; at v = 1 the integer
-    # minor is 8, so only quantum mode needs exact elimination.
-    assert len(built) == (mode == "quantum")
+    # Specializing at 7/5 and 11/7 leaves rank 1 and the span check
+    # fails, so v = 2 is tried next; classically the integer minor is 8.
+    if mode == "quantum":
+        assert tried == [Fraction(7, 5), Fraction(11, 7), 2]
+    else:
+        assert tried == [None]
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -480,9 +501,9 @@ def test_certified_solve_fractional_coordinates(mode):
     m, rows = _solver_case(mode, [[ONE, ONE], [ONE, 2 + V]])
     one = m.scalars.one
     x0, x1 = _certified_solve(m, rows, {0: one, 1: 2 * one})
-    assert x0 + x1 == 1
     if mode == "quantum":
-        assert isinstance(x1, LaurentFraction) and x1 * (1 + V) == 1
+        assert isinstance(x1, LaurentFraction) and x1 == LaurentFraction(ONE, 1 + V)
+        assert x0 == LaurentFraction(V, 1 + V)
     else:
         assert (x0, x1) == (Fraction(1, 2), Fraction(1, 2))
 

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from schuralg import hecke
-from schuralg.bases import enumerate_basis
+from schuralg.bases import _operator_row, enumerate_basis, rank_of_family
 from schuralg.errors import HypothesisError
 from schuralg.hecke import (
     check_hecke_generation,
@@ -15,6 +15,8 @@ from schuralg.hecke import (
 )
 from schuralg.rootvectors import eval_label
 from schuralg.tensormodel import build_model, weight_idempotent
+
+from oracle import field_rank
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -67,6 +69,27 @@ def test_summary_shape():
     assert data["generation"] == {"EF": True, "FE": True}
     data = hecke_summary(build_model(3, 2))
     assert data["generation"] is None and data["pass"] is True
+
+
+def test_closure_is_exact_on_deficient_families(monkeypatch):
+    # Sub-families of the (3, 3) quantum corner: closed exactly when the
+    # pairwise products add nothing to the rank over Q(v).
+    m = build_model(3, 3, mode="quantum")
+    full = omega_truncation(m)
+    seen = set()
+    for keep in ((0,), (4,), (0, 3), (1, 2), (1, 2, 3, 4, 5)):
+        family = [full.family[k] for k in keep]
+        products = [x @ y for x in family for y in family]
+        rows = [_operator_row(m, op) for op in family + products]
+        closed = field_rank(rows) == field_rank(rows[:len(family)])
+        dim = rank_of_family(m, family)
+        monkeypatch.setattr(hecke, "omega_truncation", lambda model: hecke.TruncationResult(
+            omega=full.omega, family=family, dim=dim))
+        data = hecke_summary(m)
+        assert data["closed_under_product"] is closed, keep
+        assert data["pass"] is False
+        seen.add(closed)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

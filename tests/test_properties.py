@@ -1,14 +1,18 @@
-"""Property tests for Laurent arithmetic, Gaussian binomials and
-fraction-free specialization."""
+"""Property tests for Laurent arithmetic, Gaussian binomials,
+fraction-free specialization and certified ranks."""
 
 from fractions import Fraction
 from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
 
-from schuralg.bases import _specialized_row
+from schuralg.bases import _specialized_row, rank_of_family
 from schuralg.ring import LaurentPoly, exact_div, gaussian_binomial
+from schuralg.tensormodel import SparseOperator, build_model
+
+from oracle import field_rank
 
 polys = st.dictionaries(
     st.integers(-6, 6), st.integers(-20, 20), max_size=5
@@ -83,3 +87,61 @@ def test_specialized_row_is_a_nonzero_multiple(row, point):
         scale = Fraction(ints[k0]) / values[k0]
         assert scale != 0
         assert all(ints[k] == scale * values[k] for k in ints)
+
+
+V = LaurentPoly.v_power(1)
+# Vanishes at both default points v = 7/5 and v = 11/7.
+VANISHING = LaurentPoly({1: 5, 0: -7}) * LaurentPoly({1: 7, 0: -11})
+# Members are combinations of a few base rows with these coefficients:
+# a coefficient VANISHING hides a base row at both default points.
+QUANTUM_COEFFS = (0, 1, -1, 2, V, VANISHING, VANISHING * V)
+small_polys = st.dictionaries(st.integers(-2, 2), st.integers(-4, 4),
+                              max_size=3).map(LaurentPoly)
+CLASSICAL_COEFFS = (0, 1, -1, 2, 3)
+
+
+def _family(coeffs, entries):
+    """Rows of length 4 (one 2 x 2 operator each): combinations of one
+    to four base rows."""
+    base = st.lists(st.lists(entries, min_size=4, max_size=4),
+                    min_size=1, max_size=4)
+    combos = st.lists(st.lists(st.sampled_from(coeffs), min_size=4, max_size=4),
+                      min_size=1, max_size=5)
+
+    def combine(args):
+        rows, weights = args
+        return [[sum(c * row[k] for c, row in zip(ws, rows)) for k in range(4)]
+                for ws in weights]
+
+    return st.tuples(base, combos).map(combine)
+
+
+def _operators(rows):
+    """Each row as an operator on the 2 words of (n, d) = (2, 1),
+    position k at column k // 2 and row k % 2."""
+    ops = []
+    for row in rows:
+        cols = {}
+        for k, s in enumerate(row):
+            if s:
+                cols.setdefault(k // 2, {})[k % 2] = s
+        ops.append(SparseOperator(cols))
+    return ops
+
+
+QUANTUM_MODEL = build_model(2, 1, mode="quantum")
+CLASSICAL_MODEL = build_model(2, 1)
+
+
+@SETTINGS
+@given(_family(QUANTUM_COEFFS, small_polys))
+def test_quantum_rank_equals_rank_over_rational_functions(rows):
+    sparse = [{k: s for k, s in enumerate(row) if s} for row in rows]
+    assert rank_of_family(QUANTUM_MODEL, _operators(rows)) == field_rank(sparse)
+
+
+@SETTINGS
+@given(_family(CLASSICAL_COEFFS, st.integers(-5, 5)))
+def test_classical_rank_equals_rank_over_rationals(rows):
+    sparse = [{k: s for k, s in enumerate(row) if s} for row in rows]
+    assert rank_of_family(CLASSICAL_MODEL, _operators(rows)) == field_rank(sparse, QQ)
