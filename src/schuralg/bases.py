@@ -44,14 +44,14 @@ the solve on to the next point.
 """
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, count
 from math import gcd
 from operator import add, le, sub
 
 from .errors import NotDivisible, NotInSpan
-from .rootvectors import KINDS, BasisLabel, eval_label
-from .tensormodel import compositions
+from .rootvectors import KINDS, SHAPES, BasisLabel, eval_label, label_key, label_to_json
+from .tensormodel import RootData, compositions, split_by_source
 
 __all__ = [
     "KINDS",
@@ -103,85 +103,78 @@ def root_sum(root_data, exponents):
     return tuple(out)
 
 
-def _content_bounded(roots, budget, low=False):
-    """Exponent tuples over ``roots`` with content <= budget, in
-    ascending lexicographic order.  ``low`` switches to the mirror
-    measure that charges the first root index instead of the second."""
+def _bounded(groups, budget):
+    """Exponent tuples, one per group of slots, in ascending
+    lexicographic order of their concatenation: position k of a group
+    is charged to ``budget[group[k]]``, and no budget entry is
+    overdrawn.  Each tuple is shared by all its continuations."""
     out = []
     budget = list(budget)
-    pos = 0 if low else 1
 
-    def rec(idx, acc):
-        if idx == len(roots):
-            out.append(tuple(acc))
+    def rec(g, idx, done, acc):
+        if g == len(groups):
+            out.append(done)
             return
-        j = roots[idx][pos] - 1
+        slots = groups[g]
+        if idx == len(slots):
+            rec(g + 1, 0, done + (tuple(acc),), [])
+            return
+        j = slots[idx]
         cap = budget[j]
         for m in range(cap + 1):
             budget[j] = cap - m
             acc.append(m)
-            rec(idx + 1, acc)
+            rec(g, idx + 1, done, acc)
             acc.pop()
         budget[j] = cap
 
-    rec(0, [])
-    return out
-
-
-def _degree_bounded(length, total):
-    """Tuples of the given length with entry sum <= total, ascending lex."""
-    out = []
-
-    def rec(idx, remaining, acc):
-        if idx == length:
-            out.append(tuple(acc))
-            return
-        for m in range(remaining + 1):
-            acc.append(m)
-            rec(idx + 1, remaining - m, acc)
-            acc.pop()
-
-    rec(0, total, [])
+    rec(0, 0, (), [])
     return out
 
 
 def enumerate_basis(n, d, kind, k0=None):
-    """Deterministically ordered labels of the requested basis kind."""
-    from .tensormodel import RootData
+    """Deterministically ordered labels of the requested basis kind.
 
+    A shaped kind (every kind but PBW) enumerates the exponents of its
+    monomial parts, left part outer, in ascending lexicographic order.
+    With a weight lam, each root vector for (i, j) consumes one unit of
+    lam_j, or of lam_i in a minus part left of 1_lam or a plus part right
+    of it (see :func:`content_low`); without one, all root vectors share
+    the budget d, as do the PBW generators.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
-    rd = RootData.for_rank(n)
-    roots = rd.positive_roots
-    zero = (0,) * len(roots)
-    weights = compositions(n, d)
-    labels = []
-    if kind in ("B1", "B2"):
-        low = kind == "B2"
-        measure = content_low if low else content
-        for lam in weights:
-            for A in _content_bounded(roots, lam, low=low):
-                remaining = tuple(l - c for l, c in zip(lam, measure(rd, A)))
-                for C in _content_bounded(roots, remaining, low=low):
-                    labels.append(BasisLabel(flavor=kind, A=A, lam=lam, C=C))
-    elif kind == "PBW":
+    shape = SHAPES[kind]
+    if shape is None:
         if k0 is None:
             k0 = n
         if not (1 <= k0 <= n):
             raise ValueError(f"k0 must be in 1..{n}")
-        length = 2 * len(roots) + n - 1
-        for exps in _degree_bounded(length, d):
-            labels.append(BasisLabel(flavor="PBW", pbw=exps, k0=k0))
-    elif kind in ("PLUS", "MINUS"):
-        for A in _degree_bounded(len(roots), d):
-            labels.append(BasisLabel(flavor=kind, A=A, lam=None, C=zero))
-    elif kind in ("BOREL_UP", "BOREL_DOWN"):
-        for lam in weights:
-            for A in _content_bounded(roots, lam):
-                labels.append(BasisLabel(flavor=kind, A=A, lam=lam, C=zero))
-    else:  # ZERO
-        for lam in weights:
-            labels.append(BasisLabel(flavor="ZERO", A=zero, lam=lam, C=zero))
+        length = n * n - 1  # two per positive root, n - 1 Cartan
+        return [BasisLabel(flavor="PBW", pbw=exps, k0=k0)
+                for (exps,) in _bounded([(0,) * length], (d,))]
+    roots = RootData.for_rank(n).positive_roots
+    weighted = None in shape
+    names, groups = [], []
+    low_sign = "minus"
+    for part in shape:
+        if part is None:
+            low_sign = "plus"
+            continue
+        name, sign = part
+        pos = 0 if sign == low_sign else 1
+        names.append(name)
+        groups.append([root[pos] - 1 if weighted else 0 for root in roots])
+    # A field the shape leaves out reads the zero multi-index, appended
+    # after the shape's own parts.
+    zero = ((0,) * len(roots),)
+    a, c = (names.index(f) if f in names else len(names) for f in ("A", "C"))
+    labels = []
+    for lam in compositions(n, d) if weighted else [(d,)]:
+        wt = lam if weighted else None
+        for parts in _bounded(groups, lam):
+            parts += zero
+            labels.append(BasisLabel(kind, parts[a], wt, parts[c]))
     return labels
 
 
@@ -319,44 +312,55 @@ def rank_of_family(model, operators):
             return acc.rank
 
 
-def _label_block(label, shift):
-    """(source weight, target weight) of a label's operator, when the
-    flavor pins one; None for PBW and bare monomial flavors.  ``shift``
-    maps an exponent tuple to its weight shift, as :func:`root_sum`."""
-    lam = label.lam
-    if label.flavor == "ZERO":
-        return (lam, lam)
-    if label.flavor == "B1":
-        return (tuple(map(add, lam, shift(label.C))),
-                tuple(map(add, lam, shift(label.A))))
-    if label.flavor == "B2":
-        return (tuple(map(sub, lam, shift(label.C))),
-                tuple(map(sub, lam, shift(label.A))))
-    if label.flavor == "BOREL_UP":
-        return (lam, tuple(map(add, lam, shift(label.A))))
-    if label.flavor == "BOREL_DOWN":
-        return (tuple(map(add, lam, shift(label.A))), lam)
-    return None
+@lru_cache(maxsize=4096)
+def _signed_shift(n, exponents, sign):
+    """:func:`root_sum` of a monomial, negated for the minus sign."""
+    out = root_sum(RootData.for_rank(n), exponents)
+    return out if sign == "plus" else tuple(-x for x in out)
+
+
+def _label_block(label, root_data):
+    """The weight data of a label, read from its shape: (shift, block).
+
+    The label's operator moves every weight by ``shift``; ``block`` is
+    its (source, target) weight pair when the label has a weight, so
+    that the operator is 1_dst b 1_src, and None otherwise.  A PBW
+    label moves no one weight: (None, None).
+    """
+    shape = SHAPES[label.flavor]
+    if shape is None:
+        return None, None
+    n = root_data.n
+    shift, pinned = (0,) * n, None
+    for part in reversed(shape):  # right to left, as the operator acts
+        if part is None:
+            pinned = shift
+        else:
+            step = _signed_shift(n, getattr(label, part[0]), part[1])
+            shift = tuple(map(add, shift, step))
+    if pinned is None:
+        return shift, None
+    src = tuple(map(sub, label.lam, pinned))
+    return shift, (src, tuple(map(add, src, shift)))
 
 
 def block_index(model, family):
-    """Positions of a label family grouped by weight block.
+    """Positions of a label family grouped by weight block, for
+    :func:`coordinates`.
 
-    Returns ``{(src, dst): [positions in enumeration order]}``, where a
-    label at position k evaluates to an operator 1_dst b 1_src, or None
-    when some label pins no block (PBW and bare monomial flavors).  The
-    index is built once per distinct family and kept on the model.
+    Returns ``{(src, dst): [positions in enumeration order]}`` with each
+    block as :func:`_label_block` gives it, or None when some label pins
+    no block (PBW and bare monomial flavors).  The index is built once
+    per distinct family and kept on the model.
     """
     family = tuple(family)
     try:
         return model._block_index[family]
     except KeyError:
         pass
-    # Exponent tuples repeat across a family; each shift is computed once.
-    shift = lru_cache(maxsize=None)(partial(root_sum, model.root_data))
     index = {}
     for pos, label in enumerate(family):
-        block = _label_block(label, shift)
+        _, block = _label_block(label, model.root_data)
         if block is None:
             index = None
             break
@@ -383,12 +387,11 @@ def block_dimension(src, dst):
 
 
 def _op_blocks(model, op):
-    blocks = set()
-    for j, col in op.cols.items():
-        src = model.weights[j]
-        for i in col:
-            blocks.add((src, model.weights[i]))
-    return blocks
+    """The weight blocks (src, dst) that ``op`` has entries in."""
+    weights = model.weights
+    return {(src, weights[i])
+            for src, cols in split_by_source(model, op).items()
+            for col in cols.values() for i in col}
 
 
 def coordinates(model, op, basis):
@@ -604,47 +607,33 @@ def structure_constants(model, basis, i, j):
 
 
 def basis_json(model, labels):
-    from .rootvectors import label_to_json
-
     return {"basis": [label_to_json(label, model.root_data) for label in labels]}
 
 
-def basis_csv(model, labels):
-    from .rootvectors import label_key, label_to_json
+def _csv_cell(part):
+    """A label's JSON field as one CSV cell: empty when absent, roots as
+    sorted key:value pairs, lists joined by ";"."""
+    if part is None:
+        return ""
+    if isinstance(part, dict):
+        return ";".join(f"{k}:{v}" for k, v in sorted(part.items()))
+    if isinstance(part, list):
+        return ";".join(str(x) for x in part)
+    return str(part)
 
+
+def basis_csv(model, labels):
     lines = ["key,flavor,A,lambda,C,pbw,k0"]
     for label in labels:
         data = label_to_json(label, model.root_data)
-
-        def fmt(part):
-            if part is None:
-                return ""
-            if isinstance(part, dict):
-                return ";".join(f"{k}:{v}" for k, v in sorted(part.items()))
-            if isinstance(part, list):
-                return ";".join(str(x) for x in part)
-            return str(part)
-
-        lines.append(
-            ",".join(
-                [
-                    '"' + label_key(label, model.root_data) + '"',
-                    label.flavor,
-                    fmt(data.get("A")),
-                    fmt(data.get("lambda")),
-                    fmt(data.get("C")),
-                    fmt(data.get("pbw")),
-                    fmt(data.get("k0")),
-                ]
-            )
-        )
+        cells = [_csv_cell(data.get(name)) for name in ("A", "lambda", "C", "pbw", "k0")]
+        lines.append(",".join(
+            [f'"{label_key(label, model.root_data)}"', label.flavor, *cells]))
     return "\n".join(lines) + "\n"
 
 
 def structure_table_json(model, labels, pairs):
     """Structure-constant table for the given (left, right) index pairs."""
-    from .rootvectors import label_key, label_to_json
-
     triples = []
     for i, j in pairs:
         coeffs = structure_constants(model, labels, i, j)
@@ -665,8 +654,6 @@ def structure_table_json(model, labels, pairs):
 
 
 def structure_table_csv(model, labels, pairs):
-    from .rootvectors import label_key
-
     lines = ["left,right,label,coefficient"]
     for i, j in pairs:
         coeffs = structure_constants(model, labels, i, j)

@@ -36,22 +36,13 @@ from .bases import (
 )
 from .errors import BadWeight, HypothesisError, NotDivisible, NotInSpan, SizeLimit
 from .hecke import hecke_summary
-from .rootvectors import eval_label, label_key
+from .rootvectors import KINDS, eval_label, label_key
 from .tensormodel import DEFAULT_WORD_CAP, build_model
 from .verify import SUITES, suite_reports
 
 __all__ = ["main"]
 
-KIND_MAP = {
-    "b1": "B1",
-    "b2": "B2",
-    "pbw": "PBW",
-    "plus": "PLUS",
-    "minus": "MINUS",
-    "borel_up": "BOREL_UP",
-    "borel_down": "BOREL_DOWN",
-    "zero": "ZERO",
-}
+KIND_MAP = {kind.lower(): kind for kind in KINDS}
 
 
 def _int_at_least(minimum, what):

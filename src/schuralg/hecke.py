@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bases import RankAccumulator, block_index, enumerate_basis, rank_of_family
+from .bases import RankAccumulator, _label_block, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .rootvectors import eval_label
 from .tensormodel import generator_action, weight_idempotent
@@ -58,14 +58,18 @@ def omega_weight(model):
 def omega_truncation(model):
     """Nonzero corner images 1_omega b 1_omega of the B1 family, with rank.
 
-    Only the labels of block (omega, omega) are evaluated: a label of
-    any other block has corner image 0, and one of this block is its own
-    corner image.  The family is the full scan's, in the same order.
+    Only the B1 labels whose block (see ``bases._label_block``) is
+    (omega, omega) are evaluated: a label of any other block has corner
+    image 0, and one of this block is its own corner image.  The family
+    is the full scan's, in the same order.
     """
     omega = omega_weight(model)
-    labels = enumerate_basis(model.n, model.d, "B1")
-    corner = block_index(model, labels).get((omega, omega), [])
-    family = [eval_label(model, labels[pos]) for pos in corner]
+    corner = (omega, omega)
+    family = [
+        eval_label(model, label)
+        for label in enumerate_basis(model.n, model.d, "B1")
+        if _label_block(label, model.root_data)[1] == corner
+    ]
     family = [op for op in family if not op.is_zero()]
     dim = rank_of_family(model, family)
     return TruncationResult(omega=omega, family=family, dim=dim)

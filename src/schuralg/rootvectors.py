@@ -15,18 +15,25 @@ the m-th operator power by m! (classical) or [m]! (quantum); the
 division must be exact entrywise and raises NotDivisible otherwise,
 which is how a wrong sign or twist in the recursion would surface.
 
-Basis labels bundle a flavor with multi-index exponents.  Multi-index
-tuples are always aligned with RootData.positive_roots (lexicographic
-(i, j) order).
+A basis label is a flavor with multi-index exponents, and every flavor
+but PBW is a shape: e_A 1_lam f_C for B1, f_A 1_lam e_C for B2, and
+one or two of these three parts for the others.  ``SHAPES`` gives each
+flavor's parts once; evaluation, the text key, the JSON form,
+enumeration and the weight block of a label are all read from it.
+Multi-index tuples are always aligned with RootData.positive_roots
+(lexicographic (i, j) order).
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 
 from .tensormodel import generator_action, weight_idempotent
 
 __all__ = [
     "BasisLabel",
     "KINDS",
+    "SHAPES",
     "root_vector",
     "divided_power",
     "root_divided_power",
@@ -37,7 +44,30 @@ __all__ = [
     "label_key",
 ]
 
-KINDS = ("B1", "B2", "PBW", "PLUS", "MINUS", "BOREL_UP", "BOREL_DOWN", "ZERO")
+
+# Every flavor but PBW is a shape: its parts left to right, each the
+# Kostant monomial of an (exponent field, sign) pair of the label or,
+# written None, the weight idempotent 1_lam.  PBW labels are ordered
+# monomials over pbw_generator_list instead.
+SHAPES = {
+    "B1": (("A", "plus"), None, ("C", "minus")),
+    "B2": (("A", "minus"), None, ("C", "plus")),
+    "PBW": None,
+    "PLUS": (("A", "plus"),),
+    "MINUS": (("A", "minus"),),
+    "BOREL_UP": (("A", "plus"), None),
+    "BOREL_DOWN": (None, ("A", "minus")),
+    "ZERO": (None,),
+}
+KINDS = tuple(SHAPES)
+_LETTERS = {"plus": "e", "minus": "f"}
+
+
+def _shape(flavor):
+    """The shape of a flavor, None for PBW."""
+    if flavor not in SHAPES:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return SHAPES[flavor]
 
 
 @dataclass(frozen=True)
@@ -109,8 +139,11 @@ def root_divided_power(model, root, sign, m):
 
 def _kostant_monomial(model, exponents, sign):
     """Product of divided root-vector powers in lexicographic root order."""
+    roots = model.root_data.positive_roots
+    if len(exponents) != len(roots):
+        raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
     out = None
-    for root, m in zip(model.root_data.positive_roots, exponents):
+    for root, m in zip(roots, exponents):
         if not m:
             continue
         factor = root_divided_power(model, root, sign, m)
@@ -140,15 +173,13 @@ def pbw_generator_list(model, k0):
 
 
 def eval_label(model, label):
-    """Evaluate a basis label to its operator on the model."""
+    """Evaluate a basis label to its operator on the model: the product
+    of its parts, left to right."""
     cache_key = ("label", label)
     if cache_key in model._op_cache:
         return model._op_cache[cache_key]
-    flavor = label.flavor
-    if flavor not in KINDS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    nroots = len(model.root_data.positive_roots)
-    if flavor == "PBW":
+    shape = _shape(label.flavor)
+    if shape is None:
         if label.pbw is None or label.k0 is None:
             raise ValueError("PBW label needs exponents and k0")
         gens = pbw_generator_list(model, label.k0)
@@ -158,43 +189,14 @@ def eval_label(model, label):
         for (_, gen), m in zip(gens, label.pbw):
             if m:
                 out = out @ gen**m
-    elif flavor == "ZERO":
-        out = weight_idempotent(model, label.lam)
-    elif flavor == "PLUS":
-        _expect_len(label.A, nroots)
-        out = _kostant_monomial(model, label.A, "plus")
-    elif flavor == "MINUS":
-        _expect_len(label.A, nroots)
-        out = _kostant_monomial(model, label.A, "minus")
-    elif flavor == "BOREL_UP":
-        _expect_len(label.A, nroots)
-        out = _kostant_monomial(model, label.A, "plus") @ weight_idempotent(model, label.lam)
-    elif flavor == "BOREL_DOWN":
-        _expect_len(label.A, nroots)
-        out = weight_idempotent(model, label.lam) @ _kostant_monomial(model, label.A, "minus")
-    elif flavor == "B1":
-        _expect_len(label.A, nroots)
-        _expect_len(label.C, nroots)
-        out = (
-            _kostant_monomial(model, label.A, "plus")
-            @ weight_idempotent(model, label.lam)
-            @ _kostant_monomial(model, label.C, "minus")
-        )
-    else:  # B2
-        _expect_len(label.A, nroots)
-        _expect_len(label.C, nroots)
-        out = (
-            _kostant_monomial(model, label.A, "minus")
-            @ weight_idempotent(model, label.lam)
-            @ _kostant_monomial(model, label.C, "plus")
-        )
+    else:
+        out = reduce(matmul, [
+            weight_idempotent(model, label.lam) if part is None
+            else _kostant_monomial(model, getattr(label, part[0]), part[1])
+            for part in shape
+        ])
     model._op_cache[cache_key] = out
     return out
-
-
-def _expect_len(tup, n):
-    if len(tup) != n:
-        raise ValueError(f"multi-index {tup} should have length {n}")
 
 
 def _multi_index_to_json(roots, exponents):
@@ -213,17 +215,15 @@ def _multi_index_from_json(roots, mapping):
 
 def label_to_json(label, root_data):
     """JSON-ready dict form of a label, roots keyed as "i-j"."""
-    roots = root_data.positive_roots
     out = {"flavor": label.flavor}
-    if label.flavor == "PBW":
+    shape = _shape(label.flavor)
+    if shape is None:
         out["pbw"] = list(label.pbw)
         out["k0"] = label.k0
         return out
-    if label.flavor in ("B1", "B2", "PLUS", "MINUS", "BOREL_UP", "BOREL_DOWN"):
-        out["A"] = _multi_index_to_json(roots, label.A)
-    if label.flavor in ("B1", "B2"):
-        out["C"] = _multi_index_to_json(roots, label.C)
-    if label.lam is not None:
+    for name, _ in filter(None, shape):
+        out[name] = _multi_index_to_json(root_data.positive_roots, getattr(label, name))
+    if None in shape:
         out["lambda"] = list(label.lam)
     return out
 
@@ -231,16 +231,14 @@ def label_to_json(label, root_data):
 def label_from_json(data, root_data):
     roots = root_data.positive_roots
     flavor = data["flavor"]
-    if flavor == "PBW":
+    shape = _shape(flavor)
+    if shape is None:
         return BasisLabel(flavor="PBW", pbw=tuple(data["pbw"]), k0=int(data["k0"]))
-    zero = (0,) * len(roots)
-    lam = tuple(data["lambda"]) if "lambda" in data else None
-    return BasisLabel(
-        flavor=flavor,
-        A=_multi_index_from_json(roots, data.get("A")) if flavor != "ZERO" else zero,
-        lam=lam,
-        C=_multi_index_from_json(roots, data.get("C")) if flavor in ("B1", "B2") else zero,
-    )
+    fields = dict.fromkeys(("A", "C"), (0,) * len(roots))
+    for name, _ in filter(None, shape):
+        fields[name] = _multi_index_from_json(roots, data.get(name))
+    lam = tuple(data["lambda"]) if None in shape else None
+    return BasisLabel(flavor=flavor, lam=lam, **fields)
 
 
 def _multi_index_str(roots, exponents):
@@ -250,22 +248,13 @@ def _multi_index_str(roots, exponents):
 
 def label_key(label, root_data):
     """Canonical compact name for a label, used as a table key."""
-    roots = root_data.positive_roots
-    lam = "(" + ",".join(str(x) for x in label.lam) + ")" if label.lam else ""
-    if label.flavor == "PBW":
+    shape = _shape(label.flavor)
+    if shape is None:
         return f"pbw[k0={label.k0};" + ",".join(str(m) for m in label.pbw) + "]"
-    if label.flavor == "ZERO":
-        return f"1{lam}"
-    if label.flavor == "PLUS":
-        return "e" + _multi_index_str(roots, label.A)
-    if label.flavor == "MINUS":
-        return "f" + _multi_index_str(roots, label.A)
-    if label.flavor == "BOREL_UP":
-        return "e" + _multi_index_str(roots, label.A) + f" 1{lam}"
-    if label.flavor == "BOREL_DOWN":
-        return f"1{lam} f" + _multi_index_str(roots, label.A)
-    if label.flavor == "B1":
-        return ("e" + _multi_index_str(roots, label.A) + f" 1{lam} f"
-                + _multi_index_str(roots, label.C))
-    return ("f" + _multi_index_str(roots, label.A) + f" 1{lam} e"
-            + _multi_index_str(roots, label.C))
+    lam = "(" + ",".join(str(x) for x in label.lam) + ")" if label.lam else ""
+    return " ".join(
+        f"1{lam}" if part is None
+        else _LETTERS[part[1]]
+        + _multi_index_str(root_data.positive_roots, getattr(label, part[0]))
+        for part in shape
+    )

@@ -41,6 +41,7 @@ __all__ = [
     "cartan_binomial",
     "compositions",
     "word_weight",
+    "split_by_source",
 ]
 
 DEFAULT_WORD_CAP = 10_000
@@ -161,6 +162,8 @@ class SparseOperator:
     def scale(self, s):
         if s == 0:
             return SparseOperator()
+        if s == 1:
+            return self
         return SparseOperator(
             {j: {i: s * t for i, t in col.items()} for j, col in self.cols.items()}
         )
@@ -204,6 +207,17 @@ class SparseOperator:
 
     def __repr__(self):
         return f"SparseOperator(<{self.entry_count()} entries>)"
+
+
+def split_by_source(model, op):
+    """The columns of ``op`` grouped by source weight, {src: {j: column}};
+    sources in order of their first column.  A block-pinned operator
+    1_dst b 1_src has the one source src."""
+    out = {}
+    weights = model.weights
+    for j, col in op.cols.items():
+        out.setdefault(weights[j], {})[j] = col
+    return out
 
 
 @dataclass

@@ -17,28 +17,27 @@ silent pass.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import permutations
 from math import comb
 from operator import add, sub
 
 from .bases import (
     RankAccumulator,
-    _degree_bounded,
+    _label_block,
     block_dimension,
     enumerate_basis,
     rank_of_family,
-    root_sum,
 )
 from .errors import HypothesisError
 from .ring import LaurentPoly
-from .rootvectors import BasisLabel, eval_label, root_divided_power, root_vector
+from .rootvectors import eval_label, root_divided_power, root_vector
 from .tensormodel import (
     SparseOperator,
     build_model,
     cartan_binomial,
     compositions,
     generator_action,
+    split_by_source,
     weight_idempotent,
 )
 
@@ -433,57 +432,43 @@ def _idempotent_reduction_instances(model, rep):
     n = model.n
     binomial = model.scalars.binomial
     E, F = _root_divided_powers(model)
-
-    def binom_coeff(top, k, s, parity):
-        coeff = binomial(k - 1, s - 1) * binomial(top, k)
-        return -coeff if parity else coeff
-
     eletter, fletter = model.names.plus, model.names.minus
     for root in model.root_data.positive_roots:
         i, j = root
         alpha = model.root_data.root_as_vector(root)
-        first = _Agg()
-        second = _Agg()
-        for b1 in range(d + 1):
-            b2 = d - b1
-            lam = tuple(
-                b1 if k == i else (b2 if k == j else 0) for k in range(1, n + 1)
-            )
-            idem = weight_idempotent(model, lam)
-            for a in range(d + 1):
-                for c in range(d + 1):
-                    s = a + b1 + c - d
-                    if s >= 1:
-                        lhs = E(root, a) @ idem @ F(root, c)
+        # E 1_lam F with b1 = lam_i shifts lam by +k alpha; F 1_lam E with
+        # b2 = lam_j by -k alpha.
+        for item_id, left, right, sign, pos, name in (
+            (f"{eletter}1{fletter}[{i}-{j}]", E, F, 1, i, "b1"),
+            (f"{fletter}1{eletter}[{i}-{j}]", F, E, -1, j, "b2"),
+        ):
+            agg = _Agg()
+            for b1 in range(d + 1):
+                lam = tuple(
+                    b1 if k == i else (d - b1 if k == j else 0) for k in range(1, n + 1)
+                )
+                b = lam[pos - 1]
+                idem = weight_idempotent(model, lam)
+                for a in range(d + 1):
+                    for c in range(d + 1):
+                        s = a + b + c - d
+                        if s < 1:
+                            continue
+                        lhs = left(root, a) @ idem @ right(root, c)
                         rhs = model.zero_op()
                         for k in range(s, min(a, c) + 1):
                             mid = _idem_or_zero(
                                 model,
-                                tuple(x + k * y for x, y in zip(lam, alpha)),
+                                tuple(x + sign * k * y for x, y in zip(lam, alpha)),
                             )
                             if not mid.is_zero():
-                                term = E(root, a - k) @ mid @ F(root, c - k)
-                                rhs = rhs + term.scale(
-                                    binom_coeff(b1 + k, k, s, (k - s) % 2)
-                                )
-                        first.check(lhs == rhs, f"(a,b1,c)=({a},{b1},{c})")
-                    s = a + b2 + c - d
-                    if s >= 1:
-                        lhs = F(root, a) @ idem @ E(root, c)
-                        rhs = model.zero_op()
-                        for k in range(s, min(a, c) + 1):
-                            mid = _idem_or_zero(
-                                model,
-                                tuple(x - k * y for x, y in zip(lam, alpha)),
-                            )
-                            if not mid.is_zero():
-                                term = F(root, a - k) @ mid @ E(root, c - k)
-                                rhs = rhs + term.scale(
-                                    binom_coeff(b2 + k, k, s, (k - s) % 2)
-                                )
-                        second.check(lhs == rhs, f"(a,b2,c)=({a},{b2},{c})")
-        rep.append(first.item(f"{eletter}1{fletter}[{i}-{j}]", "no s >= 1 cases"))
-        rep.append(second.item(f"{fletter}1{eletter}[{i}-{j}]", "no s >= 1 cases"))
+                                coeff = binomial(k - 1, s - 1) * binomial(b + k, k)
+                                if (k - s) % 2:
+                                    coeff = -coeff
+                                term = left(root, a - k) @ mid @ right(root, c - k)
+                                rhs = rhs + term.scale(coeff)
+                        agg.check(lhs == rhs, f"(a,{name},c)=({a},{b},{c})")
+            rep.append(agg.item(item_id, "no s >= 1 cases"))
     rep.notes.append(
         "terms whose shifted weight leaves the weight set contribute zero;"
         " empty right-hand sums assert that the left side vanishes"
@@ -612,15 +597,6 @@ def _cartan_product(model, B):
     return op
 
 
-def _columns_by_source(model, op):
-    """The columns of an operator grouped by source weight:
-    {src: {j: column}}."""
-    out = {}
-    for j, col in op.cols.items():
-        out.setdefault(model.weights[j], {})[j] = col
-    return out
-
-
 def _block_ranks(model, fams):
     """Rank of every weight block of the products a @ b @ c, with a, b
     and c drawn from ``fams`` in the order of :func:`_triangular_order`.
@@ -645,7 +621,7 @@ def _block_ranks(model, fams):
         open_sources.setdefault(tuple(map(sub, dst, src)), {})[src] = None
     remaining = len(dims)
     accs = {}
-    split = [_columns_by_source(model, op) for _, _, op in fams[2]]
+    split = [split_by_source(model, op) for _, _, op in fams[2]]
     degrees = [[deg for deg, _, _ in fam] for fam in fams]
     for ia, ib, ic in _triangular_order(*degrees):
         _, sa, a = fams[0][ia]
@@ -660,7 +636,7 @@ def _block_ranks(model, fams):
             c_cols.update(split[ic].get(src, ()))
         if not c_cols:
             continue
-        pieces = _columns_by_source(model, a @ (b @ SparseOperator(c_cols)))
+        pieces = split_by_source(model, a @ (b @ SparseOperator(c_cols)))
         for src, piece in pieces.items():
             block = (src, tuple(map(add, src, delta)))
             acc = accs.get(block)
@@ -680,14 +656,11 @@ def _triangular_families(model):
     MINUS monomials of degree <= d and Cartan products of degree <= d,
     each entry (degree, weight shift, operator)."""
     n, d = model.n, model.d
-    shift = partial(root_sum, model.root_data)
-    exponents = _degree_bounded(len(model.root_data.positive_roots), d)
     families = {
-        "+": [(sum(A), shift(A), eval_label(model, BasisLabel(flavor="PLUS", A=A)))
-              for A in exponents],
-        "-": [(sum(A), tuple(-x for x in shift(A)),
-               eval_label(model, BasisLabel(flavor="MINUS", A=A)))
-              for A in exponents],
+        sign: [(sum(label.A), _label_block(label, model.root_data)[0],
+                eval_label(model, label))
+               for label in enumerate_basis(n, d, kind)]
+        for sign, kind in (("+", "PLUS"), ("-", "MINUS"))
     }
     families["0"] = [
         (total, (0,) * n, _cartan_product(model, B))

@@ -3,8 +3,8 @@ structure constants."""
 
 import random
 from fractions import Fraction
-from functools import partial
 from math import comb
+from operator import sub
 
 import pytest
 
@@ -29,8 +29,14 @@ from schuralg.bases import (
     structure_table_json,
 )
 from schuralg.ring import LaurentFraction, LaurentPoly
-from schuralg.rootvectors import BasisLabel, eval_label
-from schuralg.tensormodel import SparseOperator, build_model, compositions, generator_action
+from schuralg.rootvectors import SHAPES, BasisLabel, eval_label
+from schuralg.tensormodel import (
+    SparseOperator,
+    build_model,
+    compositions,
+    generator_action,
+    split_by_source,
+)
 
 from oracle import FIELD, to_field
 
@@ -274,17 +280,47 @@ def test_block_index_groups_positions_by_block():
     m = build_model(3, 3)
     labels = enumerate_basis(3, 3, "B1")
     index = block_index(m, labels)
-    shift = partial(root_sum, m.root_data)
     assert sorted(pos for block in index.values() for pos in block) == list(
         range(len(labels))
     )
     for block, positions in index.items():
         assert positions == sorted(positions)
-        assert all(_label_block(labels[p], shift) == block for p in positions)
+        assert all(_label_block(labels[p], m.root_data)[1] == block for p in positions)
     # One entry per distinct family, shared by equal families.
     assert block_index(m, enumerate_basis(3, 3, "B1")) is index
     assert block_index(m, enumerate_basis(3, 3, "PBW")) is None
     assert len(m._block_index) == 2
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 2)])
+def test_label_weights_agree_with_operator_entries(mode, n, d):
+    # The shape table gives a label's operator and, separately, its
+    # weight data: both must say the same.  Every entry of a weighted
+    # label lies in its block, and every entry of a PLUS or MINUS
+    # monomial moves the weight by its shift.
+    m = build_model(n, d, mode=mode)
+    weights = m.weights
+    for kind, shape in SHAPES.items():
+        if shape is None:
+            continue
+        nonzero = 0
+        for label in enumerate_basis(n, d, kind):
+            shift, block = _label_block(label, m.root_data)
+            moves = {
+                (src, weights[i])
+                for src, cols in split_by_source(m, eval_label(m, label)).items()
+                for col in cols.values()
+                for i in col
+            }
+            nonzero += bool(moves)
+            if None in shape:
+                assert moves <= {block}, label
+                assert shift == tuple(map(sub, block[1], block[0])), label
+            else:
+                assert block is None, label
+                assert all(tuple(map(sub, dst, src)) == shift for src, dst in moves), label
+        assert nonzero, kind
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 3), (3, 5)])
@@ -377,11 +413,10 @@ def test_coordinates_index_matches_full_filter():
                 products.append(op)
                 break
     assert len(products) >= 5
-    shift = partial(root_sum, m.root_data)
     for op in products:
         touched = _op_blocks(m, op)
         candidates = [
-            lab for lab in labels if _label_block(lab, shift) in touched
+            lab for lab in labels if _label_block(lab, m.root_data)[1] in touched
         ]
         expected = _reference_coordinates(m, op, labels, candidates)
         assert expected
@@ -391,8 +426,7 @@ def test_coordinates_index_matches_full_filter():
 
 def _seeded_products(m, labels, count, seed):
     """Nonzero products of ``count`` seeded B1 pairs that compose."""
-    shift = partial(root_sum, m.root_data)
-    blocks = [_label_block(lab, shift) for lab in labels]
+    blocks = [_label_block(lab, m.root_data)[1] for lab in labels]
     rng = random.Random(seed)
     products = []
     while len(products) < count:

@@ -4,8 +4,11 @@ JSON output is deterministic, so any refactor of the operator layers
 must leave these digests unchanged.  Each digest is the sha256 of the
 full ``--format json`` stdout of one command; they cover dim, verify,
 hecke, structconst and basis in both modes at (2, 3), (3, 3) and
-(4, 2).  A changed digest is an output change and has to be declared as
-one, never silently re-recorded.
+(4, 2), and basis JSON for every kind at (3, 3).  ``label_key`` shows
+only in text and CSV output, so ``TEXT_CSV_GOLDEN`` adds the text and
+CSV output of ``basis`` for every kind at (3, 2).  A changed digest is
+an output change and has to be declared as one, never silently
+re-recorded.
 """
 
 import hashlib
@@ -51,13 +54,74 @@ GOLDEN = [
      "5b51ac2682711fda990f85ef4d2d2da9af6cebd8bca65718082544486b69c6a8"),
     ("basis 4 2 --quantum --kind pbw",
      "b2279d83ba16867de408e1850a6be8d7b572b8f7deac73b2382853a838588c09"),
+    ("basis 3 3 --kind b2",
+     "29a0f61e0fc9225718b4eb0f12b1889c41a3d648c764c20089802a7d186f33b3"),
+    ("basis 3 3 --kind plus",
+     "9491120b6b8df8f446a63a179bacd6f3bf13b9db8023c7102cd5478fcc33e1f8"),
+    ("basis 3 3 --kind minus",
+     "b66f5e6feddb449d0a86d9bfe9221a9dceb16ef925bf43a080a736107e6f5cf0"),
+    ("basis 3 3 --kind borel_up",
+     "a97945330c71beb5f40e4c612e9b84b4efed656d4545ac3265a0d71dbb52176f"),
+    ("basis 3 3 --kind borel_down",
+     "ea90db702b4659552fcd28f5903efbc942e32a18a1a529bde380e1057ebb1d72"),
+    ("basis 3 3 --kind zero",
+     "319b96ab21097a4ca83b2c770b784bc64231722b56a7aaa3147b6386efbeecd5"),
+    ("basis 3 3 --quantum --kind b2",
+     "a52f153ba7a3bb83edd5046e8a01dbf85288d74aee05716397da24d72e6738c7"),
 ]
+
+
+TEXT_CSV_GOLDEN = [
+    ("basis 3 2 --kind b1 --format text",
+     "8d858638299bc76894d4267914ff45e33220852fb797092e0586dc50b2abb474"),
+    ("basis 3 2 --kind b1 --format csv",
+     "10d3b2383ea2c5c66dfefdf756ac1d1774fbac2fe2fb48eae38de1ba39ccd3da"),
+    ("basis 3 2 --kind b2 --format text",
+     "0ba92459cfb7071575b9f9fc8d1bb0132f3ae9097dd79e51422ef5de91bd2f16"),
+    ("basis 3 2 --kind b2 --format csv",
+     "b89c4df8286d095b7597730c29654d0d29b05aa14274102e21e1c9bf4f9aa05b"),
+    ("basis 3 2 --kind pbw --format text",
+     "d32c9f19017d615a55778f7d9d5fa7463fed6eda52419618ed32491c3c656957"),
+    ("basis 3 2 --kind pbw --format csv",
+     "7ce4f77777b618ac8e269aa23a8bd393d6b559817070fbc5b37df94b42a5ad3c"),
+    ("basis 3 2 --kind plus --format text",
+     "da447b2725b60e3a48f910c47741686cd590919b52a1c404be90f790c857f866"),
+    ("basis 3 2 --kind plus --format csv",
+     "814e3a424d3b6e455863d99830ef710258b092ee8c129a8b621384e817ea10ff"),
+    ("basis 3 2 --kind minus --format text",
+     "197b82ac77c12d6c50ca5a700a7845256b28878e2148efa033aeea7d151caa19"),
+    ("basis 3 2 --kind minus --format csv",
+     "8fc7ea017d46ba2a1082eaad201a9dbc63e582788486c7e480512814ceb4ed22"),
+    ("basis 3 2 --kind borel_up --format text",
+     "1c10fc286e2672c8b49d6de2fa37ade45e5867b652e524d8998a7e7f0673f3d3"),
+    ("basis 3 2 --kind borel_up --format csv",
+     "65abb6254e08d3787c59cd1ccf556e10de6edb026cf4e76611024d4a819ea023"),
+    ("basis 3 2 --kind borel_down --format text",
+     "4f3f76be6b358d597e7bde61201ef7a3eb14c818988e55982abf70eb452d06ec"),
+    ("basis 3 2 --kind borel_down --format csv",
+     "1c2d08f4fae488e5299935b8b23d9824978ce6bea053e4a5868d09ccb68a41e1"),
+    ("basis 3 2 --kind zero --format text",
+     "4cee44fdac4f098013a22c6d064c9deddc4327f1c3de4b264ac1a01b2badda24"),
+    ("basis 3 2 --kind zero --format csv",
+     "fecde213b9d656f3f5658ee13980046066f3764c4524e7e6292bf318c466621f"),
+]
+
+
+def _digest(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_json_output_matches_golden_digest(command, digest):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(command.split() + ["--format", "json"])
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert _digest(command.split() + ["--format", "json"]) == digest
+
+
+@pytest.mark.parametrize(
+    "command,digest", TEXT_CSV_GOLDEN, ids=[c for c, _ in TEXT_CSV_GOLDEN]
+)
+def test_text_and_csv_output_match_golden_digest(command, digest):
+    assert _digest(command.split()) == digest

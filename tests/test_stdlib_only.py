@@ -1,0 +1,30 @@
+"""The core package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import schuralg
+
+PACKAGE = Path(schuralg.__file__).parent
+
+
+def _imported_modules(path):
+    """Top-level names of the absolute imports in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    outside = {
+        (path.name, name)
+        for path in sources
+        for name in _imported_modules(path)
+        if name not in sys.stdlib_module_names and name != "schuralg"
+    }
+    assert not outside

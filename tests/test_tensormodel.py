@@ -310,6 +310,15 @@ def test_cartan_binomial_quantum_values():
         assert got == expected
 
 
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_scale_by_one_returns_the_operator(mode):
+    # Operators are immutable, so scaling by one shares the operator.
+    m = build_model(3, 2, mode=mode)
+    op = generator_action(m, m.names.plus, 1)
+    assert op.scale(m.scalars.one) is op
+    assert op.scale(m.scalars.v_power(0)) is op
+
+
 def test_operator_algebra_basics():
     m = build_model(2, 2)
     e1 = generator_action(m, "e", 1)

@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from schuralg.bases import RankAccumulator, _degree_bounded, block_dimension
+from schuralg.bases import RankAccumulator, block_dimension, enumerate_basis
 from schuralg.errors import HypothesisError
 from schuralg.ring import LaurentPoly, quantum_integer
 from schuralg.tensormodel import (
@@ -253,8 +253,7 @@ def test_suite_reports_selection():
 def test_triangular_order_matches_sorted_triples(n, d):
     # The streamed order must be the sorted order, so the rank check
     # stops at the same product as a sort of every index triple would.
-    nroots = n * (n - 1) // 2
-    root_degrees = [sum(A) for A in _degree_bounded(nroots, d)]
+    root_degrees = [sum(label.A) for label in enumerate_basis(n, d, "PLUS")]
     zero_degrees = [t for t in range(d + 1) for _ in compositions(n, t)]
     families = {"+": root_degrees, "0": zero_degrees, "-": root_degrees}
     for perm in permutations("+0-"):
