@@ -15,10 +15,12 @@ from .bases import (
     coordinates,
     enumerate_basis,
     rank_of_family,
+    rank_of_labels,
     structure_constants,
 )
 from .errors import (
     BadWeight,
+    CertificateError,
     HypothesisError,
     NotDivisible,
     NotInSpan,
@@ -36,6 +38,7 @@ from .rootvectors import (
     BasisLabel,
     divided_power,
     eval_label,
+    label_image,
     label_key,
     root_divided_power,
     root_vector,
@@ -43,6 +46,7 @@ from .rootvectors import (
 from .tensormodel import (
     build_model,
     cartan_binomial,
+    certify_hecke_commutation,
     generator_action,
     weight_idempotent,
 )
@@ -67,6 +71,7 @@ __all__ = [
     "__version__",
     "BadWeight",
     "BasisLabel",
+    "CertificateError",
     "CheckItem",
     "CheckReport",
     "HypothesisError",
@@ -81,6 +86,7 @@ __all__ = [
     "SizeLimit",
     "build_model",
     "cartan_binomial",
+    "certify_hecke_commutation",
     "check_enveloping_relations",
     "check_hecke_generation",
     "check_idempotent_presentation",
@@ -96,11 +102,13 @@ __all__ = [
     "gaussian_binomial",
     "generator_action",
     "hecke_summary",
+    "label_image",
     "label_key",
     "omega_truncation",
     "quantum_factorial",
     "quantum_integer",
     "rank_of_family",
+    "rank_of_labels",
     "root_divided_power",
     "root_vector",
     "structure_constants",

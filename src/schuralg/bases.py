@@ -41,16 +41,42 @@ a fraction otherwise.  If fewer than k equations are independent at a
 point, the candidates outside the pivot columns are span-checked
 against the pivot columns, which proves the family dependent, or sends
 the solve on to the next point.
+
+A family whose labels all pin a weight block is ranked and expanded on
+vectors instead, one per label: its image of the ordered word u_src of
+its source weight (``rootvectors.label_image``).  Operators of
+different blocks have disjoint supports, so the rank of the family is
+the sum of the ranks of its blocks.  Within a block (src, dst), every
+operator b = b 1_src commutes with the Hecke algebra H_d once the
+model's generators are certified to (``tensormodel``), and M^src is
+generated by u_src over H_d, so b is determined by b u_src: a
+combination of the block's operators vanishes exactly when the same
+combination of their images does.  The image rank is the operator
+rank, and an expansion of images is the expansion of the operators.
+The rows and the certificate are the same as above, with a word index
+for a position.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
 from math import gcd
-from operator import add, le, sub
+from operator import le, sub
 
 from .errors import NotDivisible, NotInSpan
-from .rootvectors import KINDS, SHAPES, BasisLabel, eval_label, label_key, label_to_json
+from .rootvectors import (
+    KINDS,
+    SHAPES,
+    BasisLabel,
+    _label_block,
+    _signed_shift,
+    apply_label,
+    eval_label,
+    label_image,
+    label_key,
+    label_to_json,
+    root_sum,
+)
 from .tensormodel import RootData, compositions, split_by_source
 
 __all__ = [
@@ -62,6 +88,7 @@ __all__ = [
     "block_index",
     "block_dimension",
     "rank_of_family",
+    "rank_of_labels",
     "RankAccumulator",
     "coordinates",
     "structure_constants",
@@ -94,20 +121,12 @@ def content_low(root_data, exponents):
     return tuple(out)
 
 
-def root_sum(root_data, exponents):
-    """Weight shift sum of m * (eps_i - eps_j) of a root monomial."""
-    out = [0] * root_data.n
-    for (i, j), m in zip(root_data.positive_roots, exponents):
-        out[i - 1] += m
-        out[j - 1] -= m
-    return tuple(out)
-
-
-def _bounded(groups, budget):
+def _bounded(groups, budget, accept=None):
     """Exponent tuples, one per group of slots, in ascending
     lexicographic order of their concatenation: position k of a group
     is charged to ``budget[group[k]]``, and no budget entry is
-    overdrawn.  Each tuple is shared by all its continuations."""
+    overdrawn.  Each tuple is shared by all its continuations.  With
+    ``accept``, a group's tuple t is continued only if accept(g, t)."""
     out = []
     budget = list(budget)
 
@@ -117,7 +136,9 @@ def _bounded(groups, budget):
             return
         slots = groups[g]
         if idx == len(slots):
-            rec(g + 1, 0, done + (tuple(acc),), [])
+            part = tuple(acc)
+            if accept is None or accept(g, part):
+                rec(g + 1, 0, done + (part,), [])
             return
         j = slots[idx]
         cap = budget[j]
@@ -132,7 +153,7 @@ def _bounded(groups, budget):
     return out
 
 
-def enumerate_basis(n, d, kind, k0=None):
+def enumerate_basis(n, d, kind, k0=None, block=None):
     """Deterministically ordered labels of the requested basis kind.
 
     A shaped kind (every kind but PBW) enumerates the exponents of its
@@ -141,10 +162,17 @@ def enumerate_basis(n, d, kind, k0=None):
     lam_j, or of lam_i in a minus part left of 1_lam or a plus part right
     of it (see :func:`content_low`); without one, all root vectors share
     the budget d, as do the PBW generators.
+
+    ``block`` = (src, dst) keeps only the labels of that weight block
+    (see ``_label_block``), in the same order, for a kind with a weight:
+    the parts left of 1_lam must shift lam to dst, those right of it src
+    to lam, and a part is continued only if it does.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
     shape = SHAPES[kind]
+    if block is not None and (shape is None or None not in shape):
+        raise ValueError(f"{kind} labels pin no weight block")
     if shape is None:
         if k0 is None:
             k0 = n
@@ -155,7 +183,7 @@ def enumerate_basis(n, d, kind, k0=None):
                 for (exps,) in _bounded([(0,) * length], (d,))]
     roots = RootData.for_rank(n).positive_roots
     weighted = None in shape
-    names, groups = [], []
+    names, groups, signs, left = [], [], [], []
     low_sign = "minus"
     for part in shape:
         if part is None:
@@ -165,6 +193,8 @@ def enumerate_basis(n, d, kind, k0=None):
         pos = 0 if sign == low_sign else 1
         names.append(name)
         groups.append([root[pos] - 1 if weighted else 0 for root in roots])
+        signs.append(sign)
+        left.append(low_sign == "minus")
     # A field the shape leaves out reads the zero multi-index, appended
     # after the shape's own parts.
     zero = ((0,) * len(roots),)
@@ -172,7 +202,19 @@ def enumerate_basis(n, d, kind, k0=None):
     labels = []
     for lam in compositions(n, d) if weighted else [(d,)]:
         wt = lam if weighted else None
-        for parts in _bounded(groups, lam):
+        accept = None
+        if block is not None:
+            # The parts left of 1_lam shift lam to dst, those right of
+            # it shift src to lam; a side without a part shifts by 0.
+            src, dst = block
+            want = {True: tuple(map(sub, dst, lam)), False: tuple(map(sub, lam, src))}
+            if any(any(want[side]) for side in want if side not in left):
+                continue
+
+            def accept(g, exps, want=want):
+                return _signed_shift(n, exps, signs[g]) == want[left[g]]
+
+        for parts in _bounded(groups, lam, accept):
             parts += zero
             labels.append(BasisLabel(kind, parts[a], wt, parts[c]))
     return labels
@@ -291,57 +333,47 @@ class RankAccumulator:
         return self._echelon.add(_prepared(_operator_row(self.model, op), self.point))
 
 
-def rank_of_family(model, operators):
-    """Exact rank of a family of operators viewed as vectors.
+def _certified_rank(model, rows):
+    """Exact rank of a family of sparse rows.
 
-    The members that grow a :class:`RankAccumulator` are independent.
-    Quantumly every other member is span-checked against them (see the
-    module docstring), at the points of :func:`_points` in turn until
-    all checks pass.
+    The rows that grow an :class:`_IntEchelon` at a point of v are
+    independent.  Quantumly every other row is span-checked against them
+    (see the module docstring), at the points of :func:`_points` in turn
+    until all checks pass.
     """
-    operators = list(operators)
     for point in _points(model):
-        acc = RankAccumulator(model, point)
-        grew = [acc.add(op) for op in operators]
-        if point is None or acc.rank == len(operators):
-            return acc.rank
-        pivots = [_operator_row(model, op) for op, g in zip(operators, grew) if g]
-        leads = sorted(acc._echelon.pivots)
-        if all(_span_solve(model.scalars, pivots, leads, _operator_row(model, op))
-               is not None for op, g in zip(operators, grew) if not g):
-            return acc.rank
+        echelon = _IntEchelon()
+        grew = [echelon.add(_prepared(row, point)) for row in rows]
+        if point is None or echelon.rank == len(rows):
+            return echelon.rank
+        pivots = [row for row, g in zip(rows, grew) if g]
+        leads = sorted(echelon.pivots)
+        if all(_span_solve(model.scalars, pivots, leads, row) is not None
+               for row, g in zip(rows, grew) if not g):
+            return echelon.rank
 
 
-@lru_cache(maxsize=4096)
-def _signed_shift(n, exponents, sign):
-    """:func:`root_sum` of a monomial, negated for the minus sign."""
-    out = root_sum(RootData.for_rank(n), exponents)
-    return out if sign == "plus" else tuple(-x for x in out)
+def rank_of_family(model, operators):
+    """Exact rank of a family of operators viewed as vectors."""
+    return _certified_rank(model, [_operator_row(model, op) for op in operators])
 
 
-def _label_block(label, root_data):
-    """The weight data of a label, read from its shape: (shift, block).
+def rank_of_labels(model, labels):
+    """Exact rank of the operators of a family of block-pinned labels,
+    from their images of the ordered words, without building operators.
 
-    The label's operator moves every weight by ``shift``; ``block`` is
-    its (source, target) weight pair when the label has a weight, so
-    that the operator is 1_dst b 1_src, and None otherwise.  A PBW
-    label moves no one weight: (None, None).
+    Operators of different blocks have disjoint supports, and within one
+    block (src, dst) the map b -> b u_src is injective once the model's
+    Hecke-commutation certificate holds (see ``rootvectors``).  So the
+    rank is the sum over blocks of the certified rank of the images.
     """
-    shape = SHAPES[label.flavor]
-    if shape is None:
-        return None, None
-    n = root_data.n
-    shift, pinned = (0,) * n, None
-    for part in reversed(shape):  # right to left, as the operator acts
-        if part is None:
-            pinned = shift
-        else:
-            step = _signed_shift(n, getattr(label, part[0]), part[1])
-            shift = tuple(map(add, shift, step))
-    if pinned is None:
-        return shift, None
-    src = tuple(map(sub, label.lam, pinned))
-    return shift, (src, tuple(map(add, src, shift)))
+    index = block_index(model, labels)
+    if index is None:
+        raise ValueError("every label must pin a weight block")
+    return sum(
+        _certified_rank(model, [label_image(model, labels[pos]) for pos in positions])
+        for positions in index.values()
+    )
 
 
 def block_index(model, family):
@@ -351,21 +383,29 @@ def block_index(model, family):
     Returns ``{(src, dst): [positions in enumeration order]}`` with each
     block as :func:`_label_block` gives it, or None when some label pins
     no block (PBW and bare monomial flavors).  The index is built once
-    per distinct family and kept on the model.
+    per distinct family and kept on the model.  The family of the last
+    lookup is kept too, and the same family again is recognized by
+    comparing its members, mostly by identity, without hashing them.
     """
     family = tuple(family)
+    last = model._last_family
+    if last is not None and last[0] == family:
+        return last[1]
     try:
-        return model._block_index[family]
+        index = model._block_index[family]
     except KeyError:
-        pass
+        index = model._block_index[family] = _new_block_index(model, family)
+    model._last_family = (family, index)
+    return index
+
+
+def _new_block_index(model, family):
     index = {}
     for pos, label in enumerate(family):
         _, block = _label_block(label, model.root_data)
         if block is None:
-            index = None
-            break
+            return None
         index.setdefault(block, []).append(pos)
-    model._block_index[family] = index
     return index
 
 
@@ -601,9 +641,33 @@ def _ring_quotient(scalars, num, det):
 
 
 def structure_constants(model, basis, i, j):
-    """Coefficient vector of basis[i] . basis[j] in the basis itself."""
-    product = eval_label(model, basis[i]) @ eval_label(model, basis[j])
-    return coordinates(model, product, basis)
+    """Coefficient vector of basis[i] . basis[j] in the basis itself.
+
+    When every label pins a weight block, no operator is built: the
+    product is 0 unless the blocks chain, and otherwise it is fixed by
+    its image of u_src of the right factor's block (src, mid), which the
+    left factor's parts give from the right factor's image.  That image
+    is expanded in the images of the labels of the product's block,
+    with the certificate of :func:`_certified_solve`, and the expansion
+    is the operator identity (see ``rootvectors``).  Other families are
+    expanded by :func:`coordinates` on operators.
+    """
+    index = block_index(model, basis)
+    left, right = basis[i], basis[j]
+    if index is None:
+        product = eval_label(model, left) @ eval_label(model, right)
+        return coordinates(model, product, basis)
+    src, mid = _label_block(right, model.root_data)[1]
+    top, dst = _label_block(left, model.root_data)[1]
+    if mid != top:
+        return {}
+    target = apply_label(model, left, label_image(model, right))
+    if not target:
+        return {}
+    candidates = [basis[pos] for pos in index.get((src, dst), ())]
+    columns = [label_image(model, label) for label in candidates]
+    values = _certified_solve(model, columns, target)
+    return {label: val for label, val in zip(candidates, values) if val}
 
 
 def basis_json(model, labels):

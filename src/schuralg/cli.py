@@ -10,7 +10,8 @@ Subcommands:
 
 Exit status: 0 when every requested check passes; 1 when a check fails
 (the failing relation ids appear in the report) or a computation fails
-mathematically (no expansion in the family, an inexact division); 2 on
+mathematically (no expansion in the family, an inexact division, a
+generator that does not commute with the Hecke action); 2 on
 usage errors or violated hypotheses; 3 when the model would exceed the
 word cap.  Any other exception propagates with its traceback.
 
@@ -30,13 +31,20 @@ from .bases import (
     basis_csv,
     basis_json,
     enumerate_basis,
-    rank_of_family,
+    rank_of_labels,
     structure_table_csv,
     structure_table_json,
 )
-from .errors import BadWeight, HypothesisError, NotDivisible, NotInSpan, SizeLimit
+from .errors import (
+    BadWeight,
+    CertificateError,
+    HypothesisError,
+    NotDivisible,
+    NotInSpan,
+    SizeLimit,
+)
 from .hecke import hecke_summary
-from .rootvectors import KINDS, eval_label, label_key
+from .rootvectors import KINDS, label_key
 from .tensormodel import DEFAULT_WORD_CAP, build_model
 from .verify import SUITES, suite_reports
 
@@ -191,7 +199,7 @@ def _cmd_dim(args):
     model = _model(args)
     labels = enumerate_basis(args.n, args.d, "B1")
     count = len(labels)
-    rank = rank_of_family(model, [eval_label(model, lab) for lab in labels])
+    rank = rank_of_labels(model, labels)
     expected = comb(args.n * args.n - 1 + args.d, args.d)
     ok = count == rank == expected
     payload = {"count": count, "rank": rank, "expected": expected}
@@ -301,7 +309,7 @@ def main(argv=None):
     except (HypothesisError, BadWeight, argparse.ArgumentError) as exc:
         print(f"schuralg: error: {exc}", file=sys.stderr)
         return 2
-    except (NotInSpan, NotDivisible) as exc:
+    except (NotInSpan, NotDivisible, CertificateError) as exc:
         print(f"schuralg: error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":

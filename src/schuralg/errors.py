@@ -10,6 +10,12 @@ class NotDivisible(ArithmeticError):
     """
 
 
+class CertificateError(ArithmeticError):
+    """An exact certificate failed: a generator of the model does not
+    commute with the Hecke action on words, so an operator would not be
+    fixed by its images of the ordered words."""
+
+
 class SizeLimit(RuntimeError):
     """The requested tensor model would exceed the word-count cap."""
 

@@ -11,15 +11,16 @@ raising and lowering generators generates the whole truncation.
 Each B1 label e_A 1_lam f_C maps one weight space to one other, so its
 operator b equals 1_dst b 1_src for the block (src, dst) it pins, and
 1_omega b 1_omega is b on the block (omega, omega) and 0 on every other
-block.  The truncation therefore evaluates only the labels of that
-block: d! of them, against C(n^2 - 1 + d, d) in the whole family.
+block.  The truncation therefore enumerates and evaluates only the
+labels of that block: d! of them, against C(n^2 - 1 + d, d) in the
+whole family.
 """
 
 import time
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bases import RankAccumulator, _label_block, enumerate_basis, rank_of_family
+from .bases import RankAccumulator, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .rootvectors import eval_label
 from .tensormodel import generator_action, weight_idempotent
@@ -58,17 +59,15 @@ def omega_weight(model):
 def omega_truncation(model):
     """Nonzero corner images 1_omega b 1_omega of the B1 family, with rank.
 
-    Only the B1 labels whose block (see ``bases._label_block``) is
-    (omega, omega) are evaluated: a label of any other block has corner
-    image 0, and one of this block is its own corner image.  The family
-    is the full scan's, in the same order.
+    Only the B1 labels of the block (omega, omega) are enumerated and
+    evaluated: a label of any other block has corner image 0, and one of
+    this block is its own corner image.  The family is the full scan's,
+    in the same order.
     """
     omega = omega_weight(model)
-    corner = (omega, omega)
     family = [
         eval_label(model, label)
-        for label in enumerate_basis(model.n, model.d, "B1")
-        if _label_block(label, model.root_data)[1] == corner
+        for label in enumerate_basis(model.n, model.d, "B1", block=(omega, omega))
     ]
     family = [op for op in family if not op.is_zero()]
     dim = rank_of_family(model, family)

@@ -22,13 +22,32 @@ flavor's parts once; evaluation, the text key, the JSON form,
 enumeration and the weight block of a label are all read from it.
 Multi-index tuples are always aligned with RootData.positive_roots
 (lexicographic (i, j) order).
+
+A label that pins a weight block (src, dst) is also one vector: its
+image of the ordered word u_src (:func:`label_image`), found by acting
+with its parts right to left on that one word.  The label's operator b
+is a product of generators and weight idempotents, so once
+:func:`~schuralg.tensormodel.certify_hecke_commutation` has passed, b
+commutes with H_d; and b = b 1_src.  The words of weight src are
+T_w u_src, so b is zero exactly when b u_src is, and b -> b u_src is
+injective on the operators of one source weight.  An identity between
+the images of such operators at u_src, for example an expansion
+b_l b_r u_src = sum_u x_u b_u u_src, is therefore the identity between
+the operators themselves, proved.
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import matmul
+from functools import lru_cache, reduce
+from operator import add, matmul, sub
 
-from .tensormodel import generator_action, weight_idempotent
+from .tensormodel import (
+    RootData,
+    _check_weight,
+    certify_hecke_commutation,
+    generator_action,
+    ordered_word,
+    weight_idempotent,
+)
 
 __all__ = [
     "BasisLabel",
@@ -38,6 +57,9 @@ __all__ = [
     "divided_power",
     "root_divided_power",
     "eval_label",
+    "label_image",
+    "apply_label",
+    "root_sum",
     "pbw_generator_list",
     "label_to_json",
     "label_from_json",
@@ -197,6 +219,116 @@ def eval_label(model, label):
         ])
     model._op_cache[cache_key] = out
     return out
+
+
+def root_sum(root_data, exponents):
+    """Weight shift sum of m * (eps_i - eps_j) of a root monomial."""
+    out = [0] * root_data.n
+    for (i, j), m in zip(root_data.positive_roots, exponents):
+        out[i - 1] += m
+        out[j - 1] -= m
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _signed_shift(n, exponents, sign):
+    """:func:`root_sum` of a monomial, negated for the minus sign."""
+    out = root_sum(RootData.for_rank(n), exponents)
+    return out if sign == "plus" else tuple(-x for x in out)
+
+
+def _label_block(label, root_data):
+    """The weight data of a label, read from its shape: (shift, block).
+
+    The label's operator moves every weight by ``shift``; ``block`` is
+    its (source, target) weight pair when the label has a weight, so
+    that the operator is 1_dst b 1_src, and None otherwise.  A PBW
+    label moves no one weight: (None, None).
+    """
+    shape = _shape(label.flavor)
+    if shape is None:
+        return None, None
+    n = root_data.n
+    shift, pinned = (0,) * n, None
+    for part in reversed(shape):  # right to left, as the operator acts
+        if part is None:
+            pinned = shift
+        else:
+            step = _signed_shift(n, getattr(label, part[0]), part[1])
+            shift = tuple(map(add, shift, step))
+    if pinned is None:
+        return shift, None
+    src = tuple(map(sub, label.lam, pinned))
+    return shift, (src, tuple(map(add, src, shift)))
+
+
+def _monomial_image(model, exponents, sign, vec):
+    """A Kostant monomial applied to a vector: its divided root powers
+    right to left, each m-th power divided exactly by m! or [m]!."""
+    roots = model.root_data.positive_roots
+    if len(exponents) != len(roots):
+        raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
+    quotient = model.scalars.exact_quotient
+    for root, m in zip(reversed(roots), reversed(exponents)):
+        if not m or not vec:
+            continue
+        op = root_vector(model, root, sign)
+        for _ in range(m):
+            vec = op.apply(vec)
+        if m > 1:
+            den = model.scalars.factorial(m)
+            vec = {i: quotient(s, den) for i, s in vec.items()}
+    return vec
+
+
+def _act(model, label, parts, vec):
+    """Some of a label's shape parts, right to left, applied to a vector;
+    1_lam keeps the entries of weight lam."""
+    weights = model.weights
+    for part in reversed(parts):
+        if part is None:
+            vec = {i: s for i, s in vec.items() if weights[i] == label.lam}
+        else:
+            vec = _monomial_image(model, getattr(label, part[0]), part[1], vec)
+    return vec
+
+
+def apply_label(model, label, vec):
+    """A shaped label's operator applied to a vector {word index: scalar},
+    without building the operator."""
+    shape = _shape(label.flavor)
+    if shape is None:
+        raise ValueError("a PBW label has no shape to apply")
+    return _act(model, label, shape, vec)
+
+
+def label_image(model, label):
+    """The image of the ordered word u_src under a label that pins the
+    weight block (src, dst), as a vector {word index: scalar}.
+
+    The label's operator is fixed by this one vector (see the module
+    docstring); the Hecke-commutation certificate of the model is
+    checked before the first image.  The parts from 1_lam rightwards,
+    applied to u_src, are kept on the model and shared by every label
+    that differs only left of 1_lam: f_C u_src serves every e_A of B1.
+    """
+    _, block = _label_block(label, model.root_data)
+    if block is None:
+        raise ValueError(f"a {label.flavor} label pins no weight block")
+    _check_weight(model, label.lam)
+    if min(block[0]) < 0:  # no weight space reaches 1_lam: the operator is 0
+        return {}
+    certify_hecke_commutation(model)
+    shape = SHAPES[label.flavor]
+    cut = shape.index(None)
+    right = shape[cut:]
+    key = ("image", label.lam,
+           tuple((getattr(label, name), sign) for name, sign in right[1:]))
+    partial = model._op_cache.get(key)
+    if partial is None:
+        start = {model.word_index[ordered_word(block[0])]: model.scalars.one}
+        partial = model._op_cache[key] = _act(model, label, right, start)
+    return _act(model, label, shape[:cut], partial)
 
 
 def _multi_index_to_json(roots, exponents):

@@ -20,12 +20,28 @@ action of the generators on them:
 Operators are stored column-sparse: for each input word index, the
 image vector as a mapping from word index to scalar.  Everything is
 exact; no floats appear anywhere.
+
+The Hecke algebra H_d acts on the words by place permutations: with
+a, b the letters at positions p and p + 1 of w, and s_p w the word
+with those two letters swapped,
+
+    T_p w = v w                    if a = b,
+    T_p w = s_p w                  if a < b,
+    T_p w = s_p w + (v - v^-1) w   if a > b.
+
+Classically v - v^-1 = 0 and T_p is the swap of the symmetric group.
+The generators commute with every T_p (quantum Schur-Weyl duality,
+Jimbo, Lett. Math. Phys. 11, 1986); :func:`certify_hecke_commutation`
+checks this exactly on the model's own operators.  Each weight space
+M^lam is then generated by the ordered word u_lam = 1^lam_1 ... n^lam_n
+(T_p u = s_p u whenever a < b), so an operator built from generators
+is fixed by its images of the ordered words.
 """
 
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import BadWeight, SizeLimit
+from .errors import BadWeight, CertificateError, SizeLimit
 from .ring import scalar_ring
 
 __all__ = [
@@ -42,6 +58,9 @@ __all__ = [
     "compositions",
     "word_weight",
     "split_by_source",
+    "ordered_word",
+    "hecke_generator",
+    "certify_hecke_commutation",
 ]
 
 DEFAULT_WORD_CAP = 10_000
@@ -189,6 +208,10 @@ class SparseOperator:
                 out[j] = acc
         return SparseOperator(out)
 
+    def apply(self, vec):
+        """The image of a sparse vector {word index: scalar}."""
+        return (self @ SparseOperator({0: vec})).cols.get(0, {})
+
     def __pow__(self, m):
         if m < 1:
             raise ValueError("use model.identity() for the zeroth power")
@@ -236,6 +259,8 @@ class Model:
     _generators: dict = field(default_factory=dict, repr=False)
     _op_cache: dict = field(default_factory=dict, repr=False)
     _block_index: dict = field(default_factory=dict, repr=False)
+    _last_family: tuple | None = field(default=None, repr=False)
+    _hecke_certified: bool = field(default=False, repr=False)
 
     @property
     def num_words(self):
@@ -419,3 +444,51 @@ def weight_idempotent(model, lam):
             out = out @ cartan_binomial(model, k, lam[k - 1])
     model._op_cache[key] = out
     return out
+
+
+def ordered_word(lam):
+    """The ordered word u_lam = 1^lam_1 2^lam_2 ... n^lam_n of a weight.
+
+    >>> ordered_word((2, 0, 1))
+    (1, 1, 3)
+    """
+    return tuple(k for k, m in enumerate(lam, 1) for _ in range(m))
+
+
+def hecke_generator(model, p):
+    """T_p (1 <= p < d) on the word basis, as in the module docstring."""
+    scalars, index = model.scalars, model.word_index
+    v = scalars.v_power(1)
+    gap = v - scalars.v_power(-1)
+    cols = {}
+    for j, word in enumerate(model.words):
+        a, b = word[p - 1], word[p]
+        if a == b:
+            cols[j] = {j: v}
+            continue
+        col = cols[j] = {index[word[:p - 1] + (b, a) + word[p + 1:]]: scalars.one}
+        if a > b and gap:
+            col[j] = gap
+    return SparseOperator(cols)
+
+
+def certify_hecke_commutation(model):
+    """Check exactly that every generator of the model commutes with
+    T_1, ..., T_{d-1}; raise CertificateError otherwise.
+
+    The check runs once per model and its success is kept on the model.
+    Every operator the package builds is a polynomial in the generators,
+    so it commutes with H_d too, and is fixed by its images of the
+    ordered words (see the module docstring).
+    """
+    if model._hecke_certified:
+        return
+    for p in range(1, model.d):
+        t = hecke_generator(model, p)
+        for (sym, i), gen in model._generators.items():
+            if gen @ t != t @ gen:
+                raise CertificateError(
+                    f"{sym}_{i} does not commute with T_{p} at (n, d) = "
+                    f"({model.n}, {model.d}) in {model.mode} mode"
+                )
+    model._hecke_certified = True

@@ -21,16 +21,10 @@ from itertools import permutations
 from math import comb
 from operator import add, sub
 
-from .bases import (
-    RankAccumulator,
-    _label_block,
-    block_dimension,
-    enumerate_basis,
-    rank_of_family,
-)
+from .bases import RankAccumulator, block_dimension, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .ring import LaurentPoly
-from .rootvectors import eval_label, root_divided_power, root_vector
+from .rootvectors import _label_block, eval_label, root_divided_power, root_vector
 from .tensormodel import (
     SparseOperator,
     build_model,

@@ -11,6 +11,7 @@ import pytest
 from schuralg.errors import NotInSpan
 from schuralg.bases import (
     RankAccumulator,
+    _certified_rank,
     _certified_solve,
     _label_block,
     _op_blocks,
@@ -24,15 +25,17 @@ from schuralg.bases import (
     coordinates,
     enumerate_basis,
     rank_of_family,
+    rank_of_labels,
     root_sum,
     structure_constants,
     structure_table_json,
 )
 from schuralg.ring import LaurentFraction, LaurentPoly
-from schuralg.rootvectors import SHAPES, BasisLabel, eval_label
+from schuralg.rootvectors import SHAPES, BasisLabel, eval_label, label_image
 from schuralg.tensormodel import (
     SparseOperator,
     build_model,
+    RootData,
     compositions,
     generator_action,
     split_by_source,
@@ -290,6 +293,43 @@ def test_block_index_groups_positions_by_block():
     assert block_index(m, enumerate_basis(3, 3, "B1")) is index
     assert block_index(m, enumerate_basis(3, 3, "PBW")) is None
     assert len(m._block_index) == 2
+
+
+def test_block_index_knows_the_last_family_without_hashing(monkeypatch):
+    m = build_model(3, 3)
+    labels = enumerate_basis(3, 3, "B1")
+    index = block_index(m, labels)
+
+    def unhashable(label):
+        raise AssertionError("a label was hashed")
+
+    monkeypatch.setattr(BasisLabel, "__hash__", unhashable)
+    assert block_index(m, labels) is index
+    assert block_index(m, tuple(labels)) is index
+    monkeypatch.undo()
+    # A family changed in place is indexed again.
+    labels.pop(0)
+    moved = block_index(m, labels)
+    assert sum(len(positions) for positions in moved.values()) == len(labels)
+    assert all(_label_block(labels[p], m.root_data)[1] == block
+               for block, positions in moved.items() for p in positions)
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_enumerate_basis_block_is_the_filtered_scan(n, d):
+    root_data = RootData.for_rank(n)
+    weights = compositions(n, d)
+    for kind, shape in SHAPES.items():
+        if not shape or None not in shape:
+            with pytest.raises(ValueError, match="pin no weight block"):
+                enumerate_basis(n, d, kind, block=(weights[0], weights[0]))
+            continue
+        labels = enumerate_basis(n, d, kind)
+        for src in weights:
+            for dst in weights:
+                scan = [lab for lab in labels
+                        if _label_block(lab, root_data)[1] == (src, dst)]
+                assert enumerate_basis(n, d, kind, block=(src, dst)) == scan
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -565,3 +605,63 @@ def test_certified_solve_dependent_family(mode):
         _certified_solve(m, apart, {**consistent, 5: one, 6: 2 * one})
     with pytest.raises(NotInSpan, match="linearly dependent"):
         _certified_solve(m, apart, {**consistent, 5: one, 6: one})
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 2)])
+def test_image_rank_is_operator_rank(n, d, mode):
+    m = build_model(n, d, mode=mode)
+    for kind, shape in SHAPES.items():
+        if not shape or None not in shape:
+            continue
+        labels = enumerate_basis(n, d, kind)
+        ops = [eval_label(m, lab) for lab in labels]
+        assert rank_of_labels(m, labels) == rank_of_family(m, ops), kind
+        if kind == "B1":
+            for positions in block_index(m, labels).values():
+                images = [label_image(m, labels[p]) for p in positions]
+                assert _certified_rank(m, images) == rank_of_family(
+                    m, [ops[p] for p in positions]) == len(positions)
+    # A duplicated label leaves a deficient family: the span check
+    # certifies the rank below the count.  The largest block, with one
+    # of its labels twice, and one label of another block.
+    labels = enumerate_basis(n, d, "B1")
+    largest = max(block_index(m, labels).values(), key=len)
+    other = next(lab for p, lab in enumerate(labels) if p not in largest)
+    deficient = [labels[p] for p in largest] + [labels[largest[-1]], other]
+    ops = [eval_label(m, lab) for lab in deficient]
+    assert rank_of_labels(m, deficient) == rank_of_family(m, ops) == len(largest) + 1
+    with pytest.raises(ValueError, match="pin a weight block"):
+        rank_of_labels(m, enumerate_basis(n, d, "PBW"))
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_structure_constants_of_unpinned_labels_use_operators(mode):
+    m = build_model(2, 2, mode=mode)
+    labels = enumerate_basis(2, 2, "PBW")
+    for i, j in [(0, 0), (1, 4), (5, 2), (7, 7), (3, 9)]:
+        product = eval_label(m, labels[i]) @ eval_label(m, labels[j])
+        assert structure_constants(m, labels, i, j) == coordinates(m, product, labels)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d,count", [(2, 4, 12), (3, 3, 12), (3, 4, 12)])
+def test_structure_constants_match_operator_coordinates(n, d, count, mode):
+    # The expansion found from images equals the one solved on
+    # operators, label for label and in the same order.
+    m = build_model(n, d, mode=mode)
+    labels = enumerate_basis(n, d, "B1")
+    blocks = [_label_block(lab, m.root_data)[1] for lab in labels]
+    rng = random.Random(n * 10 + d)
+    nonzero = 0
+    while nonzero < count:
+        right = rng.randrange(len(labels))
+        left = rng.choice([k for k, b in enumerate(blocks) if b[0] == blocks[right][1]])
+        product = eval_label(m, labels[left]) @ eval_label(m, labels[right])
+        got = structure_constants(m, labels, left, right)
+        assert list(got.items()) == list(coordinates(m, product, labels).items())
+        nonzero += bool(got)
+    # Blocks that do not chain: the product is 0.
+    left = next(k for k, b in enumerate(blocks) if b[0] != blocks[0][1])
+    assert (eval_label(m, labels[left]) @ eval_label(m, labels[0])).is_zero()
+    assert structure_constants(m, labels, left, 0) == {}

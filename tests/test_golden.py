@@ -17,6 +17,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import schuralg
+from schuralg import bases, cli, hecke, rootvectors, verify
 from schuralg.cli import main
 
 GOLDEN = [
@@ -125,3 +127,19 @@ def test_json_output_matches_golden_digest(command, digest):
 )
 def test_text_and_csv_output_match_golden_digest(command, digest):
     assert _digest(command.split()) == digest
+
+
+VECTOR_ONLY = [(c, d) for c, d in GOLDEN if c.split()[0] in ("dim", "structconst")]
+
+
+@pytest.mark.parametrize("command,digest", VECTOR_ONLY, ids=[c for c, _ in VECTOR_ONLY])
+def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatch):
+    # dim and structure constants work on the images of the ordered
+    # words: with label operators out of reach, the output is unchanged.
+    def refuse(model, label):
+        raise RuntimeError("eval_label was called")
+
+    for module in (schuralg, bases, cli, hecke, rootvectors, verify):
+        if hasattr(module, "eval_label"):
+            monkeypatch.setattr(module, "eval_label", refuse)
+    assert _digest(command.split() + ["--format", "json"]) == digest

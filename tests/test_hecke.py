@@ -13,8 +13,8 @@ from schuralg.hecke import (
     omega_truncation,
     omega_weight,
 )
-from schuralg.rootvectors import eval_label
-from schuralg.tensormodel import build_model, weight_idempotent
+from schuralg.rootvectors import _label_block, eval_label
+from schuralg.tensormodel import RootData, build_model, weight_idempotent
 
 from oracle import field_rank
 
@@ -123,3 +123,15 @@ def test_truncation_evaluates_d_factorial_labels(n, d, mode, monkeypatch):
     result = omega_truncation(build_model(n, d, mode=mode))
     assert len(calls) == factorial(d)
     assert result.dim == factorial(d)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (4, 3), (5, 4)])
+def test_corner_labels_are_enumerated_directly(n, d):
+    # The corner block's labels, enumerated on their own, are the ones
+    # a scan of the whole B1 family keeps, in the same order.
+    omega = (1,) * d + (0,) * (n - d)
+    root_data = RootData.for_rank(n)
+    scan = [lab for lab in enumerate_basis(n, d, "B1")
+            if _label_block(lab, root_data)[1] == (omega, omega)]
+    assert enumerate_basis(n, d, "B1", block=(omega, omega)) == scan
+    assert len(scan) == factorial(d)

@@ -3,13 +3,17 @@
 import pytest
 
 from schuralg.bases import enumerate_basis
-from schuralg.errors import NotDivisible
+from schuralg.errors import BadWeight, NotDivisible
 from schuralg.ring import LaurentPoly, quantum_factorial
 from schuralg.rootvectors import (
     KINDS,
+    SHAPES,
     BasisLabel,
+    _label_block,
+    apply_label,
     divided_power,
     eval_label,
+    label_image,
     label_from_json,
     label_key,
     label_to_json,
@@ -21,8 +25,11 @@ from schuralg.tensormodel import (
     cartan_binomial,
     compositions,
     generator_action,
+    ordered_word,
     weight_idempotent,
 )
+
+WEIGHTED = [kind for kind, shape in SHAPES.items() if shape and None in shape]
 
 
 def test_simple_root_vectors_are_generators():
@@ -264,3 +271,47 @@ def test_label_key_format():
     )
     assert label_key(BasisLabel(flavor="ZERO", A=(0,), lam=(2, 0), C=(0,)), rd) == "1(2,0)"
     assert label_key(BasisLabel(flavor="PBW", pbw=(1, 0, 2), k0=2), rd) == "pbw[k0=2;1,0,2]"
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 2)])
+def test_label_image_is_the_operator_column_at_the_ordered_word(n, d, mode):
+    # One model for every weighted kind, so that the partial images they
+    # share (or must not share) go through one cache.
+    m = build_model(n, d, mode=mode)
+    for kind in WEIGHTED:
+        for label in enumerate_basis(n, d, kind):
+            src = _label_block(label, m.root_data)[1][0]
+            column = eval_label(m, label).cols.get(m.word_index[ordered_word(src)], {})
+            assert label_image(m, label) == column, label
+    assert m._hecke_certified
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_apply_label_is_the_operator_on_every_word(mode):
+    m = build_model(3, 2, mode=mode)
+    one = m.scalars.one
+    for kind in WEIGHTED:
+        for label in enumerate_basis(3, 2, kind):
+            op = eval_label(m, label)
+            for j in range(m.num_words):
+                assert apply_label(m, label, {j: one}) == op.cols.get(j, {}), label
+
+
+def test_label_image_of_labels_outside_the_family():
+    m = build_model(2, 2, mode="quantum")
+    # f^(2) 1_(1,1) would start from weight (1 + 2, 1 - 2): no word has it.
+    empty = BasisLabel(flavor="BOREL_DOWN", A=(2,), lam=(1, 1))
+    assert eval_label(m, empty).is_zero()
+    assert label_image(m, empty) == {}
+    with pytest.raises(BadWeight):
+        label_image(m, BasisLabel(flavor="ZERO", A=(0,), lam=(2, 1)))
+
+
+def test_label_image_needs_a_block():
+    m = build_model(2, 2)
+    for kind in ("PLUS", "MINUS", "PBW"):
+        with pytest.raises(ValueError, match="pins no weight block"):
+            label_image(m, enumerate_basis(2, 2, kind)[0])
+    with pytest.raises(ValueError, match="no shape"):
+        apply_label(m, enumerate_basis(2, 2, "PBW")[0], {0: 1})

@@ -1,16 +1,23 @@
 """Tests for the tensor model: word enumeration, generator actions,
 weight idempotents."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
-from schuralg.errors import BadWeight, SizeLimit
+from schuralg import tensormodel
+from schuralg.cli import main
+from schuralg.errors import BadWeight, CertificateError, SizeLimit
 from schuralg.ring import LaurentPoly
 from schuralg.tensormodel import (
     SparseOperator,
     build_model,
     cartan_binomial,
+    certify_hecke_commutation,
     compositions,
     generator_action,
+    hecke_generator,
     weight_idempotent,
     word_weight,
 )
@@ -329,3 +336,96 @@ def test_operator_algebra_basics():
     assert (m.identity() @ e1) == e1
     assert e1**2 == e1 @ e1
     assert (e1**3).is_zero()
+
+
+def test_apply_is_one_column_of_a_product():
+    m = build_model(2, 3, mode="quantum")
+    e = generator_action(m, "E", 1)
+    f = generator_action(m, "F", 1)
+    for j, col in f.cols.items():
+        assert e.apply(col) == (e @ f).cols.get(j, {})
+    assert e.apply({}) == {}
+
+
+def test_hecke_generator_on_words():
+    q = build_model(2, 2, mode="quantum")
+    v = LaurentPoly.v_power(1)
+    t = op_as_dict(q, hecke_generator(q, 1))
+    assert t[(1, 1)] == {(1, 1): v}
+    assert t[(1, 2)] == {(2, 1): LaurentPoly.one()}
+    assert t[(2, 1)] == {(1, 2): LaurentPoly.one(), (2, 1): v - v.bar()}
+    # Classically v - v^-1 = 0 and T_p is the swap.
+    c = build_model(3, 3)
+    swap = {(w, w[:1] + (w[2], w[1])) for w in c.words}
+    assert {(w, r) for w, col in op_as_dict(c, hecke_generator(c, 2)).items()
+            for r in col} == swap
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (4, 3), (3, 4)])
+def test_generators_commute_with_the_hecke_action(n, d, mode):
+    m = build_model(n, d, mode=mode)
+    # Not part of the model build: the first vector evaluation runs it.
+    assert not m._hecke_certified
+    certify_hecke_commutation(m)
+    assert m._hecke_certified
+
+
+def _hecke_branches_swapped(model, p):
+    """T_p with its a < b and a > b branches exchanged."""
+    one, v = model.scalars.one, model.scalars.v_power
+    cols = {}
+    for j, word in enumerate(model.words):
+        a, b = word[p - 1], word[p]
+        if a == b:
+            cols[j] = {j: v(1)}
+            continue
+        cols[j] = {model.word_index[word[:p - 1] + (b, a) + word[p + 1:]]: one}
+        if a < b:
+            cols[j][j] = v(1) - v(-1)
+    return SparseOperator(cols)
+
+
+def _with_one_entry(op, change):
+    """``op`` with the first entry whose value ``change`` alters changed."""
+    cols = {j: dict(col) for j, col in op.cols.items()}
+    for col in cols.values():
+        for i, s in col.items():
+            if change(s) != s:
+                col[i] = change(s)
+                return SparseOperator(cols)
+    raise AssertionError("no entry to change")
+
+
+def test_certificate_rejects_swapped_hecke_branches(monkeypatch):
+    monkeypatch.setattr(tensormodel, "hecke_generator", _hecke_branches_swapped)
+    m = build_model(3, 3, mode="quantum")
+    with pytest.raises(CertificateError, match="does not commute with T_"):
+        certify_hecke_commutation(m)
+    assert not m._hecke_certified
+
+
+def test_certificate_rejects_a_negated_e_twist(monkeypatch):
+    m = build_model(3, 3, mode="quantum")
+    e1 = m._generators[("E", 1)]
+    monkeypatch.setitem(m._generators, ("E", 1), _with_one_entry(e1, LaurentPoly.bar))
+    with pytest.raises(CertificateError, match="E_1 does not commute"):
+        certify_hecke_commutation(m)
+
+
+def test_certificate_rejects_a_classical_sign_error(monkeypatch):
+    m = build_model(3, 3)
+    f2 = m._generators[("f", 2)]
+    monkeypatch.setitem(m._generators, ("f", 2), _with_one_entry(f2, lambda s: -s))
+    with pytest.raises(CertificateError, match="f_2 does not commute"):
+        certify_hecke_commutation(m)
+
+
+def test_failed_certificate_exits_with_status_one(monkeypatch):
+    monkeypatch.setattr(tensormodel, "hecke_generator", _hecke_branches_swapped)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["dim", "2", "3", "--quantum"])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert "does not commute with T_" in err.getvalue()
