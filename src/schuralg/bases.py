@@ -77,7 +77,7 @@ from .rootvectors import (
     label_to_json,
     root_sum,
 )
-from .tensormodel import RootData, compositions, split_by_source
+from .tensormodel import RootData, compositions
 
 __all__ = [
     "KINDS",
@@ -311,17 +311,17 @@ def _prepared(row, point):
 
 
 class RankAccumulator:
-    """Incremental rank of a stream of operators at one point of v.
+    """Incremental rank of a stream of operators at the first point of
+    :func:`_points`.
 
-    ``point`` defaults to the first point of :func:`_points`.  The rank
-    is exact classically and a certified lower bound quantumly; a
-    caller that compares it with a known dimension gets a proof when
+    The rank is exact classically and a certified lower bound quantumly;
+    a caller that compares it with a known dimension gets a proof when
     the two meet.  :func:`rank_of_family` certifies the rank itself.
     """
 
-    def __init__(self, model, point=None):
+    def __init__(self, model):
         self.model = model
-        self.point = next(_points(model)) if point is None else point
+        self.point = next(_points(model))
         self._echelon = _IntEchelon()
 
     @property
@@ -339,13 +339,18 @@ def _certified_rank(model, rows):
     The rows that grow an :class:`_IntEchelon` at a point of v are
     independent.  Quantumly every other row is span-checked against them
     (see the module docstring), at the points of :func:`_points` in turn
-    until all checks pass.
+    until all checks pass.  A short family is ranked group by group of
+    rows that share positions, so that each span check solves a small minor.
     """
     for point in _points(model):
         echelon = _IntEchelon()
         grew = [echelon.add(_prepared(row, point)) for row in rows]
         if point is None or echelon.rank == len(rows):
             return echelon.rank
+        groups = _connected_columns(rows)
+        if len(groups) > 1:
+            return sum(_certified_rank(model, [rows[u] for u in group])
+                       for group in groups)
         pivots = [row for row, g in zip(rows, grew) if g]
         leads = sorted(echelon.pivots)
         if all(_span_solve(model.scalars, pivots, leads, row) is not None
@@ -429,9 +434,7 @@ def block_dimension(src, dst):
 def _op_blocks(model, op):
     """The weight blocks (src, dst) that ``op`` has entries in."""
     weights = model.weights
-    return {(src, weights[i])
-            for src, cols in split_by_source(model, op).items()
-            for col in cols.values() for i in col}
+    return {(weights[j], weights[i]) for j, col in op.cols.items() for i in col}
 
 
 def coordinates(model, op, basis):

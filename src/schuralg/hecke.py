@@ -23,7 +23,13 @@ from math import factorial
 from .bases import RankAccumulator, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .rootvectors import eval_label
-from .tensormodel import generator_action, weight_idempotent
+from .tensormodel import (
+    SparseOperator,
+    certify_hecke_commutation,
+    generator_action,
+    ordered_word,
+    weight_idempotent,
+)
 from .verify import CheckReport
 
 __all__ = [
@@ -79,16 +85,21 @@ def _closure_rank(model, generators, target):
 
     Representatives that grow the rank are kept and multiplied pairwise
     each round until the rank stabilizes, reaches ``target``, or the
-    round cap is hit.  Returns (rank, rounds used).  The rank is a
+    round cap is hit.  Returns (rank, rounds used).  Each element
+    x = x 1_omega of the corner stands for its column at the ordered
+    word u_omega (see ``verify``), which alone is ranked.  The rank is a
     certified lower bound (see :class:`RankAccumulator`) and the closure
     lies in the corner, whose dimension d! is ``target``, so a rank that
     reaches ``target`` proves generation.
     """
+    certify_hecke_commutation(model)
+    anchor = model.word_index[ordered_word(omega_weight(model))]
     acc = RankAccumulator(model)
     reps = []
 
     def feed(op):
-        if not op.is_zero() and acc.add(op):
+        col = op.cols.get(anchor)
+        if col and acc.add(SparseOperator({anchor: col})):
             reps.append(op)
             return True
         return False

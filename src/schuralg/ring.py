@@ -79,25 +79,12 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def degree(self):
-        """Highest exponent, or None for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else None
-
     def valuation(self):
         """Lowest exponent, or None for the zero polynomial."""
         return min(self.coeffs) if self.coeffs else None
 
     def leading_coefficient(self):
         return self.coeffs[max(self.coeffs)] if self.coeffs else 0
-
-    def content(self):
-        """Gcd of the coefficients (0 for the zero polynomial)."""
-        from math import gcd
-
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, c)
-        return g
 
     def __add__(self, other):
         if isinstance(other, int):

@@ -57,7 +57,6 @@ __all__ = [
     "cartan_binomial",
     "compositions",
     "word_weight",
-    "split_by_source",
     "ordered_word",
     "hecke_generator",
     "certify_hecke_commutation",
@@ -230,17 +229,6 @@ class SparseOperator:
 
     def __repr__(self):
         return f"SparseOperator(<{self.entry_count()} entries>)"
-
-
-def split_by_source(model, op):
-    """The columns of ``op`` grouped by source weight, {src: {j: column}};
-    sources in order of their first column.  A block-pinned operator
-    1_dst b 1_src has the one source src."""
-    out = {}
-    weights = model.weights
-    for j, col in op.cols.items():
-        out.setdefault(weights[j], {})[j] = col
-    return out
 
 
 @dataclass

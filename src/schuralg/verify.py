@@ -6,12 +6,19 @@ generator algebra, the extra degree-d relations, the idempotent
 presentation, divided-power reduction formulas, the two-generator
 presentation available when n = 2, structural facts (nilpotency
 degrees, vanishing Cartan products, triangular decompositions), and the
-entrywise agreement of quantum basis operators with their classical
-counterparts at v = 1.
+agreement of quantum basis operators with their classical counterparts
+at v = 1.
 
 All comparisons are exact;  there are no tolerances anywhere.  A check
 whose quantified range is empty is reported as *vacuous*, never as a
 silent pass.
+
+Weight blocks are ranked and compared on vectors.  Once the model's
+Hecke-commutation certificate holds, an operator x = x 1_src built from
+generators stands for its column at the ordered word u_src
+(``tensormodel``): the column at T_w u_src is T_w applied to it, and
+T_w is invertible, so this holds at each point of v too, v = 1
+included.
 """
 
 import time
@@ -24,14 +31,21 @@ from operator import add, sub
 from .bases import RankAccumulator, block_dimension, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .ring import LaurentPoly
-from .rootvectors import _label_block, eval_label, root_divided_power, root_vector
+from .rootvectors import (
+    _label_block,
+    eval_label,
+    label_image,
+    root_divided_power,
+    root_vector,
+)
 from .tensormodel import (
     SparseOperator,
     build_model,
     cartan_binomial,
+    certify_hecke_commutation,
     compositions,
     generator_action,
-    split_by_source,
+    ordered_word,
     weight_idempotent,
 )
 
@@ -595,48 +609,49 @@ def _block_ranks(model, fams):
     """Rank of every weight block of the products a @ b @ c, with a, b
     and c drawn from ``fams`` in the order of :func:`_triangular_order`.
 
-    Each family is a list of (degree, weight shift, operator).  A
-    product's column j lies in block (weights[j], weights[j] + delta),
-    where delta is the sum of the three shifts.  Only the columns whose
-    block is still open are computed, each block's piece goes to that
-    block's own RankAccumulator, and a block closes once its rank
-    reaches :func:`block_dimension`.  Returns {(src, dst): rank} over
-    all blocks, sources and targets in weight-set order.  Each rank is
-    a certified lower bound (exact classically) that is compared only
-    with the block's dimension, an upper bound, so a block that reaches
-    it is proved.
+    Each family is a list of (degree, weight shift, operator).  The
+    piece a b c 1_src of a product lies in block (src, src + delta),
+    where delta is the sum of the three shifts, and stands for its
+    column at the ordered word u_src (see the module docstring).  Only
+    c's columns at the ordered words of open sources are multiplied,
+    each product column goes to its block's own RankAccumulator, and a
+    block closes once its rank reaches :func:`block_dimension`.
+    Returns {(src, dst): rank} over all blocks, sources and targets in
+    weight-set order.  Each rank is a certified lower bound (exact
+    classically) that is compared only with the block's dimension, an
+    upper bound, so a block that reaches it is proved.
     """
+    certify_hecke_commutation(model)
     weights = model.weight_set()
     dims = {(src, dst): block_dimension(src, dst)
             for src in weights for dst in weights}
-    # Open sources per shift; a dict keeps them in weight-set order.
+    # Open sources per shift, each with its ordered word's index; a dict
+    # keeps them in weight-set order.
     open_sources = {}
     for src, dst in dims:
-        open_sources.setdefault(tuple(map(sub, dst, src)), {})[src] = None
+        open_sources.setdefault(tuple(map(sub, dst, src)), {})[src] = (
+            model.word_index[ordered_word(src)])
     remaining = len(dims)
     accs = {}
-    split = [split_by_source(model, op) for _, _, op in fams[2]]
     degrees = [[deg for deg, _, _ in fam] for fam in fams]
     for ia, ib, ic in _triangular_order(*degrees):
         _, sa, a = fams[0][ia]
         _, sb, b = fams[1][ib]
-        _, sc, _ = fams[2][ic]
+        _, sc, c = fams[2][ic]
         delta = tuple(x + y + z for x, y, z in zip(sa, sb, sc))
         sources = open_sources.get(delta)
         if not sources:
             continue
-        c_cols = {}
-        for src in sources:
-            c_cols.update(split[ic].get(src, ()))
+        c_cols = {j: c.cols[j] for j in sources.values() if j in c.cols}
         if not c_cols:
             continue
-        pieces = split_by_source(model, a @ (b @ SparseOperator(c_cols)))
-        for src, piece in pieces.items():
+        for j, col in (a @ (b @ SparseOperator(c_cols))).cols.items():
+            src = model.weights[j]
             block = (src, tuple(map(add, src, delta)))
             acc = accs.get(block)
             if acc is None:
                 acc = accs[block] = RankAccumulator(model)
-            acc.add(SparseOperator(piece))
+            acc.add(SparseOperator({j: col}))
             if acc.rank >= dims[block]:
                 del sources[src]
                 remaining -= 1
@@ -695,7 +710,8 @@ def _triangular_items(model, rep):
     projection is again a combination of triple products of the same
     order.  Skipping closed blocks keeps every
     PASS a proof: each block rank is the rank of pieces actually
-    computed, which lie in the family's span; pieces of different
+    computed (by their columns at u_src), which lie in the family's
+    span; pieces of different
     blocks are independent; and no block exceeds its dimension, so a
     closed block cannot grow.  In quantum mode each block rank is the
     one-point lower bound of RankAccumulator, so a block that reaches
@@ -761,8 +777,9 @@ def check_structural_facts(model):
 
 
 def check_specialization(n, d, word_cap=None, spec_points=None):
-    """Entrywise agreement of each quantum basis operator at v = 1 with
-    its classical counterpart, for both three-part basis families."""
+    """Agreement of each quantum basis operator at v = 1 with its
+    classical counterpart, for both three-part basis families, compared
+    on their images of u_src (see the module docstring)."""
     t0 = time.perf_counter()
     rep = CheckReport("specialization", n, d, "both")
     config = {"word_cap": word_cap, "spec_points": spec_points}
@@ -771,20 +788,13 @@ def check_specialization(n, d, word_cap=None, spec_points=None):
     for kind in ("B1", "B2"):
         agg = _Agg()
         for label in enumerate_basis(n, d, kind):
-            qcols = {}
-            for jj, col in eval_label(quantum, label).cols.items():
-                newcol = {}
-                for ii, s in col.items():
-                    val = s.specialize(1)
-                    if val != 0:
-                        newcol[ii] = val
-                if newcol:
-                    qcols[jj] = newcol
-            ccols = {
-                jj: {ii: Fraction(s) for ii, s in col.items()}
-                for jj, col in eval_label(classical, label).cols.items()
-            }
-            agg.check(qcols == ccols, f"label {label}")
+            qvec = {}
+            for i, s in label_image(quantum, label).items():
+                val = s.specialize(1)
+                if val != 0:
+                    qvec[i] = val
+            cvec = {i: Fraction(s) for i, s in label_image(classical, label).items()}
+            agg.check(qvec == cvec, f"label {label}")
         rep.append(agg.item(f"{kind}[v=1]"))
     rep.notes.append(
         "ordered-monomial (PBW-style) labels are intentionally not compared:"

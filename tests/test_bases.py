@@ -8,6 +8,7 @@ from operator import sub
 
 import pytest
 
+from schuralg import bases
 from schuralg.errors import NotInSpan
 from schuralg.bases import (
     RankAccumulator,
@@ -38,10 +39,9 @@ from schuralg.tensormodel import (
     RootData,
     compositions,
     generator_action,
-    split_by_source,
 )
 
-from oracle import FIELD, to_field
+from oracle import FIELD, field_rank, to_field
 
 
 def monomial_count(symbols, degree):
@@ -180,6 +180,29 @@ def test_rank_is_exact_when_every_spec_point_is_a_root():
     # A multiple by the same factor stays dependent: the check at 7/5
     # proves the rank 1 at once.
     assert rank_of_family(m, [ops[0], ops[0].scale(VANISHING)]) == 1
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
+def test_short_rank_solves_no_minor_larger_than_a_block(n, d, monkeypatch):
+    # A quantum family short of full rank is split into groups of rows
+    # that share positions before its span checks: with a duplicated
+    # B1 operator, no system reaching Bareiss exceeds a weight block.
+    m = build_model(n, d, mode="quantum")
+    ops = [eval_label(m, label) for label in enumerate_basis(n, d, "B1")]
+    ops.append(ops[len(ops) // 2])
+    sizes = []
+    real = bases._bareiss_solve
+
+    def recording(scalars, matrix, rhs):
+        sizes.append(len(matrix))
+        return real(scalars, matrix, rhs)
+
+    monkeypatch.setattr(bases, "_bareiss_solve", recording)
+    rank = rank_of_family(m, ops)
+    assert rank == field_rank([_operator_row(m, op) for op in ops]) == len(ops) - 1
+    weights = compositions(n, d)
+    largest = max(block_dimension(src, dst) for src in weights for dst in weights)
+    assert sizes and max(sizes) <= largest
 
 
 def test_coordinates_of_basis_elements_are_unit_vectors():
@@ -348,9 +371,8 @@ def test_label_weights_agree_with_operator_entries(mode, n, d):
         for label in enumerate_basis(n, d, kind):
             shift, block = _label_block(label, m.root_data)
             moves = {
-                (src, weights[i])
-                for src, cols in split_by_source(m, eval_label(m, label)).items()
-                for col in cols.values()
+                (weights[j], weights[i])
+                for j, col in eval_label(m, label).cols.items()
                 for i in col
             }
             nonzero += bool(moves)

@@ -4,7 +4,8 @@ JSON output is deterministic, so any refactor of the operator layers
 must leave these digests unchanged.  Each digest is the sha256 of the
 full ``--format json`` stdout of one command; they cover dim, verify,
 hecke, structconst and basis in both modes at (2, 3), (3, 3) and
-(4, 2), and basis JSON for every kind at (3, 3).  ``label_key`` shows
+(4, 2), the structural and specialization suites and the corner at
+(3, 4), (4, 3) and (4, 4), and basis JSON for every kind at (3, 3).  ``label_key`` shows
 only in text and CSV output, so ``TEXT_CSV_GOLDEN`` adds the text and
 CSV output of ``basis`` for every kind at (3, 2).  A changed digest is
 an output change and has to be declared as one, never silently
@@ -36,8 +37,14 @@ GOLDEN = [
      "048207db27fc3dfca62b5735fa2a7d139226b114a1e260b566c9ab722aca98d2"),
     ("verify 4 2 --quantum --suite all",
      "d936a63bfce3c07bc4a80a93554bd68a44a9e9e3c0677ec7377da390496a9655"),
+    ("verify 3 4 --quantum --suite structural",
+     "79908ea63059acfade17f9387acc8c8b324a1d6f3d4fa256814eb1195c9caa94"),
+    ("verify 4 3 --suite specialize",
+     "80dd124f86753c64c43a2b80d1b3f3bd339bcd7068d63f1a5a27e04f49696417"),
     ("hecke 3 3",
      "f07b02e51fcb31468a299fe3d4e4592cf823c8d8bdbc9a95f5ccb0c7ce93f926"),
+    ("hecke 4 4",
+     "eeabe2e5ab8bc1efd562b6e965164226b3aa78ef3a9ace7a096b09628d34af5d"),
     ("hecke 3 3 --quantum",
      "fa6b0c2deb583763ede648863655aba7a5a8101235bddb3bbc9bda169465e516"),
     ("hecke 4 2 --quantum",

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from schuralg import hecke
-from schuralg.bases import _operator_row, enumerate_basis, rank_of_family
+from schuralg.bases import RankAccumulator, _operator_row, enumerate_basis, rank_of_family
 from schuralg.errors import HypothesisError
 from schuralg.hecke import (
     check_hecke_generation,
@@ -14,7 +14,7 @@ from schuralg.hecke import (
     omega_weight,
 )
 from schuralg.rootvectors import _label_block, eval_label
-from schuralg.tensormodel import RootData, build_model, weight_idempotent
+from schuralg.tensormodel import RootData, build_model, generator_action, weight_idempotent
 
 from oracle import field_rank
 
@@ -135,3 +135,57 @@ def test_corner_labels_are_enumerated_directly(n, d):
             if _label_block(lab, root_data)[1] == (omega, omega)]
     assert enumerate_basis(n, d, "B1", block=(omega, omega)) == scan
     assert len(scan) == factorial(d)
+
+
+def _full_row_closure(model, generators, target):
+    """Reference for hecke._closure_rank: the same rounds, with every
+    element ranked as one full operator row."""
+    acc = RankAccumulator(model)
+    reps = []
+
+    def feed(op):
+        if not op.is_zero() and acc.add(op):
+            reps.append(op)
+            return True
+        return False
+
+    for op in generators:
+        feed(op)
+    rounds = 0
+    while acc.rank < target and rounds < hecke.CLOSURE_ROUND_CAP:
+        rounds += 1
+        grew = False
+        current = list(reps)
+        for x in current:
+            for y in current:
+                if feed(x @ y):
+                    grew = True
+        if not grew:
+            break
+    return acc.rank, rounds
+
+
+def _corner_generators(model, first, second):
+    """1_omega and the corner products 1_omega a_i b_i 1_omega."""
+    proj = weight_idempotent(model, omega_weight(model))
+    pairs = [(generator_action(model, first, i), generator_action(model, second, i))
+             for i in range(1, model.n)]
+    return [proj] + [proj @ a @ b @ proj for a, b in pairs]
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_closure_matches_full_row_reference(d, mode):
+    # Ranking each corner element by its u_omega column gives the rank
+    # and round count of ranking whole operators, also when the
+    # generators fall short (one product only, no 1_omega).
+    m = build_model(d, d, mode=mode)
+    target = factorial(d)
+    names = m.names
+    cases = [_corner_generators(m, names.plus, names.minus),
+             _corner_generators(m, names.minus, names.plus)]
+    cases.append(cases[0][1:2])
+    for gens in cases:
+        ours = hecke._closure_rank(m, gens, target)
+        assert ours == _full_row_closure(m, gens, target)
+    assert ours[0] < target

@@ -9,6 +9,7 @@ import pytest
 from schuralg import tensormodel
 from schuralg.cli import main
 from schuralg.errors import BadWeight, CertificateError, SizeLimit
+from schuralg.hecke import check_hecke_generation
 from schuralg.ring import LaurentPoly
 from schuralg.tensormodel import (
     SparseOperator,
@@ -21,6 +22,7 @@ from schuralg.tensormodel import (
     weight_idempotent,
     word_weight,
 )
+from schuralg.verify import check_specialization, check_structural_facts
 
 
 def op_as_dict(model, op):
@@ -429,3 +431,39 @@ def test_failed_certificate_exits_with_status_one(monkeypatch):
     assert code == 1
     assert out.getvalue() == ""
     assert "does not commute with T_" in err.getvalue()
+
+
+def _break_classical_h1(monkeypatch):
+    """Classical models get H_1 with one eigenvalue 1 raised to 2.  Every
+    Cartan binomial stays integral, so nothing fails before the
+    certificate is asked."""
+    real = tensormodel._build_generators
+
+    def broken(model):
+        gens = real(model)
+        if model.mode == "classical":
+            h1 = gens[("H", 1)]
+            gens[("H", 1)] = _with_one_entry(h1, lambda s: 2 if s == 1 else s)
+        return gens
+
+    monkeypatch.setattr(tensormodel, "_build_generators", broken)
+
+
+def test_certificate_guards_every_column_check(monkeypatch):
+    # The triangular check, the corner closure and the v = 1 comparison
+    # read ordered-word columns, so each runs the certificate first.
+    _break_classical_h1(monkeypatch)
+    m = build_model(3, 3)
+    with pytest.raises(CertificateError, match="H_1 does not commute"):
+        check_structural_facts(m)
+    with pytest.raises(CertificateError, match="H_1 does not commute"):
+        check_hecke_generation(m)
+    with pytest.raises(CertificateError, match="H_1 does not commute"):
+        check_specialization(2, 2)
+    for argv in (["verify", "3", "3", "--suite", "structural"], ["hecke", "3", "3"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code == 1, argv
+        assert out.getvalue() == ""
+        assert "H_1 does not commute" in err.getvalue()

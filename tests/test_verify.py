@@ -6,6 +6,7 @@ eigenvalue bookkeeping, hand-expanded reduction instances) so a
 regression in the checkers cannot hide behind their own pass flags.
 """
 
+from fractions import Fraction
 from itertools import permutations
 from math import comb
 
@@ -21,7 +22,7 @@ from schuralg.tensormodel import (
     generator_action,
     weight_idempotent,
 )
-from schuralg.rootvectors import root_divided_power
+from schuralg.rootvectors import eval_label, root_divided_power
 from schuralg.verify import (
     CheckReport,
     check_enveloping_relations,
@@ -232,6 +233,40 @@ def test_specialization(n, d):
     assert rep.passed
     assert _ids(rep) == ["B1[v=1]", "B2[v=1]"]
     assert rep.notes  # the excluded family is called out
+
+
+def _entrywise_specialization_item(n, d, kind):
+    """Reference for one item of check_specialization: every entry of
+    each quantum operator at v = 1 against the classical operator."""
+    classical = build_model(n, d, mode="classical")
+    quantum = build_model(n, d, mode="quantum")
+    agg = _Agg()
+    for label in enumerate_basis(n, d, kind):
+        qcols = {}
+        for j, col in eval_label(quantum, label).cols.items():
+            newcol = {}
+            for i, s in col.items():
+                val = s.specialize(1)
+                if val != 0:
+                    newcol[i] = val
+            if newcol:
+                qcols[j] = newcol
+        ccols = {
+            j: {i: Fraction(s) for i, s in col.items()}
+            for j, col in eval_label(classical, label).cols.items()
+        }
+        agg.check(qcols == ccols, f"label {label}")
+    return agg.item(f"{kind}[v=1]")
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_specialization_matches_entrywise_reference(n, d):
+    # Comparing images of u_src must decide every label as comparing
+    # every operator entry does.
+    rep = check_specialization(n, d)
+    expected = [_entrywise_specialization_item(n, d, kind) for kind in ("B1", "B2")]
+    assert rep.items == expected
+    assert all(item.ok and not item.vacuous for item in expected)
 
 
 def test_suite_reports_selection():
