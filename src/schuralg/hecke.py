@@ -3,32 +3,35 @@
 With omega = (1, ..., 1, 0, ..., 0) (d ones, requiring n >= d), the
 corner subalgebra 1_omega . S . 1_omega has dimension d! — it realizes
 the group algebra of the symmetric group on d letters in classical mode
-and its Hecke deformation in quantum mode.  This module computes the
-truncated family from the three-part basis, certifies its rank, and
-(for n = d) checks that either family of corner products of the simple
-raising and lowering generators generates the whole truncation.
+and its Hecke deformation in quantum mode.  This module finds the B1
+labels of the corner, certifies their rank, and (for n = d) checks that
+either family of corner products of the simple raising and lowering
+generators generates the whole truncation.
 
 Each B1 label e_A 1_lam f_C maps one weight space to one other, so its
 operator b equals 1_dst b 1_src for the block (src, dst) it pins, and
 1_omega b 1_omega is b on the block (omega, omega) and 0 on every other
-block.  The truncation therefore enumerates and evaluates only the
-labels of that block: d! of them, against C(n^2 - 1 + d, d) in the
-whole family.
+block.  The truncation therefore enumerates only the labels of that
+block: d! of them, against C(n^2 - 1 + d, d) in the whole family.
+
+No operator product is formed: once the model's Hecke-commutation
+certificate holds, a corner element x = x 1_omega is fixed by its image
+x u_omega (see ``rootvectors``), so labels are ranked and multiplied on
+their images, and generation is a search of a cyclic module.
 """
 
 import time
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bases import RankAccumulator, enumerate_basis, rank_of_family
+from .bases import RankAccumulator, _certified_rank, enumerate_basis, rank_of_labels
 from .errors import HypothesisError
-from .rootvectors import eval_label
+from .rootvectors import apply_label, label_image
 from .tensormodel import (
     SparseOperator,
     certify_hecke_commutation,
     generator_action,
     ordered_word,
-    weight_idempotent,
 )
 from .verify import CheckReport
 
@@ -38,15 +41,12 @@ __all__ = [
     "omega_truncation",
     "check_hecke_generation",
     "hecke_summary",
-    "CLOSURE_ROUND_CAP",
 ]
-
-CLOSURE_ROUND_CAP = 10
 
 
 @dataclass
 class TruncationResult:
-    """Nonzero corner images of the basis and their exact rank."""
+    """The B1 labels with a nonzero corner image, and their exact rank."""
 
     omega: tuple
     family: list = field(default_factory=list)
@@ -63,61 +63,46 @@ def omega_weight(model):
 
 
 def omega_truncation(model):
-    """Nonzero corner images 1_omega b 1_omega of the B1 family, with rank.
+    """The B1 labels b with 1_omega b 1_omega nonzero, and their rank.
 
-    Only the B1 labels of the block (omega, omega) are enumerated and
-    evaluated: a label of any other block has corner image 0, and one of
-    this block is its own corner image.  The family is the full scan's,
-    in the same order.
+    Only the block (omega, omega) is enumerated: a label of another
+    block has corner image 0, and one of this block is its own corner
+    image, zero exactly when its image of u_omega is.  The family is a
+    full scan's, in its order, ranked on images by ``rank_of_labels``.
     """
     omega = omega_weight(model)
-    family = [
-        eval_label(model, label)
-        for label in enumerate_basis(model.n, model.d, "B1", block=(omega, omega))
-    ]
-    family = [op for op in family if not op.is_zero()]
-    dim = rank_of_family(model, family)
-    return TruncationResult(omega=omega, family=family, dim=dim)
+    labels = enumerate_basis(model.n, model.d, "B1", block=(omega, omega))
+    family = [label for label in labels if label_image(model, label)]
+    return TruncationResult(omega, family, rank_of_labels(model, family))
 
 
-def _closure_rank(model, generators, target):
-    """Rank of the unital closure of ``generators`` under products.
+def _closure_rank(model, pairs, target):
+    """Rank and search depth of A u_omega, for A the unital algebra that
+    the corner products 1_omega a b 1_omega of ``pairs`` generate.
 
-    Representatives that grow the rank are kept and multiplied pairwise
-    each round until the rank stabilizes, reaches ``target``, or the
-    round cap is hit.  Returns (rank, rounds used).  Each element
-    x = x 1_omega of the corner stands for its column at the ordered
-    word u_omega (see ``verify``), which alone is ranked.  The rank is a
-    certified lower bound (see :class:`RankAccumulator`) and the closure
-    lies in the corner, whose dimension d! is ``target``, so a rank that
-    reaches ``target`` proves generation.
+    A breadth-first search from u_omega, which stands for 1_omega,
+    applies each a b to every vector that grew the rank; a b keeps the
+    weight omega, so nothing is projected.  ``depth`` counts the rounds
+    that grew the rank.  As dim A u_omega <= dim A <= d! = ``target``, a
+    rank that reaches ``target`` proves generation (the rank is a
+    certified lower bound, see :class:`RankAccumulator`); a shorter one
+    is dim A at the point of v used, since the certificate holds.
     """
     certify_hecke_commutation(model)
-    anchor = model.word_index[ordered_word(omega_weight(model))]
+    start = {model.word_index[ordered_word(omega_weight(model))]: model.scalars.one}
     acc = RankAccumulator(model)
-    reps = []
-
-    def feed(op):
-        col = op.cols.get(anchor)
-        if col and acc.add(SparseOperator({anchor: col})):
-            reps.append(op)
-            return True
-        return False
-
-    for op in generators:
-        feed(op)
-    rounds = 0
-    while acc.rank < target and rounds < CLOSURE_ROUND_CAP:
-        rounds += 1
-        grew = False
-        current = list(reps)
-        for x in current:
-            for y in current:
-                if feed(x @ y):
-                    grew = True
-        if not grew:
-            break
-    return acc.rank, rounds
+    acc.add(SparseOperator({0: start}))
+    frontier, depth = [start], 0
+    while frontier and acc.rank < target:
+        grown = []
+        for x in frontier:
+            for a, b in pairs:
+                y = a.apply(b.apply(x))
+                if acc.add(SparseOperator({0: y})):
+                    grown.append(y)
+        frontier = grown
+        depth += bool(grown)
+    return acc.rank, depth
 
 
 def check_hecke_generation(model):
@@ -128,21 +113,14 @@ def check_hecke_generation(model):
         )
     t0 = time.perf_counter()
     rep = CheckReport("hecke-generation", model.n, model.d, model.mode)
-    proj = weight_idempotent(model, omega_weight(model))
     target = factorial(model.d)
     esym, fsym = model.names.plus, model.names.minus
     for item_id, first, second in (("EF", esym, fsym), ("FE", fsym, esym)):
-        gens = [proj]
-        for i in range(1, model.n):
-            a = generator_action(model, first, i)
-            b = generator_action(model, second, i)
-            gens.append(proj @ a @ b @ proj)
-        rank, rounds = _closure_rank(model, gens, target)
-        rep.add(
-            item_id,
-            rank == target,
-            detail=f"rank {rank} of {target} after {rounds} round(s)",
-        )
+        pairs = [(generator_action(model, first, i), generator_action(model, second, i))
+                 for i in range(1, model.n)]
+        rank, depth = _closure_rank(model, pairs, target)
+        rep.add(item_id, rank == target,
+                detail=f"rank {rank} of {target} at depth {depth}")
     rep.seconds = time.perf_counter() - t0
     return rep
 
@@ -153,14 +131,16 @@ def hecke_summary(model):
     Products of corner elements stay in 1_omega S 1_omega, whose
     dimension is block_dimension(omega, omega) = d!, so a family of that
     rank is closed under products without forming any.  Otherwise
-    closure is decided by the exact rank of the family with all its
-    pairwise products.
+    closure is decided by the exact rank of the family's images with
+    the images x (y u_omega) of all its pairwise products x y.
     """
     result = omega_truncation(model)
     expected = factorial(model.d)
     family = result.family
-    closed = result.dim == expected or result.dim == rank_of_family(
-        model, family + [x @ y for x in family for y in family]
+    closed = result.dim == expected or result.dim == _certified_rank(
+        model,
+        [label_image(model, x) for x in family]
+        + [apply_label(model, x, label_image(model, y)) for x in family for y in family],
     )
     data = {
         "omega": list(result.omega),

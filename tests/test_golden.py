@@ -4,12 +4,12 @@ JSON output is deterministic, so any refactor of the operator layers
 must leave these digests unchanged.  Each digest is the sha256 of the
 full ``--format json`` stdout of one command; they cover dim, verify,
 hecke, structconst and basis in both modes at (2, 3), (3, 3) and
-(4, 2), the structural and specialization suites and the corner at
-(3, 4), (4, 3) and (4, 4), and basis JSON for every kind at (3, 3).  ``label_key`` shows
-only in text and CSV output, so ``TEXT_CSV_GOLDEN`` adds the text and
-CSV output of ``basis`` for every kind at (3, 2).  A changed digest is
-an output change and has to be declared as one, never silently
-re-recorded.
+(4, 2), the structural and specialization suites at (3, 4) and (4, 3),
+the corner at (4, 4) in both modes, (5, 4) and (5, 5), and basis JSON
+for every kind at (3, 3).  ``label_key`` shows only in text and CSV
+output, so ``TEXT_CSV_GOLDEN`` adds the text and CSV output of
+``basis`` for every kind at (3, 2).  A changed digest is an output
+change and has to be declared as one, never silently re-recorded.
 """
 
 import hashlib
@@ -49,6 +49,12 @@ GOLDEN = [
      "fa6b0c2deb583763ede648863655aba7a5a8101235bddb3bbc9bda169465e516"),
     ("hecke 4 2 --quantum",
      "1f3aa1fbe6271820f81a5712a96fb9acb73ed770ba6a4cca8629f45a2f518ce4"),
+    ("hecke 4 4 --quantum",
+     "2be76d0f2d367772d8925a92b5d708813698656aa032eb1be1a03391e45d6ebe"),
+    ("hecke 5 4",
+     "ae04983475953a55d8825375877b52f4354062878308c1eba5c3d4070967c97c"),
+    ("hecke 5 5",
+     "cb18e8d5c6c4fd5e23cdd9fcd962ab2f0da9f3856db5666c5104243886bc21b9"),
     ("structconst 2 3 --left 1 --right 8",
      "8f2194774419b1ff7fd41adb42e3eec8387326a10d38849616238fa7e73e1713"),
     ("structconst 3 3 --left 5 --right 79",
@@ -136,13 +142,15 @@ def test_text_and_csv_output_match_golden_digest(command, digest):
     assert _digest(command.split()) == digest
 
 
-VECTOR_ONLY = [(c, d) for c, d in GOLDEN if c.split()[0] in ("dim", "structconst")]
+VECTOR_ONLY = [(c, d) for c, d in GOLDEN
+               if c.split()[0] in ("dim", "structconst", "hecke")]
 
 
 @pytest.mark.parametrize("command,digest", VECTOR_ONLY, ids=[c for c, _ in VECTOR_ONLY])
 def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatch):
-    # dim and structure constants work on the images of the ordered
-    # words: with label operators out of reach, the output is unchanged.
+    # dim, structure constants and the corner work on the images of the
+    # ordered words: with label operators out of reach, the output is
+    # unchanged.
     def refuse(model, label):
         raise RuntimeError("eval_label was called")
 

@@ -13,8 +13,14 @@ from schuralg.hecke import (
     omega_truncation,
     omega_weight,
 )
-from schuralg.rootvectors import _label_block, eval_label
-from schuralg.tensormodel import RootData, build_model, generator_action, weight_idempotent
+from schuralg.rootvectors import _label_block, eval_label, label_image
+from schuralg.tensormodel import (
+    RootData,
+    build_model,
+    generator_action,
+    ordered_word,
+    weight_idempotent,
+)
 
 from oracle import field_rank
 
@@ -26,9 +32,10 @@ def test_truncation_rank_is_d_factorial(n, d, mode):
     result = omega_truncation(m)
     assert result.omega == (1,) * d + (0,) * (n - d)
     assert result.dim == factorial(d)
-    # Every family member is its own corner image.
+    # Every family member's operator is its own corner image.
     proj = weight_idempotent(m, result.omega)
-    for op in result.family:
+    for label in result.family:
+        op = eval_label(m, label)
         assert proj @ op == op
         assert op @ proj == op
 
@@ -48,17 +55,19 @@ def test_hypothesis_guards():
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_generation_both_variants(d, mode):
     m = build_model(d, d, mode=mode)
     rep = check_hecke_generation(m)
     assert rep.passed
     by_id = {item.id: item for item in rep.items}
     assert set(by_id) == {"EF", "FE"}
-    # Dimension bound forces stabilization almost immediately.
+    # Each product of a corner pair adds one simple reflection, so the
+    # search reaches all of S_d at the length d(d - 1)/2 of its longest
+    # element, and not before.
     for item in rep.items:
-        rounds = int(item.detail.split("after ")[1].split(" ")[0])
-        assert rounds <= 3
+        depth = int(item.detail.split("at depth ")[1])
+        assert depth == d * (d - 1) // 2
 
 
 def test_summary_shape():
@@ -73,16 +82,18 @@ def test_summary_shape():
 
 def test_closure_is_exact_on_deficient_families(monkeypatch):
     # Sub-families of the (3, 3) quantum corner: closed exactly when the
-    # pairwise products add nothing to the rank over Q(v).
+    # pairwise products of their operators add nothing to the rank over
+    # Q(v).
     m = build_model(3, 3, mode="quantum")
     full = omega_truncation(m)
     seen = set()
     for keep in ((0,), (4,), (0, 3), (1, 2), (1, 2, 3, 4, 5)):
         family = [full.family[k] for k in keep]
-        products = [x @ y for x in family for y in family]
-        rows = [_operator_row(m, op) for op in family + products]
-        closed = field_rank(rows) == field_rank(rows[:len(family)])
-        dim = rank_of_family(m, family)
+        ops = [eval_label(m, label) for label in family]
+        products = [x @ y for x in ops for y in ops]
+        rows = [_operator_row(m, op) for op in ops + products]
+        closed = field_rank(rows) == field_rank(rows[:len(ops)])
+        dim = rank_of_family(m, ops)
         monkeypatch.setattr(hecke, "omega_truncation", lambda model: hecke.TruncationResult(
             omega=full.omega, family=family, dim=dim))
         data = hecke_summary(m)
@@ -95,19 +106,24 @@ def test_closure_is_exact_on_deficient_families(monkeypatch):
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3)])
 def test_corner_block_equals_full_scan(n, d, mode):
-    # Evaluating only block (omega, omega) must give exactly the nonzero
-    # corner images of a scan over the whole B1 family, in its order.
+    # The labels of block (omega, omega) must be exactly those with a
+    # nonzero corner image in a scan over the whole B1 family, in its
+    # order, and each one's image of u_omega the scanned corner
+    # operator's u_omega column.
     m = build_model(n, d, mode=mode)
     family = omega_truncation(m).family
-    proj = weight_idempotent(m, omega_weight(m))
+    omega = omega_weight(m)
+    proj = weight_idempotent(m, omega)
+    anchor = m.word_index[ordered_word(omega)]
     scan = []
     for label in enumerate_basis(n, d, "B1"):
         op = proj @ eval_label(m, label) @ proj
         if not op.is_zero():
-            scan.append(op)
+            scan.append((label, op))
     assert len(family) == len(scan) == factorial(d)
-    for ours, theirs in zip(family, scan):
-        assert ours == theirs
+    for ours, (label, op) in zip(family, scan):
+        assert ours == label
+        assert label_image(m, ours) == op.cols[anchor]
 
 
 @pytest.mark.parametrize("n,d,mode", [(3, 3, "classical"), (4, 4, "classical"),
@@ -117,9 +133,9 @@ def test_truncation_evaluates_d_factorial_labels(n, d, mode, monkeypatch):
 
     def counted(model, label):
         calls.append(label)
-        return eval_label(model, label)
+        return label_image(model, label)
 
-    monkeypatch.setattr(hecke, "eval_label", counted)
+    monkeypatch.setattr(hecke, "label_image", counted)
     result = omega_truncation(build_model(n, d, mode=mode))
     assert len(calls) == factorial(d)
     assert result.dim == factorial(d)
@@ -137,9 +153,14 @@ def test_corner_labels_are_enumerated_directly(n, d):
     assert len(scan) == factorial(d)
 
 
+REFERENCE_ROUND_CAP = 10
+
+
 def _full_row_closure(model, generators, target):
-    """Reference for hecke._closure_rank: the same rounds, with every
-    element ranked as one full operator row."""
+    """Reference for hecke._closure_rank: representatives that grow the
+    rank of whole operator rows are multiplied pairwise, round after
+    round, until the rank stabilizes, reaches ``target`` or the round
+    cap is hit.  Returns (rank, representatives)."""
     acc = RankAccumulator(model)
     reps = []
 
@@ -152,7 +173,7 @@ def _full_row_closure(model, generators, target):
     for op in generators:
         feed(op)
     rounds = 0
-    while acc.rank < target and rounds < hecke.CLOSURE_ROUND_CAP:
+    while acc.rank < target and rounds < REFERENCE_ROUND_CAP:
         rounds += 1
         grew = False
         current = list(reps)
@@ -162,30 +183,36 @@ def _full_row_closure(model, generators, target):
                     grew = True
         if not grew:
             break
-    return acc.rank, rounds
+    return acc.rank, reps
 
 
-def _corner_generators(model, first, second):
-    """1_omega and the corner products 1_omega a_i b_i 1_omega."""
-    proj = weight_idempotent(model, omega_weight(model))
-    pairs = [(generator_action(model, first, i), generator_action(model, second, i))
-             for i in range(1, model.n)]
-    return [proj] + [proj @ a @ b @ proj for a, b in pairs]
+def _corner_pairs(model, first, second):
+    """The generator pairs (a_i, b_i) of the corner products a_i b_i."""
+    return [(generator_action(model, first, i), generator_action(model, second, i))
+            for i in range(1, model.n)]
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_closure_matches_full_row_reference(d, mode):
-    # Ranking each corner element by its u_omega column gives the rank
-    # and round count of ranking whole operators, also when the
-    # generators fall short (one product only, no 1_omega).
+    # The search of A u_omega finds the rank of the pairwise closure of
+    # 1_omega and the corner products 1_omega a_i b_i 1_omega as whole
+    # operators, also when the generators fall short (the last pair left
+    # out); the reference's u_omega columns have that rank over Q(v).
+    # The first k - 1 pairs generate the Hecke algebra of S_k, which the
+    # search spans at the length k(k - 1)/2 of the longest element.
     m = build_model(d, d, mode=mode)
     target = factorial(d)
     names = m.names
-    cases = [_corner_generators(m, names.plus, names.minus),
-             _corner_generators(m, names.minus, names.plus)]
-    cases.append(cases[0][1:2])
-    for gens in cases:
-        ours = hecke._closure_rank(m, gens, target)
-        assert ours == _full_row_closure(m, gens, target)
-    assert ours[0] < target
+    proj = weight_idempotent(m, omega_weight(m))
+    anchor = m.word_index[ordered_word(omega_weight(m))]
+    full = [_corner_pairs(m, names.plus, names.minus),
+            _corner_pairs(m, names.minus, names.plus)]
+    for pairs, k in [(full[0], d), (full[1], d), (full[0][:-1], d - 1)]:
+        gens = [proj] + [proj @ a @ b @ proj for a, b in pairs]
+        rank, reps = _full_row_closure(m, gens, target)
+        ours, depth = hecke._closure_rank(m, pairs, target)
+        assert ours == rank == field_rank([op.cols.get(anchor, {}) for op in reps])
+        assert ours == factorial(k)
+        assert depth == k * (k - 1) // 2
+    assert ours < target
