@@ -38,6 +38,7 @@ from .rootvectors import (
     BasisLabel,
     divided_power,
     eval_label,
+    label_columns,
     label_image,
     label_key,
     root_divided_power,
@@ -48,6 +49,7 @@ from .tensormodel import (
     cartan_binomial,
     certify_hecke_commutation,
     generator_action,
+    ordered_word_row,
     weight_idempotent,
 )
 from .verify import (
@@ -102,9 +104,11 @@ __all__ = [
     "gaussian_binomial",
     "generator_action",
     "hecke_summary",
+    "label_columns",
     "label_image",
     "label_key",
     "omega_truncation",
+    "ordered_word_row",
     "quantum_factorial",
     "quantum_integer",
     "rank_of_family",

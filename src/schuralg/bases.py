@@ -11,50 +11,46 @@ The basis kinds:
   content(A) <= lam,
 * ``ZERO``: the weight idempotents alone.
 
-Rank certification is exact.  Classical operator entries are integers
-and their rows are reduced by fraction-free elimination on primitive
-integer rows, which is exact.  Quantum entries are integer Laurent
-polynomials; each row is specialized at a rational point v = a/b
-straight to integers: with lo and hi the lowest and highest exponents
-of v in the row, an entry sum c_e v^e becomes
-sum c_e a^(e - lo) b^(hi - e).  That is the value at a/b times
-a^-lo b^hi, one nonzero constant for the whole row, so the integer row
-has exactly the rank of the specialized one.  The rows that grow the
-rank at the point have a minor that is nonzero there, hence nonzero
-over Q(v): the specialized rank r is a lower bound.  A span check then
-proves that every other member lies in the span of those r, which
-makes r exact: Bareiss elimination of the minor over Z[v, v^-1] gives
-D = +-det != 0 and numerators N_u, and D * member = sum_u N_u * pivot_u
-is checked exactly at every position.  If a member fails the check,
-the point was a root of a larger minor, and the next point is tried:
-the model's ``spec_points`` in order, then v = 2, 3, 4, ...  A nonzero
-minor has finitely many roots, so the sequence ends.
+Ranks and expansions take sparse rows {position: scalar}; an element
+of S(n, d) becomes one through its columns at the ordered words
+(``tensormodel.ordered_word_row``, ``rootvectors.label_columns``), which
+fix it once the model's Hecke-commutation certificate holds.  A family
+whose labels all pin a weight block is ranked block by block instead,
+one vector per label: its image of the ordered word u_src of its source
+weight (``rootvectors.label_image``).  Operators of different blocks
+have disjoint supports, so the rank of the family is the sum of the
+ranks of its blocks.
 
-Coordinates are solved with the same certificate, separately for each
-group of candidate labels whose operators share nonzero positions.
-With k labels in a group, the equation at each position is {u: entry
-of label u}; equations are specialized the same way until k of them
-are independent, so the candidates are independent, and the span check
-of the target against the candidates proves the expansion
+Every rank and every solve is certified one way (:func:`_pivots`).
+Classical entries are integers and their rows are reduced by
+fraction-free elimination on primitive integer rows, which is exact.
+Quantum entries are integer Laurent polynomials; each row is
+specialized at a rational point v = a/b straight to integers: with lo
+and hi the lowest and highest exponents of v in the row, an entry
+sum c_e v^e becomes sum c_e a^(e - lo) b^(hi - e).  That is the value
+at a/b times a^-lo b^hi, one nonzero constant for the whole row, so the
+integer row has exactly the rank of the specialized one.
+
+The rows that grow the echelon at the point are independent, and the
+lead positions of its pivots pick a minor of them that is nonzero:
+after reduction each pivot is zero at the leads of the pivots before
+it and nonzero at its own, a triangular minor, and the pivots are the
+grown rows up to a triangular change of basis with nonzero diagonal.
+A minor nonzero at a point is nonzero over Q(v), so the specialized
+rank r is a lower bound.  A span check then proves that every other
+row lies in the span of those r, which makes r exact: Bareiss
+elimination of the minor over Z[v, v^-1] gives D = +-det != 0 and
+numerators N_u, and D * row = sum_u N_u * pivot_u is checked exactly
+at every position.  If a row fails the check, the point was a root of
+a larger minor, and the next point is tried: the model's
+``spec_points`` in order, then v = 2, 3, 4, ...  A nonzero minor has
+finitely many roots, so the sequence ends.
+
+An expansion of a target in columns is solved the same way, group by
+group of columns that share positions: the target is solved on the
+group's pivots at their leads, and the same check proves the expansion
 x_u = N_u / D.  Each x_u is returned in the ring when D divides N_u, as
-a fraction otherwise.  If fewer than k equations are independent at a
-point, the candidates outside the pivot columns are span-checked
-against the pivot columns, which proves the family dependent, or sends
-the solve on to the next point.
-
-A family whose labels all pin a weight block is ranked and expanded on
-vectors instead, one per label: its image of the ordered word u_src of
-its source weight (``rootvectors.label_image``).  Operators of
-different blocks have disjoint supports, so the rank of the family is
-the sum of the ranks of its blocks.  Within a block (src, dst), every
-operator b = b 1_src commutes with the Hecke algebra H_d once the
-model's generators are certified to (``tensormodel``), and M^src is
-generated by u_src over H_d, so b is determined by b u_src: a
-combination of the block's operators vanishes exactly when the same
-combination of their images does.  The image rank is the operator
-rank, and an expansion of images is the expansion of the operators.
-The rows and the certificate are the same as above, with a word index
-for a position.
+a fraction otherwise.
 """
 
 from fractions import Fraction
@@ -71,13 +67,13 @@ from .rootvectors import (
     _label_block,
     _signed_shift,
     apply_label,
-    eval_label,
+    label_columns,
     label_image,
     label_key,
     label_to_json,
     root_sum,
 )
-from .tensormodel import RootData, compositions
+from .tensormodel import RootData, compositions, ordered_word_row
 
 __all__ = [
     "KINDS",
@@ -220,17 +216,6 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     return labels
 
 
-def _operator_row(model, op):
-    """Flatten an operator to a sparse vector of length n^(2d)."""
-    size = model.num_words
-    row = {}
-    for j, col in op.cols.items():
-        base = j * size
-        for i, s in col.items():
-            row[base + i] = s
-    return row
-
-
 def _specialized_row(row, point):
     """Integer row proportional to a row of Laurent polynomials at
     v = point = a/b: each entry sum c_e v^e becomes
@@ -312,7 +297,7 @@ def _prepared(row, point):
 
 class RankAccumulator:
     """Incremental rank of a stream of operators at the first point of
-    :func:`_points`.
+    :func:`_points`, each flattened to its columns' entries.
 
     The rank is exact classically and a certified lower bound quantumly;
     a caller that compares it with a known dimension gets a proof when
@@ -330,78 +315,88 @@ class RankAccumulator:
 
     def add(self, op):
         """Reduce ``op``; return True if the rank grew."""
-        return self._echelon.add(_prepared(_operator_row(self.model, op), self.point))
+        size, row = self.model.num_words, {}
+        for j, col in op.cols.items():
+            base = j * size
+            for i, s in col.items():
+                row[base + i] = s
+        return self._echelon.add(_prepared(row, self.point))
 
 
-def _certified_rank(model, rows):
-    """Exact rank of a family of sparse rows.
+def _pivots(model, rows):
+    """Independent rows of a family, and positions where their minor is
+    nonzero: (indices, leads), both ascending.
 
     The rows that grow an :class:`_IntEchelon` at a point of v are
-    independent.  Quantumly every other row is span-checked against them
-    (see the module docstring), at the points of :func:`_points` in turn
-    until all checks pass.  A short family is ranked group by group of
-    rows that share positions, so that each span check solves a small minor.
+    independent, and the leads of its pivots pick a nonzero minor (see
+    the module docstring).  Quantumly every other row is span-checked
+    against them at those positions, at the points of :func:`_points` in
+    turn until all checks pass.  A full-rank family needs no check; a
+    short one is split first into groups of rows that share positions,
+    so that each check solves a small minor.
     """
     for point in _points(model):
         echelon = _IntEchelon()
         grew = [echelon.add(_prepared(row, point)) for row in rows]
-        if point is None or echelon.rank == len(rows):
-            return echelon.rank
+        indices = [u for u, g in enumerate(grew) if g]
+        leads = sorted(echelon.pivots)
+        if point is None or len(indices) == len(rows):
+            return indices, leads
         groups = _connected_columns(rows)
         if len(groups) > 1:
-            return sum(_certified_rank(model, [rows[u] for u in group])
-                       for group in groups)
-        pivots = [row for row, g in zip(rows, grew) if g]
-        leads = sorted(echelon.pivots)
+            found = [_pivots(model, [rows[u] for u in group]) for group in groups]
+            return (sorted(group[u] for group, (picked, _) in zip(groups, found) for u in picked),
+                    sorted(chain.from_iterable(lead for _, lead in found)))
+        pivots = [rows[u] for u in indices]
         if all(_span_solve(model.scalars, pivots, leads, row) is not None
                for row, g in zip(rows, grew) if not g):
-            return echelon.rank
+            return indices, leads
 
 
-def rank_of_family(model, operators):
-    """Exact rank of a family of operators viewed as vectors."""
-    return _certified_rank(model, [_operator_row(model, op) for op in operators])
+def rank_of_family(model, rows):
+    """Exact rank of a family of sparse rows {position: scalar}."""
+    return len(_pivots(model, rows)[0])
+
+
+def _label_row(model, label):
+    return ordered_word_row(model, label_columns(model, label))
 
 
 def rank_of_labels(model, labels):
-    """Exact rank of the operators of a family of block-pinned labels,
-    from their images of the ordered words, without building operators.
+    """Exact rank of the operators of a label family, from their images
+    of the ordered words, without building operators.
 
-    Operators of different blocks have disjoint supports, and within one
-    block (src, dst) the map b -> b u_src is injective once the model's
-    Hecke-commutation certificate holds (see ``rootvectors``).  So the
-    rank is the sum over blocks of the certified rank of the images.
+    When every label pins a weight block, the family is ranked block by
+    block, one image of u_src per label (:func:`label_image`): operators
+    of different blocks have disjoint supports.  Otherwise each label is
+    the row of its columns at the ordered words.  Once the model's
+    Hecke-commutation certificate holds, either rank is the rank of the
+    operators (see ``rootvectors``).
     """
     index = block_index(model, labels)
     if index is None:
-        raise ValueError("every label must pin a weight block")
+        return rank_of_family(model, [_label_row(model, label) for label in labels])
     return sum(
-        _certified_rank(model, [label_image(model, labels[pos]) for pos in positions])
+        rank_of_family(model, [label_image(model, labels[pos]) for pos in positions])
         for positions in index.values()
     )
 
 
 def block_index(model, family):
-    """Positions of a label family grouped by weight block, for
-    :func:`coordinates`.
+    """Positions of a label family grouped by weight block.
 
     Returns ``{(src, dst): [positions in enumeration order]}`` with each
     block as :func:`_label_block` gives it, or None when some label pins
-    no block (PBW and bare monomial flavors).  The index is built once
-    per distinct family and kept on the model.  The family of the last
-    lookup is kept too, and the same family again is recognized by
-    comparing its members, mostly by identity, without hashing them.
+    no block (PBW and bare monomial flavors).  Only the index of the
+    last family is kept on the model, and the same family again is
+    recognized by comparing its members, mostly by identity, without
+    hashing them.
     """
     family = tuple(family)
     last = model._last_family
-    if last is not None and last[0] == family:
-        return last[1]
-    try:
-        index = model._block_index[family]
-    except KeyError:
-        index = model._block_index[family] = _new_block_index(model, family)
-    model._last_family = (family, index)
-    return index
+    if last is None or last[0] != family:
+        last = model._last_family = (family, _new_block_index(model, family))
+    return last[1]
 
 
 def _new_block_index(model, family):
@@ -431,68 +426,35 @@ def block_dimension(src, dst):
     )
 
 
-def _op_blocks(model, op):
-    """The weight blocks (src, dst) that ``op`` has entries in."""
-    weights = model.weights
-    return {(weights[j], weights[i]) for j, col in op.cols.items() for i in col}
+def coordinates(model, columns, target):
+    """Coefficients x_u with sum_u x_u * columns[u] = target, proved and
+    unique; ``columns`` and ``target`` are sparse rows.
 
-
-def coordinates(model, op, basis):
-    """Coefficients of ``op`` in the given basis family.
-
-    Solving is restricted to the weight blocks the operator touches
-    whenever every candidate label pins a block, which keeps the linear
-    systems small.  With k candidates, k equations whose k x k minor is
-    nonzero at a specialization of v are solved fraction-free over the
-    scalar ring, and the solution is then checked exactly against every
-    equation, so each returned expansion is proved and unique (see
-    :func:`_certified_solve`).  Coefficients are integers classically
-    and Laurent polynomials quantumly whenever they are integral.
-    Raises NotInSpan if no expansion exists or the family is dependent
-    where it matters.
-    """
-    if op.is_zero():
-        return {}
-    index = block_index(model, basis)
-    if index is not None:
-        positions = sorted(
-            pos for block in _op_blocks(model, op) for pos in index.get(block, ())
-        )
-        candidates = [basis[pos] for pos in positions]
-    else:
-        candidates = list(basis)
-    columns = [_operator_row(model, eval_label(model, label)) for label in candidates]
-    target = _operator_row(model, op)
-    values = _certified_solve(model, columns, target)
-    return {label: val for label, val in zip(candidates, values) if val}
-
-
-def _certified_solve(model, columns, target):
-    """Solve sum_u x_u * columns[u] = target with the certificate of the
-    module docstring, group by group of columns that share positions.
-
-    Columns of different groups have disjoint supports, so the expansion
-    is the sum of the groups' expansions and each group's minor stays as
-    small as the structure allows.  An inconsistent system is reported
-    as outside the span before a dependent one is reported as dependent;
-    both raise NotInSpan.
+    The columns are split into groups that share positions.  Groups
+    have disjoint supports, so the expansion is the sum of the groups'
+    expansions, and each group is solved alone, on its pivots at their
+    leads
+    (:func:`_pivots`), then checked at every position.  Coefficients
+    are integers classically and Laurent polynomials quantumly whenever
+    they are integral, fractions otherwise.  An inconsistent system is
+    reported as outside the span before a dependent one is reported as
+    dependent; both raise NotInSpan.
     """
     values = [model.scalars.zero] * len(columns)
     rest = dict(target)
     dependent = False
     for group in _connected_columns(columns):
-        sub = [columns[u] for u in group]
-        support = set(chain.from_iterable(sub))
-        solved = _solve_connected(
-            model, sub, {k: rest.pop(k) for k in support if k in rest}
-        )
+        members = [columns[u] for u in group]
+        indices, leads = _pivots(model, members)
+        part = {k: rest.pop(k) for k in set(chain.from_iterable(members)) if k in rest}
+        solved = _span_solve(model.scalars, [members[u] for u in indices], leads, part)
         if solved is None:
-            dependent = True
-        else:
-            for u, x in zip(group, solved):
-                values[u] = x
+            raise NotInSpan("target is outside the span of the columns")
+        dependent = dependent or len(indices) < len(members)
+        for u, x in zip(indices, solved):
+            values[group[u]] = x
     if rest:
-        raise NotInSpan("operator is outside the span of the family")
+        raise NotInSpan("target is outside the span of the columns")
     if dependent:
         raise NotInSpan("family is linearly dependent; no unique expansion")
     return values
@@ -517,51 +479,6 @@ def _connected_columns(columns):
     for u in range(len(columns)):
         groups.setdefault(find(u), []).append(u)
     return list(groups.values())
-
-
-def _solve_connected(model, columns, target):
-    """Coordinates of ``target`` in ``columns``, or None when the columns
-    are dependent; raises NotInSpan when the system is inconsistent.
-
-    A dependent family is checked on its pivot columns, which span the
-    same space.
-    """
-    rows, cols = _independent_equations(model, columns)
-    values = _span_solve(model.scalars, [columns[u] for u in cols], rows, target)
-    if values is None:
-        raise NotInSpan("operator is outside the span of the family")
-    return values if len(cols) == len(columns) else None
-
-
-def _independent_equations(model, columns):
-    """Positions of independent equations and the unknowns they pin.
-
-    The equation at a position is {u: columns[u][position]}; equations
-    are taken in order of first appearance.  Returns (rows, cols) with a
-    nonzero minor on those rows and columns, whose count is the rank:
-    k = len(columns) rows and all k columns as soon as a point of v (or
-    the integers themselves, classically) reaches rank k.  Below k, the
-    columns outside the pivots must pass the span check against the
-    pivot columns; otherwise the next point of :func:`_points` is tried.
-    """
-    k = len(columns)
-    positions = list(dict.fromkeys(chain.from_iterable(columns)))
-    for point in _points(model):
-        echelon = _IntEchelon()
-        rows = []
-        for pos in positions:
-            eq = {u: col[pos] for u, col in enumerate(columns) if pos in col}
-            if echelon.add(_prepared(eq, point)):
-                rows.append(pos)
-                if len(rows) == k:
-                    return rows, list(range(k))
-        cols = sorted(echelon.pivots)
-        basis = [columns[u] for u in cols]
-        if point is None or all(
-            _span_solve(model.scalars, basis, rows, col) is not None
-            for u, col in enumerate(columns) if u not in echelon.pivots
-        ):
-            return rows, cols
 
 
 def _span_solve(scalars, basis, rows, target):
@@ -646,30 +563,33 @@ def _ring_quotient(scalars, num, det):
 def structure_constants(model, basis, i, j):
     """Coefficient vector of basis[i] . basis[j] in the basis itself.
 
-    When every label pins a weight block, no operator is built: the
-    product is 0 unless the blocks chain, and otherwise it is fixed by
-    its image of u_src of the right factor's block (src, mid), which the
-    left factor's parts give from the right factor's image.  That image
-    is expanded in the images of the labels of the product's block,
-    with the certificate of :func:`_certified_solve`, and the expansion
-    is the operator identity (see ``rootvectors``).  Other families are
-    expanded by :func:`coordinates` on operators.
+    No operator is built: the product is fixed by its columns at the
+    ordered words, which the left factor gives from the right factor's
+    (:func:`~schuralg.rootvectors.label_columns`), and these are
+    expanded by :func:`coordinates` in the columns of the candidates:
+    when every label pins a block, the product is 0 unless the blocks
+    chain, and the candidates are the labels of its block; otherwise
+    all labels.  The expansion is the operator identity (see
+    ``rootvectors``).
     """
-    index = block_index(model, basis)
     left, right = basis[i], basis[j]
+    index = block_index(model, basis)
     if index is None:
-        product = eval_label(model, left) @ eval_label(model, right)
-        return coordinates(model, product, basis)
-    src, mid = _label_block(right, model.root_data)[1]
-    top, dst = _label_block(left, model.root_data)[1]
-    if mid != top:
+        candidates = list(basis)
+    else:
+        (src, mid), (top, dst) = (_label_block(x, model.root_data)[1] for x in (right, left))
+        if mid != top:
+            return {}
+        candidates = [basis[pos] for pos in index.get((src, dst), ())]
+    product = {}
+    for w, col in label_columns(model, right).items():
+        image = apply_label(model, left, col)
+        if image:
+            product[w] = image
+    if not product:
         return {}
-    target = apply_label(model, left, label_image(model, right))
-    if not target:
-        return {}
-    candidates = [basis[pos] for pos in index.get((src, dst), ())]
-    columns = [label_image(model, label) for label in candidates]
-    values = _certified_solve(model, columns, target)
+    values = coordinates(model, [_label_row(model, label) for label in candidates],
+                         ordered_word_row(model, product))
     return {label: val for label, val in zip(candidates, values) if val}
 
 

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bases import RankAccumulator, _certified_rank, enumerate_basis, rank_of_labels
+from .bases import RankAccumulator, enumerate_basis, rank_of_family, rank_of_labels
 from .errors import HypothesisError
 from .rootvectors import apply_label, label_image
 from .tensormodel import (
@@ -89,16 +89,17 @@ def _closure_rank(model, pairs, target):
     is dim A at the point of v used, since the certificate holds.
     """
     certify_hecke_commutation(model)
-    start = {model.word_index[ordered_word(omega_weight(model))]: model.scalars.one}
+    anchor = model.word_index[ordered_word(omega_weight(model))]
+    start = {anchor: model.scalars.one}
     acc = RankAccumulator(model)
-    acc.add(SparseOperator({0: start}))
+    acc.add(SparseOperator({anchor: start}))
     frontier, depth = [start], 0
     while frontier and acc.rank < target:
         grown = []
         for x in frontier:
             for a, b in pairs:
                 y = a.apply(b.apply(x))
-                if acc.add(SparseOperator({0: y})):
+                if acc.add(SparseOperator({anchor: y})):
                     grown.append(y)
         frontier = grown
         depth += bool(grown)
@@ -137,7 +138,7 @@ def hecke_summary(model):
     result = omega_truncation(model)
     expected = factorial(model.d)
     family = result.family
-    closed = result.dim == expected or result.dim == _certified_rank(
+    closed = result.dim == expected or result.dim == rank_of_family(
         model,
         [label_image(model, x) for x in family]
         + [apply_label(model, x, label_image(model, y)) for x in family for y in family],

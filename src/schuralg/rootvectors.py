@@ -34,6 +34,12 @@ injective on the operators of one source weight.  An identity between
 the images of such operators at u_src, for example an expansion
 b_l b_r u_src = sum_u x_u b_u u_src, is therefore the identity between
 the operators themselves, proved.
+
+A label that pins no block (PBW, PLUS, MINUS) is its images of every
+ordered word instead (:func:`label_columns`): a PBW label's generator
+powers, and a PLUS or MINUS label's parts, act right to left on each
+u_lam (:func:`apply_label`).  Its operator commutes with H_d too, and
+b 1_lam is zero exactly when b u_lam is, so these images fix b.
 """
 
 from dataclasses import dataclass
@@ -58,6 +64,7 @@ __all__ = [
     "root_divided_power",
     "eval_label",
     "label_image",
+    "label_columns",
     "apply_label",
     "root_sum",
     "pbw_generator_list",
@@ -194,6 +201,16 @@ def pbw_generator_list(model, k0):
     return gens
 
 
+def _pbw_powers(model, label):
+    """A PBW label's (generator, exponent) pairs, left to right."""
+    if label.pbw is None or label.k0 is None:
+        raise ValueError("PBW label needs exponents and k0")
+    gens = pbw_generator_list(model, label.k0)
+    if len(label.pbw) != len(gens):
+        raise ValueError("PBW exponent tuple has the wrong length")
+    return [(gen, m) for (_, gen), m in zip(gens, label.pbw)]
+
+
 def eval_label(model, label):
     """Evaluate a basis label to its operator on the model: the product
     of its parts, left to right."""
@@ -202,13 +219,8 @@ def eval_label(model, label):
         return model._op_cache[cache_key]
     shape = _shape(label.flavor)
     if shape is None:
-        if label.pbw is None or label.k0 is None:
-            raise ValueError("PBW label needs exponents and k0")
-        gens = pbw_generator_list(model, label.k0)
-        if len(label.pbw) != len(gens):
-            raise ValueError("PBW exponent tuple has the wrong length")
         out = model.identity()
-        for (_, gen), m in zip(gens, label.pbw):
+        for gen, m in _pbw_powers(model, label):
             if m:
                 out = out @ gen**m
     else:
@@ -294,12 +306,16 @@ def _act(model, label, parts, vec):
 
 
 def apply_label(model, label, vec):
-    """A shaped label's operator applied to a vector {word index: scalar},
-    without building the operator."""
+    """A label's operator applied to a vector {word index: scalar},
+    without building the operator: a shape's parts, or a PBW label's
+    generator powers, right to left."""
     shape = _shape(label.flavor)
-    if shape is None:
-        raise ValueError("a PBW label has no shape to apply")
-    return _act(model, label, shape, vec)
+    if shape is not None:
+        return _act(model, label, shape, vec)
+    for gen, m in reversed(_pbw_powers(model, label)):
+        for _ in range(m):
+            vec = gen.apply(vec)
+    return vec
 
 
 def label_image(model, label):
@@ -329,6 +345,29 @@ def label_image(model, label):
         start = {model.word_index[ordered_word(block[0])]: model.scalars.one}
         partial = model._op_cache[key] = _act(model, label, right, start)
     return _act(model, label, shape[:cut], partial)
+
+
+def label_columns(model, label):
+    """A label's nonzero columns at the ordered words, as
+    {index of u_lam: image}, after the Hecke-commutation certificate.
+
+    A label that pins a block (src, dst) has one, :func:`label_image` at
+    u_src; a PBW, PLUS or MINUS label gets its image of every u_lam.
+    Either way the columns fix the operator (see the module docstring).
+    """
+    index = model.word_index
+    _, block = _label_block(label, model.root_data)
+    if block is not None:
+        image = label_image(model, label)
+        return {index[ordered_word(block[0])]: image} if image else {}
+    certify_hecke_commutation(model)
+    out = {}
+    for lam in model.weight_set():
+        j = index[ordered_word(lam)]
+        image = apply_label(model, label, {j: model.scalars.one})
+        if image:
+            out[j] = image
+    return out
 
 
 def _multi_index_to_json(roots, exponents):

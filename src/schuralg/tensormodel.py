@@ -35,11 +35,15 @@ Jimbo, Lett. Math. Phys. 11, 1986); :func:`certify_hecke_commutation`
 checks this exactly on the model's own operators.  Each weight space
 M^lam is then generated by the ordered word u_lam = 1^lam_1 ... n^lam_n
 (T_p u = s_p u whenever a < b), so an operator built from generators
-is fixed by its images of the ordered words.
+is fixed by its images of the ordered words.  Its ordered-word row
+(:func:`ordered_word_row`) lists those columns, one row per element of
+S(n, d): a family's rows have the rank of its operators, and an
+expansion of the rows is the expansion of the operators.
 """
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import le
 
 from .errors import BadWeight, CertificateError, SizeLimit
 from .ring import scalar_ring
@@ -58,6 +62,7 @@ __all__ = [
     "compositions",
     "word_weight",
     "ordered_word",
+    "ordered_word_row",
     "hecke_generator",
     "certify_hecke_commutation",
 ]
@@ -246,7 +251,6 @@ class Model:
     spec_points: tuple
     _generators: dict = field(default_factory=dict, repr=False)
     _op_cache: dict = field(default_factory=dict, repr=False)
-    _block_index: dict = field(default_factory=dict, repr=False)
     _last_family: tuple | None = field(default=None, repr=False)
     _hecke_certified: bool = field(default=False, repr=False)
 
@@ -441,6 +445,23 @@ def ordered_word(lam):
     (1, 1, 3)
     """
     return tuple(k for k, m in enumerate(lam, 1) for _ in range(m))
+
+
+def ordered_word_row(model, columns):
+    """An element of S(n, d) as one sparse row: its columns at the
+    ordered words, entry i of the column at word j at position
+    j * n^d + i.
+
+    ``columns`` maps a word index to a vector {word index: scalar}; an
+    operator's ``cols`` will do, and its other columns are ignored.  The
+    model's Hecke-commutation certificate is checked first, which makes
+    the row stand for the operator (see the module docstring).
+    """
+    certify_hecke_commutation(model)
+    size, words = model.num_words, model.words
+    return {j * size + i: s
+            for j, col in columns.items() if all(map(le, words[j], words[j][1:]))
+            for i, s in col.items()}
 
 
 def hecke_generator(model, p):

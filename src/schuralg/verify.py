@@ -46,6 +46,7 @@ from .tensormodel import (
     compositions,
     generator_action,
     ordered_word,
+    ordered_word_row,
     weight_idempotent,
 )
 
@@ -550,7 +551,7 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None):
         for (a, b, c) in labels
     ]
     expected = comb(d + 3, 3)
-    rank = rank_of_family(mc, ops)
+    rank = rank_of_family(mc, [ordered_word_row(mc, op.cols) for op in ops])
     rep.add(
         "classical:truncated-monomials",
         len(labels) == expected and rank == expected,
@@ -767,7 +768,8 @@ def check_structural_facts(model):
     rep.add("idempotents-resolve-identity", total_op == model.identity())
     rep.add(
         "idempotents-independent",
-        rank_of_family(model, idem) == len(weights),
+        rank_of_family(model, [ordered_word_row(model, op.cols) for op in idem])
+        == len(weights),
         detail=f"rank {len(weights)}",
     )
 

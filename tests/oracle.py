@@ -1,5 +1,7 @@
 """An independent field for the tests: sympy's Q(v), in which the
-package's scalars are embedded to check its ranks and coordinates."""
+package's scalars are embedded to check its ranks and coordinates, and
+the full row of an operator, the reference its ordered-word rows are
+compared with."""
 
 from fractions import Fraction
 
@@ -33,3 +35,15 @@ def field_rank(rows, field=FIELD):
         return 0
     dense = [[to_field(row.get(k, 0), field) for k in positions] for row in rows]
     return DomainMatrix(dense, (len(rows), len(positions)), field).rank()
+
+
+def operator_row(model, op):
+    """An operator flattened over all its columns to a sparse row of
+    length n^(2d): entry i of column j at position j * n^d + i."""
+    size = model.num_words
+    row = {}
+    for j, col in op.cols.items():
+        base = j * size
+        for i, s in col.items():
+            row[base + i] = s
+    return row

@@ -34,6 +34,8 @@ from schuralg.verify import (
     suite_reports,
 )
 
+from oracle import operator_row
+
 CLASSICAL_GRID = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
 QUANTUM_GRID = ((2, 2), (2, 3), (3, 2), (3, 3))
 
@@ -90,9 +92,9 @@ def test_criterion_2_dimension_and_rank():
                         f"{mode}({n},{d}) |{name}| = {len(labels)} != {expected}"
                     )
                     continue
-                rank = rank_of_family(
-                    model, [eval_label(model, label) for label in labels]
-                )
+                rank = rank_of_family(model, [
+                    operator_row(model, eval_label(model, label)) for label in labels
+                ])
                 if rank != expected:
                     failures.append(
                         f"{mode}({n},{d}) rank {name} = {rank} != {expected}"

@@ -7,16 +7,13 @@ from math import comb
 from operator import sub
 
 import pytest
+from sympy import QQ
 
 from schuralg import bases
 from schuralg.errors import NotInSpan
 from schuralg.bases import (
     RankAccumulator,
-    _certified_rank,
-    _certified_solve,
     _label_block,
-    _op_blocks,
-    _operator_row,
     basis_csv,
     basis_json,
     block_dimension,
@@ -39,9 +36,44 @@ from schuralg.tensormodel import (
     RootData,
     compositions,
     generator_action,
+    ordered_word_row,
 )
 
-from oracle import FIELD, field_rank, to_field
+from oracle import FIELD, field_rank, operator_row, to_field
+
+
+def _ordered_row(m, op):
+    return ordered_word_row(m, op.cols)
+
+
+# An operator as a row: over all its columns, and at the ordered words.
+ROWS = (operator_row, _ordered_row)
+
+
+def _full_rows(m, ops):
+    return [operator_row(m, op) for op in ops]
+
+
+def _op_blocks(m, op):
+    """The weight blocks (src, dst) that ``op`` has entries in."""
+    weights = m.weights
+    return {(weights[j], weights[i]) for j, col in op.cols.items() for i in col}
+
+
+def _block_candidates(m, op, labels):
+    """The labels of the blocks ``op`` touches, by the block index, in
+    enumeration order."""
+    index = block_index(m, labels)
+    return [labels[pos]
+            for pos in sorted(p for b in _op_blocks(m, op) for p in index.get(b, ()))]
+
+
+def _expand(m, op, candidates, row):
+    """Coordinates of ``op`` in the candidates' operators, solved on
+    the rows that ``row`` makes of them."""
+    columns = [row(m, eval_label(m, lab)) for lab in candidates]
+    values = coordinates(m, columns, row(m, op))
+    return {lab: x for lab, x in zip(candidates, values) if x}
 
 
 def monomial_count(symbols, degree):
@@ -130,7 +162,7 @@ def test_families_have_full_rank(mode, kind):
     m = build_model(n, d, mode=mode)
     labels = enumerate_basis(n, d, kind)
     ops = [eval_label(m, label) for label in labels]
-    assert rank_of_family(m, ops) == len(labels), (mode, kind)
+    assert rank_of_family(m, _full_rows(m, ops)) == len(labels), (mode, kind)
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -139,16 +171,16 @@ def test_pbw_full_rank_both_k0(mode):
     for k0 in (1, 2):
         labels = enumerate_basis(2, 3, "PBW", k0=k0)
         ops = [eval_label(m, label) for label in labels]
-        assert rank_of_family(m, ops) == len(labels)
+        assert rank_of_family(m, _full_rows(m, ops)) == len(labels)
 
 
 def test_rank_detects_dependence():
     m = build_model(2, 2)
     e = generator_action(m, "e", 1)
     f = generator_action(m, "f", 1)
-    assert rank_of_family(m, [e, f, e + f]) == 2
-    assert rank_of_family(m, [e, e.scale(3)]) == 1
-    assert rank_of_family(m, [m.zero_op()]) == 0
+    assert rank_of_family(m, _full_rows(m, [e, f, e + f])) == 2
+    assert rank_of_family(m, _full_rows(m, [e, e.scale(3)])) == 1
+    assert rank_of_family(m, _full_rows(m, [m.zero_op()])) == 0
 
 
 def test_rank_exact_fallback_when_specializations_disagree():
@@ -165,7 +197,7 @@ def test_rank_exact_fallback_when_specializations_disagree():
     for op in ops:
         acc.add(op)
     assert acc.rank == 1
-    assert rank_of_family(m, ops) == 2
+    assert rank_of_family(m, _full_rows(m, ops)) == 2
 
 
 def test_rank_is_exact_when_every_spec_point_is_a_root():
@@ -176,10 +208,10 @@ def test_rank_is_exact_when_every_spec_point_is_a_root():
            SparseOperator({0: {0: ONE, 1: ONE + VANISHING}})]
     acc = RankAccumulator(m)
     assert [acc.add(op) for op in ops] == [True, False]
-    assert rank_of_family(m, ops) == 2
+    assert rank_of_family(m, _full_rows(m, ops)) == 2
     # A multiple by the same factor stays dependent: the check at 7/5
     # proves the rank 1 at once.
-    assert rank_of_family(m, [ops[0], ops[0].scale(VANISHING)]) == 1
+    assert rank_of_family(m, _full_rows(m, [ops[0], ops[0].scale(VANISHING)])) == 1
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
@@ -198,8 +230,8 @@ def test_short_rank_solves_no_minor_larger_than_a_block(n, d, monkeypatch):
         return real(scalars, matrix, rhs)
 
     monkeypatch.setattr(bases, "_bareiss_solve", recording)
-    rank = rank_of_family(m, ops)
-    assert rank == field_rank([_operator_row(m, op) for op in ops]) == len(ops) - 1
+    rows = _full_rows(m, ops)
+    assert rank_of_family(m, rows) == field_rank(rows) == len(ops) - 1
     weights = compositions(n, d)
     largest = max(block_dimension(src, dst) for src in weights for dst in weights)
     assert sizes and max(sizes) <= largest
@@ -209,20 +241,21 @@ def test_coordinates_of_basis_elements_are_unit_vectors():
     m = build_model(2, 2)
     labels = enumerate_basis(2, 2, "B1")
     for idx in (0, 3, 7):
-        coeffs = coordinates(m, eval_label(m, labels[idx]), labels)
-        assert coeffs == {labels[idx]: 1}
+        for row in ROWS:
+            coeffs = _expand(m, eval_label(m, labels[idx]), labels, row)
+            assert coeffs == {labels[idx]: 1}
 
 
 def test_coordinates_of_identity():
     m = build_model(2, 2)
     labels = enumerate_basis(2, 2, "B1")
-    coeffs = coordinates(m, m.identity(), labels)
     expected = {
         label: 1
         for label in labels
         if label.A == (0,) and label.C == (0,)
     }
-    assert coeffs == expected
+    for row in ROWS:
+        assert _expand(m, m.identity(), labels, row) == expected
 
 
 def test_coordinates_of_raising_generator():
@@ -230,28 +263,30 @@ def test_coordinates_of_raising_generator():
     # commutation rules; only lam with lam_2 >= 1 admit the label.
     m = build_model(2, 2)
     labels = enumerate_basis(2, 2, "B1")
-    coeffs = coordinates(m, generator_action(m, "e", 1), labels)
     expected = {
         BasisLabel(flavor="B1", A=(1,), lam=(1, 1), C=(0,)): 1,
         BasisLabel(flavor="B1", A=(1,), lam=(0, 2), C=(0,)): 1,
     }
-    assert coeffs == expected
+    for row in ROWS:
+        assert _expand(m, generator_action(m, "e", 1), labels, row) == expected
 
 
 def test_coordinates_quantum():
     m = build_model(2, 2, mode="quantum")
     labels = enumerate_basis(2, 2, "B1")
-    coeffs = coordinates(m, m.identity(), labels)
-    assert len(coeffs) == 3
-    for s in coeffs.values():
-        assert s == 1
+    for row in ROWS:
+        coeffs = _expand(m, m.identity(), labels, row)
+        assert len(coeffs) == 3
+        for s in coeffs.values():
+            assert s == 1
 
 
 def test_coordinates_not_in_span():
     m = build_model(2, 2)
     labels = enumerate_basis(2, 2, "ZERO")  # diagonal projectors only
-    with pytest.raises(NotInSpan):
-        coordinates(m, generator_action(m, "e", 1), labels)
+    for row in ROWS:
+        with pytest.raises(NotInSpan):
+            _expand(m, generator_action(m, "e", 1), labels, row)
 
 
 def test_structure_constants_idempotents():
@@ -312,10 +347,9 @@ def test_block_index_groups_positions_by_block():
     for block, positions in index.items():
         assert positions == sorted(positions)
         assert all(_label_block(labels[p], m.root_data)[1] == block for p in positions)
-    # One entry per distinct family, shared by equal families.
+    # An equal family finds the same index.
     assert block_index(m, enumerate_basis(3, 3, "B1")) is index
     assert block_index(m, enumerate_basis(3, 3, "PBW")) is None
-    assert len(m._block_index) == 2
 
 
 def test_block_index_knows_the_last_family_without_hashing(monkeypatch):
@@ -457,14 +491,15 @@ def _reference_solve(columns, target):
 
 
 def _reference_coordinates(m, op, labels, candidates):
-    columns = [_operator_row(m, eval_label(m, lab)) for lab in candidates]
-    values = _reference_solve(columns, _operator_row(m, op))
+    columns = [operator_row(m, eval_label(m, lab)) for lab in candidates]
+    values = _reference_solve(columns, operator_row(m, op))
     return [(lab, v) for lab, v in zip(candidates, values) if not (v == 0)]
 
 
 def test_coordinates_index_matches_full_filter():
     # The block index must pick the same candidates, in the same order,
-    # as filtering the whole family by block on every call.
+    # as filtering the whole family by block on every call, and both
+    # rows must expand each product in them as the reference does.
     m = build_model(3, 3, mode="quantum")
     labels = enumerate_basis(3, 3, "B1")
     products = []
@@ -480,10 +515,12 @@ def test_coordinates_index_matches_full_filter():
         candidates = [
             lab for lab in labels if _label_block(lab, m.root_data)[1] in touched
         ]
+        assert _block_candidates(m, op, labels) == candidates
         expected = _reference_coordinates(m, op, labels, candidates)
         assert expected
-        got = coordinates(m, op, labels).items()
-        assert [(lab, to_field(x)) for lab, x in got] == expected
+        for row in ROWS:
+            got = _expand(m, op, candidates, row).items()
+            assert [(lab, to_field(x)) for lab, x in got] == expected
 
 
 def _seeded_products(m, labels, count, seed):
@@ -507,16 +544,13 @@ def test_coordinates_match_reference_solve(mode, n, d, count):
     # classically), as eliminating every equation over the fractions.
     m = build_model(n, d, mode=mode)
     labels = enumerate_basis(n, d, "B1")
-    index = block_index(m, labels)
     for op in _seeded_products(m, labels, count, seed=n * 10 + d):
-        candidates = [
-            labels[pos]
-            for pos in sorted(p for b in _op_blocks(m, op) for p in index.get(b, ()))
-        ]
+        candidates = _block_candidates(m, op, labels)
         expected = _reference_coordinates(m, op, labels, candidates)
-        got = list(coordinates(m, op, labels).items())
-        assert [lab for lab, _ in got] == [lab for lab, _ in expected]
-        assert all(to_field(a) == b for (_, a), (_, b) in zip(got, expected))
+        for row in ROWS:
+            got = list(_expand(m, op, candidates, row).items())
+            assert [lab for lab, _ in got] == [lab for lab, _ in expected]
+            assert all(to_field(a) == b for (_, a), (_, b) in zip(got, expected))
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -537,9 +571,10 @@ def test_coordinates_match_reference_solve_unblocked(mode, n, d):
             targets.append(op)
     for op in targets:
         expected = _reference_coordinates(m, op, labels, labels)
-        got = list(coordinates(m, op, labels).items())
-        assert [lab for lab, _ in got] == [lab for lab, _ in expected]
-        assert all(to_field(a) == b for (_, a), (_, b) in zip(got, expected))
+        for row in ROWS:
+            got = list(_expand(m, op, labels, row).items())
+            assert [lab for lab, _ in got] == [lab for lab, _ in expected]
+            assert all(to_field(a) == b for (_, a), (_, b) in zip(got, expected))
 
 
 def _solver_case(mode, entries):
@@ -582,7 +617,7 @@ def test_certified_solve_falls_back_when_minors_vanish(mode, monkeypatch):
     monkeypatch.setattr(bases, "_points", recording)
     m, rows = _solver_case(mode, [[ONE, ONE], [ONE, ONE + VANISHING]])
     xs = [3 * V, 2] if mode == "quantum" else [3, 2]
-    assert _certified_solve(m, rows, _combine(m, rows, xs)) == xs
+    assert coordinates(m, rows, _combine(m, rows, xs)) == xs
     # Specializing at 7/5 and 11/7 leaves rank 1 and the span check
     # fails, so v = 2 is tried next; classically the integer minor is 8.
     if mode == "quantum":
@@ -596,7 +631,7 @@ def test_certified_solve_fractional_coordinates(mode):
     # x0 + x1 = 1 and x0 + (2 + v) x1 = 2: x1 = 1/(1 + v), 1/2 at v = 1.
     m, rows = _solver_case(mode, [[ONE, ONE], [ONE, 2 + V]])
     one = m.scalars.one
-    x0, x1 = _certified_solve(m, rows, {0: one, 1: 2 * one})
+    x0, x1 = coordinates(m, rows, {0: one, 1: 2 * one})
     if mode == "quantum":
         assert isinstance(x1, LaurentFraction) and x1 == LaurentFraction(ONE, 1 + V)
         assert x0 == LaurentFraction(V, 1 + V)
@@ -610,23 +645,23 @@ def test_certified_solve_dependent_family(mode):
                                   [ZERO, ONE, V]])
     consistent = _combine(m, rows, [1, 1, 1])
     with pytest.raises(NotInSpan, match="linearly dependent"):
-        _certified_solve(m, rows, consistent)
+        coordinates(m, rows, consistent)
     # An inconsistent system is reported as such, dependent or not.
     outside = {2: m.scalars.one, 3: m.scalars.one}
     with pytest.raises(NotInSpan, match="outside the span"):
-        _certified_solve(m, rows, outside)
+        coordinates(m, rows, outside)
     with pytest.raises(NotInSpan, match="outside the span"):
-        _certified_solve(m, [rows[0], rows[2]], outside)
+        coordinates(m, [rows[0], rows[2]], outside)
     with pytest.raises(NotInSpan, match="outside the span"):
-        _certified_solve(m, [], outside)
+        coordinates(m, [], outside)
     # Also when the dependent columns and the inconsistent equations lie
     # in different groups of the system.
     one = m.scalars.one
     apart = rows + [{5: one, 6: one}]
     with pytest.raises(NotInSpan, match="outside the span"):
-        _certified_solve(m, apart, {**consistent, 5: one, 6: 2 * one})
+        coordinates(m, apart, {**consistent, 5: one, 6: 2 * one})
     with pytest.raises(NotInSpan, match="linearly dependent"):
-        _certified_solve(m, apart, {**consistent, 5: one, 6: one})
+        coordinates(m, apart, {**consistent, 5: one, 6: one})
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -638,12 +673,12 @@ def test_image_rank_is_operator_rank(n, d, mode):
             continue
         labels = enumerate_basis(n, d, kind)
         ops = [eval_label(m, lab) for lab in labels]
-        assert rank_of_labels(m, labels) == rank_of_family(m, ops), kind
+        assert rank_of_labels(m, labels) == rank_of_family(m, _full_rows(m, ops)), kind
         if kind == "B1":
             for positions in block_index(m, labels).values():
                 images = [label_image(m, labels[p]) for p in positions]
-                assert _certified_rank(m, images) == rank_of_family(
-                    m, [ops[p] for p in positions]) == len(positions)
+                assert rank_of_family(m, images) == rank_of_family(
+                    m, _full_rows(m, [ops[p] for p in positions])) == len(positions)
     # A duplicated label leaves a deficient family: the span check
     # certifies the rank below the count.  The largest block, with one
     # of its labels twice, and one label of another block.
@@ -652,9 +687,13 @@ def test_image_rank_is_operator_rank(n, d, mode):
     other = next(lab for p, lab in enumerate(labels) if p not in largest)
     deficient = [labels[p] for p in largest] + [labels[largest[-1]], other]
     ops = [eval_label(m, lab) for lab in deficient]
-    assert rank_of_labels(m, deficient) == rank_of_family(m, ops) == len(largest) + 1
-    with pytest.raises(ValueError, match="pin a weight block"):
-        rank_of_labels(m, enumerate_basis(n, d, "PBW"))
+    assert rank_of_labels(m, deficient) == rank_of_family(
+        m, _full_rows(m, ops)) == len(largest) + 1
+    # PBW labels pin no block and are ranked on their images of every
+    # ordered word.
+    pbw = enumerate_basis(n, d, "PBW")
+    assert rank_of_labels(m, pbw) == rank_of_family(
+        m, _full_rows(m, [eval_label(m, lab) for lab in pbw]))
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -663,7 +702,10 @@ def test_structure_constants_of_unpinned_labels_use_operators(mode):
     labels = enumerate_basis(2, 2, "PBW")
     for i, j in [(0, 0), (1, 4), (5, 2), (7, 7), (3, 9)]:
         product = eval_label(m, labels[i]) @ eval_label(m, labels[j])
-        assert structure_constants(m, labels, i, j) == coordinates(m, product, labels)
+        got = structure_constants(m, labels, i, j)
+        expected = _expand(m, product, labels, operator_row)
+        assert [(lab, to_field(x)) for lab, x in got.items()] == [
+            (lab, to_field(x)) for lab, x in expected.items()]
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -681,9 +723,58 @@ def test_structure_constants_match_operator_coordinates(n, d, count, mode):
         left = rng.choice([k for k, b in enumerate(blocks) if b[0] == blocks[right][1]])
         product = eval_label(m, labels[left]) @ eval_label(m, labels[right])
         got = structure_constants(m, labels, left, right)
-        assert list(got.items()) == list(coordinates(m, product, labels).items())
+        expected = _expand(m, product, _block_candidates(m, product, labels), operator_row)
+        assert list(got.items()) == list(expected.items())
         nonzero += bool(got)
     # Blocks that do not chain: the product is 0.
     left = next(k for k, b in enumerate(blocks) if b[0] != blocks[0][1])
     assert (eval_label(m, labels[left]) @ eval_label(m, labels[0])).is_zero()
     assert structure_constants(m, labels, left, 0) == {}
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_pbw_rank_of_labels_is_the_full_row_rank(n, d, mode):
+    m = build_model(n, d, mode=mode)
+    field = FIELD if mode == "quantum" else QQ
+    for k0 in (1, n):
+        labels = enumerate_basis(n, d, "PBW", k0=k0)
+        rows = _full_rows(m, [eval_label(m, lab) for lab in labels])
+        assert rank_of_labels(m, labels) == field_rank(rows, field) == len(labels)
+    # A deficient family: one label twice and the zero label e_1^(d + 1).
+    labels = enumerate_basis(n, d, "PBW")
+    zero = BasisLabel("PBW", pbw=(0,) * (n * n - 2) + (d + 1,), k0=n)
+    family = labels[:6] + [labels[3], zero]
+    rows = _full_rows(m, [eval_label(m, lab) for lab in family])
+    assert rank_of_labels(m, family) == field_rank(rows, field) == 6
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_pbw_structure_constants_build_no_label_operator(n, d, mode, monkeypatch):
+    # PBW products are expanded on their columns at the ordered words:
+    # with label operators out of reach, the expansions equal those of
+    # the operators over Q(v) (Q classically).
+    import schuralg
+    from schuralg import cli, hecke, rootvectors, verify
+
+    m = build_model(n, d, mode=mode)
+    labels = enumerate_basis(n, d, "PBW")
+    rng = random.Random(n * 10 + d)
+    pairs = [(rng.randrange(len(labels)), rng.randrange(len(labels))) for _ in range(8)]
+    expected = []
+    for i, j in pairs:
+        product = eval_label(m, labels[i]) @ eval_label(m, labels[j])
+        expected.append(_reference_coordinates(m, product, labels, labels))
+    assert any(expected)
+
+    def refuse(model, label):
+        raise RuntimeError("eval_label was called")
+
+    for module in (schuralg, bases, cli, hecke, rootvectors, verify):
+        if hasattr(module, "eval_label"):
+            monkeypatch.setattr(module, "eval_label", refuse)
+    m = build_model(n, d, mode=mode)
+    for (i, j), want in zip(pairs, expected):
+        got = structure_constants(m, labels, i, j)
+        assert [(lab, to_field(x)) for lab, x in got.items()] == want

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from schuralg import hecke
-from schuralg.bases import RankAccumulator, _operator_row, enumerate_basis, rank_of_family
+from schuralg.bases import RankAccumulator, enumerate_basis, rank_of_family
 from schuralg.errors import HypothesisError
 from schuralg.hecke import (
     check_hecke_generation,
@@ -22,7 +22,7 @@ from schuralg.tensormodel import (
     weight_idempotent,
 )
 
-from oracle import field_rank
+from oracle import field_rank, operator_row
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -91,9 +91,9 @@ def test_closure_is_exact_on_deficient_families(monkeypatch):
         family = [full.family[k] for k in keep]
         ops = [eval_label(m, label) for label in family]
         products = [x @ y for x in ops for y in ops]
-        rows = [_operator_row(m, op) for op in ops + products]
+        rows = [operator_row(m, op) for op in ops + products]
         closed = field_rank(rows) == field_rank(rows[:len(ops)])
-        dim = rank_of_family(m, ops)
+        dim = rank_of_family(m, rows[:len(ops)])
         monkeypatch.setattr(hecke, "omega_truncation", lambda model: hecke.TruncationResult(
             omega=full.omega, family=family, dim=dim))
         data = hecke_summary(m)

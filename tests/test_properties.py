@@ -12,7 +12,7 @@ from schuralg.bases import _specialized_row, rank_of_family
 from schuralg.ring import LaurentPoly, exact_div, gaussian_binomial
 from schuralg.tensormodel import SparseOperator, build_model
 
-from oracle import field_rank
+from oracle import field_rank, operator_row
 
 polys = st.dictionaries(
     st.integers(-6, 6), st.integers(-20, 20), max_size=5
@@ -137,11 +137,13 @@ CLASSICAL_MODEL = build_model(2, 1)
 @given(_family(QUANTUM_COEFFS, small_polys))
 def test_quantum_rank_equals_rank_over_rational_functions(rows):
     sparse = [{k: s for k, s in enumerate(row) if s} for row in rows]
-    assert rank_of_family(QUANTUM_MODEL, _operators(rows)) == field_rank(sparse)
+    full = [operator_row(QUANTUM_MODEL, op) for op in _operators(rows)]
+    assert rank_of_family(QUANTUM_MODEL, full) == field_rank(sparse)
 
 
 @SETTINGS
 @given(_family(CLASSICAL_COEFFS, st.integers(-5, 5)))
 def test_classical_rank_equals_rank_over_rationals(rows):
     sparse = [{k: s for k, s in enumerate(row) if s} for row in rows]
-    assert rank_of_family(CLASSICAL_MODEL, _operators(rows)) == field_rank(sparse, QQ)
+    full = [operator_row(CLASSICAL_MODEL, op) for op in _operators(rows)]
+    assert rank_of_family(CLASSICAL_MODEL, full) == field_rank(sparse, QQ)

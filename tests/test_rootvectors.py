@@ -13,6 +13,7 @@ from schuralg.rootvectors import (
     apply_label,
     divided_power,
     eval_label,
+    label_columns,
     label_image,
     label_from_json,
     label_key,
@@ -313,5 +314,24 @@ def test_label_image_needs_a_block():
     for kind in ("PLUS", "MINUS", "PBW"):
         with pytest.raises(ValueError, match="pins no weight block"):
             label_image(m, enumerate_basis(2, 2, kind)[0])
-    with pytest.raises(ValueError, match="no shape"):
-        apply_label(m, enumerate_basis(2, 2, "PBW")[0], {0: 1})
+    # apply_label takes a PBW label too: its generator powers act right
+    # to left.
+    one = m.scalars.one
+    for label in enumerate_basis(2, 2, "PBW"):
+        assert apply_label(m, label, {0: one}) == eval_label(m, label).cols.get(0, {}), label
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 2)])
+def test_label_columns_are_the_operator_columns_at_the_ordered_words(n, d, mode):
+    # Every kind, PBW with k0 = 1 and k0 = n: a label's columns are its
+    # operator's nonzero columns at the ordered words, and no others.
+    m = build_model(n, d, mode=mode)
+    ordered = [m.word_index[ordered_word(lam)] for lam in compositions(n, d)]
+    families = [enumerate_basis(n, d, kind) for kind in KINDS if kind != "PBW"]
+    families += [enumerate_basis(n, d, "PBW", k0=k0) for k0 in (1, n)]
+    for labels in families:
+        for label in labels:
+            cols = eval_label(m, label).cols
+            expected = {j: cols[j] for j in ordered if cols.get(j)}
+            assert label_columns(m, label) == expected, label

@@ -28,3 +28,11 @@ def test_package_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names and name != "schuralg"
     }
     assert not outside
+
+
+def test_bases_does_not_import_eval_label():
+    # Ranks and expansions take rows; no label operator is built there.
+    tree = ast.parse((PACKAGE / "bases.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert names and "eval_label" not in names
