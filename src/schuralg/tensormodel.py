@@ -59,6 +59,7 @@ __all__ = [
     "generator_action",
     "weight_idempotent",
     "cartan_binomial",
+    "cartan_product",
     "compositions",
     "word_weight",
     "ordered_word",
@@ -253,6 +254,7 @@ class Model:
     _op_cache: dict = field(default_factory=dict, repr=False)
     _last_family: tuple | None = field(default=None, repr=False)
     _hecke_certified: bool = field(default=False, repr=False)
+    _weight_set: tuple = field(default=(), repr=False)
 
     @property
     def num_words(self):
@@ -289,7 +291,10 @@ class Model:
         return GENERATOR_NAMES[self.mode]
 
     def weight_set(self):
-        return compositions(self.n, self.d)
+        """``compositions(n, d)`` as a tuple, computed once per model."""
+        if not self._weight_set:
+            self._weight_set = tuple(compositions(self.n, self.d))
+        return self._weight_set
 
 
 def _build_generators(model):
@@ -418,24 +423,29 @@ def cartan_binomial(model, k, m):
     return out
 
 
+def cartan_product(model, B):
+    """The product of the Cartan binomials binom(H_k, B_k) over k,
+    quantumly of their Gaussian analogues; the identity for B = 0."""
+    out = model.identity()
+    for k, b in enumerate(B, start=1):
+        if b:
+            out = out @ cartan_binomial(model, k, b)
+    return out
+
+
 def weight_idempotent(model, lam):
     """The weight idempotent for a composition lam of d.
 
-    Computed from the Cartan binomial product formula (not built
-    directly as a projector; the projector description is what the
-    tests compare against).
+    Computed as the Cartan product of lam (not built directly as a
+    projector; the projector description is what the tests compare
+    against).
     """
     lam = tuple(lam)
     _check_weight(model, lam)
     key = ("weight_idempotent", lam)
-    if key in model._op_cache:
-        return model._op_cache[key]
-    out = model.identity()
-    for k in range(1, model.n + 1):
-        if lam[k - 1]:
-            out = out @ cartan_binomial(model, k, lam[k - 1])
-    model._op_cache[key] = out
-    return out
+    if key not in model._op_cache:
+        model._op_cache[key] = cartan_product(model, lam)
+    return model._op_cache[key]
 
 
 def ordered_word(lam):

@@ -18,7 +18,8 @@ Hecke-commutation certificate holds, an operator x = x 1_src built from
 generators stands for its column at the ordered word u_src
 (``tensormodel``): the column at T_w u_src is T_w applied to it, and
 T_w is invertible, so this holds at each point of v too, v = 1
-included.
+included.  The triangular check applies one root-vector monomial to
+another's column at u_src (see :func:`_triangular_items`).
 """
 
 import time
@@ -33,7 +34,8 @@ from .errors import HypothesisError
 from .ring import LaurentPoly
 from .rootvectors import (
     _label_block,
-    eval_label,
+    apply_label,
+    label_columns,
     label_image,
     root_divided_power,
     root_vector,
@@ -42,6 +44,7 @@ from .tensormodel import (
     SparseOperator,
     build_model,
     cartan_binomial,
+    cartan_product,
     certify_hecke_commutation,
     compositions,
     generator_action,
@@ -581,112 +584,76 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None):
     return rep
 
 
-def _triangular_order(da, db, dc):
-    """Index triples (ia, ib, ic) over three families with the given
-    degree lists, streamed in the order of
-    sorted((da[ia] + db[ib] + dc[ic], ia, ib, ic))."""
-    by_degree = {}
-    for ic, deg in enumerate(dc):
-        by_degree.setdefault(deg, []).append(ic)
-    for total in range(max(da) + max(db) + max(dc) + 1):
-        for ia, a in enumerate(da):
-            if a > total:
-                continue
-            for ib, b in enumerate(db):
-                for ic in by_degree.get(total - a - b, ()):
-                    yield ia, ib, ic
+def _block_ranks(model, left, right):
+    """Rank of every weight block of the pair products x y, x from the
+    labels ``left`` and y from ``right``, in ascending total degree.
 
-
-def _cartan_product(model, B):
-    """Product of the Cartan binomials binom(H_k, B_k) over k."""
-    op = model.identity()
-    for k, b in enumerate(B, start=1):
-        if b:
-            op = op @ cartan_binomial(model, k, b)
-    return op
-
-
-def _block_ranks(model, fams):
-    """Rank of every weight block of the products a @ b @ c, with a, b
-    and c drawn from ``fams`` in the order of :func:`_triangular_order`.
-
-    Each family is a list of (degree, weight shift, operator).  The
-    piece a b c 1_src of a product lies in block (src, src + delta),
-    where delta is the sum of the three shifts, and stands for its
-    column at the ordered word u_src (see the module docstring).  Only
-    c's columns at the ordered words of open sources are multiplied,
-    each product column goes to its block's own RankAccumulator, and a
-    block closes once its rank reaches :func:`block_dimension`.
-    Returns {(src, dst): rank} over all blocks, sources and targets in
+    The piece x y 1_src lies in block (src, src + delta), delta the sum
+    of the two shifts, and stands for its column at the ordered word
+    u_src (see the module docstring): x applied to y's column there.
+    Each piece goes to its block's own RankAccumulator, and a block
+    closes once its rank reaches :func:`block_dimension`.  Returns
+    {(src, dst): rank} over all blocks, sources and targets in
     weight-set order.  Each rank is a certified lower bound (exact
-    classically) that is compared only with the block's dimension, an
-    upper bound, so a block that reaches it is proved.
+    classically) compared only with the block's dimension, an upper
+    bound, so a block that reaches it is proved.
     """
     certify_hecke_commutation(model)
     weights = model.weight_set()
     dims = {(src, dst): block_dimension(src, dst)
             for src in weights for dst in weights}
-    # Open sources per shift, each with its ordered word's index; a dict
-    # keeps them in weight-set order.
+    # Open sources per shift, by their ordered words' indices.
     open_sources = {}
     for src, dst in dims:
-        open_sources.setdefault(tuple(map(sub, dst, src)), {})[src] = (
-            model.word_index[ordered_word(src)])
+        open_sources.setdefault(tuple(map(sub, dst, src)), {})[
+            model.word_index[ordered_word(src)]] = src
     remaining = len(dims)
     accs = {}
-    degrees = [[deg for deg, _, _ in fam] for fam in fams]
-    for ia, ib, ic in _triangular_order(*degrees):
-        _, sa, a = fams[0][ia]
-        _, sb, b = fams[1][ib]
-        _, sc, c = fams[2][ic]
-        delta = tuple(x + y + z for x, y, z in zip(sa, sb, sc))
+    for x, delta, columns in _pairs_by_degree(model, left, right):
         sources = open_sources.get(delta)
         if not sources:
             continue
-        c_cols = {j: c.cols[j] for j in sources.values() if j in c.cols}
-        if not c_cols:
-            continue
-        for j, col in (a @ (b @ SparseOperator(c_cols))).cols.items():
-            src = model.weights[j]
+        for j, col in columns.items():
+            if j not in sources:
+                continue
+            piece = apply_label(model, x, col)
+            if not piece:
+                continue
+            src = sources[j]
             block = (src, tuple(map(add, src, delta)))
             acc = accs.get(block)
             if acc is None:
                 acc = accs[block] = RankAccumulator(model)
-            acc.add(SparseOperator({j: col}))
+            acc.add(SparseOperator({j: piece}))
             if acc.rank >= dims[block]:
-                del sources[src]
+                del sources[j]
                 remaining -= 1
         if not remaining:
             break
     return {block: accs[block].rank if block in accs else 0 for block in dims}
 
 
-def _triangular_families(model):
-    """The factor families of the triangular check by sign: PLUS and
-    MINUS monomials of degree <= d and Cartan products of degree <= d,
-    each entry (degree, weight shift, operator)."""
-    n, d = model.n, model.d
-    families = {
-        sign: [(sum(label.A), _label_block(label, model.root_data)[0],
-                eval_label(model, label))
-               for label in enumerate_basis(n, d, kind)]
-        for sign, kind in (("+", "PLUS"), ("-", "MINUS"))
-    }
-    families["0"] = [
-        (total, (0,) * n, _cartan_product(model, B))
-        for total in range(d + 1)
-        for B in compositions(n, total)
-    ]
-    return families
+def _pairs_by_degree(model, left, right):
+    """(x, delta, y's columns) for x in ``left`` and y in ``right``, in
+    ascending total degree, then list order; delta sums their shifts."""
+    rd = model.root_data
+    left = [(sum(x.A), _label_block(x, rd)[0], x) for x in left]
+    by_degree = {}
+    for y in right:
+        by_degree.setdefault(sum(y.A), []).append(
+            (_label_block(y, rd)[0], label_columns(model, y)))
+    for total in range(max(deg for deg, _, _ in left) + max(by_degree) + 1):
+        for deg, sx, x in left:
+            for sy, columns in by_degree.get(total - deg, ()):
+                yield x, tuple(map(add, sx, sy)), columns
 
 
-def _triangular_item(model, tag, fams):
-    """The item triangular[tag] for three factor families: passes when
-    the block ranks sum to dim S(n, d); a failing detail names the first
-    block short of its dimension."""
+def _triangular_item(model, tag, ranks):
+    """The item triangular[tag] for a rank map of :func:`_block_ranks`:
+    passes when the block ranks sum to dim S(n, d); a failing detail
+    names the first block short of its dimension."""
     n, d = model.n, model.d
     dim = comb(n * n - 1 + d, d)
-    ranks = _block_ranks(model, fams)
     rank = sum(ranks.values())
     detail = f"rank {rank} of {dim}"
     if rank < dim:
@@ -709,18 +676,35 @@ def _triangular_items(model, rep):
     span every weight idempotent (1_nu is the product of the
     binom(H_k, nu_k), quantumly of their Gaussian analogues); the
     projection is again a combination of triple products of the same
-    order.  Skipping closed blocks keeps every
-    PASS a proof: each block rank is the rank of pieces actually
-    computed (by their columns at u_src), which lie in the family's
-    span; pieces of different
-    blocks are independent; and no block exceeds its dimension, so a
-    closed block cannot grow.  In quantum mode each block rank is the
-    one-point lower bound of RankAccumulator, so a block that reaches
-    its dimension is certified, and a PASS needs every block there.
+    order.
+
+    Each block is ranked on the pair products of the two root-vector
+    factors alone.  A Cartan product h is diagonal on the words, with an
+    entry read from the word's weight, so it acts on each weight space
+    M^mu by a scalar h(mu) and commutes with every T_p (the
+    Hecke-commutation certificate runs before the first column).
+    Wherever h stands, the piece x h y u_src is h(mu) x (y u_src), with
+    mu the weight h meets: dst on the left, src + shift(y) in the
+    middle, src on the right.  B = 0 gives h = 1, so at every point of
+    v the triple pieces of a block span what its pair pieces x y u_src
+    span.  The three orders that put S+ left of S- therefore share the
+    block ranks of the PLUS-MINUS pairs, and the other three those of
+    the MINUS-PLUS pairs.
+
+    Skipping closed blocks keeps every PASS a proof: each block rank is
+    the rank of pieces actually computed (by their columns at u_src),
+    which lie in the family's span; pieces of different blocks are
+    independent; and no block exceeds its dimension, so a closed block
+    cannot grow.  In quantum mode each block rank is the one-point lower
+    bound of RankAccumulator, so a block that reaches its dimension is
+    certified, and a PASS needs every block there; classically a short
+    block is exact.
     """
-    families = _triangular_families(model)
+    plus, minus = (enumerate_basis(model.n, model.d, kind) for kind in ("PLUS", "MINUS"))
+    ranks = {"+-": _block_ranks(model, plus, minus), "-+": _block_ranks(model, minus, plus)}
     for perm in permutations("+0-"):
-        rep.append(_triangular_item(model, "".join(perm), [families[p] for p in perm]))
+        tag = "".join(perm)
+        rep.append(_triangular_item(model, tag, ranks[tag.replace("0", "")]))
 
 
 def check_structural_facts(model):
@@ -730,8 +714,10 @@ def check_structural_facts(model):
     Each decomposition is certified by rank, weight block by weight
     block: the span of its triple products is closed under projection
     onto blocks, so the block ranks sum to its rank, and a block stops
-    taking products once it reaches its matrix-count dimension (see
-    :func:`_triangular_items`)."""
+    taking products once it reaches its matrix-count dimension.  The
+    Cartan factor is a scalar on each weight space, so the six orders
+    read two rank maps, one per order of the PLUS and MINUS factors
+    (see :func:`_triangular_items`)."""
     t0 = time.perf_counter()
     rep = CheckReport("structural-facts", model.n, model.d, model.mode)
     n, d = model.n, model.d
@@ -750,7 +736,7 @@ def check_structural_facts(model):
     for total in (d + 1, d + 2):
         agg = _Agg()
         for B in compositions(n, total):
-            agg.check(_cartan_product(model, B).is_zero(), f"B={B}")
+            agg.check(cartan_product(model, B).is_zero(), f"B={B}")
         rep.append(agg.item(f"cartan-products-vanish[degree={total}]"))
 
     weights = model.weight_set()

@@ -143,14 +143,15 @@ def test_text_and_csv_output_match_golden_digest(command, digest):
 
 
 VECTOR_ONLY = [(c, d) for c, d in GOLDEN
-               if c.split()[0] in ("dim", "structconst", "hecke")]
+               if c.split()[0] in ("dim", "structconst", "hecke", "verify")]
 
 
 @pytest.mark.parametrize("command,digest", VECTOR_ONLY, ids=[c for c, _ in VECTOR_ONLY])
 def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatch):
-    # dim, structure constants and the corner work on the images of the
-    # ordered words: with label operators out of reach, the output is
-    # unchanged.
+    # dim, structure constants, the corner and every verify suite, the
+    # triangular check and the v = 1 comparison included, work on the
+    # images of the ordered words: with label operators out of reach,
+    # the output is unchanged.
     def refuse(model, label):
         raise RuntimeError("eval_label was called")
 

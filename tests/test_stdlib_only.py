@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import schuralg
 
 PACKAGE = Path(schuralg.__file__).parent
@@ -30,9 +32,11 @@ def test_package_imports_only_the_standard_library():
     assert not outside
 
 
-def test_bases_does_not_import_eval_label():
-    # Ranks and expansions take rows; no label operator is built there.
-    tree = ast.parse((PACKAGE / "bases.py").read_text())
+@pytest.mark.parametrize("source", ["bases.py", "verify.py"])
+def test_bases_does_not_import_eval_label(source):
+    # Ranks, expansions and the triangular check take rows and columns;
+    # no label operator is built there.
+    tree = ast.parse((PACKAGE / source).read_text())
     names = {alias.name for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert names and "eval_label" not in names

@@ -7,7 +7,7 @@ regression in the checkers cannot hide behind their own pass flags.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -18,11 +18,12 @@ from schuralg.ring import LaurentPoly, quantum_integer
 from schuralg.tensormodel import (
     build_model,
     cartan_binomial,
+    cartan_product,
     compositions,
     generator_action,
     weight_idempotent,
 )
-from schuralg.rootvectors import eval_label, root_divided_power
+from schuralg.rootvectors import _label_block, eval_label, label_columns, root_divided_power
 from schuralg.verify import (
     CheckReport,
     check_enveloping_relations,
@@ -34,13 +35,7 @@ from schuralg.verify import (
     check_structural_facts,
     suite_reports,
 )
-from schuralg.verify import (
-    _Agg,
-    _block_ranks,
-    _triangular_families,
-    _triangular_item,
-    _triangular_order,
-)
+from schuralg.verify import _Agg, _block_ranks, _pairs_by_degree, _triangular_item
 
 
 def _ids(report):
@@ -284,27 +279,6 @@ def test_suite_reports_selection():
         suite_reports(2, 2, suite="bogus")
 
 
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
-def test_triangular_order_matches_sorted_triples(n, d):
-    # The streamed order must be the sorted order, so the rank check
-    # stops at the same product as a sort of every index triple would.
-    root_degrees = [sum(label.A) for label in enumerate_basis(n, d, "PLUS")]
-    zero_degrees = [t for t in range(d + 1) for _ in compositions(n, t)]
-    families = {"+": root_degrees, "0": zero_degrees, "-": root_degrees}
-    for perm in permutations("+0-"):
-        da, db, dc = (families[p] for p in perm)
-        expected = [
-            (ia, ib, ic)
-            for _, ia, ib, ic in sorted(
-                (a + b + c, ia, ib, ic)
-                for ia, a in enumerate(da)
-                for ib, b in enumerate(db)
-                for ic, c in enumerate(dc)
-            )
-        ]
-        assert list(_triangular_order(da, db, dc)) == expected
-
-
 def test_suite_reports_pass_configuration_to_every_model(monkeypatch):
     from fractions import Fraction
 
@@ -327,39 +301,94 @@ def test_suite_reports_pass_configuration_to_every_model(monkeypatch):
     assert all(k["word_cap"] == 50 and k["spec_points"] == points for k in seen)
 
 
+def _labels(model, cut=False):
+    """PLUS and MINUS labels by sign; ``cut`` keeps degree < d only:
+    deficient, but still closed under projection onto weight blocks."""
+    return {
+        sign: [label for label in enumerate_basis(model.n, model.d, kind)
+               if not cut or sum(label.A) < model.d]
+        for sign, kind in (("+", "PLUS"), ("-", "MINUS"))
+    }
+
+
+def _operator_families(model, labels):
+    """The factor families of the triangular check as operators, each
+    entry (degree, operator): the labels' operators by ``eval_label``,
+    and the Cartan products of degree <= d."""
+    families = {sign: [(sum(label.A), eval_label(model, label)) for label in fam]
+                for sign, fam in labels.items()}
+    families["0"] = [(total, cartan_product(model, B))
+                     for total in range(model.d + 1)
+                     for B in compositions(model.n, total)]
+    return families
+
+
 def _full_row_rank(model, fams, stop):
     """Reference rank: every triple product as one full row in a single
-    accumulator, in the streamed order, stopping at ``stop``."""
+    accumulator, in ascending total degree, stopping at ``stop``."""
     acc = RankAccumulator(model)
-    degrees = [[deg for deg, _, _ in fam] for fam in fams]
-    for ia, ib, ic in _triangular_order(*degrees):
-        acc.add(fams[0][ia][2] @ fams[1][ib][2] @ fams[2][ic][2])
+    for (_, a), (_, b), (_, c) in sorted(product(*fams),
+                                         key=lambda t: sum(deg for deg, _ in t)):
+        acc.add(a @ b @ c)
         if acc.rank >= stop:
             break
     return acc.rank
 
 
-def _cut_families(model):
-    """PLUS and MINUS cut to degree < d, Cartan products kept: deficient,
-    but still closed under projection onto weight blocks."""
-    families = _triangular_families(model)
-    return {
-        sign: [f for f in fam if sign == "0" or f[0] < model.d]
-        for sign, fam in families.items()
-    }
+def _pair_ranks(model, labels, tag):
+    """The block ranks of the sign pair of an order, such as "+-" for "0+-"."""
+    left, right = tag.replace("0", "")
+    return _block_ranks(model, labels[left], labels[right])
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_pairs_stream_in_ascending_total_degree(n, d):
+    # Each pair's x, summed shift and y's columns, in the order of a sort
+    # of every index pair by total degree.
+    m = build_model(n, d)
+    labels = _labels(m)
+    left, right = labels["+"], labels["-"]
+    pairs = sorted(product(range(len(left)), range(len(right))),
+                   key=lambda p: (sum(left[p[0]].A) + sum(right[p[1]].A), p))
+    shift = lambda label: _label_block(label, m.root_data)[0]
+    expected = [(left[i], tuple(a + b for a, b in zip(shift(left[i]), shift(right[j]))),
+                 label_columns(m, right[j])) for i, j in pairs]
+    assert list(_pairs_by_degree(m, left, right)) == expected
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3)])
 def test_block_ranks_match_full_row_rank(n, d, mode):
+    # Each sign pair's block ranks are the rank of every triple product,
+    # Cartan factor included, in each of the three orders keeping the pair.
     m = build_model(n, d, mode=mode)
     dim = comb(n * n - 1 + d, d)
-    for families in (_triangular_families(m), _cut_families(m)):
-        for perm in permutations("+0-"):
-            fams = [families[p] for p in perm]
-            ranks = _block_ranks(m, fams)
+    for labels in (_labels(m), _labels(m, cut=True)):
+        families = _operator_families(m, labels)
+        for pair in ("+-", "-+"):
+            ranks = _pair_ranks(m, labels, pair)
             assert all(r <= block_dimension(*block) for block, r in ranks.items())
-            assert sum(ranks.values()) == _full_row_rank(m, fams, dim)
+            orders = [p for p in permutations("+0-") if "".join(p).replace("0", "") == pair]
+            assert len(orders) == 3
+            for perm in orders:
+                fams = [families[p] for p in perm]
+                assert sum(ranks.values()) == _full_row_rank(m, fams, dim)
+
+
+def test_structural_report_ranks_two_sign_pairs(monkeypatch):
+    from schuralg import verify
+
+    calls = []
+    real = verify._block_ranks
+
+    def recording(model, left, right):
+        calls.append((left[-1].flavor, right[-1].flavor))
+        return real(model, left, right)
+
+    monkeypatch.setattr(verify, "_block_ranks", recording)
+    rep = check_structural_facts(build_model(2, 3))
+    assert rep.passed
+    assert calls == [("PLUS", "MINUS"), ("MINUS", "PLUS")]
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -367,25 +396,24 @@ def test_failing_triangular_item_names_its_block(mode):
     # Without e^(3) and f^(3) at (2, 3) nothing maps weight (3, 0) to
     # (0, 3) or back; the first such block in weight order is named.
     m = build_model(2, 3, mode=mode)
-    families = _cut_families(m)
+    labels = _labels(m, cut=True)
     for perm in permutations("+0-"):
         tag = "".join(perm)
-        item = _triangular_item(m, tag, [families[p] for p in perm])
+        item = _triangular_item(m, tag, _pair_ranks(m, labels, tag))
         assert item.id == f"triangular[{tag}]" and not item.ok
         assert item.detail == "rank 18 of 20; block (3, 0)->(0, 3) rank 0 of 1"
-    real = _triangular_families(m)
-    item = _triangular_item(m, "+0-", [real[p] for p in "+0-"])
+    item = _triangular_item(m, "+0-", _pair_ranks(m, _labels(m), "+0-"))
     assert item.ok and item.detail == "rank 20 of 20"
 
 
 def test_failing_triangular_item_block_is_short():
-    # The named block's rank is recomputed from full projections.
+    # The named block's rank is recomputed from full projections of the
+    # triple products, Cartan factor included.
     m = build_model(3, 2)
-    families = _cut_families(m)
-    fams = [families[p] for p in "+0-"]
-    item = _triangular_item(m, "+0-", fams)
+    labels = _labels(m, cut=True)
+    ranks = _pair_ranks(m, labels, "+0-")
+    item = _triangular_item(m, "+0-", ranks)
     assert not item.ok
-    ranks = _block_ranks(m, fams)
     block, short = next(
         (b, r) for b, r in ranks.items() if r < block_dimension(*b)
     )
@@ -393,10 +421,9 @@ def test_failing_triangular_item_block_is_short():
     assert item.detail.endswith(
         f"block {src}->{dst} rank {short} of {block_dimension(src, dst)}"
     )
+    families = _operator_families(m, labels)
     one_src, one_dst = weight_idempotent(m, src), weight_idempotent(m, dst)
     acc = RankAccumulator(m)
-    for a in fams[0]:
-        for b in fams[1]:
-            for c in fams[2]:
-                acc.add(one_dst @ a[2] @ b[2] @ c[2] @ one_src)
+    for (_, a), (_, b), (_, c) in product(*(families[p] for p in "+0-")):
+        acc.add(one_dst @ a @ b @ c @ one_src)
     assert acc.rank == short
