@@ -19,7 +19,8 @@ whose labels all pin a weight block is ranked block by block instead,
 one vector per label: its image of the ordered word u_src of its source
 weight (``rootvectors.label_image``).  Operators of different blocks
 have disjoint supports, so the rank of the family is the sum of the
-ranks of its blocks.
+ranks of its blocks; :func:`block_ranks` returns them, and the
+triangular check of ``verify`` reads those of B1 and B2.
 
 Every rank and every solve is certified one way (:func:`_pivots`).
 Classical entries are integers and their rows are reduced by
@@ -83,6 +84,7 @@ __all__ = [
     "enumerate_basis",
     "block_index",
     "block_dimension",
+    "block_ranks",
     "rank_of_family",
     "rank_of_labels",
     "RankAccumulator",
@@ -297,7 +299,8 @@ def _prepared(row, point):
 
 class RankAccumulator:
     """Incremental rank of a stream of operators at the first point of
-    :func:`_points`, each flattened to its columns' entries.
+    :func:`_points`, each flattened to its columns' entries; the corner
+    search of ``hecke`` streams its vectors through one.
 
     The rank is exact classically and a certified lower bound quantumly;
     a caller that compares it with a known dimension gets a proof when
@@ -373,13 +376,22 @@ def rank_of_labels(model, labels):
     Hecke-commutation certificate holds, either rank is the rank of the
     operators (see ``rootvectors``).
     """
+    ranks = block_ranks(model, labels)
+    if ranks is None:
+        return rank_of_family(model, [_label_row(model, label) for label in labels])
+    return sum(ranks.values())
+
+
+def block_ranks(model, labels):
+    """Exact rank of each weight block of a label family, ranked on the
+    labels' images of u_src (:func:`label_image`), as
+    ``{(src, dst): rank}`` over the blocks of :func:`block_index`; None
+    when some label pins no block."""
     index = block_index(model, labels)
     if index is None:
-        return rank_of_family(model, [_label_row(model, label) for label in labels])
-    return sum(
-        rank_of_family(model, [label_image(model, labels[pos]) for pos in positions])
-        for positions in index.values()
-    )
+        return None
+    return {block: rank_of_family(model, [label_image(model, labels[pos]) for pos in positions])
+            for block, positions in index.items()}
 
 
 def block_index(model, family):

@@ -181,7 +181,7 @@ def _kostant_monomial(model, exponents, sign):
 
 
 def pbw_generator_list(model, k0):
-    """The ordered generator list for truncated PBW monomials.
+    """The ordered generator operators for truncated PBW monomials.
 
     Minus root vectors first (lexicographic), then the Cartan
     generators with index != k0 in ascending order, then plus root
@@ -189,16 +189,11 @@ def pbw_generator_list(model, k0):
     """
     if not (1 <= k0 <= model.n):
         raise ValueError(f"k0 must be in 1..{model.n}")
-    gens = []
-    for root in model.root_data.positive_roots:
-        gens.append((f"minus{root[0]}-{root[1]}", root_vector(model, root, "minus")))
+    roots = model.root_data.positive_roots
     cartan = model.names.cartan
-    for k in range(1, model.n + 1):
-        if k != k0:
-            gens.append((f"{cartan}{k}", generator_action(model, cartan, k)))
-    for root in model.root_data.positive_roots:
-        gens.append((f"plus{root[0]}-{root[1]}", root_vector(model, root, "plus")))
-    return gens
+    return ([root_vector(model, root, "minus") for root in roots]
+            + [generator_action(model, cartan, k) for k in range(1, model.n + 1) if k != k0]
+            + [root_vector(model, root, "plus") for root in roots])
 
 
 def _pbw_powers(model, label):
@@ -208,7 +203,7 @@ def _pbw_powers(model, label):
     gens = pbw_generator_list(model, label.k0)
     if len(label.pbw) != len(gens):
         raise ValueError("PBW exponent tuple has the wrong length")
-    return [(gen, m) for (_, gen), m in zip(gens, label.pbw)]
+    return list(zip(gens, label.pbw))
 
 
 def eval_label(model, label):

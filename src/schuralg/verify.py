@@ -18,8 +18,8 @@ Hecke-commutation certificate holds, an operator x = x 1_src built from
 generators stands for its column at the ordered word u_src
 (``tensormodel``): the column at T_w u_src is T_w applied to it, and
 T_w is invertible, so this holds at each point of v too, v = 1
-included.  The triangular check applies one root-vector monomial to
-another's column at u_src (see :func:`_triangular_items`).
+included.  The triangular check ranks the weight blocks of the bases
+B1 and B2 on these images (see :func:`_triangular_items`).
 """
 
 import time
@@ -27,28 +27,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import comb
-from operator import add, sub
 
-from .bases import RankAccumulator, block_dimension, enumerate_basis, rank_of_family
+from .bases import block_dimension, block_ranks, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .ring import LaurentPoly
-from .rootvectors import (
-    _label_block,
-    apply_label,
-    label_columns,
-    label_image,
-    root_divided_power,
-    root_vector,
-)
+from .rootvectors import label_image, root_divided_power, root_vector
 from .tensormodel import (
-    SparseOperator,
     build_model,
     cartan_binomial,
     cartan_product,
-    certify_hecke_commutation,
     compositions,
     generator_action,
-    ordered_word,
     ordered_word_row,
     weight_idempotent,
 )
@@ -584,74 +573,10 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None):
     return rep
 
 
-def _block_ranks(model, left, right):
-    """Rank of every weight block of the pair products x y, x from the
-    labels ``left`` and y from ``right``, in ascending total degree.
-
-    The piece x y 1_src lies in block (src, src + delta), delta the sum
-    of the two shifts, and stands for its column at the ordered word
-    u_src (see the module docstring): x applied to y's column there.
-    Each piece goes to its block's own RankAccumulator, and a block
-    closes once its rank reaches :func:`block_dimension`.  Returns
-    {(src, dst): rank} over all blocks, sources and targets in
-    weight-set order.  Each rank is a certified lower bound (exact
-    classically) compared only with the block's dimension, an upper
-    bound, so a block that reaches it is proved.
-    """
-    certify_hecke_commutation(model)
-    weights = model.weight_set()
-    dims = {(src, dst): block_dimension(src, dst)
-            for src in weights for dst in weights}
-    # Open sources per shift, by their ordered words' indices.
-    open_sources = {}
-    for src, dst in dims:
-        open_sources.setdefault(tuple(map(sub, dst, src)), {})[
-            model.word_index[ordered_word(src)]] = src
-    remaining = len(dims)
-    accs = {}
-    for x, delta, columns in _pairs_by_degree(model, left, right):
-        sources = open_sources.get(delta)
-        if not sources:
-            continue
-        for j, col in columns.items():
-            if j not in sources:
-                continue
-            piece = apply_label(model, x, col)
-            if not piece:
-                continue
-            src = sources[j]
-            block = (src, tuple(map(add, src, delta)))
-            acc = accs.get(block)
-            if acc is None:
-                acc = accs[block] = RankAccumulator(model)
-            acc.add(SparseOperator({j: piece}))
-            if acc.rank >= dims[block]:
-                del sources[j]
-                remaining -= 1
-        if not remaining:
-            break
-    return {block: accs[block].rank if block in accs else 0 for block in dims}
-
-
-def _pairs_by_degree(model, left, right):
-    """(x, delta, y's columns) for x in ``left`` and y in ``right``, in
-    ascending total degree, then list order; delta sums their shifts."""
-    rd = model.root_data
-    left = [(sum(x.A), _label_block(x, rd)[0], x) for x in left]
-    by_degree = {}
-    for y in right:
-        by_degree.setdefault(sum(y.A), []).append(
-            (_label_block(y, rd)[0], label_columns(model, y)))
-    for total in range(max(deg for deg, _, _ in left) + max(by_degree) + 1):
-        for deg, sx, x in left:
-            for sy, columns in by_degree.get(total - deg, ()):
-                yield x, tuple(map(add, sx, sy)), columns
-
-
 def _triangular_item(model, tag, ranks):
-    """The item triangular[tag] for a rank map of :func:`_block_ranks`:
-    passes when the block ranks sum to dim S(n, d); a failing detail
-    names the first block short of its dimension."""
+    """The item triangular[tag] for a map {(src, dst): rank} over all
+    weight blocks: passes when the block ranks sum to dim S(n, d); a
+    failing detail names the first block short of its dimension."""
     n, d = model.n, model.d
     dim = comb(n * n - 1 + d, d)
     rank = sum(ranks.values())
@@ -668,43 +593,33 @@ def _triangular_items(model, rep):
     """One item per order of S+, S0, S-: the triple products of PLUS
     monomials, Cartan products and MINUS monomials span S(n, d).
 
-    The rank is the sum of the ranks of the weight blocks.  That sum is
-    the rank of the whole family because the family's span is closed
-    under projection onto blocks: PLUS and MINUS monomials are
-    weight-homogeneous, so in 1_mu (a b c) 1_lam the idempotents move
-    next to the Cartan factor, and the Cartan products of degree <= d
-    span every weight idempotent (1_nu is the product of the
-    binom(H_k, nu_k), quantumly of their Gaussian analogues); the
-    projection is again a combination of triple products of the same
-    order.
-
-    Each block is ranked on the pair products of the two root-vector
-    factors alone.  A Cartan product h is diagonal on the words, with an
-    entry read from the word's weight, so it acts on each weight space
-    M^mu by a scalar h(mu) and commutes with every T_p (the
-    Hecke-commutation certificate runs before the first column).
-    Wherever h stands, the piece x h y u_src is h(mu) x (y u_src), with
-    mu the weight h meets: dst on the left, src + shift(y) in the
-    middle, src on the right.  B = 0 gives h = 1, so at every point of
-    v the triple pieces of a block span what its pair pieces x y u_src
-    span.  The three orders that put S+ left of S- therefore share the
-    block ranks of the PLUS-MINUS pairs, and the other three those of
-    the MINUS-PLUS pairs.
-
-    Skipping closed blocks keeps every PASS a proof: each block rank is
-    the rank of pieces actually computed (by their columns at u_src),
-    which lie in the family's span; pieces of different blocks are
-    independent; and no block exceeds its dimension, so a closed block
-    cannot grow.  In quantum mode each block rank is the one-point lower
-    bound of RankAccumulator, so a block that reaches its dimension is
-    certified, and a PASS needs every block there; classically a short
-    block is exact.
+    The three orders that put S+ left of S- read the block ranks of the
+    basis B1 (:func:`~schuralg.bases.block_ranks`), the other three
+    those of B2, with 0 for a block without labels.  A B1 label
+    e_A 1_lam f_C of block (src, dst) is also e_A f_C 1_src and
+    1_dst e_A f_C, because f_C maps M^src into M^lam and e_A maps M^lam
+    into M^dst.  The weight idempotents 1_src, 1_lam and 1_dst are
+    Cartan products of degree d (1_nu is the product of the
+    binom(H_k, nu_k), quantumly of their Gaussian analogues), and
+    |A|, |C| <= d, so B1 lies in each of the three triple families with
+    S+ before S-; B2, f_A 1_lam e_C, lies in the other three for the
+    same reason.  Labels of different blocks have disjoint supports, so
+    the sum of a basis's block ranks is a lower bound on each family's
+    rank, and dim S(n, d) is an upper bound: a PASS proves the family
+    spans.  Each block rank is certified, so a short block is exact for
+    the basis labels of that block, which may span less than the triple
+    family does there.
     """
-    plus, minus = (enumerate_basis(model.n, model.d, kind) for kind in ("PLUS", "MINUS"))
-    ranks = {"+-": _block_ranks(model, plus, minus), "-+": _block_ranks(model, minus, plus)}
+    weights = model.weight_set()
+    ranks = {}
+    for kind in ("B1", "B2"):
+        found = block_ranks(model, enumerate_basis(model.n, model.d, kind))
+        ranks[kind] = {(src, dst): found.get((src, dst), 0)
+                       for src in weights for dst in weights}
     for perm in permutations("+0-"):
         tag = "".join(perm)
-        rep.append(_triangular_item(model, tag, ranks[tag.replace("0", "")]))
+        kind = "B1" if tag.index("+") < tag.index("-") else "B2"
+        rep.append(_triangular_item(model, tag, ranks[kind]))
 
 
 def check_structural_facts(model):
@@ -712,12 +627,9 @@ def check_structural_facts(model):
     family, and all six triangular decompositions.
 
     Each decomposition is certified by rank, weight block by weight
-    block: the span of its triple products is closed under projection
-    onto blocks, so the block ranks sum to its rank, and a block stops
-    taking products once it reaches its matrix-count dimension.  The
-    Cartan factor is a scalar on each weight space, so the six orders
-    read two rank maps, one per order of the PLUS and MINUS factors
-    (see :func:`_triangular_items`)."""
+    block, on a basis that lies in its triple family: B1 for the three
+    orders with S+ left of S-, B2 for the other three (see
+    :func:`_triangular_items`)."""
     t0 = time.perf_counter()
     rep = CheckReport("structural-facts", model.n, model.d, model.mode)
     n, d = model.n, model.d

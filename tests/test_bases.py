@@ -18,6 +18,7 @@ from schuralg.bases import (
     basis_json,
     block_dimension,
     block_index,
+    block_ranks,
     content,
     content_low,
     coordinates,
@@ -674,11 +675,14 @@ def test_image_rank_is_operator_rank(n, d, mode):
         labels = enumerate_basis(n, d, kind)
         ops = [eval_label(m, lab) for lab in labels]
         assert rank_of_labels(m, labels) == rank_of_family(m, _full_rows(m, ops)), kind
-        if kind == "B1":
-            for positions in block_index(m, labels).values():
+        ranks = block_ranks(m, labels)
+        assert list(ranks) == list(block_index(m, labels))
+        for block, positions in block_index(m, labels).items():
+            full = rank_of_family(m, _full_rows(m, [ops[p] for p in positions]))
+            assert ranks[block] == full, (kind, block)
+            if kind in ("B1", "B2"):
                 images = [label_image(m, labels[p]) for p in positions]
-                assert rank_of_family(m, images) == rank_of_family(
-                    m, _full_rows(m, [ops[p] for p in positions])) == len(positions)
+                assert rank_of_family(m, images) == full == len(positions)
     # A duplicated label leaves a deficient family: the span check
     # certifies the rank below the count.  The largest block, with one
     # of its labels twice, and one label of another block.
@@ -689,11 +693,17 @@ def test_image_rank_is_operator_rank(n, d, mode):
     ops = [eval_label(m, lab) for lab in deficient]
     assert rank_of_labels(m, deficient) == rank_of_family(
         m, _full_rows(m, ops)) == len(largest) + 1
+    # block_ranks certifies the duplicated block's rank below its label
+    # count, exactly in both modes.
+    block = _label_block(labels[largest[0]], m.root_data)[1]
+    assert block_ranks(m, deficient) == {
+        block: len(largest), _label_block(other, m.root_data)[1]: 1}
     # PBW labels pin no block and are ranked on their images of every
     # ordered word.
     pbw = enumerate_basis(n, d, "PBW")
     assert rank_of_labels(m, pbw) == rank_of_family(
         m, _full_rows(m, [eval_label(m, lab) for lab in pbw]))
+    assert block_ranks(m, pbw) is None
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

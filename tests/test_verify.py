@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from schuralg.bases import RankAccumulator, block_dimension, enumerate_basis
+from schuralg.bases import RankAccumulator, block_dimension, block_ranks, enumerate_basis
 from schuralg.errors import HypothesisError
 from schuralg.ring import LaurentPoly, quantum_integer
 from schuralg.tensormodel import (
@@ -23,7 +23,7 @@ from schuralg.tensormodel import (
     generator_action,
     weight_idempotent,
 )
-from schuralg.rootvectors import _label_block, eval_label, label_columns, root_divided_power
+from schuralg.rootvectors import SHAPES, _label_block, eval_label, root_divided_power
 from schuralg.verify import (
     CheckReport,
     check_enveloping_relations,
@@ -35,7 +35,7 @@ from schuralg.verify import (
     check_structural_facts,
     suite_reports,
 )
-from schuralg.verify import _Agg, _block_ranks, _pairs_by_degree, _triangular_item
+from schuralg.verify import _Agg, _triangular_item
 
 
 def _ids(report):
@@ -301,22 +301,31 @@ def test_suite_reports_pass_configuration_to_every_model(monkeypatch):
     assert all(k["word_cap"] == 50 and k["spec_points"] == points for k in seen)
 
 
-def _labels(model, cut=False):
-    """PLUS and MINUS labels by sign; ``cut`` keeps degree < d only:
-    deficient, but still closed under projection onto weight blocks."""
-    return {
-        sign: [label for label in enumerate_basis(model.n, model.d, kind)
-               if not cut or sum(label.A) < model.d]
-        for sign, kind in (("+", "PLUS"), ("-", "MINUS"))
-    }
+def _basis(model, kind, cut=False):
+    """B1 or B2 labels; ``cut`` keeps those with sum(A) < d and
+    sum(C) < d: deficient, and short in the block from (d, 0, ...) to
+    (0, ..., d) and back."""
+    return [label for label in enumerate_basis(model.n, model.d, kind)
+            if not cut or (sum(label.A) < model.d and sum(label.C) < model.d)]
 
 
-def _operator_families(model, labels):
+def _basis_ranks(model, tag, cut=False):
+    """The rank map of an order, as ``_triangular_items`` fills it: the
+    block ranks of B1 when S+ stands left of S-, of B2 otherwise, 0 for
+    a block without labels."""
+    kind = "B1" if tag.index("+") < tag.index("-") else "B2"
+    found = block_ranks(model, _basis(model, kind, cut))
+    weights = model.weight_set()
+    return {(src, dst): found.get((src, dst), 0) for src in weights for dst in weights}
+
+
+def _operator_families(model):
     """The factor families of the triangular check as operators, each
-    entry (degree, operator): the labels' operators by ``eval_label``,
-    and the Cartan products of degree <= d."""
-    families = {sign: [(sum(label.A), eval_label(model, label)) for label in fam]
-                for sign, fam in labels.items()}
+    entry (degree, operator): the PLUS and MINUS labels' operators by
+    ``eval_label``, and the Cartan products of degree <= d."""
+    families = {sign: [(sum(label.A), eval_label(model, label))
+                       for label in enumerate_basis(model.n, model.d, kind)]
+                for sign, kind in (("+", "PLUS"), ("-", "MINUS"))}
     families["0"] = [(total, cartan_product(model, B))
                      for total in range(model.d + 1)
                      for B in compositions(model.n, total)]
@@ -335,60 +344,58 @@ def _full_row_rank(model, fams, stop):
     return acc.rank
 
 
-def _pair_ranks(model, labels, tag):
-    """The block ranks of the sign pair of an order, such as "+-" for "0+-"."""
-    left, right = tag.replace("0", "")
-    return _block_ranks(model, labels[left], labels[right])
-
-
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
-def test_pairs_stream_in_ascending_total_degree(n, d):
-    # Each pair's x, summed shift and y's columns, in the order of a sort
-    # of every index pair by total degree.
-    m = build_model(n, d)
-    labels = _labels(m)
-    left, right = labels["+"], labels["-"]
-    pairs = sorted(product(range(len(left)), range(len(right))),
-                   key=lambda p: (sum(left[p[0]].A) + sum(right[p[1]].A), p))
-    shift = lambda label: _label_block(label, m.root_data)[0]
-    expected = [(left[i], tuple(a + b for a, b in zip(shift(left[i]), shift(right[j]))),
-                 label_columns(m, right[j])) for i, j in pairs]
-    assert list(_pairs_by_degree(m, left, right)) == expected
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3)])
+def test_basis_operators_are_triple_products(n, d, mode):
+    # The premise of the triangular check: each B1 operator e_A 1_lam f_C
+    # of block (src, dst) is a triple product in each order with S+ left
+    # of S-, 1_nu being the Cartan product of nu, and each B2 operator in
+    # each of the mirror orders; the factors are PLUS and MINUS labels.
+    m = build_model(n, d, mode=mode)
+    factors = {sign: {label.A: eval_label(m, label) for label in enumerate_basis(n, d, kind)}
+               for sign, kind in (("plus", "PLUS"), ("minus", "MINUS"))}
+    for kind in ("B1", "B2"):
+        for label in enumerate_basis(n, d, kind):
+            left, _, right = SHAPES[kind]
+            a, c = factors[left[1]][label.A], factors[right[1]][label.C]
+            src, dst = _label_block(label, m.root_data)[1]
+            assert {src, dst} <= set(m.weight_set())  # compositions of d
+            one = {nu: cartan_product(m, nu) for nu in (src, label.lam, dst)}
+            assert one[label.lam] == weight_idempotent(m, label.lam)
+            op = eval_label(m, label)
+            assert op == a @ one[label.lam] @ c == a @ c @ one[src] == one[dst] @ a @ c
+            assert not op.is_zero()
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3)])
 def test_block_ranks_match_full_row_rank(n, d, mode):
-    # Each sign pair's block ranks are the rank of every triple product,
-    # Cartan factor included, in each of the three orders keeping the pair.
+    # The basis block ranks read by each order sum to the rank of every
+    # triple product of that order, Cartan factor included.
     m = build_model(n, d, mode=mode)
     dim = comb(n * n - 1 + d, d)
-    for labels in (_labels(m), _labels(m, cut=True)):
-        families = _operator_families(m, labels)
-        for pair in ("+-", "-+"):
-            ranks = _pair_ranks(m, labels, pair)
-            assert all(r <= block_dimension(*block) for block, r in ranks.items())
-            orders = [p for p in permutations("+0-") if "".join(p).replace("0", "") == pair]
-            assert len(orders) == 3
-            for perm in orders:
-                fams = [families[p] for p in perm]
-                assert sum(ranks.values()) == _full_row_rank(m, fams, dim)
+    families = _operator_families(m)
+    for perm in permutations("+0-"):
+        ranks = _basis_ranks(m, "".join(perm))
+        assert all(r <= block_dimension(*block) for block, r in ranks.items())
+        assert sum(ranks.values()) == _full_row_rank(m, [families[p] for p in perm], dim)
 
 
 def test_structural_report_ranks_two_sign_pairs(monkeypatch):
+    # One rank map per order of the signs: B1 for S+ left of S-, then B2.
     from schuralg import verify
 
     calls = []
-    real = verify._block_ranks
+    real = verify.block_ranks
 
-    def recording(model, left, right):
-        calls.append((left[-1].flavor, right[-1].flavor))
-        return real(model, left, right)
+    def recording(model, labels):
+        calls.append(labels[-1].flavor)
+        return real(model, labels)
 
-    monkeypatch.setattr(verify, "_block_ranks", recording)
+    monkeypatch.setattr(verify, "block_ranks", recording)
     rep = check_structural_facts(build_model(2, 3))
     assert rep.passed
-    assert calls == [("PLUS", "MINUS"), ("MINUS", "PLUS")]
+    assert calls == ["B1", "B2"]
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -396,22 +403,21 @@ def test_failing_triangular_item_names_its_block(mode):
     # Without e^(3) and f^(3) at (2, 3) nothing maps weight (3, 0) to
     # (0, 3) or back; the first such block in weight order is named.
     m = build_model(2, 3, mode=mode)
-    labels = _labels(m, cut=True)
     for perm in permutations("+0-"):
         tag = "".join(perm)
-        item = _triangular_item(m, tag, _pair_ranks(m, labels, tag))
+        item = _triangular_item(m, tag, _basis_ranks(m, tag, cut=True))
         assert item.id == f"triangular[{tag}]" and not item.ok
         assert item.detail == "rank 18 of 20; block (3, 0)->(0, 3) rank 0 of 1"
-    item = _triangular_item(m, "+0-", _pair_ranks(m, _labels(m), "+0-"))
+    item = _triangular_item(m, "+0-", _basis_ranks(m, "+0-"))
     assert item.ok and item.detail == "rank 20 of 20"
 
 
 def test_failing_triangular_item_block_is_short():
-    # The named block's rank is recomputed from full projections of the
-    # triple products, Cartan factor included.
+    # The named block's rank is recomputed as the full-row rank of the
+    # operators of the cut labels in that block; it is at most the rank
+    # of the triple products projected onto the block.
     m = build_model(3, 2)
-    labels = _labels(m, cut=True)
-    ranks = _pair_ranks(m, labels, "+0-")
+    ranks = _basis_ranks(m, "+0-", cut=True)
     item = _triangular_item(m, "+0-", ranks)
     assert not item.ok
     block, short = next(
@@ -421,9 +427,14 @@ def test_failing_triangular_item_block_is_short():
     assert item.detail.endswith(
         f"block {src}->{dst} rank {short} of {block_dimension(src, dst)}"
     )
-    families = _operator_families(m, labels)
-    one_src, one_dst = weight_idempotent(m, src), weight_idempotent(m, dst)
     acc = RankAccumulator(m)
-    for (_, a), (_, b), (_, c) in product(*(families[p] for p in "+0-")):
-        acc.add(one_dst @ a @ b @ c @ one_src)
+    for label in _basis(m, "B1", cut=True):
+        if _label_block(label, m.root_data)[1] == block:
+            acc.add(eval_label(m, label))
     assert acc.rank == short
+    families = _operator_families(m)
+    one_src, one_dst = weight_idempotent(m, src), weight_idempotent(m, dst)
+    projected = RankAccumulator(m)
+    for (_, a), (_, b), (_, c) in product(*(families[p] for p in "+0-")):
+        projected.add(one_dst @ a @ b @ c @ one_src)
+    assert short <= projected.rank
