@@ -124,7 +124,8 @@ def _bounded(groups, budget, accept=None):
     lexicographic order of their concatenation: position k of a group
     is charged to ``budget[group[k]]``, and no budget entry is
     overdrawn.  Each tuple is shared by all its continuations.  With
-    ``accept``, a group's tuple t is continued only if accept(g, t)."""
+    ``accept``, a group's partial tuple t (a list, each time a slot is
+    filled) is continued only if accept(g, t)."""
     out = []
     budget = list(budget)
 
@@ -134,16 +135,15 @@ def _bounded(groups, budget, accept=None):
             return
         slots = groups[g]
         if idx == len(slots):
-            part = tuple(acc)
-            if accept is None or accept(g, part):
-                rec(g + 1, 0, done + (part,), [])
+            rec(g + 1, 0, done + (tuple(acc),), [])
             return
         j = slots[idx]
         cap = budget[j]
         for m in range(cap + 1):
-            budget[j] = cap - m
             acc.append(m)
-            rec(g, idx + 1, done, acc)
+            if accept is None or accept(g, acc):
+                budget[j] = cap - m
+                rec(g, idx + 1, done, acc)
             acc.pop()
         budget[j] = cap
 
@@ -164,7 +164,8 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     ``block`` = (src, dst) keeps only the labels of that weight block
     (see ``_label_block``), in the same order, for a kind with a weight:
     the parts left of 1_lam must shift lam to dst, those right of it src
-    to lam, and a part is continued only if it does.
+    to lam, and a part is cut off while it is built, as soon as a
+    coordinate of its shift that no later root changes misses.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
@@ -196,6 +197,11 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     # A field the shape leaves out reads the zero multi-index, appended
     # after the shape's own parts.
     zero = ((0,) * len(roots),)
+    # A part's first k exponents fix the first final[k] coordinates of
+    # its shift: coordinate i is final once the roots (i, .) are placed,
+    # and all are with the last root.
+    final = {k + 1: i for k, (i, j) in enumerate(roots) if j == n}
+    final[len(roots)] = n
     a, c = (names.index(f) if f in names else len(names) for f in ("A", "C"))
     labels = []
     for lam in compositions(n, d) if weighted else [(d,)]:
@@ -210,7 +216,9 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
                 continue
 
             def accept(g, exps, want=want):
-                return _signed_shift(n, exps, signs[g]) == want[left[g]]
+                i = final.get(len(exps))
+                return i is None or (_signed_shift(n, tuple(exps), signs[g])[:i]
+                                     == want[left[g]][:i])
 
         for parts in _bounded(groups, lam, accept):
             parts += zero

@@ -516,13 +516,24 @@ def _minimal_polynomial_items(rep, model, op, exponents, shown):
     rep.append(agg.item(f"{model.mode}:no-proper-subproduct-vanishes"))
 
 
-def check_rank_one_presentation(d, word_cap=None, spec_points=None):
-    """Two-generator presentation of the n = 2 algebra, both modes."""
+def _model(models, n, d, mode, config):
+    """The model of ``mode`` in ``models``, built for (n, d) and kept
+    there when it is missing.  ``models`` holds models of one (n, d) and
+    one configuration, so that each is built and certified once."""
+    if mode not in models:
+        models[mode] = build_model(n, d, mode=mode, **config)
+    return models[mode]
+
+
+def check_rank_one_presentation(d, word_cap=None, spec_points=None, models=None):
+    """Two-generator presentation of the n = 2 algebra, both modes.
+    ``models`` may hold (2, d) models to reuse, by mode (see :func:`_model`)."""
     t0 = time.perf_counter()
     rep = CheckReport("rank-one-presentation", 2, d, "both")
     config = {"word_cap": word_cap, "spec_points": spec_points}
+    models = {} if models is None else models
 
-    mc = build_model(2, d, mode="classical", **config)
+    mc = _model(models, 2, d, "classical", config)
     e = generator_action(mc, "e", 1)
     f = generator_action(mc, "f", 1)
     h = generator_action(mc, "H", 1) - generator_action(mc, "H", 2)
@@ -550,7 +561,7 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None):
         detail=f"count {len(labels)}, rank {rank}, expected {expected}",
     )
 
-    mq = build_model(2, d, mode="quantum", **config)
+    mq = _model(models, 2, d, "quantum", config)
     E = generator_action(mq, "E", 1)
     F = generator_action(mq, "F", 1)
     K = generator_action(mq, "K", 1) @ generator_action(mq, "K^-1", 2)
@@ -676,15 +687,17 @@ def check_structural_facts(model):
     return rep
 
 
-def check_specialization(n, d, word_cap=None, spec_points=None):
+def check_specialization(n, d, word_cap=None, spec_points=None, models=None):
     """Agreement of each quantum basis operator at v = 1 with its
     classical counterpart, for both three-part basis families, compared
-    on their images of u_src (see the module docstring)."""
+    on their images of u_src (see the module docstring).  ``models`` may
+    hold (n, d) models to reuse, by mode (see :func:`_model`)."""
     t0 = time.perf_counter()
     rep = CheckReport("specialization", n, d, "both")
     config = {"word_cap": word_cap, "spec_points": spec_points}
-    classical = build_model(n, d, mode="classical", **config)
-    quantum = build_model(n, d, mode="quantum", **config)
+    models = {} if models is None else models
+    classical = _model(models, n, d, "classical", config)
+    quantum = _model(models, n, d, "quantum", config)
     for kind in ("B1", "B2"):
         agg = _Agg()
         for label in enumerate_basis(n, d, kind):
@@ -706,14 +719,15 @@ def check_specialization(n, d, word_cap=None, spec_points=None):
 
 def suite_reports(n, d, mode="classical", suite="all", word_cap=None,
                   spec_points=None):
-    """Reports for one grid point; the configuration reaches every model."""
+    """Reports for one grid point; the configuration reaches every model,
+    and the checks share one model per mode."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     config = {"word_cap": word_cap, "spec_points": spec_points}
     reports = []
-    model = None
+    models, model = {}, None
     if suite in ("all", "relations", "idempotent", "reduction", "structural"):
-        model = build_model(n, d, mode=mode, **config)
+        model = _model(models, n, d, mode, config)
     if suite in ("all", "relations"):
         reports.append(check_enveloping_relations(model))
         reports.append(check_schur_relations(model))
@@ -728,9 +742,9 @@ def suite_reports(n, d, mode="classical", suite="all", word_cap=None,
     if suite in ("all", "structural"):
         reports.append(check_structural_facts(model))
     if suite in ("all", "specialize"):
-        reports.append(check_specialization(n, d, **config))
+        reports.append(check_specialization(n, d, models=models, **config))
     if suite == "rank1" and n != 2:
         raise HypothesisError("the rank-one presentation check needs n = 2")
     if n == 2 and suite in ("all", "rank1"):
-        reports.append(check_rank_one_presentation(d, **config))
+        reports.append(check_rank_one_presentation(d, models=models, **config))
     return reports

@@ -1,7 +1,8 @@
 """An independent field for the tests: sympy's Q(v), in which the
-package's scalars are embedded to check its ranks and coordinates, and
-the full row of an operator, the reference its ordered-word rows are
-compared with."""
+package's scalars are embedded to check its ranks and coordinates, the
+full row of an operator, the reference its ordered-word rows are
+compared with, and the full-product reference for the Hecke
+certificate."""
 
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from sympy import QQ, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from schuralg.ring import LaurentFraction, LaurentPoly
+from schuralg.tensormodel import hecke_generator
 
 FIELD = QQ.frac_field(symbols("v"))
 
@@ -47,3 +49,10 @@ def operator_row(model, op):
         for i, s in col.items():
             row[base + i] = s
     return row
+
+
+def commutes_with_hecke(model):
+    """Whether every generator of ``model`` commutes with every T_p, by
+    full operator products: the reference for the certificate."""
+    ts = [hecke_generator(model, p) for p in range(1, model.d)]
+    return all(gen @ t == t @ gen for t in ts for gen in model._generators.values())

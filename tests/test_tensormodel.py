@@ -2,9 +2,11 @@
 weight idempotents."""
 
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from oracle import commutes_with_hecke
 
 from schuralg import tensormodel
 from schuralg.cli import main
@@ -421,6 +423,115 @@ def test_certificate_rejects_a_classical_sign_error(monkeypatch):
     monkeypatch.setitem(m._generators, ("f", 2), _with_one_entry(f2, lambda s: -s))
     with pytest.raises(CertificateError, match="f_2 does not commute"):
         certify_hecke_commutation(m)
+
+
+def _single_entry_changes(model, key, gen):
+    """``gen`` with one entry changed, for a spread of its entries: the
+    entry negated, raised by 1 and, quantumly, barred; for a Cartan
+    generator also an added off-diagonal entry 1, inside the column's
+    weight space and outside it."""
+    changes = [lambda s: -s, lambda s: s + 1]
+    if model.mode == "quantum":
+        changes.append(LaurentPoly.bar)
+    entries = [(j, i) for j, col in sorted(gen.cols.items()) for i in sorted(col)]
+    picks = entries[::max(1, len(entries) // 3)]
+
+    def changed(j, i, value):
+        cols = {c: dict(col) for c, col in gen.cols.items()}
+        cols.setdefault(j, {})[i] = value(cols.get(j, {}).get(i, 0))
+        return SparseOperator(cols)
+
+    for j, i in picks:
+        for change in changes:
+            yield changed(j, i, change)
+    if key[0] in (model.names.cartan, model.names.cartan_inverse):
+        one, weights = model.scalars.one, model.weights
+        for j, _ in picks:
+            inside = model.word_index[model.words[j][::-1]]
+            outside = next(i for i, mu in enumerate(weights) if mu != weights[j])
+            for i in {inside, outside} - {j}:
+                yield changed(j, i, lambda s: one)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3)])
+def test_certificate_agrees_with_full_products(n, d, mode):
+    # Each single-entry change of a generator is rejected exactly when a
+    # full operator product finds a T_p it does not commute with.
+    m = build_model(n, d, mode=mode)
+    real = dict(m._generators)
+    verdicts = set()
+    for key, gen in real.items():
+        for other in _single_entry_changes(m, key, gen):
+            m._generators = {**real, key: other}
+            m._hecke_certified = False
+            commutes = commutes_with_hecke(m)
+            verdicts.add(commutes)
+            if commutes:
+                certify_hecke_commutation(m)
+            else:
+                sym, i = key
+                with pytest.raises(CertificateError,
+                                   match=f"^{re.escape(sym)}_{i} does not commute"):
+                    certify_hecke_commutation(m)
+    assert verdicts == {True, False}
+
+
+def test_certificate_passes_a_commuting_non_diagonal_generator():
+    # K_1 + E_1 is not diagonal, so the column check decides it.
+    m = build_model(3, 3, mode="quantum")
+    m._generators[("K", 1)] = m._generators[("K", 1)] + m._generators[("E", 1)]
+    assert commutes_with_hecke(m)
+    certify_hecke_commutation(m)
+    assert m._hecke_certified
+
+
+def test_certificate_rejects_a_cartan_generator_split_on_a_weight_space():
+    m = build_model(3, 3, mode="quantum")
+    k1 = m._generators[("K", 1)]
+    j = m.word_index[(1, 2, 3)]  # its weight space holds all six orders
+    cols = {c: dict(col) for c, col in k1.cols.items()}
+    cols[j][j] = cols[j][j].shift(1)
+    m._generators[("K", 1)] = SparseOperator(cols)
+    assert not commutes_with_hecke(m)
+    with pytest.raises(CertificateError, match="K_1 does not commute"):
+        certify_hecke_commutation(m)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_certificate_checks_cartan_generators_against_a_weight_moving_t(
+        mode, monkeypatch):
+    # The weight shortcut holds only for a T_p that keeps weight; one
+    # that does not sends the Cartan generators to the column check.
+    m = build_model(3, 3, mode=mode)
+    cartan = m.names.cartan
+    m._generators = {key: gen for key, gen in m._generators.items()
+                     if key[0] in (cartan, m.names.cartan_inverse)}
+    j, i = m.word_index[(1, 1, 1)], m.word_index[(1, 1, 2)]
+
+    def weight_moving(model, p):
+        t = hecke_generator(model, p)
+        return t + SparseOperator({j: {i: model.scalars.one}})
+
+    monkeypatch.setattr(tensormodel, "hecke_generator", weight_moving)
+    with pytest.raises(CertificateError, match=f"{cartan}_1 does not commute with T_1"):
+        certify_hecke_commutation(m)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_certificate_forms_no_operator_product(mode, monkeypatch):
+    m = build_model(3, 4, mode=mode)
+    calls = []
+    real = SparseOperator.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(SparseOperator, "__matmul__", counting)
+    certify_hecke_commutation(m)
+    assert m._hecke_certified
+    assert not calls
 
 
 def test_failed_certificate_exits_with_status_one(monkeypatch):

@@ -296,9 +296,34 @@ def test_suite_reports_pass_configuration_to_every_model(monkeypatch):
     reports = suite_reports(2, 2, mode="quantum", suite="all", word_cap=50,
                             spec_points=points)
     assert all(report.passed for report in reports)
-    # One model for the suite, two for specialization, two for rank one.
-    assert len(seen) == 5
+    # One model per mode, shared by the suite, specialization and rank one.
+    assert sorted(k["mode"] for k in seen) == ["classical", "quantum"]
     assert all(k["word_cap"] == 50 and k["spec_points"] == points for k in seen)
+
+
+@pytest.mark.parametrize("n,d,mode", [(3, 2, "classical"), (2, 3, "quantum")])
+def test_suite_all_builds_and_certifies_each_model_once(n, d, mode, monkeypatch):
+    from schuralg import tensormodel, verify
+
+    built, positions = [], []
+    real_build, real_hecke = verify.build_model, tensormodel.hecke_generator
+
+    def recording_build(*args, **kwargs):
+        built.append(kwargs["mode"])
+        return real_build(*args, **kwargs)
+
+    def recording_hecke(model, p):
+        # The certificate forms each T_p once per run.
+        positions.append((model.mode, p))
+        return real_hecke(model, p)
+
+    monkeypatch.setattr(verify, "build_model", recording_build)
+    monkeypatch.setattr(tensormodel, "hecke_generator", recording_hecke)
+    reports = suite_reports(n, d, mode=mode, suite="all")
+    assert all(report.passed for report in reports)
+    assert sorted(built) == ["classical", "quantum"]
+    assert sorted(positions) == [(m, p) for m in ("classical", "quantum")
+                                 for p in range(1, d)]
 
 
 def _basis(model, kind, cut=False):
