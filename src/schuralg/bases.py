@@ -56,7 +56,7 @@ a fraction otherwise.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count
+from itertools import accumulate, chain, count
 from math import gcd
 from operator import le, sub
 
@@ -119,13 +119,13 @@ def content_low(root_data, exponents):
     return tuple(out)
 
 
-def _bounded(groups, budget, accept=None):
+def _bounded(groups, budget, solve=None):
     """Exponent tuples, one per group of slots, in ascending
     lexicographic order of their concatenation: position k of a group
     is charged to ``budget[group[k]]``, and no budget entry is
     overdrawn.  Each tuple is shared by all its continuations.  With
-    ``accept``, a group's partial tuple t (a list, each time a slot is
-    filled) is continued only if accept(g, t)."""
+    ``solve``, a slot where solve(g, t) is not None, for t the group's
+    partial tuple (a list), takes that value alone if the budget allows."""
     out = []
     budget = list(budget)
 
@@ -139,11 +139,11 @@ def _bounded(groups, budget, accept=None):
             return
         j = slots[idx]
         cap = budget[j]
-        for m in range(cap + 1):
+        m = None if solve is None else solve(g, acc)
+        for m in range(cap + 1) if m is None else range(max(m, 0), min(m, cap) + 1):
             acc.append(m)
-            if accept is None or accept(g, acc):
-                budget[j] = cap - m
-                rec(g, idx + 1, done, acc)
+            budget[j] = cap - m
+            rec(g, idx + 1, done, acc)
             acc.pop()
         budget[j] = cap
 
@@ -197,30 +197,34 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     # A field the shape leaves out reads the zero multi-index, appended
     # after the shape's own parts.
     zero = ((0,) * len(roots),)
-    # A part's first k exponents fix the first final[k] coordinates of
-    # its shift: coordinate i is final once the roots (i, .) are placed,
-    # and all are with the last root.
-    final = {k + 1: i for k, (i, j) in enumerate(roots) if j == n}
-    final[len(roots)] = n
+    # Coordinate i of a part's shift is moved last by the root (i, n),
+    # whose exponent is then solved for.
+    last = {k: i for k, (i, j) in enumerate(roots) if j == n}
     a, c = (names.index(f) if f in names else len(names) for f in ("A", "C"))
     labels = []
     for lam in compositions(n, d) if weighted else [(d,)]:
         wt = lam if weighted else None
-        accept = None
+        solve = None
         if block is not None:
             # The parts left of 1_lam shift lam to dst, those right of
             # it shift src to lam; a side without a part shifts by 0.
+            # Read with the plus sign, a part's shift is a sum of
+            # positive roots: its partial sums are at least 0, the last 0.
             src, dst = block
             want = {True: tuple(map(sub, dst, lam)), False: tuple(map(sub, lam, src))}
-            if any(any(want[side]) for side in want if side not in left):
+            plus = [want[side] if sign == "plus" else tuple(-x for x in want[side])
+                    for side, sign in zip(left, signs)]
+            sums = [list(accumulate(shift)) for shift in plus]
+            if (any(any(want[side]) for side in want if side not in left)
+                    or any(s[-1] or min(s) < 0 for s in sums)):
                 continue
 
-            def accept(g, exps, want=want):
-                i = final.get(len(exps))
-                return i is None or (_signed_shift(n, tuple(exps), signs[g])[:i]
-                                     == want[left[g]][:i])
+            def solve(g, exps, plus=plus):
+                i = last.get(len(exps))
+                return None if i is None else (
+                    plus[g][i - 1] - _signed_shift(n, tuple(exps), "plus")[i - 1])
 
-        for parts in _bounded(groups, lam, accept):
+        for parts in _bounded(groups, lam, solve):
             parts += zero
             labels.append(BasisLabel(kind, parts[a], wt, parts[c]))
     return labels

@@ -29,6 +29,8 @@ from .errors import HypothesisError
 from .rootvectors import apply_label, label_image
 from .tensormodel import (
     SparseOperator,
+    _apply_flat,
+    _flat_columns,
     certify_hecke_commutation,
     generator_action,
     ordered_word,
@@ -81,25 +83,28 @@ def _closure_rank(model, pairs, target):
     the corner products 1_omega a b 1_omega of ``pairs`` generate.
 
     A breadth-first search from u_omega, which stands for 1_omega,
-    applies each a b to every vector that grew the rank; a b keeps the
-    weight omega, so nothing is projected.  ``depth`` counts the rounds
-    that grew the rank.  As dim A u_omega <= dim A <= d! = ``target``, a
-    rank that reaches ``target`` proves generation (the rank is a
-    certified lower bound, see :class:`RankAccumulator`); a shorter one
-    is dim A at the point of v used, since the certificate holds.
+    applies each a b to every vector that grew the rank, on flat vectors
+    (``tensormodel._apply_flat``); a b keeps the weight omega, so nothing
+    is projected.  ``depth`` counts the rounds that grew the rank.  As
+    dim A u_omega <= dim A <= d! = ``target``, a rank that reaches
+    ``target`` proves generation (the rank is a certified lower bound,
+    see :class:`RankAccumulator`); a shorter one is dim A at the point
+    of v used, since the certificate holds.
     """
     certify_hecke_commutation(model)
     anchor = model.word_index[ordered_word(omega_weight(model))]
-    start = {anchor: model.scalars.one}
+    size, from_flat = model.num_words, model.scalars.from_flat
+    pairs = [(_flat_columns(model, a), _flat_columns(model, b)) for a, b in pairs]
+    start = {anchor: 1}
     acc = RankAccumulator(model)
-    acc.add(SparseOperator({anchor: start}))
+    acc.add(SparseOperator({anchor: from_flat(start, size)}))
     frontier, depth = [start], 0
     while frontier and acc.rank < target:
         grown = []
         for x in frontier:
             for a, b in pairs:
-                y = a.apply(b.apply(x))
-                if acc.add(SparseOperator({anchor: y})):
+                y = _apply_flat(a, _apply_flat(b, x, size), size)
+                if acc.add(SparseOperator({anchor: from_flat(y, size)})):
                     grown.append(y)
         frontier = grown
         depth += bool(grown)

@@ -16,6 +16,12 @@ equality by cross multiplication and printing, but no arithmetic.
 
 Laurent polynomials are stored sparsely as a mapping from integer
 exponents of ``v`` to nonzero integer coefficients.
+
+Vectors on the label-image path of ``rootvectors`` are flat integer
+dicts: the term c v^e at row i is the key i + N * e, N = n^d > i, with
+value c, and classically the vector {row: int} itself.  The adapters'
+``to_flat`` and ``from_flat`` convert at that path's public boundary,
+and ``divide_factorial`` divides by m! or [m]! on the flat form.
 """
 
 from fractions import Fraction
@@ -30,6 +36,7 @@ __all__ = [
     "quantum_integer",
     "quantum_factorial",
     "gaussian_binomial",
+    "flat_factorial_quotient",
     "ClassicalScalars",
     "QuantumScalars",
     "CLASSICAL_SCALARS",
@@ -283,6 +290,50 @@ def gaussian_binomial(a, b):
     return exact_div(num, quantum_factorial(b))
 
 
+def _flat_rows(vec, size):
+    """A flat vector's rows as {row: {exponent: coefficient}}."""
+    rows = {}
+    for key, c in vec.items():
+        row = key % size
+        coeffs = rows.get(row)
+        if coeffs is None:
+            coeffs = rows[row] = {}
+        coeffs[key // size] = c
+    return rows
+
+
+def flat_factorial_quotient(vec, m, size):
+    """A flat vector {row + size * e: c} with each row divided exactly by
+    [m]!, or NotDivisible.  For k = 2, ..., m a row's dense coefficient
+    list a is multiplied by v - v^-1 and divided by v^k - v^-k = (v -
+    v^-1) [k] from the top, q_t = a'_(t+2k) + q_(t+2k) for a' = (v -
+    v^-1) a, which leaves a remainder exactly when [k] does not divide a.
+
+    >>> flat_factorial_quotient({5 + 10: 1, 5 - 10: 1}, 2, 10)
+    {5: 1}
+    """
+    out = {}
+    for row, coeffs in _flat_rows(vec, size).items():
+        lo = min(coeffs)
+        a = [coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)]
+        for k in range(2, m + 1):
+            k2 = 2 * k
+            top = len(a) + 2 - k2
+            up, a = [0, 0] + a, a + [0, 0]  # a' = up - a, from v^(lo - 1)
+            q = [0] * (top + k2)
+            for t in range(top - 1, -1, -1):
+                s = t + k2
+                q[t] = up[s] - a[s] + q[s]
+            if top <= 0 or any([up[t] - a[t] + q[t] for t in range(k2)]):
+                raise NotDivisible(
+                    f"({LaurentPoly(coeffs)}) is not divisible by [{m}]! at row {row}")
+            a, lo = q[:top], lo + k - 1
+        for t, c in enumerate(a):
+            if c:
+                out[row + size * (lo + t)] = c
+    return out
+
+
 class LaurentFraction:
     """Quotient of two integer Laurent polynomials, kept to render a
     coordinate that is not integral.
@@ -378,6 +429,15 @@ class ClassicalScalars:
     def render(s):
         return str(s)
 
+    # A vector {row: int} is its own flat form.
+    to_flat = from_flat = staticmethod(lambda vec, size: vec)
+
+    @staticmethod
+    def divide_factorial(vec, m, size):
+        """A flat vector divided exactly by m!, or NotDivisible."""
+        den = factorial(m)
+        return {k: ClassicalScalars.exact_quotient(c, den) for k, c in vec.items()}
+
 
 class QuantumScalars:
     """Adapter for the Z[v, v^-1] entries of quantum models."""
@@ -400,6 +460,18 @@ class QuantumScalars:
     @staticmethod
     def render(s):
         return str(s)
+
+    @staticmethod
+    def to_flat(vec, size):
+        """{row: LaurentPoly} as {row + size * e: c}."""
+        return {row + size * e: c for row, s in vec.items() for e, c in s.coeffs.items()}
+
+    @staticmethod
+    def from_flat(vec, size):
+        """{row + size * e: c} as {row: LaurentPoly}."""
+        return {row: LaurentPoly(coeffs) for row, coeffs in _flat_rows(vec, size).items()}
+
+    divide_factorial = staticmethod(flat_factorial_quotient)
 
 
 CLASSICAL_SCALARS = ClassicalScalars()

@@ -40,6 +40,12 @@ ordered word instead (:func:`label_columns`): a PBW label's generator
 powers, and a PLUS or MINUS label's parts, act right to left on each
 u_lam (:func:`apply_label`).  Its operator commutes with H_d too, and
 b 1_lam is zero exactly when b u_lam is, so these images fix b.
+
+Images are built on flat integer vectors {row + n^d * e: c} (see
+``ring``): each root vector is applied through its flat columns, and an
+m-th power is divided exactly by m! or [m]! on the flat form.  They
+become {row: scalar} vectors, with LaurentPoly entries quantumly, only
+when :func:`label_image` or :func:`apply_label` returns.
 """
 
 from dataclasses import dataclass
@@ -48,7 +54,9 @@ from operator import add, matmul, sub
 
 from .tensormodel import (
     RootData,
+    _apply_flat,
     _check_weight,
+    _flat_columns,
     certify_hecke_commutation,
     generator_action,
     ordered_word,
@@ -270,31 +278,31 @@ def _label_block(label, root_data):
 
 
 def _monomial_image(model, exponents, sign, vec):
-    """A Kostant monomial applied to a vector: its divided root powers
-    right to left, each m-th power divided exactly by m! or [m]!."""
+    """A Kostant monomial applied to a flat vector: its divided root
+    powers right to left, each m-th power divided exactly by m! or [m]!,
+    or NotDivisible."""
     roots = model.root_data.positive_roots
     if len(exponents) != len(roots):
         raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
-    quotient = model.scalars.exact_quotient
+    size, divide = model.num_words, model.scalars.divide_factorial
     for root, m in zip(reversed(roots), reversed(exponents)):
         if not m or not vec:
             continue
-        op = root_vector(model, root, sign)
+        cols = _flat_columns(model, root_vector(model, root, sign))
         for _ in range(m):
-            vec = op.apply(vec)
+            vec = _apply_flat(cols, vec, size)
         if m > 1:
-            den = model.scalars.factorial(m)
-            vec = {i: quotient(s, den) for i, s in vec.items()}
+            vec = divide(vec, m, size)
     return vec
 
 
 def _act(model, label, parts, vec):
-    """Some of a label's shape parts, right to left, applied to a vector;
-    1_lam keeps the entries of weight lam."""
-    weights = model.weights
+    """Some of a label's shape parts, right to left, applied to a flat
+    vector; 1_lam keeps the entries of weight lam."""
+    weights, size = model.weights, model.num_words
     for part in reversed(parts):
         if part is None:
-            vec = {i: s for i, s in vec.items() if weights[i] == label.lam}
+            vec = {k: c for k, c in vec.items() if weights[k % size] == label.lam}
         else:
             vec = _monomial_image(model, getattr(label, part[0]), part[1], vec)
     return vec
@@ -303,14 +311,17 @@ def _act(model, label, parts, vec):
 def apply_label(model, label, vec):
     """A label's operator applied to a vector {word index: scalar},
     without building the operator: a shape's parts, or a PBW label's
-    generator powers, right to left."""
+    generator powers, right to left, on the flat form of the vector."""
+    scalars, size = model.scalars, model.num_words
+    vec = scalars.to_flat(vec, size)
     shape = _shape(label.flavor)
     if shape is not None:
-        return _act(model, label, shape, vec)
-    for gen, m in reversed(_pbw_powers(model, label)):
-        for _ in range(m):
-            vec = gen.apply(vec)
-    return vec
+        vec = _act(model, label, shape, vec)
+    else:
+        for gen, m in reversed(_pbw_powers(model, label)):
+            for _ in range(m):
+                vec = _apply_flat(_flat_columns(model, gen), vec, size)
+    return scalars.from_flat(vec, size)
 
 
 def label_image(model, label):
@@ -319,7 +330,8 @@ def label_image(model, label):
 
     The label's operator is fixed by this one vector (see the module
     docstring); the Hecke-commutation certificate of the model is
-    checked before the first image.  The parts from 1_lam rightwards,
+    checked before the first image.  The image is built flat and turned
+    into scalars once, at the end.  The parts from 1_lam rightwards,
     applied to u_src, are kept on the model and shared by every label
     that differs only left of 1_lam: f_C u_src serves every e_A of B1.
     """
@@ -337,9 +349,10 @@ def label_image(model, label):
            tuple((getattr(label, name), sign) for name, sign in right[1:]))
     partial = model._op_cache.get(key)
     if partial is None:
-        start = {model.word_index[ordered_word(block[0])]: model.scalars.one}
+        start = {model.word_index[ordered_word(block[0])]: 1}
         partial = model._op_cache[key] = _act(model, label, right, start)
-    return _act(model, label, shape[:cut], partial)
+    image = _act(model, label, shape[:cut], partial)
+    return model.scalars.from_flat(image, model.num_words)
 
 
 def label_columns(model, label):

@@ -19,7 +19,9 @@ action of the generators on them:
 
 Operators are stored column-sparse: for each input word index, the
 image vector as a mapping from word index to scalar.  Everything is
-exact; no floats appear anywhere.
+exact; no floats appear anywhere.  Vectors on the label-image path are
+flat integer dicts {row + n^d * e: c} instead (see ``ring``), to which
+:func:`_apply_flat` applies an operator's :func:`_flat_columns`.
 
 The Hecke algebra H_d acts on the words by place permutations: with
 a, b the letters at positions p and p + 1 of w, and s_p w the word
@@ -149,10 +151,11 @@ class SparseOperator:
     immutable; all arithmetic returns new operators.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("cols", "flat")
 
     def __init__(self, cols=None):
         self.cols = cols or {}
+        self.flat = None  # quantum flat columns, see _flat_columns
 
     def is_zero(self):
         return not self.cols
@@ -212,10 +215,6 @@ class SparseOperator:
             if acc:
                 out[j] = acc
         return SparseOperator(out)
-
-    def apply(self, vec):
-        """The image of a sparse vector {word index: scalar}."""
-        return (self @ SparseOperator({0: vec})).cols.get(0, {})
 
     def __pow__(self, m):
         if m < 1:
@@ -508,6 +507,16 @@ def _keeps_weight(model, t):
     return all(weights[i] == weights[j] for j, col in t.cols.items() for i in col)
 
 
+def _flat_columns(model, op):
+    """``op``'s columns as flat vectors (see ``ring``), {column: {row +
+    N * e: c}}, kept on the operator; classically ``op.cols`` itself."""
+    if model.mode == "classical":
+        return op.cols
+    if op.flat is None:
+        op.flat = {j: model.scalars.to_flat(col, model.num_words) for j, col in op.cols.items()}
+    return op.flat
+
+
 def _term_columns(model, op):
     """``op`` as {column: [(row, N * e, c), ...]}, one triple per term
     c v^e of an entry, with N = n^d; classically e = 0.  A sum of
@@ -537,6 +546,23 @@ def _commutes(model, g, t):
         if any(acc.values()):
             return False
     return True
+
+
+def _apply_flat(cols, vec, size):
+    """The image of a flat vector under an operator's flat columns, N =
+    ``size``: the term at key = mid + N * x meets each key k of column
+    mid at k + N * x, so the v-exponents add and no LaurentPoly is
+    built."""
+    out = {}
+    for key, b in vec.items():
+        mid = key % size
+        col = cols.get(mid)
+        if col:
+            shift = key - mid
+            for k, c in col.items():
+                k += shift
+                out[k] = out.get(k, 0) + c * b
+    return {k: c for k, c in out.items() if c}
 
 
 def certify_hecke_commutation(model):

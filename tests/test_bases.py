@@ -391,6 +391,8 @@ def test_enumerate_basis_block_is_the_filtered_scan(n, d):
             for dst in weights:
                 assert (enumerate_basis(n, d, kind, block=(src, dst))
                         == scans.get((src, dst), []))
+            # A target of another degree is reached by no label.
+            assert enumerate_basis(n, d, kind, block=(src, src[:-1] + (src[-1] + 1,))) == []
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

@@ -1,5 +1,6 @@
-"""Property tests for Laurent arithmetic, Gaussian binomials,
-fraction-free specialization and certified ranks."""
+"""Property tests for Laurent arithmetic, Gaussian binomials, exact
+division of flat vectors, fraction-free specialization and certified
+ranks."""
 
 from fractions import Fraction
 from math import comb
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 from sympy import QQ
 
 from schuralg.bases import _specialized_row, rank_of_family
-from schuralg.ring import LaurentPoly, exact_div, gaussian_binomial
+from schuralg.errors import NotDivisible
+from schuralg.ring import (
+    QUANTUM_SCALARS,
+    LaurentPoly,
+    exact_div,
+    flat_factorial_quotient,
+    gaussian_binomial,
+    quantum_factorial,
+)
 from schuralg.tensormodel import SparseOperator, build_model
 
 from oracle import field_rank, operator_row
@@ -46,6 +55,37 @@ def test_laurent_ring_axioms(p, q, r):
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_multiplication(p, q):
     assert exact_div(p * q, q) == p
+
+
+def _quotient_or_none(divide, *args):
+    try:
+        return divide(*args)
+    except NotDivisible:
+        return None
+
+
+@SETTINGS
+@given(st.dictionaries(st.integers(0, 9), nonzero_polys, min_size=1, max_size=4),
+       st.integers(1, 5), st.sampled_from(["as drawn", "times [m]!", "off by one"]))
+def test_flat_factorial_division_matches_exact_div(rows, m, case):
+    # Row by row, the flat quotient by [m]! is exact_div's, and it
+    # raises NotDivisible exactly when exact_div does on some row.
+    den, size = quantum_factorial(m), 10
+    if case != "as drawn":
+        rows = {i: p * den for i, p in rows.items()}
+    if case == "off by one":
+        rows[min(rows)] = rows[min(rows)] + LaurentPoly.v_power(m)
+    rows = {i: p for i, p in rows.items() if p}
+    flat = QUANTUM_SCALARS.to_flat(rows, size)
+    expected = {}
+    for i, p in rows.items():
+        q = _quotient_or_none(exact_div, p, den)
+        row = {k: c for k, c in flat.items() if k % size == i}
+        got = _quotient_or_none(flat_factorial_quotient, row, m, size)
+        assert got == (None if q is None else QUANTUM_SCALARS.to_flat({i: q}, size))
+        expected = None if q is None or expected is None else {**expected, i: q}
+    got = _quotient_or_none(flat_factorial_quotient, flat, m, size)
+    assert (None if got is None else QUANTUM_SCALARS.from_flat(got, size)) == expected
 
 
 binomial_args = st.integers(0, 12).flatmap(

@@ -10,6 +10,7 @@ from schuralg.rootvectors import (
     SHAPES,
     BasisLabel,
     _label_block,
+    _monomial_image,
     apply_label,
     divided_power,
     eval_label,
@@ -115,6 +116,20 @@ def test_divided_power_not_divisible():
     m = build_model(2, 2)
     with pytest.raises(NotDivisible):
         divided_power(m, m.identity(), 2)  # id^2 / 2 has entries 1/2
+
+
+def test_wrong_twist_on_the_image_path_is_not_divisible():
+    # E_1^2 u_22 = (v^-1 + v) u_11 = [2] u_11 at (2, 2); with E_1's flat
+    # columns untwisted it is 2 u_11, and [2] does not divide 2.  The
+    # monomial is applied directly: the certificate would reject the
+    # untwisted generator before any image.
+    m = build_model(2, 2, mode="quantum")
+    start = {m.word_index[(2, 2)]: 1}
+    assert _monomial_image(m, (2,), "plus", start) == {m.word_index[(1, 1)]: 1}
+    e = root_vector(m, (1, 2), "plus")
+    e.flat = {j: {i: 1 for i in col} for j, col in e.cols.items()}
+    with pytest.raises(NotDivisible):
+        _monomial_image(m, (2,), "plus", start)
 
 
 def test_quantum_divided_powers_are_integral():
@@ -275,7 +290,7 @@ def test_label_key_format():
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 2)])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 2), (2, 5)])
 def test_label_image_is_the_operator_column_at_the_ordered_word(n, d, mode):
     # One model for every weighted kind, so that the partial images they
     # share (or must not share) go through one cache.

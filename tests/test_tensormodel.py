@@ -15,6 +15,8 @@ from schuralg.hecke import check_hecke_generation
 from schuralg.ring import LaurentPoly
 from schuralg.tensormodel import (
     SparseOperator,
+    _apply_flat,
+    _flat_columns,
     build_model,
     cartan_binomial,
     certify_hecke_commutation,
@@ -343,12 +345,19 @@ def test_operator_algebra_basics():
 
 
 def test_apply_is_one_column_of_a_product():
-    m = build_model(2, 3, mode="quantum")
-    e = generator_action(m, "E", 1)
-    f = generator_action(m, "F", 1)
-    for j, col in f.cols.items():
-        assert e.apply(col) == (e @ f).cols.get(j, {})
-    assert e.apply({}) == {}
+    # The flat apply of the label-image path, on keys row + n^d * e, is
+    # one column of the operator product, in both modes.
+    for mode in ("classical", "quantum"):
+        m = build_model(2, 3, mode=mode)
+        e = generator_action(m, m.names.plus, 1)
+        f = generator_action(m, m.names.minus, 1)
+        size, scalars = m.num_words, m.scalars
+        flat_e, flat_ef = _flat_columns(m, e), _flat_columns(m, e @ f)
+        for j, col in f.cols.items():
+            image = _apply_flat(flat_e, scalars.to_flat(col, size), size)
+            assert image == flat_ef.get(j, {})
+            assert scalars.from_flat(image, size) == (e @ f).cols.get(j, {})
+        assert _apply_flat(flat_e, {}, size) == {}
 
 
 def test_hecke_generator_on_words():
