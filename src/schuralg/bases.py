@@ -664,15 +664,11 @@ def structure_table_json(model, labels, pairs):
     }
 
 
-def structure_table_csv(model, labels, pairs):
+def structure_table_csv(table):
+    """A :func:`structure_table_json` table as CSV: one row per nonzero
+    coefficient, by pair and then by label key."""
     lines = ["left,right,label,coefficient"]
-    for i, j in pairs:
-        coeffs = structure_constants(model, labels, i, j)
-        for label, s in sorted(
-            coeffs.items(), key=lambda kv: label_key(kv[0], model.root_data)
-        ):
-            lines.append(
-                f'{i},{j},"{label_key(label, model.root_data)}",'
-                f'"{model.scalars.render(s)}"'
-            )
+    for triple in table["triples"]:
+        lines.extend(f'{triple["left"]},{triple["right"]},"{key}","{value}"'
+                     for key, value in sorted(triple["coeffs"].items()))
     return "\n".join(lines) + "\n"

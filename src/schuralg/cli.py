@@ -252,7 +252,7 @@ def _cmd_structconst(args):
     else:
         lines.append("  0")
     text = "\n".join(lines) + "\n"
-    return payload, text, structure_table_csv(model, labels, pairs), True
+    return payload, text, structure_table_csv(payload), True
 
 
 def _cmd_hecke(args):

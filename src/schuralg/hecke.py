@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bases import RankAccumulator, enumerate_basis, rank_of_family, rank_of_labels
+from .bases import RankAccumulator, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .rootvectors import apply_label, label_image
 from .tensormodel import (
@@ -70,12 +70,14 @@ def omega_truncation(model):
     Only the block (omega, omega) is enumerated: a label of another
     block has corner image 0, and one of this block is its own corner
     image, zero exactly when its image of u_omega is.  The family is a
-    full scan's, in its order, ranked on images by ``rank_of_labels``.
+    full scan's, in its order, ranked on those images, each built once:
+    they all lie in the one block (omega, omega).
     """
     omega = omega_weight(model)
     labels = enumerate_basis(model.n, model.d, "B1", block=(omega, omega))
-    family = [label for label in labels if label_image(model, label)]
-    return TruncationResult(omega, family, rank_of_labels(model, family))
+    images = [label_image(model, label) for label in labels]
+    family = [label for label, image in zip(labels, images) if image]
+    return TruncationResult(omega, family, rank_of_family(model, [x for x in images if x]))
 
 
 def _closure_rank(model, pairs, target):
@@ -143,11 +145,11 @@ def hecke_summary(model):
     result = omega_truncation(model)
     expected = factorial(model.d)
     family = result.family
-    closed = result.dim == expected or result.dim == rank_of_family(
-        model,
-        [label_image(model, x) for x in family]
-        + [apply_label(model, x, label_image(model, y)) for x in family for y in family],
-    )
+    closed = result.dim == expected
+    if not closed:
+        images = [label_image(model, x) for x in family]
+        closed = result.dim == rank_of_family(
+            model, images + [apply_label(model, x, y) for x in family for y in images])
     data = {
         "omega": list(result.omega),
         "dim": result.dim,

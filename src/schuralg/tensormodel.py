@@ -199,6 +199,8 @@ class SparseOperator:
         """Operator composition: (A @ B)(w) = A(B(w))."""
         if not isinstance(other, SparseOperator):
             return NotImplemented
+        if not self.cols:
+            return SparseOperator({})
         out = {}
         for j, bcol in other.cols.items():
             acc = {}

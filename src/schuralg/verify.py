@@ -24,6 +24,7 @@ B1 and B2 on these images (see :func:`_triangular_items`).
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations
 from math import comb
 
@@ -176,10 +177,11 @@ def _power(model, op, m):
 _V_MINUS_INVERSE = LaurentPoly({1: 1, -1: -1})
 
 
-def _idem_or_zero(model, lam):
-    """The weight idempotent, or the zero operator for invalid weights."""
-    lam = tuple(lam)
-    if any(x < 0 for x in lam) or sum(lam) != model.d:
+def _shifted_idempotent(model, lam, step, k):
+    """The weight idempotent of lam + k step, or the zero operator when
+    that leaves the weight set (``step`` sums to 0)."""
+    lam = tuple(x + k * y for x, y in zip(lam, step))
+    if min(lam) < 0:
         return model.zero_op()
     return weight_idempotent(model, lam)
 
@@ -295,9 +297,8 @@ def check_schur_relations(model):
         rep.add("R6", total == ident.scale(d), detail="sum of H_k equals d")
         last_id = "R7"
     else:
-        prod = ident
-        for k in range(1, n + 1):
-            prod = prod @ generator_action(model, "K", k)
+        factors = (generator_action(model, "K", k) for k in range(1, n + 1))
+        prod = _product(model, factors)
         rep.add(
             "Q6",
             prod == ident.scale(model.scalars.v_power(d)),
@@ -309,10 +310,8 @@ def check_schur_relations(model):
     agg = _Agg()
     for k in range(1, n + 1):
         cartan = generator_action(model, model.names.cartan, k)
-        acc = ident
-        for t in range(d + 1):
-            acc = acc @ (cartan - ident.scale(model.scalars.cartan(t)))
-        agg.check(acc.is_zero(), f"k={k}")
+        factors = (cartan - ident.scale(model.scalars.cartan(t)) for t in range(d + 1))
+        agg.check(_product(model, factors).is_zero(), f"k={k}")
     rep.append(agg.item(last_id))
     rep.seconds = time.perf_counter() - t0
     return rep
@@ -343,37 +342,27 @@ def check_idempotent_presentation(model):
     agg.check(total == model.identity(), "resolution of identity")
     rep.append(agg.item(f"S1{suffix}"))
 
-    def shifted(lam, alpha, sign):
-        out = tuple(x + sign * a for x, a in zip(lam, alpha))
-        return out if all(x >= 0 for x in out) else None
-
     agg = _Agg()
     for i in range(1, n):
         alpha = rd.simple_root(i)
         for lam in weights:
-            up = shifted(lam, alpha, +1)
-            down = shifted(lam, alpha, -1)
-            rhs = idem[up] @ e[i] if up is not None else model.zero_op()
-            agg.check(e[i] @ idem[lam] == rhs, f"{esym}{i}.1_{lam}")
-            rhs = idem[down] @ f[i] if down is not None else model.zero_op()
-            agg.check(f[i] @ idem[lam] == rhs, f"{fsym}{i}.1_{lam}")
-            rhs = e[i] @ idem[down] if down is not None else model.zero_op()
-            agg.check(idem[lam] @ e[i] == rhs, f"1_{lam}.{esym}{i}")
-            rhs = f[i] @ idem[up] if up is not None else model.zero_op()
-            agg.check(idem[lam] @ f[i] == rhs, f"1_{lam}.{fsym}{i}")
+            up = _shifted_idempotent(model, lam, alpha, 1)
+            down = _shifted_idempotent(model, lam, alpha, -1)
+            agg.check(e[i] @ idem[lam] == up @ e[i], f"{esym}{i}.1_{lam}")
+            agg.check(f[i] @ idem[lam] == down @ f[i], f"{fsym}{i}.1_{lam}")
+            agg.check(idem[lam] @ e[i] == e[i] @ down, f"1_{lam}.{esym}{i}")
+            agg.check(idem[lam] @ f[i] == f[i] @ up, f"1_{lam}.{fsym}{i}")
     rep.append(agg.item(f"S2{suffix}"))
 
     agg = _Agg()
     for i in range(1, n):
         for j in range(1, n):
             lhs = e[i] @ f[j] - f[j] @ e[i]
+            rhs = model.zero_op()
             if i == j:
-                rhs = model.zero_op()
                 for lam in weights:
                     coeff = model.scalars.integer(lam[j - 1] - lam[j])
                     rhs = rhs + idem[lam].scale(coeff)
-            else:
-                rhs = model.zero_op()
             agg.check(lhs == rhs, f"(i,j)=({i},{j})")
     rep.append(agg.item(f"S3{suffix}"))
     rep.notes.append(
@@ -384,99 +373,42 @@ def check_idempotent_presentation(model):
     return rep
 
 
-def _root_divided_powers(model):
-    """The maps (root, m) -> m-th divided power of the plus, and of the
-    minus, root vector."""
-    return (lambda root, m: root_divided_power(model, root, "plus", m),
-            lambda root, m: root_divided_power(model, root, "minus", m))
-
-
-def _classical_h_instances(model, rep):
-    d = model.d
-    E, F = _root_divided_powers(model)
-    for root in model.root_data.positive_roots:
-        i, j = root
-        for item_id, left, right, mid in (
-            (f"fHe[{i}-{j}]", F, E, j),
-            (f"eHf[{i}-{j}]", E, F, i),
-        ):
-            agg = _Agg()
-            for a in range(d + 1):
-                for b in range(d + 1):
-                    for c in range(d + 1):
-                        s = a + b + c - d
-                        if s < 1:
-                            continue
-                        lhs = (
-                            left(root, a)
-                            @ cartan_binomial(model, mid, b)
-                            @ right(root, c)
-                        )
-                        rhs = model.zero_op()
-                        for k in range(s, min(a, c) + 1):
-                            coeff = comb(k - 1, s - 1) * comb(b + k, k)
-                            if (k - s) % 2:
-                                coeff = -coeff
-                            term = (
-                                left(root, a - k)
-                                @ cartan_binomial(model, mid, b + k)
-                                @ right(root, c - k)
-                            )
-                            rhs = rhs + term.scale(coeff)
-                        agg.check(lhs == rhs, f"(a,b,c)=({a},{b},{c})")
-            rep.append(agg.item(item_id, "no triples with s >= 1"))
-
-
-def _idempotent_reduction_instances(model, rep):
-    d = model.d
-    n = model.n
+def _straightening_item(model, item_id, left, right, cases, name, empty):
+    """One reduction item: over the ``cases`` (a, b, c, M) with
+    s = a + b + c - d >= 1, in order, x^(a) M(0) y^(c) equals the sum over
+    k = s..min(a, c) of (-1)^(k-s) binom(k-1, s-1) binom(b+k, k)
+    x^(a-k) M(k) y^(c-k), with x^(m) = ``left(m)``, y^(m) = ``right(m)``
+    and the model's binomials (Gaussian quantumly); a zero M(k) adds no
+    term.  ``name`` names b in a failure detail; ``empty`` is the detail
+    when no case has s >= 1."""
     binomial = model.scalars.binomial
-    E, F = _root_divided_powers(model)
-    eletter, fletter = model.names.plus, model.names.minus
-    for root in model.root_data.positive_roots:
-        i, j = root
-        alpha = model.root_data.root_as_vector(root)
-        # E 1_lam F with b1 = lam_i shifts lam by +k alpha; F 1_lam E with
-        # b2 = lam_j by -k alpha.
-        for item_id, left, right, sign, pos, name in (
-            (f"{eletter}1{fletter}[{i}-{j}]", E, F, 1, i, "b1"),
-            (f"{fletter}1{eletter}[{i}-{j}]", F, E, -1, j, "b2"),
-        ):
-            agg = _Agg()
-            for b1 in range(d + 1):
-                lam = tuple(
-                    b1 if k == i else (d - b1 if k == j else 0) for k in range(1, n + 1)
-                )
-                b = lam[pos - 1]
-                idem = weight_idempotent(model, lam)
-                for a in range(d + 1):
-                    for c in range(d + 1):
-                        s = a + b + c - d
-                        if s < 1:
-                            continue
-                        lhs = left(root, a) @ idem @ right(root, c)
-                        rhs = model.zero_op()
-                        for k in range(s, min(a, c) + 1):
-                            mid = _idem_or_zero(
-                                model,
-                                tuple(x + sign * k * y for x, y in zip(lam, alpha)),
-                            )
-                            if not mid.is_zero():
-                                coeff = binomial(k - 1, s - 1) * binomial(b + k, k)
-                                if (k - s) % 2:
-                                    coeff = -coeff
-                                term = left(root, a - k) @ mid @ right(root, c - k)
-                                rhs = rhs + term.scale(coeff)
-                        agg.check(lhs == rhs, f"(a,{name},c)=({a},{b},{c})")
-            rep.append(agg.item(item_id, "no s >= 1 cases"))
-    rep.notes.append(
-        "terms whose shifted weight leaves the weight set contribute zero;"
-        " empty right-hand sums assert that the left side vanishes"
-    )
+    agg = _Agg()
+    for a, b, c, middle in cases:
+        s = a + b + c - model.d
+        if s < 1:
+            continue
+        lhs = left(a) @ middle(0) @ right(c)
+        rhs = model.zero_op()
+        for k in range(s, min(a, c) + 1):
+            mid = middle(k)
+            if not mid.is_zero():
+                coeff = binomial(k - 1, s - 1) * binomial(b + k, k)
+                if (k - s) % 2:
+                    coeff = -coeff
+                term = left(a - k) @ mid @ right(c - k)
+                rhs = rhs + term.scale(coeff)
+        agg.check(lhs == rhs, f"(a,{name},c)=({a},{b},{c})")
+    return agg.item(item_id, empty)
 
 
 def check_reduction_formulas(model, family):
-    """Divided-power reduction formulas, one item per root and shape."""
+    """Divided-power reduction formulas, one item per root and shape:
+    one identity (:func:`_straightening_item`) for the divided powers of
+    alpha = (i, j), with M(k) = binom(H_m, b + k) for classical-H (m = j
+    in f H e, i in e H f) and, for the idempotent families, with
+    M(k) = 1_{lam + k alpha} in e 1 f (b = b1 = lam_i) and 1_{lam - k alpha}
+    in f 1 e (b = b2 = lam_j), zero off the weight set, where
+    lam = b1 eps_i + (d - b1) eps_j."""
     if family not in REDUCTION_FAMILIES:
         raise ValueError(f"unknown reduction family {family!r}")
     wanted = "quantum" if family == "quantum-idempotent" else "classical"
@@ -484,12 +416,56 @@ def check_reduction_formulas(model, family):
         raise ValueError(f"family {family!r} needs a {wanted} model")
     t0 = time.perf_counter()
     rep = CheckReport(f"reduction[{family}]", model.n, model.d, model.mode)
-    if family == "classical-H":
-        _classical_h_instances(model, rep)
-    else:
-        _idempotent_reduction_instances(model, rep)
+    d, n, rng = model.d, model.n, range(model.d + 1)
+    eletter, fletter = model.names.plus, model.names.minus
+    for root in model.root_data.positive_roots:
+        i, j = root
+        E, F = (
+            partial(root_divided_power, model, root, sign) for sign in ("plus", "minus")
+        )
+        if family == "classical-H":
+            for item_id, left, right, m in ((f"fHe[{i}-{j}]", F, E, j),
+                                            (f"eHf[{i}-{j}]", E, F, i)):
+                cases = (
+                    (a, b, c, lambda k, b=b, m=m: cartan_binomial(model, m, b + k))
+                    for a in rng
+                    for b in rng
+                    for c in rng
+                )
+                rep.append(_straightening_item(model, item_id, left, right, cases,
+                                               "b", "no triples with s >= 1"))
+            continue
+        alpha = model.root_data.root_as_vector(root)
+        for item_id, left, right, sign, pos, name in (
+            (f"{eletter}1{fletter}[{i}-{j}]", E, F, 1, i, "b1"),
+            (f"{fletter}1{eletter}[{i}-{j}]", F, E, -1, j, "b2"),
+        ):
+            cases = []
+            for b1 in rng:
+                lam = tuple(
+                    b1 if k == i else (d - b1 if k == j else 0) for k in range(1, n + 1)
+                )
+                step = tuple(sign * y for y in alpha)
+                middle = partial(_shifted_idempotent, model, lam, step)
+                cases.extend((a, lam[pos - 1], c, middle) for a in rng for c in rng)
+            rep.append(_straightening_item(model, item_id, left, right, cases,
+                                           name, "no s >= 1 cases"))
+    if family != "classical-H":
+        rep.notes.append(
+            "terms whose shifted weight leaves the weight set contribute zero;"
+            " empty right-hand sums assert that the left side vanishes"
+        )
     rep.seconds = time.perf_counter() - t0
     return rep
+
+
+def _product(model, factors):
+    """The product of the operators ``factors``, in order: the identity
+    when there are none."""
+    acc = model.identity()
+    for factor in factors:
+        acc = acc @ factor
+    return acc
 
 
 def _minimal_polynomial_items(rep, model, op, exponents, shown):
@@ -500,17 +476,12 @@ def _minimal_polynomial_items(rep, model, op, exponents, shown):
     names the skipped eigenvalue in a failure detail."""
     ident = model.identity()
     factors = {t: op - ident.scale(model.scalars.cartan(t)) for t in exponents}
-    acc = ident
-    for factor in factors.values():
-        acc = acc @ factor
-    rep.add(f"{model.mode}:minimal-polynomial", acc.is_zero(),
+    rep.add(f"{model.mode}:minimal-polynomial",
+            _product(model, factors.values()).is_zero(),
             detail=f"degree {len(exponents)}")
     agg = _Agg()
     for skip in exponents:
-        sub = ident
-        for t, factor in factors.items():
-            if t != skip:
-                sub = sub @ factor
+        sub = _product(model, (f for t, f in factors.items() if t != skip))
         agg.check(not sub.is_zero(), f"factor for eigenvalue {shown(skip)}")
     rep.append(agg.item(f"{model.mode}:no-proper-subproduct-vanishes"))
 
@@ -663,12 +634,7 @@ def check_structural_facts(model):
 
     weights = model.weight_set()
     idem = [weight_idempotent(model, lam) for lam in weights]
-    ortho = all(
-        (idem[u] @ idem[w]).is_zero()
-        for u in range(len(weights))
-        for w in range(len(weights))
-        if u != w
-    )
+    ortho = all((x @ y).is_zero() for x, y in permutations(idem, 2))
     total_op = model.zero_op()
     for op in idem:
         total_op = total_op + op

@@ -106,6 +106,24 @@ def test_structconst_quantum_prints_laurent_polynomials():
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_structconst_expands_the_product_once(fmt, monkeypatch):
+    # Every format renders the one table: the CSV is made from it.
+    from schuralg import bases
+
+    calls = []
+    real = bases.structure_constants
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(bases, "structure_constants", counted)
+    argv = ["structconst", "2", "3", "--left", "1", "--right", "8", "--format", fmt]
+    assert run(argv)[0] == 0
+    assert calls == [(1, 8)]
+
+
 def test_hecke_text():
     code, out, _ = run(["hecke", "3", "3"])
     assert code == 0

@@ -4,12 +4,13 @@ JSON output is deterministic, so any refactor of the operator layers
 must leave these digests unchanged.  Each digest is the sha256 of the
 full ``--format json`` stdout of one command; they cover dim, verify,
 hecke, structconst and basis in both modes at (2, 3), (3, 3) and
-(4, 2), the structural and specialization suites at (3, 4) and (4, 3),
-the corner at (4, 4) in both modes, (5, 4) and (5, 5), and basis JSON
-for every kind at (3, 3).  ``label_key`` shows only in text and CSV
-output, so ``TEXT_CSV_GOLDEN`` adds the text and CSV output of
-``basis`` for every kind at (3, 2).  A changed digest is an output
-change and has to be declared as one, never silently re-recorded.
+(4, 2), the structural, specialization and reduction suites at (3, 4)
+and (4, 3), the corner at (4, 4) in both modes, (5, 4) and (5, 5), and
+basis JSON for every kind at (3, 3).  ``label_key`` shows only in text
+and CSV output, so ``TEXT_CSV_GOLDEN`` adds the text and CSV output of
+``basis`` for every kind at (3, 2), and the CSV output of structconst
+in both modes.  A changed digest is an output change and has to be
+declared as one, never silently re-recorded.
 """
 
 import hashlib
@@ -41,6 +42,10 @@ GOLDEN = [
      "79908ea63059acfade17f9387acc8c8b324a1d6f3d4fa256814eb1195c9caa94"),
     ("verify 4 3 --suite specialize",
      "80dd124f86753c64c43a2b80d1b3f3bd339bcd7068d63f1a5a27e04f49696417"),
+    ("verify 3 4 --quantum --suite reduction",
+     "d60e3589f6f64608eab908e78e1a2de179250f3e86021595aab54981b671dfbf"),
+    ("verify 4 3 --suite reduction",
+     "fbf2301e810d07996c65050468561d378211c179a56d52d2cd20b1a809f9c8a7"),
     ("hecke 3 3",
      "f07b02e51fcb31468a299fe3d4e4592cf823c8d8bdbc9a95f5ccb0c7ce93f926"),
     ("hecke 4 4",
@@ -119,6 +124,10 @@ TEXT_CSV_GOLDEN = [
      "4cee44fdac4f098013a22c6d064c9deddc4327f1c3de4b264ac1a01b2badda24"),
     ("basis 3 2 --kind zero --format csv",
      "fecde213b9d656f3f5658ee13980046066f3764c4524e7e6292bf318c466621f"),
+    ("structconst 2 3 --left 1 --right 8 --format csv",
+     "8e395b2c7df08915d908b259cd877edbc09dec6b7fc107662da42691741f7799"),
+    ("structconst 3 3 --quantum --left 5 --right 79 --format csv",
+     "8bae7de48c2e16a0514178d0dcc51909bbc2b5ed3d820a68de5fbe71e56ab13c"),
 ]
 
 

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from schuralg import hecke
+from schuralg import bases, hecke
 from schuralg.bases import RankAccumulator, enumerate_basis, rank_of_family
 from schuralg.errors import HypothesisError
 from schuralg.hecke import (
@@ -135,7 +135,11 @@ def test_truncation_evaluates_d_factorial_labels(n, d, mode, monkeypatch):
         calls.append(label)
         return label_image(model, label)
 
+    # Patched in both modules, so that every image, the ones built for
+    # the rank included, is counted: each corner label's image is built
+    # once.
     monkeypatch.setattr(hecke, "label_image", counted)
+    monkeypatch.setattr(bases, "label_image", counted)
     result = omega_truncation(build_model(n, d, mode=mode))
     assert len(calls) == factorial(d)
     assert result.dim == factorial(d)

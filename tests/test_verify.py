@@ -193,6 +193,41 @@ def test_reduction_family_mode_guard():
         check_reduction_formulas(m, "no-such-family")
 
 
+@pytest.mark.parametrize(
+    "family,mode,name,target,failures",
+    [
+        ("classical-H", "classical", "cartan_binomial", (2, 1),
+         {"fHe[1-2]": "failed at (a,b,c)=(1,0,2)",
+          "eHf[2-3]": "failed at (a,b,c)=(1,0,2)"}),
+        ("classical-idempotent", "classical", "weight_idempotent", (1, 1, 0),
+         {"e1f[1-2]": "failed at (a,b1,c)=(1,0,2)",
+          "f1e[1-2]": "failed at (a,b2,c)=(1,1,1)"}),
+        ("quantum-idempotent", "quantum", "weight_idempotent", (0, 1, 1),
+         {"E1F[2-3]": "failed at (a,b1,c)=(1,0,2)",
+          "F1E[2-3]": "failed at (a,b2,c)=(1,1,1)"}),
+    ],
+)
+def test_wrong_middle_factor_fails_its_reductions(family, mode, name, target,
+                                                  failures, monkeypatch):
+    # One middle factor at (3, 2) is doubled: binom(H_2, 1) for the
+    # U-form, one weight idempotent for the idempotent forms.  Exactly
+    # the items of the roots whose identity uses it fail, each at its
+    # first failing case in the family's order.
+    from schuralg import verify
+
+    real = getattr(verify, name)
+
+    def doubled(model, *args):
+        op = real(model, *args)
+        key = args if name == "cartan_binomial" else tuple(args[0])
+        return op.scale(model.scalars.integer(2)) if key == target else op
+
+    monkeypatch.setattr(verify, name, doubled)
+    rep = check_reduction_formulas(build_model(3, 2, mode=mode), family)
+    assert len(rep.items) == 6
+    assert {item.id: item.detail for item in rep.failures()} == failures
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rank_one_presentation(d):
     rep = check_rank_one_presentation(d)
