@@ -10,10 +10,12 @@ by the commutator-style recursion
 
 for j > i + 1, in both modes.  Classically v = 1 and this is the Lie
 bracket [E_{i,j-1}, E_{j-1,j}] = E_{ij} of gl_n, so the root vectors
-act by the Leibniz rule of the matrix units.  Divided powers divide
-the m-th operator power by m! (classical) or [m]! (quantum); the
-division must be exact entrywise and raises NotDivisible otherwise,
-which is how a wrong sign or twist in the recursion would surface.
+act by the Leibniz rule of the matrix units.  A divided power is the
+m-th operator power divided by m! (classical) or [m]! (quantum); a
+root vector's cached divided powers step x^(m) = x^(m-1) x / [m]
+instead.  Every division must be exact entrywise and raises
+NotDivisible otherwise, which is how a wrong sign or twist in the
+recursion would surface.
 
 A basis label is a flavor with multi-index exponents, and every flavor
 but PBW is a shape: e_A 1_lam f_C for B1, f_A 1_lam e_C for B2, and
@@ -167,10 +169,19 @@ def divided_power(model, op, m):
 
 
 def root_divided_power(model, root, sign, m):
-    """Cached m-th divided power of the root vector for (root, sign)."""
+    """Cached m-th divided power x^(m) of the root vector x for (root,
+    sign): for m >= 2, x^(m) = x^(m-1) x / [m] (m classically), from the
+    cached x^(m-1).  Each step divides exactly, or raises NotDivisible,
+    so the result is x^m / [m]!."""
     key = ("divided", root, sign, m)
     if key not in model._op_cache:
-        model._op_cache[key] = divided_power(model, root_vector(model, root, sign), m)
+        x = root_vector(model, root, sign)
+        if m < 2:
+            out = divided_power(model, x, m)
+        else:
+            out = model.divide(root_divided_power(model, root, sign, m - 1) @ x,
+                               model.scalars.integer(m))
+        model._op_cache[key] = out
     return model._op_cache[key]
 
 

@@ -45,6 +45,7 @@ expansion of the rows is the expansion of the operators.
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from operator import le
 
 from .errors import BadWeight, CertificateError, SizeLimit
@@ -394,44 +395,38 @@ def _check_weight(model, lam):
 
 
 def cartan_binomial(model, k, m):
-    """Binomial of a Cartan generator as an operator.
+    """Binomial of a Cartan generator as an operator: the Cartan product
+    of m eps_k.
 
     Classical: binom(H_k, m) = H_k (H_k - 1) ... (H_k - m + 1) / m!.
     Quantum: the Gaussian analogue
     prod_{s=1..m} (K_k v^{1-s} - K_k^{-1} v^{s-1}) / (v^s - v^{-s}).
-    Both are evaluated as genuine operator products whose entries are
-    then divided exactly by the scalar denominator.
     """
-    key = ("cartan_binomial", k, m)
-    if key in model._op_cache:
-        return model._op_cache[key]
-    if m < 0:
-        raise ValueError("need m >= 0")
-    ring = model.scalars
-    ident = model.identity()
-    acc, den = ident, ring.one
-    for s in range(1, m + 1):
-        if model.mode == "classical":
-            factor = generator_action(model, "H", k) - ident.scale(s - 1)
-            den = den * s
-        else:
-            factor = (generator_action(model, "K", k).scale(ring.v_power(1 - s))
-                      - generator_action(model, "K^-1", k).scale(ring.v_power(s - 1)))
-            den = den * (ring.v_power(s) - ring.v_power(-s))
-        acc = acc @ factor
-    out = model.divide(acc, den)
-    model._op_cache[key] = out
-    return out
+    if not 1 <= k <= model.n:
+        raise ValueError(f"k must be in 1..{model.n}")
+    return cartan_product(model, tuple(m if i == k else 0 for i in range(1, model.n + 1)))
 
 
 def cartan_product(model, B):
     """The product of the Cartan binomials binom(H_k, B_k) over k,
-    quantumly of their Gaussian analogues; the identity for B = 0."""
-    out = model.identity()
-    for k, b in enumerate(B, start=1):
-        if b:
-            out = out @ cartan_binomial(model, k, b)
-    return out
+    quantumly of their Gaussian analogues; the identity for B = 0.
+
+    It is read off the weights, with no operator product: H_k is
+    diagonal with eigenvalue mu_k on M^mu (K_k with v^{mu_k}), so the
+    product acts on M^mu by the scalar prod_k binom(mu_k, B_k), the
+    Gaussian binomial quantumly, which is 0 when some B_k > mu_k.
+    """
+    B = tuple(B)
+    if len(B) != model.n or min(B) < 0:
+        raise ValueError(f"{B} is not a Cartan multi-index for n = {model.n}")
+    key = ("cartan", B)
+    if key not in model._op_cache:
+        ring = model.scalars
+        table = {b: [ring.binomial(a, b) for a in range(model.d + 1)] for b in set(B)}
+        value = {mu: prod((table[b][a] for a, b in zip(mu, B) if b), start=ring.one)
+                 for mu in model.weight_set()}
+        model._op_cache[key] = model.diagonal(lambda j: value[model.weights[j]])
+    return model._op_cache[key]
 
 
 def weight_idempotent(model, lam):
@@ -443,10 +438,7 @@ def weight_idempotent(model, lam):
     """
     lam = tuple(lam)
     _check_weight(model, lam)
-    key = ("weight_idempotent", lam)
-    if key not in model._op_cache:
-        model._op_cache[key] = cartan_product(model, lam)
-    return model._op_cache[key]
+    return cartan_product(model, lam)
 
 
 def ordered_word(lam):

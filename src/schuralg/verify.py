@@ -168,10 +168,6 @@ class _Agg:
         return CheckItem(item_id, True, detail=f"{self.count} instance(s)")
 
 
-def _power(model, op, m):
-    return model.identity() if m == 0 else op**m
-
-
 # v - v^-1: Q2 and the rank-one relation EF - FE = (K - K^-1)/(v - v^-1)
 # are checked multiplied through by it, so that no fraction appears.
 _V_MINUS_INVERSE = LaurentPoly({1: 1, -1: -1})
@@ -520,7 +516,7 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None, models=None)
         if a + b + c <= d
     ]
     ops = [
-        _power(mc, f, a) @ _power(mc, h, b) @ _power(mc, e, c)
+        _product(mc, [f] * a + [h] * b + [e] * c)
         for (a, b, c) in labels
     ]
     expected = comb(d + 3, 3)
@@ -621,8 +617,9 @@ def check_structural_facts(model):
             x = root_vector(model, root, sign)
             i, j = root
             where = f"{sign}[{i}-{j}]"
+            p = x**d
             agg.check(
-                (x ** (d + 1)).is_zero() and not (x**d).is_zero(), where
+                (p @ x).is_zero() and not p.is_zero(), where
             )
     rep.append(agg.item("nilpotency-index-d+1"))
 

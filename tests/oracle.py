@@ -1,8 +1,8 @@
 """An independent field for the tests: sympy's Q(v), in which the
 package's scalars are embedded to check its ranks and coordinates, the
 full row of an operator, the reference its ordered-word rows are
-compared with, and the full-product reference for the Hecke
-certificate."""
+compared with, the full-product reference for the Hecke certificate,
+and the operator-product reference for the Cartan binomials."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from sympy import QQ, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from schuralg.ring import LaurentFraction, LaurentPoly
-from schuralg.tensormodel import hecke_generator
+from schuralg.tensormodel import generator_action, hecke_generator
 
 FIELD = QQ.frac_field(symbols("v"))
 
@@ -56,3 +56,23 @@ def commutes_with_hecke(model):
     full operator products: the reference for the certificate."""
     ts = [hecke_generator(model, p) for p in range(1, model.d)]
     return all(gen @ t == t @ gen for t in ts for gen in model._generators.values())
+
+
+def cartan_binomial_by_products(model, k, m):
+    """binom(H_k, m) as a genuine operator product divided exactly by
+    its scalar denominator: the factors H_k - s + 1 over m! classically,
+    K_k v^{1-s} - K_k^{-1} v^{s-1} over prod (v^s - v^{-s}) quantumly,
+    for s = 1..m."""
+    ring = model.scalars
+    ident = model.identity()
+    acc, den = ident, ring.one
+    for s in range(1, m + 1):
+        if model.mode == "classical":
+            factor = generator_action(model, "H", k) - ident.scale(s - 1)
+            den = den * s
+        else:
+            factor = (generator_action(model, "K", k).scale(ring.v_power(1 - s))
+                      - generator_action(model, "K^-1", k).scale(ring.v_power(s - 1)))
+            den = den * (ring.v_power(s) - ring.v_power(-s))
+        acc = acc @ factor
+    return model.divide(acc, den)

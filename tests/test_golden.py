@@ -4,8 +4,9 @@ JSON output is deterministic, so any refactor of the operator layers
 must leave these digests unchanged.  Each digest is the sha256 of the
 full ``--format json`` stdout of one command; they cover dim, verify,
 hecke, structconst and basis in both modes at (2, 3), (3, 3) and
-(4, 2), the structural, specialization and reduction suites at (3, 4)
-and (4, 3), the corner at (4, 4) in both modes, (5, 4) and (5, 5), and
+(4, 2), the structural, specialization, reduction, idempotent and
+relations suites at (3, 4) and (4, 3), the structural suite at (4, 4)
+(the bench's structural-c command), the corner at (4, 4) in both modes, (5, 4) and (5, 5), and
 basis JSON for every kind at (3, 3).  ``label_key`` shows only in text
 and CSV output, so ``TEXT_CSV_GOLDEN`` adds the text and CSV output of
 ``basis`` for every kind at (3, 2), and the CSV output of structconst
@@ -46,6 +47,14 @@ GOLDEN = [
      "d60e3589f6f64608eab908e78e1a2de179250f3e86021595aab54981b671dfbf"),
     ("verify 4 3 --suite reduction",
      "fbf2301e810d07996c65050468561d378211c179a56d52d2cd20b1a809f9c8a7"),
+    ("verify 4 3 --suite idempotent",
+     "2ff5d519747f2d9741f67c287de1e0803945d7a5483b7f2db4ee46b4120f8818"),
+    ("verify 3 4 --quantum --suite idempotent",
+     "dcf8d683e31b424b27ad5cfcef75d863d7dad9f8597dee217ad3000c083c6ed1"),
+    ("verify 3 4 --quantum --suite relations",
+     "2cd73b68d151ce18305fb76504c24ede6a78d63f960754aaa3620d836a31261a"),
+    ("verify 4 4 --suite structural",
+     "7631e070a1f9ee3200adba92496f8475b3d3f5559b241b7f8dbe48e13448dd59"),
     ("hecke 3 3",
      "f07b02e51fcb31468a299fe3d4e4592cf823c8d8bdbc9a95f5ccb0c7ce93f926"),
     ("hecke 4 4",

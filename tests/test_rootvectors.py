@@ -19,6 +19,7 @@ from schuralg.rootvectors import (
     label_from_json,
     label_key,
     label_to_json,
+    root_divided_power,
     root_vector,
 )
 from schuralg.tensormodel import (
@@ -116,6 +117,41 @@ def test_divided_power_not_divisible():
     m = build_model(2, 2)
     with pytest.raises(NotDivisible):
         divided_power(m, m.identity(), 2)  # id^2 / 2 has entries 1/2
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3)])
+def test_root_divided_power_recurrence_is_the_divided_power(n, d, mode):
+    m = build_model(n, d, mode=mode)
+    for root in m.root_data.positive_roots:
+        for sign in ("plus", "minus"):
+            x = root_vector(m, root, sign)
+            for k in range(d + 2):
+                assert root_divided_power(m, root, sign, k) == divided_power(m, x, k), (
+                    root, sign, k)
+
+
+def test_root_divided_power_takes_no_operator_power(monkeypatch):
+    m = build_model(3, 3, mode="quantum")
+
+    def refuse(op, k):
+        raise AssertionError("operator power")
+
+    monkeypatch.setattr(SparseOperator, "__pow__", refuse)
+    assert root_divided_power(m, (1, 3), "minus", 4).is_zero()
+    assert not root_divided_power(m, (1, 3), "minus", 3).is_zero()
+
+
+def test_wrong_twist_on_the_operator_path_is_not_divisible():
+    # As below, but through the recurrence x^(2) = x^(1) x / [2]: with
+    # E_1 untwisted, E_1^2 u_22 = 2 u_11 and [2] does not divide 2.
+    m = build_model(2, 2, mode="quantum")
+    one = m.scalars.one
+    e = generator_action(m, "E", 1)
+    m._generators[("E", 1)] = SparseOperator(
+        {j: {i: one for i in col} for j, col in e.cols.items()})
+    with pytest.raises(NotDivisible):
+        root_divided_power(m, (1, 2), "plus", 2)
 
 
 def test_wrong_twist_on_the_image_path_is_not_divisible():

@@ -6,7 +6,7 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from oracle import commutes_with_hecke
+from oracle import cartan_binomial_by_products, commutes_with_hecke
 
 from schuralg import tensormodel
 from schuralg.cli import main
@@ -19,6 +19,7 @@ from schuralg.tensormodel import (
     _flat_columns,
     build_model,
     cartan_binomial,
+    cartan_product,
     certify_hecke_commutation,
     compositions,
     generator_action,
@@ -321,6 +322,54 @@ def test_cartan_binomial_quantum_values():
         expected = gaussian_binomial(mu2, 2)
         got = op.cols.get(j, {}).get(j, LaurentPoly.zero())
         assert got == expected
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3)])
+def test_cartan_binomial_matches_the_operator_product(n, d, mode):
+    m = build_model(n, d, mode=mode)
+    for k in range(1, n + 1):
+        for b in range(d + 2):
+            assert cartan_binomial(m, k, b) == cartan_binomial_by_products(m, k, b), (k, b)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_cartan_product_matches_the_product_of_binomials(mode):
+    m = build_model(3, 3, mode=mode)
+    for total in range(m.d + 3):
+        for B in compositions(3, total):
+            expected = m.identity()
+            for k, b in enumerate(B, start=1):
+                expected = expected @ cartan_binomial_by_products(m, k, b)
+            assert cartan_product(m, B) == expected, B
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_cartan_part_forms_no_operator_product(mode, monkeypatch):
+    m = build_model(3, 3, mode=mode)
+
+    def refuse(*args):
+        raise AssertionError("operator arithmetic in the Cartan part")
+
+    monkeypatch.setattr(SparseOperator, "__matmul__", refuse)
+    monkeypatch.setattr(SparseOperator, "__pow__", refuse)
+    monkeypatch.setattr(type(m), "divide", refuse)
+    assert cartan_product(m, (2, 0, 1)) == weight_idempotent(m, (2, 0, 1))
+    assert not weight_idempotent(m, (1, 1, 1)).is_zero()
+    assert not cartan_binomial(m, 2, 2).is_zero()
+    assert cartan_product(m, (2, 1, 1)).is_zero()
+
+
+def test_cartan_part_rejects_bad_indices():
+    m = build_model(2, 2)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="k must be in 1..2"):
+            cartan_binomial(m, k, 0)
+    for bad in ((1,), (1, 0, 0), (1, -1)):
+        with pytest.raises(ValueError, match="not a Cartan multi-index"):
+            cartan_product(m, bad)
+    with pytest.raises(ValueError):
+        cartan_binomial(m, 1, -1)
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
