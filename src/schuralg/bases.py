@@ -30,7 +30,13 @@ specialized at a rational point v = a/b straight to integers: with lo
 and hi the lowest and highest exponents of v in the row, an entry
 sum c_e v^e becomes sum c_e a^(e - lo) b^(hi - e).  That is the value
 at a/b times a^-lo b^hi, one nonzero constant for the whole row, so the
-integer row has exactly the rank of the specialized one.
+integer row has exactly the rank of the specialized one.  The label
+images of :func:`block_ranks` are specialized from their flat form
+{position + N * e: c}, N = n^d (see ``ring``): each key gives e and
+the position by one divmod, and lo and hi are the extreme keys divided
+by N, so no LaurentPoly is built.  A family of them short of full rank
+is turned into LaurentPoly rows for its span check below; ordered-word
+rows, and the columns of :func:`coordinates`, stay LaurentPoly rows.
 
 The rows that grow the echelon at the point are independent, and the
 lead positions of its pivots pick a minor of them that is nonzero:
@@ -65,11 +71,11 @@ from .rootvectors import (
     KINDS,
     SHAPES,
     BasisLabel,
+    _block_image,
     _label_block,
     _signed_shift,
     apply_label,
     label_columns,
-    label_image,
     label_key,
     label_to_json,
     root_sum,
@@ -85,6 +91,7 @@ __all__ = [
     "block_index",
     "block_dimension",
     "block_ranks",
+    "block_images",
     "rank_of_family",
     "rank_of_labels",
     "RankAccumulator",
@@ -230,22 +237,30 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     return labels
 
 
-def _specialized_row(row, point):
+def _specialized_row(row, point, size=None):
     """Integer row proportional to a row of Laurent polynomials at
     v = point = a/b: each entry sum c_e v^e becomes
-    sum c_e a^(e - lo) b^(hi - e) for the row's extreme exponents lo, hi."""
+    sum c_e a^(e - lo) b^(hi - e) for the row's extreme exponents lo, hi.
+    With ``size`` = N the row is flat, {position + N * e: c} (see
+    ``ring``), and lo and hi are its extreme keys divided by N."""
     if not row:
         return {}
     a, b = point.numerator, point.denominator
-    lo = min(min(p.coeffs) for p in row.values())
-    hi = max(max(p.coeffs) for p in row.values())
+    if size is None:
+        lo = min(min(p.coeffs) for p in row.values())
+        hi = max(max(p.coeffs) for p in row.values())
+    else:
+        lo, hi = min(row) // size, max(row) // size
     weights = [a**t * b ** (hi - lo - t) for t in range(hi - lo + 1)]
     out = {}
-    for k, p in row.items():
-        total = sum(c * weights[e - lo] for e, c in p.coeffs.items())
-        if total:
-            out[k] = total
-    return out
+    if size is None:
+        for k, p in row.items():
+            out[k] = sum(c * weights[e - lo] for e, c in p.coeffs.items())
+    else:
+        for k, c in row.items():
+            e, i = divmod(k, size)
+            out[i] = out.get(i, 0) + c * weights[e - lo]
+    return {k: c for k, c in out.items() if c}
 
 
 def _reduce_by_gcd(row):
@@ -293,20 +308,25 @@ class _IntEchelon:
 def _points(model):
     """Values of v tried in turn for a rank certificate: the single
     point None classically, where integer rows are exact already;
-    quantumly the model's ``spec_points`` in order, then v = 2, 3, 4, ..."""
+    quantumly the model's ``spec_points`` in order, then v = 2, 3, 4, ...
+    The spec points are read once per model."""
     if model.mode == "classical":
         yield None
         return
-    points = tuple(Fraction(p) for p in model.spec_points)
-    if 0 in points:
-        raise ValueError("cannot specialize at v = 0")
+    points = model._spec_fractions
+    if not points:
+        points = tuple(Fraction(p) for p in model.spec_points)
+        if 0 in points:
+            raise ValueError("cannot specialize at v = 0")
+        model._spec_fractions = points
     yield from points
     yield from (Fraction(m) for m in count(2) if m not in points)
 
 
-def _prepared(row, point):
-    """A row as a primitive integer row at ``point`` (None: as it is)."""
-    return _reduce_by_gcd(row if point is None else _specialized_row(row, point))
+def _prepared(row, point, size=None):
+    """A row as a primitive integer row at ``point`` (None: as it is);
+    ``size`` as in :func:`_specialized_row`."""
+    return _reduce_by_gcd(row if point is None else _specialized_row(row, point, size))
 
 
 class RankAccumulator:
@@ -348,15 +368,25 @@ def _pivots(model, rows):
     against them at those positions, at the points of :func:`_points` in
     turn until all checks pass.  A full-rank family needs no check; a
     short one is split first into groups of rows that share positions,
-    so that each check solves a small minor.
+    so that each check solves a small minor.  Quantum rows with integer
+    entries are flat, {position + N * e: c} for N = n^d (see ``ring``),
+    and are specialized as they are; a short family of them is turned
+    into LaurentPoly rows for its checks.
     """
+    size = None
+    if model.mode == "quantum":
+        entry = next((c for row in rows for c in row.values()), None)
+        if isinstance(entry, int):
+            size = model.num_words
     for point in _points(model):
         echelon = _IntEchelon()
-        grew = [echelon.add(_prepared(row, point)) for row in rows]
+        grew = [echelon.add(_prepared(row, point, size)) for row in rows]
         indices = [u for u, g in enumerate(grew) if g]
         leads = sorted(echelon.pivots)
         if point is None or len(indices) == len(rows):
             return indices, leads
+        if size is not None:
+            rows, size = [model.scalars.from_flat(row, size) for row in rows], None
         groups = _connected_columns(rows)
         if len(groups) > 1:
             found = [_pivots(model, [rows[u] for u in group]) for group in groups]
@@ -369,7 +399,8 @@ def _pivots(model, rows):
 
 
 def rank_of_family(model, rows):
-    """Exact rank of a family of sparse rows {position: scalar}."""
+    """Exact rank of a family of sparse rows {position: scalar}, or
+    quantumly of flat rows (see :func:`_pivots`)."""
     return len(_pivots(model, rows)[0])
 
 
@@ -382,11 +413,11 @@ def rank_of_labels(model, labels):
     of the ordered words, without building operators.
 
     When every label pins a weight block, the family is ranked block by
-    block, one image of u_src per label (:func:`label_image`): operators
-    of different blocks have disjoint supports.  Otherwise each label is
-    the row of its columns at the ordered words.  Once the model's
-    Hecke-commutation certificate holds, either rank is the rank of the
-    operators (see ``rootvectors``).
+    block, one image of u_src per label (``rootvectors.label_image``):
+    operators of different blocks have disjoint supports.  Otherwise
+    each label is the row of its columns at the ordered words.  Once the
+    model's Hecke-commutation certificate holds, either rank is the rank
+    of the operators (see ``rootvectors``).
     """
     ranks = block_ranks(model, labels)
     if ranks is None:
@@ -396,14 +427,33 @@ def rank_of_labels(model, labels):
 
 def block_ranks(model, labels):
     """Exact rank of each weight block of a label family, ranked on the
-    labels' images of u_src (:func:`label_image`), as
+    labels' images of u_src (``rootvectors.label_image``), as
     ``{(src, dst): rank}`` over the blocks of :func:`block_index`; None
-    when some label pins no block."""
+    when some label pins no block.  The images (:func:`block_images`)
+    reach the rank kernel flat."""
     index = block_index(model, labels)
     if index is None:
         return None
-    return {block: rank_of_family(model, [label_image(model, labels[pos]) for pos in positions])
-            for block, positions in index.items()}
+    ranks = {block: rank_of_family(model, images)
+             for block, images in block_images(model, labels, index)}
+    return {block: ranks[block] for block in index}
+
+
+def block_images(model, labels, index):
+    """The flat images of u_src (``rootvectors._block_image``) of a
+    label family, as (block, images in the order of ``index[block]``)
+    for each block of ``index`` = :func:`block_index` of the family.
+
+    The blocks come source weight by source weight, and the images of
+    one source weight share their prefixes through one memo, dropped
+    when the next source weight starts."""
+    by_source = {}
+    for block in index:
+        by_source.setdefault(block[0], []).append(block)
+    for src, blocks in by_source.items():
+        memo = {}
+        for block in blocks:
+            yield block, [_block_image(model, labels[pos], src, memo) for pos in index[block]]
 
 
 def block_index(model, family):

@@ -21,10 +21,15 @@ Vectors on the label-image path of ``rootvectors`` are flat integer
 dicts: the term c v^e at row i is the key i + N * e, N = n^d > i, with
 value c, and classically the vector {row: int} itself.  The adapters'
 ``to_flat`` and ``from_flat`` convert at that path's public boundary,
-and ``divide_factorial`` divides by m! or [m]! on the flat form.
+and ``divide_integer`` divides by m or [m] on the flat form:
+:func:`flat_integer_quotient` is one exact step by [k], row by row on
+dense coefficient tuples, and :func:`flat_factorial_quotient` the steps
+k = 2, ..., m in turn.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial
 
 from .errors import NotDivisible
@@ -36,6 +41,7 @@ __all__ = [
     "quantum_integer",
     "quantum_factorial",
     "gaussian_binomial",
+    "flat_integer_quotient",
     "flat_factorial_quotient",
     "ClassicalScalars",
     "QuantumScalars",
@@ -302,36 +308,65 @@ def _flat_rows(vec, size):
     return rows
 
 
-def flat_factorial_quotient(vec, m, size):
-    """A flat vector {row + size * e: c} with each row divided exactly by
-    [m]!, or NotDivisible.  For k = 2, ..., m a row's dense coefficient
-    list a is multiplied by v - v^-1 and divided by v^k - v^-k = (v -
-    v^-1) [k] from the top, q_t = a'_(t+2k) + q_(t+2k) for a' = (v -
-    v^-1) a, which leaves a remainder exactly when [k] does not divide a.
+@lru_cache(maxsize=4096)
+def _integer_step(a, k):
+    """A dense coefficient tuple a, from v^lo, divided exactly by [k]: the
+    quotient tuple, from v^(lo + k - 1), or None on a remainder.  a is
+    multiplied by v - v^-1 and divided by v^k - v^-k = (v - v^-1) [k]
+    from the top, q_t = a'_(t+2k) + q_(t+2k) for a' = (v - v^-1) a,
+    which leaves a remainder exactly when [k] does not divide a.  The
+    rows of an image repeat a few polynomials many times, so the
+    quotients are kept."""
+    k2 = 2 * k
+    top = len(a) + 2 - k2
+    up, a = (0, 0) + a, a + (0, 0)  # a' = up - a, from v^(lo - 1)
+    q = [0] * (top + k2)
+    for t in range(top - 1, -1, -1):
+        s = t + k2
+        q[t] = up[s] - a[s] + q[s]
+    if top <= 0 or any([up[t] - a[t] + q[t] for t in range(k2)]):
+        return None
+    return tuple(q[:top])
 
-    >>> flat_factorial_quotient({5 + 10: 1, 5 - 10: 1}, 2, 10)
-    {5: 1}
-    """
+
+def _flat_quotient(vec, steps, size, name):
+    """A flat vector with each row divided exactly by [k] for k in
+    ``steps`` in turn, on the row's dense coefficient tuple, or
+    NotDivisible naming the divisor ``name``."""
     out = {}
     for row, coeffs in _flat_rows(vec, size).items():
         lo = min(coeffs)
-        a = [coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)]
-        for k in range(2, m + 1):
-            k2 = 2 * k
-            top = len(a) + 2 - k2
-            up, a = [0, 0] + a, a + [0, 0]  # a' = up - a, from v^(lo - 1)
-            q = [0] * (top + k2)
-            for t in range(top - 1, -1, -1):
-                s = t + k2
-                q[t] = up[s] - a[s] + q[s]
-            if top <= 0 or any([up[t] - a[t] + q[t] for t in range(k2)]):
+        a = tuple(map(coeffs.get, range(lo, max(coeffs) + 1), repeat(0)))
+        for k in steps:
+            a = _integer_step(a, k)
+            if a is None:
                 raise NotDivisible(
-                    f"({LaurentPoly(coeffs)}) is not divisible by [{m}]! at row {row}")
-            a, lo = q[:top], lo + k - 1
+                    f"({LaurentPoly(coeffs)}) is not divisible by {name} at row {row}")
+            lo += k - 1
         for t, c in enumerate(a):
             if c:
                 out[row + size * (lo + t)] = c
     return out
+
+
+def flat_integer_quotient(vec, k, size):
+    """A flat vector {row + size * e: c} with each row divided exactly by
+    [k], k >= 1, or NotDivisible.
+
+    >>> flat_integer_quotient({5 + 10: 1, 5 - 10: 1}, 2, 10)
+    {5: 1}
+    """
+    return vec if k == 1 else _flat_quotient(vec, (k,), size, f"[{k}]")
+
+
+def flat_factorial_quotient(vec, m, size):
+    """A flat vector {row + size * e: c} with each row divided exactly by
+    [m]!, or NotDivisible: successive [k] steps, k = 2, ..., m.
+
+    >>> flat_factorial_quotient({5 + 10: 1, 5 - 10: 1}, 2, 10)
+    {5: 1}
+    """
+    return _flat_quotient(vec, range(2, m + 1), size, f"[{m}]!")
 
 
 class LaurentFraction:
@@ -433,10 +468,11 @@ class ClassicalScalars:
     to_flat = from_flat = staticmethod(lambda vec, size: vec)
 
     @staticmethod
-    def divide_factorial(vec, m, size):
-        """A flat vector divided exactly by m!, or NotDivisible."""
-        den = factorial(m)
-        return {k: ClassicalScalars.exact_quotient(c, den) for k, c in vec.items()}
+    def divide_integer(vec, m, size):
+        """A flat vector divided exactly by m, or NotDivisible."""
+        if m == 1:
+            return vec
+        return {k: ClassicalScalars.exact_quotient(c, m) for k, c in vec.items()}
 
 
 class QuantumScalars:
@@ -471,7 +507,7 @@ class QuantumScalars:
         """{row + size * e: c} as {row: LaurentPoly}."""
         return {row: LaurentPoly(coeffs) for row, coeffs in _flat_rows(vec, size).items()}
 
-    divide_factorial = staticmethod(flat_factorial_quotient)
+    divide_integer = staticmethod(flat_integer_quotient)
 
 
 CLASSICAL_SCALARS = ClassicalScalars()

@@ -44,10 +44,18 @@ u_lam (:func:`apply_label`).  Its operator commutes with H_d too, and
 b 1_lam is zero exactly when b u_lam is, so these images fix b.
 
 Images are built on flat integer vectors {row + n^d * e: c} (see
-``ring``): each root vector is applied through its flat columns, and an
-m-th power is divided exactly by m! or [m]! on the flat form.  They
+``ring``), each root vector applied through its flat columns, and
 become {row: scalar} vectors, with LaurentPoly entries quantumly, only
-when :func:`label_image` or :func:`apply_label` returns.
+when :func:`label_image` or :func:`apply_label` returns.  A Kostant
+monomial x_A acts by a recurrence: with r the first root with a_r > 0,
+x_r^(a) = x_r x_r^(a-1) / [a] gives x_A p = x_r (x_(A - eps_r) p) /
+[a_r], one application and one exact division by [a_r], or a_r, per
+step, from the image one root step shorter (:func:`_prefix_image`).
+That shorter image is the image of another label of the same source
+weight, so the images of a family taken block by block
+(``bases.block_images``) are kept in one memo per source weight
+(:func:`_block_image`), dropped when the next source weight starts;
+nothing of it is kept on the model.
 """
 
 from dataclasses import dataclass
@@ -288,34 +296,49 @@ def _label_block(label, root_data):
     return shift, (src, tuple(map(add, src, shift)))
 
 
-def _monomial_image(model, exponents, sign, vec):
-    """A Kostant monomial applied to a flat vector: its divided root
-    powers right to left, each m-th power divided exactly by m! or [m]!,
-    or NotDivisible."""
-    roots = model.root_data.positive_roots
-    if len(exponents) != len(roots):
-        raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
-    size, divide = model.num_words, model.scalars.divide_factorial
-    for root, m in zip(reversed(roots), reversed(exponents)):
-        if not m or not vec:
-            continue
-        cols = _flat_columns(model, root_vector(model, root, sign))
-        for _ in range(m):
-            vec = _apply_flat(cols, vec, size)
-        if m > 1:
-            vec = divide(vec, m, size)
-    return vec
+def _prefix_image(model, exponents, sign, vec, images):
+    """A Kostant monomial x_A applied to a flat vector p, by the
+    recurrence x_A p = x_r (x_(A - eps_r) p) / [a_r] for r the first
+    root with a_r > 0 (x_r^(a) = x_r x_r^(a-1) / [a]): one application
+    and one exact division by [a_r], or a_r, per image, or NotDivisible.
+    ``images`` holds the images x_B p of p already built, keyed by B,
+    and receives those built on the way."""
+    if not vec or not any(exponents):
+        return vec
+    image = images.get(exponents)
+    if image is None:
+        r = next(t for t, m in enumerate(exponents) if m)
+        m = exponents[r]
+        prefix = _prefix_image(model, exponents[:r] + (m - 1,) + exponents[r + 1:],
+                               sign, vec, images)
+        size = model.num_words
+        cols = _flat_columns(model, root_vector(model, model.root_data.positive_roots[r], sign))
+        image = images[exponents] = model.scalars.divide_integer(
+            _apply_flat(cols, prefix, size), m, size)
+    return image
 
 
-def _act(model, label, parts, vec):
+def _act(model, label, parts, vec, memo=None, key=None):
     """Some of a label's shape parts, right to left, applied to a flat
-    vector; 1_lam keeps the entries of weight lam."""
+    vector; 1_lam keeps the entries of weight lam.  Each monomial goes
+    by :func:`_prefix_image`, its images kept in ``memo`` (a new dict
+    when None) under (key, sign), for ``key`` naming the vector it acts
+    on."""
     weights, size = model.weights, model.num_words
+    roots = model.root_data.positive_roots
+    memo = {} if memo is None else memo
     for part in reversed(parts):
         if part is None:
             vec = {k: c for k, c in vec.items() if weights[k % size] == label.lam}
-        else:
-            vec = _monomial_image(model, getattr(label, part[0]), part[1], vec)
+            key = (key, label.lam)
+            continue
+        name, sign = part
+        exponents = getattr(label, name)
+        if len(exponents) != len(roots):
+            raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
+        key = (key, sign)
+        vec = _prefix_image(model, exponents, sign, vec, memo.setdefault(key, {}))
+        key += (exponents,)
     return vec
 
 
@@ -335,22 +358,19 @@ def apply_label(model, label, vec):
     return scalars.from_flat(vec, size)
 
 
-def label_image(model, label):
-    """The image of the ordered word u_src under a label that pins the
-    weight block (src, dst), as a vector {word index: scalar}.
+def _block_image(model, label, src, memo=None):
+    """:func:`label_image` as a flat vector, for a label of source
+    weight ``src``.
 
-    The label's operator is fixed by this one vector (see the module
-    docstring); the Hecke-commutation certificate of the model is
-    checked before the first image.  The image is built flat and turned
-    into scalars once, at the end.  The parts from 1_lam rightwards,
-    applied to u_src, are kept on the model and shared by every label
-    that differs only left of 1_lam: f_C u_src serves every e_A of B1.
-    """
-    _, block = _label_block(label, model.root_data)
-    if block is None:
-        raise ValueError(f"a {label.flavor} label pins no weight block")
+    The parts from 1_lam rightwards, applied to u_src, are shared by
+    every label that differs only left of 1_lam: f_C u_src serves every
+    e_A of B1.  Without ``memo`` they are kept on the model.  With a
+    dict ``memo`` they are kept there instead, with the images on the
+    way to each monomial (:func:`_act`): a caller shares it among the
+    labels of one source weight, whose images then share their
+    prefixes."""
     _check_weight(model, label.lam)
-    if min(block[0]) < 0:  # no weight space reaches 1_lam: the operator is 0
+    if min(src) < 0:  # no weight space reaches 1_lam: the operator is 0
         return {}
     certify_hecke_commutation(model)
     shape = SHAPES[label.flavor]
@@ -358,12 +378,27 @@ def label_image(model, label):
     right = shape[cut:]
     key = ("image", label.lam,
            tuple((getattr(label, name), sign) for name, sign in right[1:]))
-    partial = model._op_cache.get(key)
+    cache = model._op_cache if memo is None else memo
+    partial = cache.get(key)
     if partial is None:
-        start = {model.word_index[ordered_word(block[0])]: 1}
-        partial = model._op_cache[key] = _act(model, label, right, start)
-    image = _act(model, label, shape[:cut], partial)
-    return model.scalars.from_flat(image, model.num_words)
+        start = {model.word_index[ordered_word(src)]: 1}
+        partial = cache[key] = _act(model, label, right, start, memo, src)
+    return _act(model, label, shape[:cut], partial, memo, key)
+
+
+def label_image(model, label):
+    """The image of the ordered word u_src under a label that pins the
+    weight block (src, dst), as a vector {word index: scalar}.
+
+    The label's operator is fixed by this one vector (see the module
+    docstring); the Hecke-commutation certificate of the model is
+    checked before the first image.  The image is built flat
+    (:func:`_block_image`) and turned into scalars once, at the end.
+    """
+    _, block = _label_block(label, model.root_data)
+    if block is None:
+        raise ValueError(f"a {label.flavor} label pins no weight block")
+    return model.scalars.from_flat(_block_image(model, label, block[0]), model.num_words)
 
 
 def label_columns(model, label):

@@ -257,6 +257,7 @@ class Model:
     _last_family: tuple | None = field(default=None, repr=False)
     _hecke_certified: bool = field(default=False, repr=False)
     _weight_set: tuple = field(default=(), repr=False)
+    _spec_fractions: tuple = field(default=(), repr=False)
 
     @property
     def num_words(self):

@@ -632,6 +632,23 @@ def test_certified_solve_falls_back_when_minors_vanish(mode, monkeypatch):
         assert tried == [None]
 
 
+def test_points_are_the_spec_points_then_the_integers():
+    from itertools import islice
+
+    from schuralg import bases
+
+    m = build_model(2, 2, mode="quantum", spec_points=(2, Fraction(3, 2)))
+    for _ in range(2):  # read once, the same order every time
+        assert list(islice(bases._points(m), 4)) == [2, Fraction(3, 2), 3, 4]
+    assert list(bases._points(build_model(2, 2))) == [None]
+    # v = 0 is refused on every call, the first rank included.
+    zero = build_model(2, 2, mode="quantum", spec_points=(0, 2))
+    row = {0: LaurentPoly.one()}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="v = 0"):
+            rank_of_family(zero, [row])
+
+
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_certified_solve_fractional_coordinates(mode):
     # x0 + x1 = 1 and x0 + (2 + v) x1 = 2: x1 = 1/(1 + v), 1/2 at v = 1.

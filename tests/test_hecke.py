@@ -13,7 +13,7 @@ from schuralg.hecke import (
     omega_truncation,
     omega_weight,
 )
-from schuralg.rootvectors import _label_block, eval_label, label_image
+from schuralg.rootvectors import _block_image, _label_block, eval_label, label_image
 from schuralg.tensormodel import (
     RootData,
     build_model,
@@ -135,11 +135,15 @@ def test_truncation_evaluates_d_factorial_labels(n, d, mode, monkeypatch):
         calls.append(label)
         return label_image(model, label)
 
-    # Patched in both modules, so that every image, the ones built for
-    # the rank included, is counted: each corner label's image is built
-    # once.
+    def counted_block(model, label, src, memo=None):
+        calls.append(label)
+        return _block_image(model, label, src, memo)
+
+    # Patched in both modules, so that every image, any built for the
+    # rank by bases.block_ranks included, is counted: each corner
+    # label's image is built once.
     monkeypatch.setattr(hecke, "label_image", counted)
-    monkeypatch.setattr(bases, "label_image", counted)
+    monkeypatch.setattr(bases, "_block_image", counted_block)
     result = omega_truncation(build_model(n, d, mode=mode))
     assert len(calls) == factorial(d)
     assert result.dim == factorial(d)

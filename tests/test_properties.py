@@ -114,6 +114,16 @@ def test_gaussian_binomial_specializes_to_binomial(args):
 
 
 @SETTINGS
+@given(st.dictionaries(st.integers(0, 9), nonzero_polys, max_size=6),
+       st.sampled_from(build_model(2, 1, mode="quantum").spec_points + (Fraction(2),)))
+def test_flat_row_specializes_as_its_laurent_row(row, point):
+    # The default points and v = 2: the flat form {position + N * e: c}
+    # specializes to the same integer row, the same multiple included.
+    flat = QUANTUM_SCALARS.to_flat(row, 10)
+    assert _specialized_row(flat, point, 10) == _specialized_row(row, point)
+
+
+@SETTINGS
 @given(st.lists(polys, min_size=1, max_size=6), points)
 def test_specialized_row_is_a_nonzero_multiple(row, point):
     """The integer row is the row of values at v = point, scaled by

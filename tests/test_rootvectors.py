@@ -2,15 +2,16 @@
 
 import pytest
 
-from schuralg.bases import enumerate_basis
+from schuralg.bases import block_index, block_ranks, enumerate_basis
 from schuralg.errors import BadWeight, NotDivisible
 from schuralg.ring import LaurentPoly, quantum_factorial
 from schuralg.rootvectors import (
     KINDS,
     SHAPES,
     BasisLabel,
+    _block_image,
     _label_block,
-    _monomial_image,
+    _prefix_image,
     apply_label,
     divided_power,
     eval_label,
@@ -26,6 +27,7 @@ from schuralg.tensormodel import (
     SparseOperator,
     build_model,
     cartan_binomial,
+    certify_hecke_commutation,
     compositions,
     generator_action,
     ordered_word,
@@ -156,16 +158,16 @@ def test_wrong_twist_on_the_operator_path_is_not_divisible():
 
 def test_wrong_twist_on_the_image_path_is_not_divisible():
     # E_1^2 u_22 = (v^-1 + v) u_11 = [2] u_11 at (2, 2); with E_1's flat
-    # columns untwisted it is 2 u_11, and [2] does not divide 2.  The
-    # monomial is applied directly: the certificate would reject the
-    # untwisted generator before any image.
+    # columns untwisted it is 2 u_11, and the step e^(2) = e e^(1) / [2]
+    # does not divide.  The monomial is applied directly: the
+    # certificate would reject the untwisted generator before any image.
     m = build_model(2, 2, mode="quantum")
     start = {m.word_index[(2, 2)]: 1}
-    assert _monomial_image(m, (2,), "plus", start) == {m.word_index[(1, 1)]: 1}
+    assert _prefix_image(m, (2,), "plus", start, {}) == {m.word_index[(1, 1)]: 1}
     e = root_vector(m, (1, 2), "plus")
     e.flat = {j: {i: 1 for i in col} for j, col in e.cols.items()}
     with pytest.raises(NotDivisible):
-        _monomial_image(m, (2,), "plus", start)
+        _prefix_image(m, (2,), "plus", start, {})
 
 
 def test_quantum_divided_powers_are_integral():
@@ -337,6 +339,51 @@ def test_label_image_is_the_operator_column_at_the_ordered_word(n, d, mode):
             column = eval_label(m, label).cols.get(m.word_index[ordered_word(src)], {})
             assert label_image(m, label) == column, label
     assert m._hecke_certified
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (4, 2)])
+def test_shared_prefix_image_is_the_operator_column(n, d, mode):
+    # The images block_ranks builds: one memo per source weight, every
+    # monomial by the recurrence x_r (x_(A - eps_r) p) / [a_r].
+    m = build_model(n, d, mode=mode)
+    for kind in ("B1", "B2", "BOREL_UP", "BOREL_DOWN"):
+        labels = enumerate_basis(n, d, kind)
+        memos = {}
+        for (src, _), positions in block_index(m, labels).items():
+            u_src = m.word_index[ordered_word(src)]
+            for pos in positions:
+                label = labels[pos]
+                image = _block_image(m, label, src, memos.setdefault(src, {}))
+                column = eval_label(m, label).cols.get(u_src, {})
+                assert m.scalars.from_flat(image, m.num_words) == column, label
+
+
+def test_wrong_twist_raises_inside_block_ranks():
+    # As on the image path below, E_1^2 u_22 = [2] u_11 at (2, 2); with
+    # E_1's flat columns untwisted after the certificate, the recurrence
+    # reaches 2 u_11 for e^(2) 1_(0,2), and its step by [2] raises.
+    m = build_model(2, 2, mode="quantum")
+    labels = enumerate_basis(2, 2, "B1")
+    assert BasisLabel(flavor="B1", A=(2,), lam=(0, 2), C=(0,)) in labels
+    certify_hecke_commutation(m)
+    e = root_vector(m, (1, 2), "plus")
+    e.flat = {j: {i: 1 for i in col} for j, col in e.cols.items()}
+    with pytest.raises(NotDivisible, match=r"\[2\]"):
+        block_ranks(m, labels)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_block_ranks_keep_no_image_on_the_model(mode):
+    # The images of a source weight live in block_ranks' memo and go
+    # with it: the model keeps root vectors, not vectors.
+    m = build_model(3, 3, mode=mode)
+    before = set(m._op_cache)
+    for kind in ("B1", "B2"):
+        assert sum(block_ranks(m, enumerate_basis(3, 3, kind)).values()) == 165
+    added = {key: m._op_cache[key] for key in set(m._op_cache) - before}
+    assert added and all(key[0] == "root_vector" for key in added)
+    assert not any(isinstance(value, dict) for value in m._op_cache.values())
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

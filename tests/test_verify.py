@@ -12,7 +12,13 @@ from math import comb
 
 import pytest
 
-from schuralg.bases import RankAccumulator, block_dimension, block_ranks, enumerate_basis
+from schuralg.bases import (
+    RankAccumulator,
+    block_dimension,
+    block_index,
+    block_ranks,
+    enumerate_basis,
+)
 from schuralg.errors import HypothesisError
 from schuralg.ring import LaurentPoly, quantum_integer
 from schuralg.tensormodel import (
@@ -239,6 +245,31 @@ def test_rank_one_presentation(d):
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_product_starts_at_its_first_factor(mode, monkeypatch):
+    # k factors take k - 1 matmuls, none with the identity; no factor
+    # at all gives the identity.
+    from schuralg import tensormodel, verify
+
+    m = build_model(3, 2, mode=mode)
+    x, y, z = (generator_action(m, m.names.plus, 1), generator_action(m, m.names.minus, 2),
+               generator_action(m, m.names.cartan, 3))
+    expected = x @ y @ z
+    calls = []
+    matmul = tensormodel.SparseOperator.__matmul__
+
+    def counted(self, other):
+        calls.append(self)
+        return matmul(self, other)
+
+    monkeypatch.setattr(tensormodel.SparseOperator, "__matmul__", counted)
+    assert verify._product(m, iter([x, y, z])) == expected
+    assert len(calls) == 2
+    assert verify._product(m, [y]) is y
+    assert verify._product(m, []) == m.identity()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_structural_facts(mode):
     m = build_model(2, 2, mode=mode)
     rep = check_structural_facts(m)
@@ -297,6 +328,31 @@ def test_specialization_matches_entrywise_reference(n, d):
     expected = [_entrywise_specialization_item(n, d, kind) for kind in ("B1", "B2")]
     assert rep.items == expected
     assert all(item.ok and not item.vacuous for item in expected)
+
+
+def test_specialization_reports_the_first_failing_label(monkeypatch):
+    # The quantum images come source weight by source weight, out of
+    # enumeration order: at (2, 3) B1 label 2 is built before label 1.
+    # With both wrong, the report still names label 1.
+    from schuralg import verify
+
+    labels = enumerate_basis(2, 3, "B1")
+    m = build_model(2, 3, mode="quantum")
+    index = block_index(m, labels)
+    order = [pos for src in dict.fromkeys(b[0] for b in index)
+             for block, positions in index.items() if block[0] == src for pos in positions]
+    assert order.index(2) < order.index(1)
+    real = verify.label_image
+
+    def wrong(model, label):
+        image = real(model, label)
+        if model.mode == "classical" and label in (labels[1], labels[2]):
+            return {**image, 0: 99}
+        return image
+
+    monkeypatch.setattr(verify, "label_image", wrong)
+    item = check_specialization(2, 3).items[0]
+    assert (item.id, item.ok, item.detail) == ("B1[v=1]", False, f"failed at label {labels[1]}")
 
 
 def test_suite_reports_selection():
