@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bases import RankAccumulator, enumerate_basis, rank_of_family
+from .bases import RankAccumulator, block_images, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .rootvectors import apply_label, label_image
 from .tensormodel import (
@@ -70,12 +70,14 @@ def omega_truncation(model):
     Only the block (omega, omega) is enumerated: a label of another
     block has corner image 0, and one of this block is its own corner
     image, zero exactly when its image of u_omega is.  The family is a
-    full scan's, in its order, ranked on those images, each built once:
-    they all lie in the one block (omega, omega).
+    full scan's, in its order, ranked on those images, each built once
+    in one memo (``bases.block_images``): they all lie in the one block
+    (omega, omega), and reach the rank kernel flat.
     """
     omega = omega_weight(model)
-    labels = enumerate_basis(model.n, model.d, "B1", block=(omega, omega))
-    images = [label_image(model, label) for label in labels]
+    block = (omega, omega)
+    labels = enumerate_basis(model.n, model.d, "B1", block=block)
+    [(_, images)] = block_images(model, labels, {block: range(len(labels))})
     family = [label for label, image in zip(labels, images) if image]
     return TruncationResult(omega, family, rank_of_family(model, [x for x in images if x]))
 

@@ -21,10 +21,11 @@ Vectors on the label-image path of ``rootvectors`` are flat integer
 dicts: the term c v^e at row i is the key i + N * e, N = n^d > i, with
 value c, and classically the vector {row: int} itself.  The adapters'
 ``to_flat`` and ``from_flat`` convert at that path's public boundary,
-and ``divide_integer`` divides by m or [m] on the flat form:
-:func:`flat_integer_quotient` is one exact step by [k], row by row on
-dense coefficient tuples, and :func:`flat_factorial_quotient` the steps
-k = 2, ..., m in turn.
+and ``divide_integer`` divides by m or [m] on the flat form.  That is
+the one flat division: :func:`flat_integer_quotient`, one exact step
+by [k], row by row on dense coefficient tuples.  A division by [m]! is
+the steps k = 2, ..., m in turn, which the recurrence of
+``rootvectors`` takes one at a time.
 """
 
 from fractions import Fraction
@@ -42,7 +43,6 @@ __all__ = [
     "quantum_factorial",
     "gaussian_binomial",
     "flat_integer_quotient",
-    "flat_factorial_quotient",
     "ClassicalScalars",
     "QuantumScalars",
     "CLASSICAL_SCALARS",
@@ -329,44 +329,25 @@ def _integer_step(a, k):
     return tuple(q[:top])
 
 
-def _flat_quotient(vec, steps, size, name):
-    """A flat vector with each row divided exactly by [k] for k in
-    ``steps`` in turn, on the row's dense coefficient tuple, or
-    NotDivisible naming the divisor ``name``."""
-    out = {}
-    for row, coeffs in _flat_rows(vec, size).items():
-        lo = min(coeffs)
-        a = tuple(map(coeffs.get, range(lo, max(coeffs) + 1), repeat(0)))
-        for k in steps:
-            a = _integer_step(a, k)
-            if a is None:
-                raise NotDivisible(
-                    f"({LaurentPoly(coeffs)}) is not divisible by {name} at row {row}")
-            lo += k - 1
-        for t, c in enumerate(a):
-            if c:
-                out[row + size * (lo + t)] = c
-    return out
-
-
 def flat_integer_quotient(vec, k, size):
     """A flat vector {row + size * e: c} with each row divided exactly by
-    [k], k >= 1, or NotDivisible.
+    [k], k >= 1, on the row's dense coefficient tuple, or NotDivisible.
 
     >>> flat_integer_quotient({5 + 10: 1, 5 - 10: 1}, 2, 10)
     {5: 1}
     """
-    return vec if k == 1 else _flat_quotient(vec, (k,), size, f"[{k}]")
-
-
-def flat_factorial_quotient(vec, m, size):
-    """A flat vector {row + size * e: c} with each row divided exactly by
-    [m]!, or NotDivisible: successive [k] steps, k = 2, ..., m.
-
-    >>> flat_factorial_quotient({5 + 10: 1, 5 - 10: 1}, 2, 10)
-    {5: 1}
-    """
-    return _flat_quotient(vec, range(2, m + 1), size, f"[{m}]!")
+    if k == 1:
+        return vec
+    out = {}
+    for row, coeffs in _flat_rows(vec, size).items():
+        lo = min(coeffs)
+        a = _integer_step(tuple(map(coeffs.get, range(lo, max(coeffs) + 1), repeat(0))), k)
+        if a is None:
+            raise NotDivisible(f"({LaurentPoly(coeffs)}) is not divisible by [{k}] at row {row}")
+        for e, c in enumerate(a, lo + k - 1):
+            if c:
+                out[row + size * e] = c
+    return out
 
 
 class LaurentFraction:

@@ -52,15 +52,18 @@ x_r^(a) = x_r x_r^(a-1) / [a] gives x_A p = x_r (x_(A - eps_r) p) /
 [a_r], one application and one exact division by [a_r], or a_r, per
 step, from the image one root step shorter (:func:`_prefix_image`).
 That shorter image is the image of another label of the same source
-weight, so the images of a family taken block by block
-(``bases.block_images``) are kept in one memo per source weight
-(:func:`_block_image`), dropped when the next source weight starts;
-nothing of it is kept on the model.
+weight.  Images live only in a memo that the caller owns
+(:func:`_block_image`): ``bases.block_images`` keeps one per source
+weight and drops it when the next source weight starts, and
+:func:`label_image` is the case of one label and a new memo.  No
+vector is ever kept on the model.  A label's operator, where one is
+wanted (:func:`eval_label`), is the product of its factors by
+``tensormodel.compose``.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add, matmul, sub
+from functools import lru_cache
+from operator import add, sub
 
 from .tensormodel import (
     RootData,
@@ -68,6 +71,7 @@ from .tensormodel import (
     _check_weight,
     _flat_columns,
     certify_hecke_commutation,
+    compose,
     generator_action,
     ordered_word,
     weight_idempotent,
@@ -194,17 +198,12 @@ def root_divided_power(model, root, sign, m):
 
 
 def _kostant_monomial(model, exponents, sign):
-    """Product of divided root-vector powers in lexicographic root order."""
+    """The factors of a Kostant monomial, left to right: its nonzero
+    divided root-vector powers in lexicographic root order."""
     roots = model.root_data.positive_roots
     if len(exponents) != len(roots):
         raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
-    out = None
-    for root, m in zip(roots, exponents):
-        if not m:
-            continue
-        factor = root_divided_power(model, root, sign, m)
-        out = factor if out is None else out @ factor
-    return model.identity() if out is None else out
+    return [root_divided_power(model, root, sign, m) for root, m in zip(roots, exponents) if m]
 
 
 def pbw_generator_list(model, k0):
@@ -235,23 +234,19 @@ def _pbw_powers(model, label):
 
 def eval_label(model, label):
     """Evaluate a basis label to its operator on the model: the product
-    of its parts, left to right."""
+    of its parts, left to right (:func:`~schuralg.tensormodel.compose`)."""
     cache_key = ("label", label)
     if cache_key in model._op_cache:
         return model._op_cache[cache_key]
     shape = _shape(label.flavor)
     if shape is None:
-        out = model.identity()
-        for gen, m in _pbw_powers(model, label):
-            if m:
-                out = out @ gen**m
+        factors = [gen**m for gen, m in _pbw_powers(model, label) if m]
     else:
-        out = reduce(matmul, [
-            weight_idempotent(model, label.lam) if part is None
-            else _kostant_monomial(model, getattr(label, part[0]), part[1])
-            for part in shape
-        ])
-    model._op_cache[cache_key] = out
+        factors = []
+        for part in shape:
+            factors += ([weight_idempotent(model, label.lam)] if part is None
+                        else _kostant_monomial(model, getattr(label, part[0]), part[1]))
+    out = model._op_cache[cache_key] = compose(model, factors)
     return out
 
 
@@ -318,15 +313,13 @@ def _prefix_image(model, exponents, sign, vec, images):
     return image
 
 
-def _act(model, label, parts, vec, memo=None, key=None):
+def _act(model, label, parts, vec, memo, key=None):
     """Some of a label's shape parts, right to left, applied to a flat
     vector; 1_lam keeps the entries of weight lam.  Each monomial goes
-    by :func:`_prefix_image`, its images kept in ``memo`` (a new dict
-    when None) under (key, sign), for ``key`` naming the vector it acts
-    on."""
+    by :func:`_prefix_image`, its images kept in the dict ``memo`` under
+    (key, sign), for ``key`` naming the vector it acts on."""
     weights, size = model.weights, model.num_words
     roots = model.root_data.positive_roots
-    memo = {} if memo is None else memo
     for part in reversed(parts):
         if part is None:
             vec = {k: c for k, c in vec.items() if weights[k % size] == label.lam}
@@ -350,7 +343,7 @@ def apply_label(model, label, vec):
     vec = scalars.to_flat(vec, size)
     shape = _shape(label.flavor)
     if shape is not None:
-        vec = _act(model, label, shape, vec)
+        vec = _act(model, label, shape, vec, {})
     else:
         for gen, m in reversed(_pbw_powers(model, label)):
             for _ in range(m):
@@ -364,25 +357,25 @@ def _block_image(model, label, src, memo=None):
 
     The parts from 1_lam rightwards, applied to u_src, are shared by
     every label that differs only left of 1_lam: f_C u_src serves every
-    e_A of B1.  Without ``memo`` they are kept on the model.  With a
-    dict ``memo`` they are kept there instead, with the images on the
-    way to each monomial (:func:`_act`): a caller shares it among the
-    labels of one source weight, whose images then share their
-    prefixes."""
+    e_A of B1.  They are kept in the dict ``memo``, with the images on
+    the way to each monomial (:func:`_act`): a caller shares it among
+    the labels of one source weight, whose images then share their
+    prefixes, and drops it when it is done.  Without one a new dict is
+    used; nothing is kept on the model."""
     _check_weight(model, label.lam)
     if min(src) < 0:  # no weight space reaches 1_lam: the operator is 0
         return {}
     certify_hecke_commutation(model)
+    memo = {} if memo is None else memo
     shape = SHAPES[label.flavor]
     cut = shape.index(None)
     right = shape[cut:]
     key = ("image", label.lam,
            tuple((getattr(label, name), sign) for name, sign in right[1:]))
-    cache = model._op_cache if memo is None else memo
-    partial = cache.get(key)
+    partial = memo.get(key)
     if partial is None:
         start = {model.word_index[ordered_word(src)]: 1}
-        partial = cache[key] = _act(model, label, right, start, memo, src)
+        partial = memo[key] = _act(model, label, right, start, memo, src)
     return _act(model, label, shape[:cut], partial, memo, key)
 
 
@@ -392,8 +385,9 @@ def label_image(model, label):
 
     The label's operator is fixed by this one vector (see the module
     docstring); the Hecke-commutation certificate of the model is
-    checked before the first image.  The image is built flat
-    (:func:`_block_image`) and turned into scalars once, at the end.
+    checked before the first image.  The image is built flat, in a new
+    memo (:func:`_block_image`), and turned into scalars once, at the
+    end.
     """
     _, block = _label_block(label, model.root_data)
     if block is None:

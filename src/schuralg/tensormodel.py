@@ -44,9 +44,10 @@ expansion of the rows is the expansion of the operators.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from math import prod
-from operator import le
+from operator import le, matmul
 
 from .errors import BadWeight, CertificateError, SizeLimit
 from .ring import scalar_ring
@@ -69,6 +70,7 @@ __all__ = [
     "ordered_word_row",
     "hecke_generator",
     "certify_hecke_commutation",
+    "compose",
 ]
 
 DEFAULT_WORD_CAP = 10_000
@@ -374,6 +376,14 @@ def build_model(n, d, mode="classical", word_cap=None, spec_points=None):
     )
     model._generators.update(_build_generators(model))
     return model
+
+
+def compose(model, factors):
+    """The product of the operators ``factors``, in order, from the first
+    factor on: the identity when there are none."""
+    factors = iter(factors)
+    first = next(factors, None)
+    return model.identity() if first is None else reduce(matmul, factors, first)
 
 
 def generator_action(model, sym, index):

@@ -38,11 +38,12 @@ from .bases import (
 )
 from .errors import HypothesisError
 from .ring import LaurentPoly
-from .rootvectors import label_image, root_divided_power, root_vector
+from .rootvectors import root_divided_power, root_vector
 from .tensormodel import (
     build_model,
     cartan_binomial,
     cartan_product,
+    compose,
     compositions,
     generator_action,
     ordered_word_row,
@@ -301,7 +302,7 @@ def check_schur_relations(model):
         last_id = "R7"
     else:
         factors = (generator_action(model, "K", k) for k in range(1, n + 1))
-        prod = _product(model, factors)
+        prod = compose(model, factors)
         rep.add(
             "Q6",
             prod == ident.scale(model.scalars.v_power(d)),
@@ -314,7 +315,7 @@ def check_schur_relations(model):
     for k in range(1, n + 1):
         cartan = generator_action(model, model.names.cartan, k)
         factors = (cartan - ident.scale(model.scalars.cartan(t)) for t in range(d + 1))
-        agg.check(_product(model, factors).is_zero(), f"k={k}")
+        agg.check(compose(model, factors).is_zero(), f"k={k}")
     rep.append(agg.item(last_id))
     rep.seconds = time.perf_counter() - t0
     return rep
@@ -462,18 +463,6 @@ def check_reduction_formulas(model, family):
     return rep
 
 
-def _product(model, factors):
-    """The product of the operators ``factors``, in order, from the first
-    factor on: the identity when there are none."""
-    factors = iter(factors)
-    acc = next(factors, None)
-    if acc is None:
-        return model.identity()
-    for factor in factors:
-        acc = acc @ factor
-    return acc
-
-
 def _minimal_polynomial_items(rep, model, op, exponents, shown):
     """Items asserting that ``op`` has the minimal polynomial
     prod_t (op - c(t)) over the distinct ``exponents`` t, where c is the
@@ -483,11 +472,11 @@ def _minimal_polynomial_items(rep, model, op, exponents, shown):
     ident = model.identity()
     factors = {t: op - ident.scale(model.scalars.cartan(t)) for t in exponents}
     rep.add(f"{model.mode}:minimal-polynomial",
-            _product(model, factors.values()).is_zero(),
+            compose(model, factors.values()).is_zero(),
             detail=f"degree {len(exponents)}")
     agg = _Agg()
     for skip in exponents:
-        sub = _product(model, (f for t, f in factors.items() if t != skip))
+        sub = compose(model, (f for t, f in factors.items() if t != skip))
         agg.check(not sub.is_zero(), f"factor for eigenvalue {shown(skip)}")
     rep.append(agg.item(f"{model.mode}:no-proper-subproduct-vanishes"))
 
@@ -526,7 +515,7 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None, models=None)
         if a + b + c <= d
     ]
     ops = [
-        _product(mc, [f] * a + [h] * b + [e] * c)
+        compose(mc, [f] * a + [h] * b + [e] * c)
         for (a, b, c) in labels
     ]
     expected = comb(d + 3, 3)
@@ -676,15 +665,16 @@ def check_specialization(n, d, word_cap=None, spec_points=None, models=None):
         index = block_index(quantum, labels)
         # An entry's value at v = 1 is the sum of its coefficients: of
         # the flat image's terms at keys row + N * e, by row.  The images
-        # come block by block; the first failure is reported in
-        # enumeration order.
+        # of both modes come block by block, in step; the first failure
+        # is reported in enumeration order.
         failed = set()
-        for block, images in block_images(quantum, labels, index):
-            for pos, image in zip(index[block], images):
+        for (block, images), (_, expected) in zip(block_images(quantum, labels, index),
+                                                  block_images(classical, labels, index)):
+            for pos, image, want in zip(index[block], images, expected):
                 at_one = {}
                 for k, c in image.items():
                     at_one[k % size] = at_one.get(k % size, 0) + c
-                if {i: x for i, x in at_one.items() if x} != label_image(classical, labels[pos]):
+                if {i: x for i, x in at_one.items() if x} != want:
                     failed.add(pos)
         agg = _Agg()
         for pos, label in enumerate(labels):

@@ -6,7 +6,8 @@ full ``--format json`` stdout of one command; they cover dim, verify,
 hecke, structconst and basis in both modes at (2, 3), (3, 3) and
 (4, 2), the structural, specialization, reduction, idempotent and
 relations suites at (3, 4) and (4, 3), the structural suite at (4, 4)
-(the bench's structural-c command), the corner at (4, 4) in both modes, (5, 4) and (5, 5), and
+(the bench's structural-c command), the quantum specialization suite at
+(4, 4), the corner at (4, 4) in both modes, (5, 4) and (5, 5), and
 basis JSON for every kind at (3, 3).  ``label_key`` shows only in text
 and CSV output, so ``TEXT_CSV_GOLDEN`` adds the text and CSV output of
 ``basis`` for every kind at (3, 2), and the CSV output of structconst
@@ -23,6 +24,7 @@ import pytest
 import schuralg
 from schuralg import bases, cli, hecke, rootvectors, verify
 from schuralg.cli import main
+from schuralg.tensormodel import build_model
 
 GOLDEN = [
     ("dim 2 3",
@@ -55,6 +57,8 @@ GOLDEN = [
      "2cd73b68d151ce18305fb76504c24ede6a78d63f960754aaa3620d836a31261a"),
     ("verify 4 4 --suite structural",
      "7631e070a1f9ee3200adba92496f8475b3d3f5559b241b7f8dbe48e13448dd59"),
+    ("verify 4 4 --quantum --suite specialize",
+     "16097bc4618e27d1615d28c999a24d0936a8d02b6b6c5d2c4f34f9943363856d"),
     ("hecke 3 3",
      "f07b02e51fcb31468a299fe3d4e4592cf823c8d8bdbc9a95f5ccb0c7ce93f926"),
     ("hecke 4 4",
@@ -169,11 +173,23 @@ def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatc
     # dim, structure constants, the corner and every verify suite, the
     # triangular check and the v = 1 comparison included, work on the
     # images of the ordered words: with label operators out of reach,
-    # the output is unchanged.
+    # the output is unchanged.  The images live in their callers' memos:
+    # afterwards no model keeps a vector.
     def refuse(model, label):
         raise RuntimeError("eval_label was called")
+
+    models = []
+
+    def captured(*args, **kwargs):
+        models.append(build_model(*args, **kwargs))
+        return models[-1]
 
     for module in (schuralg, bases, cli, hecke, rootvectors, verify):
         if hasattr(module, "eval_label"):
             monkeypatch.setattr(module, "eval_label", refuse)
+        if hasattr(module, "build_model"):
+            monkeypatch.setattr(module, "build_model", captured)
     assert _digest(command.split() + ["--format", "json"]) == digest
+    assert models
+    for model in models:
+        assert not any(isinstance(value, dict) for value in model._op_cache.values())

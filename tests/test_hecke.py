@@ -139,9 +139,9 @@ def test_truncation_evaluates_d_factorial_labels(n, d, mode, monkeypatch):
         calls.append(label)
         return _block_image(model, label, src, memo)
 
-    # Patched in both modules, so that every image, any built for the
-    # rank by bases.block_ranks included, is counted: each corner
-    # label's image is built once.
+    # Patched in both modules, so that every image, one built alone by
+    # label_image or one built by bases.block_images, is counted: each
+    # corner label's image is built once.
     monkeypatch.setattr(hecke, "label_image", counted)
     monkeypatch.setattr(bases, "_block_image", counted_block)
     result = omega_truncation(build_model(n, d, mode=mode))

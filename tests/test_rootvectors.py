@@ -2,8 +2,9 @@
 
 import pytest
 
-from schuralg.bases import block_index, block_ranks, enumerate_basis
+from schuralg.bases import block_index, block_ranks, enumerate_basis, structure_constants
 from schuralg.errors import BadWeight, NotDivisible
+from schuralg.hecke import omega_truncation
 from schuralg.ring import LaurentPoly, quantum_factorial
 from schuralg.rootvectors import (
     KINDS,
@@ -20,6 +21,7 @@ from schuralg.rootvectors import (
     label_from_json,
     label_key,
     label_to_json,
+    pbw_generator_list,
     root_divided_power,
     root_vector,
 )
@@ -33,6 +35,7 @@ from schuralg.tensormodel import (
     ordered_word,
     weight_idempotent,
 )
+from schuralg.verify import check_specialization
 
 WEIGHTED = [kind for kind, shape in SHAPES.items() if shape and None in shape]
 
@@ -253,6 +256,57 @@ def test_eval_label_pbw_composition_order():
     assert eval_label(m, label) == h1 @ e
 
 
+def _eval_label_reference(model, label):
+    """A label's operator as it was built before the factors went through
+    one product: a PBW label's powers from the identity on, a shape's
+    parts each its own product, the identity for an empty monomial."""
+    shape = SHAPES[label.flavor]
+    if shape is None:
+        out = model.identity()
+        for gen, m in zip(pbw_generator_list(model, label.k0), label.pbw):
+            if m:
+                out = out @ gen**m
+        return out
+    parts = []
+    for part in shape:
+        if part is None:
+            parts.append(weight_idempotent(model, label.lam))
+            continue
+        monomial = model.identity()
+        for root, m in zip(model.root_data.positive_roots, getattr(label, part[0])):
+            if m:
+                monomial = monomial @ root_divided_power(model, root, part[1], m)
+        parts.append(monomial)
+    out = parts[0]
+    for part in parts[1:]:
+        out = out @ part
+    return out
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_eval_label_multiplies_by_no_identity(mode, monkeypatch):
+    # Each label's factors go through one product from the first factor
+    # on: no matmul has the identity on either side, and the operator is
+    # the reference's.
+    m = build_model(3, 2, mode=mode)
+    ident = m.identity()
+    labels = [label for kind in ("PBW", "B1", "ZERO") for label in enumerate_basis(3, 2, kind)]
+    matmul = SparseOperator.__matmul__
+    with_identity = []
+
+    def watched(self, other):
+        if self == ident or other == ident:
+            with_identity.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseOperator, "__matmul__", watched)
+    ops = [eval_label(m, label) for label in labels]
+    monkeypatch.undo()
+    assert not with_identity
+    for label, op in zip(labels, ops):
+        assert op == _eval_label_reference(m, label), label
+
+
 def test_eval_label_kostant_order_is_lexicographic():
     m = build_model(3, 2)
     # A has both (1,2) and (1,3); lexicographic order puts (1,2) first.
@@ -376,7 +430,10 @@ def test_wrong_twist_raises_inside_block_ranks():
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_block_ranks_keep_no_image_on_the_model(mode):
     # The images of a source weight live in block_ranks' memo and go
-    # with it: the model keeps root vectors, not vectors.
+    # with it: the model keeps root vectors, not vectors.  Every other
+    # reader of images builds them in a memo of its own too: one label's
+    # image or columns, a structure constant, the corner and the v = 1
+    # comparison, which builds the model of the other mode.
     m = build_model(3, 3, mode=mode)
     before = set(m._op_cache)
     for kind in ("B1", "B2"):
@@ -384,6 +441,18 @@ def test_block_ranks_keep_no_image_on_the_model(mode):
     added = {key: m._op_cache[key] for key in set(m._op_cache) - before}
     assert added and all(key[0] == "root_vector" for key in added)
     assert not any(isinstance(value, dict) for value in m._op_cache.values())
+    labels = enumerate_basis(3, 3, "B1")
+    right = BasisLabel(flavor="B1", A=(1, 0, 0), lam=(1, 1, 1), C=(0, 1, 0))
+    dst = _label_block(right, m.root_data)[1][1]
+    left = BasisLabel(flavor="B1", A=(0, 0, 0), lam=dst, C=(0, 0, 0))
+    assert label_image(m, right) and label_columns(m, right)
+    assert structure_constants(m, labels, labels.index(left), labels.index(right)) == {right: 1}
+    assert omega_truncation(m).dim == 6
+    models = {mode: m}
+    assert check_specialization(3, 3, models=models).passed
+    assert len(models) == 2
+    for model in models.values():
+        assert not any(isinstance(value, dict) for value in model._op_cache.values())
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

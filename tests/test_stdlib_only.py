@@ -1,6 +1,7 @@
 """The core package imports nothing outside the standard library."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -40,3 +41,21 @@ def test_bases_does_not_import_eval_label(source):
     names = {alias.name for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert names and "eval_label" not in names
+
+
+@pytest.mark.parametrize("source", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_exported_names_exist(source):
+    # Each module's __all__, and each name the package __init__ imports
+    # from a module of its own, names something that module defines, so
+    # a deleted function cannot stay exported.
+    name = "schuralg" if source == "__init__.py" else f"schuralg.{source[:-3]}"
+    module = importlib.import_module(name)
+    assert [x for x in getattr(module, "__all__", ()) if not hasattr(module, x)] == []
+    if source == "__init__.py":
+        tree = ast.parse((PACKAGE / source).read_text())
+        imported = [(node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for alias in node.names]
+        assert imported
+        for name, attr in imported:
+            assert hasattr(importlib.import_module(f"schuralg.{name}"), attr), (name, attr)

@@ -248,7 +248,7 @@ def test_rank_one_presentation(d):
 def test_product_starts_at_its_first_factor(mode, monkeypatch):
     # k factors take k - 1 matmuls, none with the identity; no factor
     # at all gives the identity.
-    from schuralg import tensormodel, verify
+    from schuralg import tensormodel
 
     m = build_model(3, 2, mode=mode)
     x, y, z = (generator_action(m, m.names.plus, 1), generator_action(m, m.names.minus, 2),
@@ -262,10 +262,10 @@ def test_product_starts_at_its_first_factor(mode, monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(tensormodel.SparseOperator, "__matmul__", counted)
-    assert verify._product(m, iter([x, y, z])) == expected
+    assert tensormodel.compose(m, iter([x, y, z])) == expected
     assert len(calls) == 2
-    assert verify._product(m, [y]) is y
-    assert verify._product(m, []) == m.identity()
+    assert tensormodel.compose(m, [y]) is y
+    assert tensormodel.compose(m, []) == m.identity()
     assert len(calls) == 2
 
 
@@ -333,8 +333,9 @@ def test_specialization_matches_entrywise_reference(n, d):
 def test_specialization_reports_the_first_failing_label(monkeypatch):
     # The quantum images come source weight by source weight, out of
     # enumeration order: at (2, 3) B1 label 2 is built before label 1.
-    # With both wrong, the report still names label 1.
-    from schuralg import verify
+    # With both wrong, the report still names label 1.  The classical
+    # images are made wrong where block_images builds them.
+    from schuralg import bases
 
     labels = enumerate_basis(2, 3, "B1")
     m = build_model(2, 3, mode="quantum")
@@ -342,15 +343,15 @@ def test_specialization_reports_the_first_failing_label(monkeypatch):
     order = [pos for src in dict.fromkeys(b[0] for b in index)
              for block, positions in index.items() if block[0] == src for pos in positions]
     assert order.index(2) < order.index(1)
-    real = verify.label_image
+    real = bases._block_image
 
-    def wrong(model, label):
-        image = real(model, label)
+    def wrong(model, label, src, memo):
+        image = real(model, label, src, memo)
         if model.mode == "classical" and label in (labels[1], labels[2]):
             return {**image, 0: 99}
         return image
 
-    monkeypatch.setattr(verify, "label_image", wrong)
+    monkeypatch.setattr(bases, "_block_image", wrong)
     item = check_specialization(2, 3).items[0]
     assert (item.id, item.ok, item.detail) == ("B1[v=1]", False, f"failed at label {labels[1]}")
 
