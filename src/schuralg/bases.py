@@ -309,16 +309,12 @@ def _points(model):
     """Values of v tried in turn for a rank certificate: the single
     point None classically, where integer rows are exact already;
     quantumly the model's ``spec_points`` in order, then v = 2, 3, 4, ...
-    The spec points are read once per model."""
+    skipping those already tried.  ``build_model`` made the spec points
+    Fractions and refused v = 0, so none is checked here."""
     if model.mode == "classical":
         yield None
         return
-    points = model._spec_fractions
-    if not points:
-        points = tuple(Fraction(p) for p in model.spec_points)
-        if 0 in points:
-            raise ValueError("cannot specialize at v = 0")
-        model._spec_fractions = points
+    points = model.spec_points
     yield from points
     yield from (Fraction(m) for m in count(2) if m not in points)
 

@@ -410,7 +410,7 @@ def label_columns(model, label):
         return {index[ordered_word(block[0])]: image} if image else {}
     certify_hecke_commutation(model)
     out = {}
-    for lam in model.weight_set():
+    for lam in model.weight_set:
         j = index[ordered_word(lam)]
         image = apply_label(model, label, {j: model.scalars.one})
         if image:

@@ -44,6 +44,7 @@ expansion of the rows is the expansion of the operators.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import prod
@@ -243,7 +244,8 @@ class SparseOperator:
 
 @dataclass
 class Model:
-    """Immutable tensor model for parameters (n, d) in one scalar mode."""
+    """Immutable tensor model for parameters (n, d) in one scalar mode,
+    with ``spec_points`` and ``weight_set`` fixed by :func:`build_model`."""
 
     n: int
     d: int
@@ -254,12 +256,11 @@ class Model:
     root_data: RootData
     scalars: object
     spec_points: tuple
+    weight_set: tuple
     _generators: dict = field(default_factory=dict, repr=False)
     _op_cache: dict = field(default_factory=dict, repr=False)
     _last_family: tuple | None = field(default=None, repr=False)
     _hecke_certified: bool = field(default=False, repr=False)
-    _weight_set: tuple = field(default=(), repr=False)
-    _spec_fractions: tuple = field(default=(), repr=False)
 
     @property
     def num_words(self):
@@ -294,12 +295,6 @@ class Model:
     def names(self):
         """The generator symbols of this model's mode."""
         return GENERATOR_NAMES[self.mode]
-
-    def weight_set(self):
-        """``compositions(n, d)`` as a tuple, computed once per model."""
-        if not self._weight_set:
-            self._weight_set = tuple(compositions(self.n, self.d))
-        return self._weight_set
 
 
 def _build_generators(model):
@@ -347,7 +342,8 @@ def build_model(n, d, mode="classical", word_cap=None, spec_points=None):
     """Construct the tensor model for (n, d) in the given mode.
 
     The number of words n^d is capped by ``word_cap`` (default 10^4);
-    exceeding it raises SizeLimit rather than thrashing memory.
+    exceeding it raises SizeLimit rather than thrashing memory.  The
+    ``spec_points`` (default 7/5, 11/7) become Fractions, none of them 0.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -359,9 +355,10 @@ def build_model(n, d, mode="classical", word_cap=None, spec_points=None):
     if count > word_cap:
         raise SizeLimit(f"n^d = {count} exceeds the word cap {word_cap}")
     if spec_points is None:
-        from fractions import Fraction
-
         spec_points = (Fraction(7, 5), Fraction(11, 7))
+    spec_points = tuple(map(Fraction, spec_points))
+    if 0 in spec_points:
+        raise ValueError("cannot specialize at v = 0")
     words = tuple(product(range(1, n + 1), repeat=d))
     model = Model(
         n=n,
@@ -372,7 +369,8 @@ def build_model(n, d, mode="classical", word_cap=None, spec_points=None):
         weights=tuple(word_weight(w, n) for w in words),
         root_data=RootData.for_rank(n),
         scalars=scalar_ring(mode),
-        spec_points=tuple(spec_points),
+        spec_points=spec_points,
+        weight_set=tuple(compositions(n, d)),
     )
     model._generators.update(_build_generators(model))
     return model
@@ -435,7 +433,7 @@ def cartan_product(model, B):
         ring = model.scalars
         table = {b: [ring.binomial(a, b) for a in range(model.d + 1)] for b in set(B)}
         value = {mu: prod((table[b][a] for a, b in zip(mu, B) if b), start=ring.one)
-                 for mu in model.weight_set()}
+                 for mu in model.weight_set}
         model._op_cache[key] = model.diagonal(lambda j: value[model.weights[j]])
     return model._op_cache[key]
 

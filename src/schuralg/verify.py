@@ -20,6 +20,12 @@ generators stands for its column at the ordered word u_src
 T_w is invertible, so this holds at each point of v too, v = 1
 included.  The triangular check ranks the weight blocks of the bases
 B1 and B2 on these images (see :func:`_triangular_items`).
+
+Each check takes the models it reads: one model, or for the v = 1
+comparison and the rank-one presentation a classical and a quantum
+model of one (n, d).  :func:`suite_reports` is the one place that
+builds models, one per mode that its suites need, with the word cap
+and the spec points.  Each report times itself (:class:`CheckReport`).
 """
 
 import time
@@ -91,9 +97,12 @@ class CheckItem:
 class CheckReport:
     """Outcome of one check: items, free-form notes, and wall time.
 
-    The report passes exactly when every item passes.  Wall time is
-    shown in the text rendering only; the JSON form is fully
-    deterministic.
+    The report passes exactly when every item passes.  ``seconds`` is
+    the wall time from the report's creation to its last item, added by
+    :meth:`add` or :meth:`append`: 0.0 before the first item, and not
+    moved by notes.  A check creates its report before its work, so
+    this times the check.  Wall time is shown in the text rendering
+    only; the JSON form is fully deterministic.
     """
 
     name: str
@@ -103,6 +112,7 @@ class CheckReport:
     items: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     seconds: float = 0.0
+    _start: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     @property
     def passed(self):
@@ -110,9 +120,11 @@ class CheckReport:
 
     def add(self, item_id, ok, vacuous=False, detail=""):
         self.items.append(CheckItem(item_id, bool(ok), vacuous, detail))
+        self.seconds = time.perf_counter() - self._start
 
     def append(self, item):
         self.items.append(item)
+        self.seconds = time.perf_counter() - self._start
 
     def failures(self):
         return [item for item in self.items if not item.ok]
@@ -192,7 +204,6 @@ def _shifted_idempotent(model, lam, step, k):
 
 def check_enveloping_relations(model):
     """Defining relations of the generator algebra, evaluated exactly."""
-    t0 = time.perf_counter()
     rep = CheckReport("enveloping-relations", model.n, model.d, model.mode)
     n = model.n
     rd = model.root_data
@@ -284,13 +295,11 @@ def check_enveloping_relations(model):
                     lhs = x[i] @ x[j] - x[j] @ x[i]
                 agg.check(lhs.is_zero(), f"(i,j)=({i},{j})")
         rep.append(agg.item(item_id, "no generator pairs for n = 2"))
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def check_schur_relations(model):
     """The two extra relations that cut the algebra down to degree d."""
-    t0 = time.perf_counter()
     rep = CheckReport("schur-relations", model.n, model.d, model.mode)
     n, d = model.n, model.d
     ident = model.identity()
@@ -317,20 +326,18 @@ def check_schur_relations(model):
         factors = (cartan - ident.scale(model.scalars.cartan(t)) for t in range(d + 1))
         agg.check(compose(model, factors).is_zero(), f"k={k}")
     rep.append(agg.item(last_id))
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def check_idempotent_presentation(model):
     """Relations of the presentation by weight idempotents and simple
     raising/lowering generators, including every zero branch."""
-    t0 = time.perf_counter()
     rep = CheckReport("idempotent-presentation", model.n, model.d, model.mode)
     n, d = model.n, model.d
     suffix = "'" if model.mode == "quantum" else ""
     esym, fsym = model.names.plus, model.names.minus
     rd = model.root_data
-    weights = model.weight_set()
+    weights = model.weight_set
     idem = {lam: weight_idempotent(model, lam) for lam in weights}
     e = {i: generator_action(model, esym, i) for i in range(1, n)}
     f = {i: generator_action(model, fsym, i) for i in range(1, n)}
@@ -373,7 +380,6 @@ def check_idempotent_presentation(model):
         "braid relations between the simple generators are covered by the"
         " enveloping-relations check"
     )
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -418,7 +424,6 @@ def check_reduction_formulas(model, family):
     wanted = "quantum" if family == "quantum-idempotent" else "classical"
     if model.mode != wanted:
         raise ValueError(f"family {family!r} needs a {wanted} model")
-    t0 = time.perf_counter()
     rep = CheckReport(f"reduction[{family}]", model.n, model.d, model.mode)
     d, n, rng = model.d, model.n, range(model.d + 1)
     eletter, fletter = model.names.plus, model.names.minus
@@ -459,7 +464,6 @@ def check_reduction_formulas(model, family):
             "terms whose shifted weight leaves the weight set contribute zero;"
             " empty right-hand sums assert that the left side vanishes"
         )
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -481,32 +485,33 @@ def _minimal_polynomial_items(rep, model, op, exponents, shown):
     rep.append(agg.item(f"{model.mode}:no-proper-subproduct-vanishes"))
 
 
-def _model(models, n, d, mode, config):
-    """The model of ``mode`` in ``models``, built for (n, d) and kept
-    there when it is missing.  ``models`` holds models of one (n, d) and
-    one configuration, so that each is built and certified once."""
-    if mode not in models:
-        models[mode] = build_model(n, d, mode=mode, **config)
-    return models[mode]
+_RANK_ONE_NEEDS = "the rank-one presentation check needs n = 2"
 
 
-def check_rank_one_presentation(d, word_cap=None, spec_points=None, models=None):
-    """Two-generator presentation of the n = 2 algebra, both modes.
-    ``models`` may hold (2, d) models to reuse, by mode (see :func:`_model`)."""
-    t0 = time.perf_counter()
+def _check_pair(classical, quantum):
+    """Refuse models that are not a classical and then a quantum model
+    of one (n, d)."""
+    if ((classical.mode, quantum.mode) != ("classical", "quantum")
+            or (classical.n, classical.d) != (quantum.n, quantum.d)):
+        raise ValueError("expected a classical and then a quantum model of one (n, d)")
+
+
+def check_rank_one_presentation(classical, quantum):
+    """Two-generator presentation of the n = 2 algebra, both modes, on
+    a classical and a quantum model of one (2, d)."""
+    _check_pair(classical, quantum)
+    if classical.n != 2:
+        raise HypothesisError(_RANK_ONE_NEEDS)
+    d = classical.d
     rep = CheckReport("rank-one-presentation", 2, d, "both")
-    config = {"word_cap": word_cap, "spec_points": spec_points}
-    models = {} if models is None else models
-
-    mc = _model(models, 2, d, "classical", config)
-    e = generator_action(mc, "e", 1)
-    f = generator_action(mc, "f", 1)
-    h = generator_action(mc, "H", 1) - generator_action(mc, "H", 2)
+    e = generator_action(classical, "e", 1)
+    f = generator_action(classical, "f", 1)
+    h = generator_action(classical, "H", 1) - generator_action(classical, "H", 2)
     rep.add("classical:he-eh=2e", h @ e - e @ h == e.scale(2))
     rep.add("classical:ef-fe=h", e @ f - f @ e == h)
     rep.add("classical:hf-fh=-2f", h @ f - f @ h == f.scale(-2))
     eigens = [d - 2 * k for k in range(d + 1)]
-    _minimal_polynomial_items(rep, mc, h, eigens, str)
+    _minimal_polynomial_items(rep, classical, h, eigens, str)
     labels = [
         (a, b, c)
         for a in range(d + 1)
@@ -514,25 +519,22 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None, models=None)
         for c in range(d + 1)
         if a + b + c <= d
     ]
-    ops = [
-        compose(mc, [f] * a + [h] * b + [e] * c)
-        for (a, b, c) in labels
-    ]
+    rows = [ordered_word_row(classical, compose(classical, [f] * a + [h] * b + [e] * c).cols)
+            for (a, b, c) in labels]
     expected = comb(d + 3, 3)
-    rank = rank_of_family(mc, [ordered_word_row(mc, op.cols) for op in ops])
+    rank = rank_of_family(classical, rows)
     rep.add(
         "classical:truncated-monomials",
         len(labels) == expected and rank == expected,
         detail=f"count {len(labels)}, rank {rank}, expected {expected}",
     )
 
-    mq = _model(models, 2, d, "quantum", config)
-    E = generator_action(mq, "E", 1)
-    F = generator_action(mq, "F", 1)
-    K = generator_action(mq, "K", 1) @ generator_action(mq, "K^-1", 2)
-    Kinv = generator_action(mq, "K^-1", 1) @ generator_action(mq, "K", 2)
-    qid = mq.identity()
-    vpow = mq.scalars.v_power
+    E = generator_action(quantum, "E", 1)
+    F = generator_action(quantum, "F", 1)
+    K = generator_action(quantum, "K", 1) @ generator_action(quantum, "K^-1", 2)
+    Kinv = generator_action(quantum, "K^-1", 1) @ generator_action(quantum, "K", 2)
+    qid = quantum.identity()
+    vpow = quantum.scalars.v_power
     rep.add("quantum:KK^-1=1", K @ Kinv == qid and Kinv @ K == qid)
     rep.add("quantum:KEK^-1=v^2E", K @ E @ Kinv == E.scale(vpow(2)))
     rep.add("quantum:KFK^-1=v^-2F", K @ F @ Kinv == F.scale(vpow(-2)))
@@ -540,12 +542,11 @@ def check_rank_one_presentation(d, word_cap=None, spec_points=None, models=None)
         "quantum:EF-FE=(K-K^-1)/(v-v^-1)",
         (E @ F - F @ E).scale(_V_MINUS_INVERSE) == K - Kinv,
     )
-    _minimal_polynomial_items(rep, mq, K, eigens, "v^{}".format)
+    _minimal_polynomial_items(rep, quantum, K, eigens, "v^{}".format)
     rep.notes.append(
         "the truncated monomial family is certified in classical mode; the"
         " quantum presentation asserts the relations and minimal polynomial"
     )
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -586,7 +587,7 @@ def _triangular_items(model, rep):
     the basis labels of that block, which may span less than the triple
     family does there.
     """
-    weights = model.weight_set()
+    weights = model.weight_set
     ranks = {}
     for kind in ("B1", "B2"):
         found = block_ranks(model, enumerate_basis(model.n, model.d, kind))
@@ -606,7 +607,6 @@ def check_structural_facts(model):
     block, on a basis that lies in its triple family: B1 for the three
     orders with S+ left of S-, B2 for the other three (see
     :func:`_triangular_items`)."""
-    t0 = time.perf_counter()
     rep = CheckReport("structural-facts", model.n, model.d, model.mode)
     n, d = model.n, model.d
 
@@ -628,7 +628,7 @@ def check_structural_facts(model):
             agg.check(cartan_product(model, B).is_zero(), f"B={B}")
         rep.append(agg.item(f"cartan-products-vanish[degree={total}]"))
 
-    weights = model.weight_set()
+    weights = model.weight_set
     idem = [weight_idempotent(model, lam) for lam in weights]
     ortho = all((x @ y).is_zero() for x, y in permutations(idem, 2))
     total_op = model.zero_op()
@@ -644,21 +644,17 @@ def check_structural_facts(model):
     )
 
     _triangular_items(model, rep)
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
-def check_specialization(n, d, word_cap=None, spec_points=None, models=None):
+def check_specialization(classical, quantum):
     """Agreement of each quantum basis operator at v = 1 with its
     classical counterpart, for both three-part basis families, compared
-    on their images of u_src (see the module docstring).  ``models`` may
-    hold (n, d) models to reuse, by mode (see :func:`_model`)."""
-    t0 = time.perf_counter()
+    on their images of u_src (see the module docstring), on a classical
+    and a quantum model of one (n, d)."""
+    _check_pair(classical, quantum)
+    n, d = quantum.n, quantum.d
     rep = CheckReport("specialization", n, d, "both")
-    config = {"word_cap": word_cap, "spec_points": spec_points}
-    models = {} if models is None else models
-    classical = _model(models, n, d, "classical", config)
-    quantum = _model(models, n, d, "quantum", config)
     size = quantum.num_words
     for kind in ("B1", "B2"):
         labels = enumerate_basis(n, d, kind)
@@ -684,38 +680,35 @@ def check_specialization(n, d, word_cap=None, spec_points=None, models=None):
         "ordered-monomial (PBW-style) labels are intentionally not compared:"
         " that family does not specialize to its classical counterpart"
     )
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def suite_reports(n, d, mode="classical", suite="all", word_cap=None,
                   spec_points=None):
-    """Reports for one grid point; the configuration reaches every model,
-    and the checks share one model per mode."""
+    """Reports for one grid point.  This is the one place that builds
+    models: one per mode that the suites need, with the configuration,
+    shared by every check that reads it."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    config = {"word_cap": word_cap, "spec_points": spec_points}
+    if suite == "rank1" and n != 2:
+        raise HypothesisError(_RANK_ONE_NEEDS)
+    single = suite in ("relations", "idempotent", "reduction", "structural")
+    models = {m: build_model(n, d, mode=m, word_cap=word_cap, spec_points=spec_points)
+              for m in ((mode,) if single else ("classical", "quantum"))}
+    model = models.get(mode)
     reports = []
-    models, model = {}, None
-    if suite in ("all", "relations", "idempotent", "reduction", "structural"):
-        model = _model(models, n, d, mode, config)
     if suite in ("all", "relations"):
         reports.append(check_enveloping_relations(model))
         reports.append(check_schur_relations(model))
     if suite in ("all", "idempotent"):
         reports.append(check_idempotent_presentation(model))
     if suite in ("all", "reduction"):
-        if mode == "classical":
-            reports.append(check_reduction_formulas(model, "classical-H"))
-            reports.append(check_reduction_formulas(model, "classical-idempotent"))
-        else:
-            reports.append(check_reduction_formulas(model, "quantum-idempotent"))
+        families = REDUCTION_FAMILIES[:2] if mode == "classical" else REDUCTION_FAMILIES[2:]
+        reports.extend(check_reduction_formulas(model, family) for family in families)
     if suite in ("all", "structural"):
         reports.append(check_structural_facts(model))
     if suite in ("all", "specialize"):
-        reports.append(check_specialization(n, d, models=models, **config))
-    if suite == "rank1" and n != 2:
-        raise HypothesisError("the rank-one presentation check needs n = 2")
+        reports.append(check_specialization(models["classical"], models["quantum"]))
     if n == 2 and suite in ("all", "rank1"):
-        reports.append(check_rank_one_presentation(d, models=models, **config))
+        reports.append(check_rank_one_presentation(models["classical"], models["quantum"]))
     return reports

@@ -107,7 +107,8 @@ def test_criterion_2_dimension_and_rank():
 def test_criterion_3_specialization():
     failures = []
     for n, d in ((2, 2), (3, 2), (2, 3)):
-        report = check_specialization(n, d)
+        models = build_model(n, d), build_model(n, d, mode="quantum")
+        report = check_specialization(*models)
         failures.extend(f"({n},{d}) {item.id}" for item in report.failures())
     ok = not failures
     _announce(3, "v = 1 specialization matches the classical operators", ok)
@@ -133,7 +134,8 @@ def test_criterion_4_reduction_formulas():
 def test_criterion_5_rank_one_presentations():
     failures = []
     for d in range(1, 6):
-        report = check_rank_one_presentation(d)
+        models = build_model(2, d), build_model(2, d, mode="quantum")
+        report = check_rank_one_presentation(*models)
         failures.extend(f"d={d} {item.id}" for item in report.failures())
         # Counting oracle for the truncated monomial family.
         card = sum(

@@ -638,15 +638,13 @@ def test_points_are_the_spec_points_then_the_integers():
     from schuralg import bases
 
     m = build_model(2, 2, mode="quantum", spec_points=(2, Fraction(3, 2)))
-    for _ in range(2):  # read once, the same order every time
+    for _ in range(2):  # the same order every time
         assert list(islice(bases._points(m), 4)) == [2, Fraction(3, 2), 3, 4]
     assert list(bases._points(build_model(2, 2))) == [None]
-    # v = 0 is refused on every call, the first rank included.
-    zero = build_model(2, 2, mode="quantum", spec_points=(0, 2))
-    row = {0: LaurentPoly.one()}
-    for _ in range(2):
-        with pytest.raises(ValueError, match="v = 0"):
-            rank_of_family(zero, [row])
+    # No spec points: the integers from 2 on.  v = 0 is refused when
+    # the model is built (tests/test_tensormodel.py).
+    none = build_model(2, 2, mode="quantum", spec_points=())
+    assert list(islice(bases._points(none), 3)) == [2, 3, 4]
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

@@ -4,6 +4,7 @@ weight idempotents."""
 import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from oracle import cartan_binomial_by_products, commutes_with_hecke
@@ -154,6 +155,21 @@ def test_size_limit():
     build_model(10, 4, word_cap=10_000)
 
 
+def test_build_model_fixes_spec_points_and_weights():
+    # The spec points become Fractions at build, default 7/5 and 11/7;
+    # v = 0 is refused there, before any rank is asked for.
+    default = build_model(2, 2, mode="quantum")
+    assert default.spec_points == (Fraction(7, 5), Fraction(11, 7))
+    given = build_model(2, 2, mode="quantum", spec_points=(2, "3/2"))
+    assert given.spec_points == (2, Fraction(3, 2))
+    assert all(type(p) is Fraction for p in given.spec_points)
+    assert build_model(2, 2, spec_points=()).spec_points == ()
+    with pytest.raises(ValueError, match="v = 0"):
+        build_model(2, 2, mode="quantum", spec_points=(0, 2))
+    for n, d in ((2, 2), (3, 4)):
+        assert build_model(n, d).weight_set == tuple(compositions(n, d))
+
+
 def test_classical_e1_leibniz_action():
     m = build_model(2, 2)
     e1 = generator_action(m, "e", 1)
@@ -267,7 +283,7 @@ def test_raising_shifts_weight_by_simple_root():
 def test_weight_idempotent_equals_projector(mode):
     for n, d in [(2, 2), (2, 3), (3, 2)]:
         m = build_model(n, d, mode=mode)
-        for lam in m.weight_set():
+        for lam in m.weight_set:
             assert weight_idempotent(m, lam) == weight_projector(m, lam), (n, d, lam)
 
 
@@ -275,14 +291,14 @@ def test_weight_idempotent_equals_projector(mode):
 def test_weight_idempotents_resolve_identity(mode):
     m = build_model(3, 2, mode=mode)
     total = m.zero_op()
-    for lam in m.weight_set():
+    for lam in m.weight_set:
         total = total + weight_idempotent(m, lam)
     assert total == m.identity()
 
 
 def test_weight_idempotents_orthogonal():
     m = build_model(2, 3)
-    lams = m.weight_set()
+    lams = m.weight_set
     for a in lams:
         for b in lams:
             prod = weight_idempotent(m, a) @ weight_idempotent(m, b)
@@ -628,7 +644,7 @@ def test_certificate_guards_every_column_check(monkeypatch):
     with pytest.raises(CertificateError, match="H_1 does not commute"):
         check_hecke_generation(m)
     with pytest.raises(CertificateError, match="H_1 does not commute"):
-        check_specialization(2, 2)
+        check_specialization(build_model(2, 2), build_model(2, 2, mode="quantum"))
     for argv in (["verify", "3", "3", "--suite", "structural"], ["hecke", "3", "3"]):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

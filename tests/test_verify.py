@@ -48,6 +48,11 @@ def _ids(report):
     return [item.id for item in report.items]
 
 
+def _pair(n, d):
+    """A classical and a quantum model of (n, d), in that order."""
+    return build_model(n, d), build_model(n, d, mode="quantum")
+
+
 def test_report_plumbing():
     rep = CheckReport("demo", 2, 2, "classical")
     rep.add("a", True)
@@ -144,7 +149,7 @@ def test_idempotent_commutator_quantum_uses_signed_brackets():
     F = generator_action(q, "F", 1)
     comm = E @ F - F @ E
     expected = q.zero_op()
-    for lam in q.weight_set():
+    for lam in q.weight_set:
         coeff = quantum_integer(lam[0] - lam[1])  # negative arguments occur
         expected = expected + weight_idempotent(q, lam).scale(coeff)
     assert comm == expected
@@ -236,7 +241,7 @@ def test_wrong_middle_factor_fails_its_reductions(family, mode, name, target,
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rank_one_presentation(d):
-    rep = check_rank_one_presentation(d)
+    rep = check_rank_one_presentation(*_pair(2, d))
     assert rep.passed
     by_id = {item.id: item for item in rep.items}
     assert f"degree {d + 1}" == by_id["classical:minimal-polynomial"].detail
@@ -290,7 +295,7 @@ def test_structural_direct_oracles():
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
 def test_specialization(n, d):
-    rep = check_specialization(n, d)
+    rep = check_specialization(*_pair(n, d))
     assert rep.passed
     assert _ids(rep) == ["B1[v=1]", "B2[v=1]"]
     assert rep.notes  # the excluded family is called out
@@ -324,7 +329,7 @@ def _entrywise_specialization_item(n, d, kind):
 def test_specialization_matches_entrywise_reference(n, d):
     # Comparing images of u_src must decide every label as comparing
     # every operator entry does.
-    rep = check_specialization(n, d)
+    rep = check_specialization(*_pair(n, d))
     expected = [_entrywise_specialization_item(n, d, kind) for kind in ("B1", "B2")]
     assert rep.items == expected
     assert all(item.ok and not item.vacuous for item in expected)
@@ -352,7 +357,7 @@ def test_specialization_reports_the_first_failing_label(monkeypatch):
         return image
 
     monkeypatch.setattr(bases, "_block_image", wrong)
-    item = check_specialization(2, 3).items[0]
+    item = check_specialization(*_pair(2, 3)).items[0]
     assert (item.id, item.ok, item.detail) == ("B1[v=1]", False, f"failed at label {labels[1]}")
 
 
@@ -393,29 +398,131 @@ def test_suite_reports_pass_configuration_to_every_model(monkeypatch):
     assert all(k["word_cap"] == 50 and k["spec_points"] == points for k in seen)
 
 
+def _count_builds(monkeypatch):
+    """The modes of the models that ``verify.build_model`` builds, in order."""
+    from schuralg import verify
+
+    built, real = [], verify.build_model
+
+    def recording(*args, **kwargs):
+        built.append(kwargs["mode"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_model", recording)
+    return built
+
+
 @pytest.mark.parametrize("n,d,mode", [(3, 2, "classical"), (2, 3, "quantum")])
 def test_suite_all_builds_and_certifies_each_model_once(n, d, mode, monkeypatch):
-    from schuralg import tensormodel, verify
+    from schuralg import tensormodel
 
-    built, positions = [], []
-    real_build, real_hecke = verify.build_model, tensormodel.hecke_generator
-
-    def recording_build(*args, **kwargs):
-        built.append(kwargs["mode"])
-        return real_build(*args, **kwargs)
+    built, positions = _count_builds(monkeypatch), []
+    real_hecke = tensormodel.hecke_generator
 
     def recording_hecke(model, p):
         # The certificate forms each T_p once per run.
         positions.append((model.mode, p))
         return real_hecke(model, p)
 
-    monkeypatch.setattr(verify, "build_model", recording_build)
     monkeypatch.setattr(tensormodel, "hecke_generator", recording_hecke)
     reports = suite_reports(n, d, mode=mode, suite="all")
     assert all(report.passed for report in reports)
     assert sorted(built) == ["classical", "quantum"]
     assert sorted(positions) == [(m, p) for m in ("classical", "quantum")
                                  for p in range(1, d)]
+
+
+@pytest.mark.parametrize("suite,n,modes", [
+    ("relations", 3, ["quantum"]),
+    ("specialize", 3, ["classical", "quantum"]),
+    ("rank1", 2, ["classical", "quantum"]),
+])
+def test_suite_reports_builds_each_needed_model_once(suite, n, modes, monkeypatch):
+    # "all" builds both modes too (test_suite_all_builds_and_certifies_each_model_once).
+    built = _count_builds(monkeypatch)
+    assert all(report.passed for report in suite_reports(n, 2, mode="quantum", suite=suite))
+    assert sorted(built) == modes
+
+
+def test_rank1_needs_n_2_before_any_model_is_built(monkeypatch):
+    # 3^9 words exceed the default cap, so a build would exit 3.
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from schuralg.cli import main
+
+    built = _count_builds(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "3", "9", "--suite", "rank1"])
+    assert (code, built, out.getvalue()) == (2, [], "")
+    assert "needs n = 2" in err.getvalue()
+
+
+def test_pair_checks_refuse_mismatched_models():
+    c2, q2 = _pair(2, 2)
+    c3, q3 = _pair(3, 2)
+    for check in (check_specialization, check_rank_one_presentation):
+        for pair in ((q2, c2), (c2, c2), (q2, q2), (c2, q3), (build_model(2, 3), q2)):
+            with pytest.raises(ValueError, match="classical and then a quantum model"):
+                check(*pair)
+    with pytest.raises(HypothesisError) as from_suite:
+        suite_reports(3, 2, suite="rank1")
+    with pytest.raises(HypothesisError) as from_check:
+        check_rank_one_presentation(c3, q3)
+    assert str(from_check.value) == str(from_suite.value)
+    assert check_specialization(c3, q3).passed
+
+
+def test_report_times_itself_to_its_last_item():
+    import time
+
+    rep = CheckReport("demo", 2, 2, "classical")
+    assert rep.seconds == 0.0
+    time.sleep(0.001)
+    rep.add("a", True)
+    first = rep.seconds
+    assert first > 0.0
+    rep.notes.append("a note moves no clock")
+    assert rep.seconds == first
+    time.sleep(0.001)
+    rep.append(_Agg().item("b"))
+    assert rep.seconds > first
+
+
+def test_each_item_is_counted_once(monkeypatch):
+    # A counter that wraps both add and append, as the bench probes do,
+    # sees each item once: add does not go through append.
+    calls = []
+    for attr in ("add", "append"):
+        real = getattr(CheckReport, attr)
+
+        def counted(self, *args, _real=real, **kwargs):
+            calls.append(self)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CheckReport, attr, counted)
+    reports = suite_reports(2, 2, suite="all")
+    assert len(calls) == sum(len(report.items) for report in reports) > 0
+    assert all(report.seconds > 0.0 for report in reports)
+
+
+def test_only_suite_reports_takes_configuration():
+    # Checks take their models; suite_reports alone builds them, so it
+    # alone sees the word cap and the spec points.
+    import inspect
+
+    from schuralg import hecke, verify
+
+    takers = [
+        f"{module.__name__}.{name}"
+        for module in (verify, hecke)
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        and {"word_cap", "spec_points", "models"} & set(inspect.signature(obj).parameters)
+    ]
+    assert takers == ["schuralg.verify.suite_reports"]
 
 
 def _basis(model, kind, cut=False):
@@ -432,7 +539,7 @@ def _basis_ranks(model, tag, cut=False):
     a block without labels."""
     kind = "B1" if tag.index("+") < tag.index("-") else "B2"
     found = block_ranks(model, _basis(model, kind, cut))
-    weights = model.weight_set()
+    weights = model.weight_set
     return {(src, dst): found.get((src, dst), 0) for src in weights for dst in weights}
 
 
@@ -476,7 +583,7 @@ def test_basis_operators_are_triple_products(n, d, mode):
             left, _, right = SHAPES[kind]
             a, c = factors[left[1]][label.A], factors[right[1]][label.C]
             src, dst = _label_block(label, m.root_data)[1]
-            assert {src, dst} <= set(m.weight_set())  # compositions of d
+            assert {src, dst} <= set(m.weight_set)  # compositions of d
             one = {nu: cartan_product(m, nu) for nu in (src, label.lam, dst)}
             assert one[label.lam] == weight_idempotent(m, label.lam)
             op = eval_label(m, label)
