@@ -283,13 +283,15 @@ class _IntEchelon:
         return len(self.pivots)
 
     def add(self, row):
-        """Reduce a primitive integer row; return True if rank grew."""
-        row = dict(row)
+        """Reduce a primitive integer row; return True if rank grew.
+
+        Each elimination step divides out its gcd, so the row stays
+        primitive and is stored as it is; it is read, never changed."""
         while row:
             lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                self.pivots[lead] = _reduce_by_gcd(row)
+                self.pivots[lead] = row
                 return True
             a, b = row[lead], piv[lead]
             g = gcd(a, b)

@@ -112,8 +112,8 @@ def _add_common(sub, formats=("text", "json")):
         type=_spec_points,
         default=None,
         metavar="P,Q",
-        help="two rational points of v tried first, in order, to certify "
-        "quantum ranks, before 2, 3, 4, ... (default 7/5,11/7)",
+        help="two rational points of v tried first, in order, to certify quantum "
+        "ranks (default 7/5,11/7), then 2, 3, ...; a negative P as --spec-points=-1,2",
     )
 
 

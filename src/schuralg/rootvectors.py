@@ -25,6 +25,14 @@ enumeration and the weight block of a label are all read from it.
 Multi-index tuples are always aligned with RootData.positive_roots
 (lexicographic (i, j) order).
 
+A label's 1_lam is applied once, as a restriction to its source
+weight.  The idempotent relations e_i 1_mu = 1_(mu + alpha_i) e_i and
+f_i 1_mu = 1_(mu - alpha_i) f_i move 1_lam right past every part that
+acts before it, so e_A 1_lam f_C = e_A f_C 1_src for the source weight
+src of the label (:func:`_label_block`), and likewise for B2 and the
+Borel flavors.  Its parts then act on a vector of weight src with
+nothing filtered on the way.
+
 A label that pins a weight block (src, dst) is also one vector: its
 image of the ordered word u_src (:func:`label_image`), found by acting
 with its parts right to left on that one word.  The label's operator b
@@ -52,13 +60,16 @@ x_r^(a) = x_r x_r^(a-1) / [a] gives x_A p = x_r (x_(A - eps_r) p) /
 [a_r], one application and one exact division by [a_r], or a_r, per
 step, from the image one root step shorter (:func:`_prefix_image`).
 That shorter image is the image of another label of the same source
-weight.  Images live only in a memo that the caller owns
-(:func:`_block_image`): ``bases.block_images`` keeps one per source
-weight and drops it when the next source weight starts, and
-:func:`label_image` is the case of one label and a new memo.  No
-vector is ever kept on the model.  A label's operator, where one is
-wanted (:func:`eval_label`), is the product of its factors by
-``tensormodel.compose``.
+weight.  Images live only in the one memo that the caller owns and
+passes in (:func:`_block_image`), keyed by the vector each monomial
+acts on: ``bases.block_images`` keeps one per source weight and drops
+it when the next source weight starts, and :func:`label_image` is the
+case of one label and a new memo.  No vector is ever kept on the
+model.  A label's operator, where a test or a benchmark wants one
+(:func:`eval_label`), is the product of its factors by
+``tensormodel.compose``, recomputed on each call: the model caches
+root vectors, their divided powers and Cartan diagonals, all bounded
+by (n, d), and no label operator.
 """
 
 from dataclasses import dataclass
@@ -197,15 +208,6 @@ def root_divided_power(model, root, sign, m):
     return model._op_cache[key]
 
 
-def _kostant_monomial(model, exponents, sign):
-    """The factors of a Kostant monomial, left to right: its nonzero
-    divided root-vector powers in lexicographic root order."""
-    roots = model.root_data.positive_roots
-    if len(exponents) != len(roots):
-        raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
-    return [root_divided_power(model, root, sign, m) for root, m in zip(roots, exponents) if m]
-
-
 def pbw_generator_list(model, k0):
     """The ordered generator operators for truncated PBW monomials.
 
@@ -233,21 +235,27 @@ def _pbw_powers(model, label):
 
 
 def eval_label(model, label):
-    """Evaluate a basis label to its operator on the model: the product
-    of its parts, left to right (:func:`~schuralg.tensormodel.compose`)."""
-    cache_key = ("label", label)
-    if cache_key in model._op_cache:
-        return model._op_cache[cache_key]
+    """A basis label's operator on the model, the reference that tests
+    and benchmarks check images against: the product of its parts, left
+    to right (:func:`~schuralg.tensormodel.compose`), a Kostant monomial
+    as its nonzero divided root-vector powers in lexicographic root
+    order.  It is recomputed on each call; the model caches only the
+    factors."""
     shape = _shape(label.flavor)
     if shape is None:
-        factors = [gen**m for gen, m in _pbw_powers(model, label) if m]
-    else:
-        factors = []
-        for part in shape:
-            factors += ([weight_idempotent(model, label.lam)] if part is None
-                        else _kostant_monomial(model, getattr(label, part[0]), part[1]))
-    out = model._op_cache[cache_key] = compose(model, factors)
-    return out
+        return compose(model, [gen**m for gen, m in _pbw_powers(model, label) if m])
+    roots = model.root_data.positive_roots
+    factors = []
+    for part in shape:
+        if part is None:
+            factors.append(weight_idempotent(model, label.lam))
+            continue
+        exponents = getattr(label, part[0])
+        if len(exponents) != len(roots):
+            raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
+        factors += [root_divided_power(model, root, part[1], m)
+                    for root, m in zip(roots, exponents) if m]
+    return compose(model, factors)
 
 
 def root_sum(root_data, exponents):
@@ -314,18 +322,14 @@ def _prefix_image(model, exponents, sign, vec, images):
 
 
 def _act(model, label, parts, vec, memo, key=None):
-    """Some of a label's shape parts, right to left, applied to a flat
-    vector; 1_lam keeps the entries of weight lam.  Each monomial goes
-    by :func:`_prefix_image`, its images kept in the dict ``memo`` under
-    (key, sign), for ``key`` naming the vector it acts on."""
-    weights, size = model.weights, model.num_words
+    """A label's shape parts, right to left, applied to a flat vector
+    that its 1_lam keeps whole: the caller has restricted the vector to
+    the label's source weight, and a part None is passed over.  Each
+    monomial goes by :func:`_prefix_image`, its images kept in the dict
+    ``memo`` under (key, sign), for ``key`` naming the vector it acts
+    on."""
     roots = model.root_data.positive_roots
-    for part in reversed(parts):
-        if part is None:
-            vec = {k: c for k, c in vec.items() if weights[k % size] == label.lam}
-            key = (key, label.lam)
-            continue
-        name, sign = part
+    for name, sign in filter(None, reversed(parts)):
         exponents = getattr(label, name)
         if len(exponents) != len(roots):
             raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
@@ -337,46 +341,45 @@ def _act(model, label, parts, vec, memo, key=None):
 
 def apply_label(model, label, vec):
     """A label's operator applied to a vector {word index: scalar},
-    without building the operator: a shape's parts, or a PBW label's
-    generator powers, right to left, on the flat form of the vector."""
+    without building the operator, on the flat form of the vector.
+
+    A label that has a 1_lam is b = b 1_src for its source weight src
+    (:func:`_label_block`), so its input is first restricted to the
+    words of weight src and its parts then act right to left.  A PBW
+    label's generator powers, and a PLUS or MINUS label's parts, act on
+    the whole vector."""
     scalars, size = model.scalars, model.num_words
     vec = scalars.to_flat(vec, size)
     shape = _shape(label.flavor)
-    if shape is not None:
-        vec = _act(model, label, shape, vec, {})
-    else:
+    if shape is None:
         for gen, m in reversed(_pbw_powers(model, label)):
             for _ in range(m):
                 vec = _apply_flat(_flat_columns(model, gen), vec, size)
+    else:
+        _, block = _label_block(label, model.root_data)
+        if block is not None:
+            weights = model.weights
+            vec = {k: c for k, c in vec.items() if weights[k % size] == block[0]}
+        vec = _act(model, label, shape, vec, {})
     return scalars.from_flat(vec, size)
 
 
-def _block_image(model, label, src, memo=None):
+def _block_image(model, label, src, memo):
     """:func:`label_image` as a flat vector, for a label of source
-    weight ``src``.
+    weight ``src``: the label's parts applied to u_src (:func:`_act`).
 
-    The parts from 1_lam rightwards, applied to u_src, are shared by
-    every label that differs only left of 1_lam: f_C u_src serves every
-    e_A of B1.  They are kept in the dict ``memo``, with the images on
-    the way to each monomial (:func:`_act`): a caller shares it among
-    the labels of one source weight, whose images then share their
-    prefixes, and drops it when it is done.  Without one a new dict is
-    used; nothing is kept on the model."""
+    u_src has weight src, so the label's 1_lam keeps every vector on
+    the way whole.  The images on the way to each monomial are kept in
+    the dict ``memo``: a caller shares it among the labels of one source
+    weight, whose images then share their prefixes (f_C u_src serves
+    every e_A of B1), and drops it when it is done.  Nothing is kept on
+    the model."""
     _check_weight(model, label.lam)
     if min(src) < 0:  # no weight space reaches 1_lam: the operator is 0
         return {}
     certify_hecke_commutation(model)
-    memo = {} if memo is None else memo
-    shape = SHAPES[label.flavor]
-    cut = shape.index(None)
-    right = shape[cut:]
-    key = ("image", label.lam,
-           tuple((getattr(label, name), sign) for name, sign in right[1:]))
-    partial = memo.get(key)
-    if partial is None:
-        start = {model.word_index[ordered_word(src)]: 1}
-        partial = memo[key] = _act(model, label, right, start, memo, src)
-    return _act(model, label, shape[:cut], partial, memo, key)
+    start = {model.word_index[ordered_word(src)]: 1}
+    return _act(model, label, SHAPES[label.flavor], start, memo, src)
 
 
 def label_image(model, label):
@@ -392,7 +395,7 @@ def label_image(model, label):
     _, block = _label_block(label, model.root_data)
     if block is None:
         raise ValueError(f"a {label.flavor} label pins no weight block")
-    return model.scalars.from_flat(_block_image(model, label, block[0]), model.num_words)
+    return model.scalars.from_flat(_block_image(model, label, block[0], {}), model.num_words)
 
 
 def label_columns(model, label):

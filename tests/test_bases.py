@@ -3,7 +3,7 @@ structure constants."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import sub
 
 import pytest
@@ -436,6 +436,27 @@ def test_block_dimension_counts_b1_labels(n, d):
             for src in weights for dst in weights}
     assert {block: len(pos) for block, pos in index.items()} == dims
     assert sum(dims.values()) == comb(n * n - 1 + d, d)
+
+
+@pytest.mark.parametrize("n,d,mode", [(3, 4, "quantum"), (4, 3, "classical")])
+def test_echelon_stores_primitive_pivots(n, d, mode, monkeypatch):
+    # The echelon stores each pivot as the row its last step reduced,
+    # with no gcd pass of its own: every stored pivot is primitive, and
+    # each B1 block still has the rank of its dimension.
+    m = build_model(n, d, mode=mode)
+    echelons = []
+
+    class Watched(bases._IntEchelon):
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    monkeypatch.setattr(bases, "_IntEchelon", Watched)
+    ranks = block_ranks(m, enumerate_basis(n, d, "B1"))
+    assert ranks == {block: block_dimension(*block) for block in ranks}
+    assert sum(ranks.values()) == comb(n * n + d - 1, d)
+    pivots = [row for echelon in echelons for row in echelon.pivots.values()]
+    assert pivots and all(gcd(*row.values()) == 1 for row in pivots)
 
 
 def test_block_dimension_small_cases():

@@ -42,6 +42,18 @@ def test_dim_quantum_with_custom_spec_points():
     assert json.loads(out)["rank"] == 10
 
 
+def test_negative_spec_points_need_the_equals_form():
+    # In the spaced form the parser reads "-1,2" as an option, so the
+    # command is refused as a usage error; the "=" form passes it on.
+    default = run(["dim", "3", "3", "--quantum", "--format", "json"])
+    code, out, _ = run(["dim", "3", "3", "--quantum", "--spec-points=-1,2", "--format", "json"])
+    assert code == 0 and default[0] == 0
+    assert out == default[1]
+    code, out, err = run(["dim", "3", "3", "--quantum", "--spec-points", "-1,2"])
+    assert code == 2 and out == ""
+    assert "--spec-points: expected one argument" in err
+
+
 def test_basis_formats():
     code, out, _ = run(["basis", "2", "2", "--kind", "zero"])
     assert code == 0

@@ -307,6 +307,19 @@ def test_eval_label_multiplies_by_no_identity(mode, monkeypatch):
         assert op == _eval_label_reference(m, label), label
 
 
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_eval_label_caches_only_its_factors(mode):
+    # The reference operator is recomputed on each call: the model keeps
+    # root vectors, their divided powers and Cartan diagonals, all
+    # bounded by (n, d), and no label operator.
+    m = build_model(3, 2, mode=mode)
+    labels = enumerate_basis(3, 2, "B1") + enumerate_basis(3, 2, "PBW")
+    first = [eval_label(m, label) for label in labels]
+    assert m._op_cache
+    assert {key[0] for key in m._op_cache} <= {"root_vector", "divided", "cartan"}
+    assert [eval_label(m, label) for label in labels] == first
+
+
 def test_eval_label_kostant_order_is_lexicographic():
     m = build_model(3, 2)
     # A has both (1,2) and (1,3); lexicographic order puts (1,2) first.
@@ -384,8 +397,8 @@ def test_label_key_format():
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 2), (2, 5)])
 def test_label_image_is_the_operator_column_at_the_ordered_word(n, d, mode):
-    # One model for every weighted kind, so that the partial images they
-    # share (or must not share) go through one cache.
+    # One model for every weighted kind: each image goes through a new
+    # memo, and every label's root vectors through the model's cache.
     m = build_model(n, d, mode=mode)
     for kind in WEIGHTED:
         for label in enumerate_basis(n, d, kind):
@@ -474,6 +487,26 @@ def test_label_image_of_labels_outside_the_family():
     assert label_image(m, empty) == {}
     with pytest.raises(BadWeight):
         label_image(m, BasisLabel(flavor="ZERO", A=(0,), lam=(2, 1)))
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("name,exponents", [("A", (1, 0)), ("A", (0, 0, 0, 0)),
+                                            ("C", (1, 0)), ("C", (0, 0, 0, 0))])
+def test_malformed_labels_raise(name, exponents, mode):
+    # A B1 label at n = 3 whose A or C is not over the three positive
+    # roots is refused on every path: one image, one applied vector,
+    # the block ranks of a family, and the operator.
+    m = build_model(3, 2, mode=mode)
+    label = BasisLabel(flavor="B1", lam=(1, 1, 0), **{"A": (0, 0, 0), "C": (0, 0, 0),
+                                                        name: exponents})
+    family = enumerate_basis(3, 2, "B1") + [label]
+    one = m.scalars.one
+    calls = [lambda: label_image(m, label), lambda: block_ranks(m, family),
+             lambda: eval_label(m, label)]
+    calls += [lambda j=j: apply_label(m, label, {j: one}) for j in range(m.num_words)]
+    for call in calls:
+        with pytest.raises(ValueError, match="should have length 3"):
+            call()
 
 
 def test_label_image_needs_a_block():

@@ -33,13 +33,24 @@ def test_package_imports_only_the_standard_library():
     assert not outside
 
 
-@pytest.mark.parametrize("source", ["bases.py", "verify.py"])
+def _code_names(tree):
+    """The names a module imports, reads and reads as attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+@pytest.mark.parametrize("source", sorted(path.name for path in PACKAGE.glob("*.py")
+                                           if path.name not in ("rootvectors.py", "__init__.py")))
 def test_bases_does_not_import_eval_label(source):
-    # Ranks, expansions and the triangular check take rows and columns;
-    # no label operator is built there.
-    tree = ast.parse((PACKAGE / source).read_text())
-    names = {alias.name for node in ast.walk(tree)
-             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    # Ranks, expansions, the corner and every check take rows, columns
+    # and images.  eval_label is the operator reference that only tests
+    # and benchmarks call: no other module of the package names it.
+    names = set(_code_names(ast.parse((PACKAGE / source).read_text())))
     assert names and "eval_label" not in names
 
 
