@@ -20,7 +20,11 @@ one vector per label: its image of the ordered word u_src of its source
 weight (``rootvectors.label_image``).  Operators of different blocks
 have disjoint supports, so the rank of the family is the sum of the
 ranks of its blocks; :func:`block_ranks` returns them, and the
-triangular check of ``verify`` reads those of B1 and B2.
+triangular check of ``verify`` reads those of B1 and B2.  The labels
+are grouped source weight first (:func:`block_index`), so that the
+images of one source weight are built together from u_src
+(:func:`block_images`); :func:`enumerate_basis` walks the labels of
+one block from u_src directly.
 
 Every rank and every solve is certified one way (:func:`_pivots`).
 Classical entries are integers and their rows are reduced by
@@ -62,9 +66,9 @@ a fraction otherwise.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, count
+from itertools import chain, count
 from math import gcd
-from operator import le, sub
+from operator import add, le, sub
 
 from .errors import NotDivisible, NotInSpan
 from .rootvectors import (
@@ -126,13 +130,11 @@ def content_low(root_data, exponents):
     return tuple(out)
 
 
-def _bounded(groups, budget, solve=None):
+def _bounded(groups, budget):
     """Exponent tuples, one per group of slots, in ascending
     lexicographic order of their concatenation: position k of a group
     is charged to ``budget[group[k]]``, and no budget entry is
-    overdrawn.  Each tuple is shared by all its continuations.  With
-    ``solve``, a slot where solve(g, t) is not None, for t the group's
-    partial tuple (a list), takes that value alone if the budget allows."""
+    overdrawn.  Each tuple is shared by all its continuations."""
     out = []
     budget = list(budget)
 
@@ -146,8 +148,7 @@ def _bounded(groups, budget, solve=None):
             return
         j = slots[idx]
         cap = budget[j]
-        m = None if solve is None else solve(g, acc)
-        for m in range(cap + 1) if m is None else range(max(m, 0), min(m, cap) + 1):
+        for m in range(cap + 1):
             acc.append(m)
             budget[j] = cap - m
             rec(g, idx + 1, done, acc)
@@ -156,6 +157,13 @@ def _bounded(groups, budget, solve=None):
 
     rec(0, 0, (), [])
     return out
+
+
+def _moved(n, weight, parts, signs):
+    """``weight`` moved by the shifts of the monomials ``parts``."""
+    for exps, sign in zip(parts, signs):
+        weight = tuple(map(add, weight, _signed_shift(n, exps, sign)))
+    return weight
 
 
 def enumerate_basis(n, d, kind, k0=None, block=None):
@@ -168,11 +176,16 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     of it (see :func:`content_low`); without one, all root vectors share
     the budget d, as do the PBW generators.
 
-    ``block`` = (src, dst) keeps only the labels of that weight block
-    (see ``_label_block``), in the same order, for a kind with a weight:
-    the parts left of 1_lam must shift lam to dst, those right of it src
-    to lam, and a part is cut off while it is built, as soon as a
-    coordinate of its shift that no later root changes misses.
+    ``block`` = (src, dst), two weights over n coordinates, keeps only
+    the labels of that weight block (see ``_label_block``), in the same
+    order, for a kind with a weight.  They are walked from u_src: read
+    right to left, each root vector for (i, j) takes one letter of the
+    word it acts on, a letter j for e and a letter i for f, so all the
+    parts draw on the one budget src.  The walks that land on dst are
+    kept and put in the order of the weights lam.
+
+    >>> [(x.A, x.lam, x.C) for x in enumerate_basis(2, 2, "B1", block=((1, 1), (1, 1)))]
+    [((0,), (1, 1), (0,)), ((1,), (0, 2), (1,))]
     """
     if kind not in KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
@@ -189,7 +202,7 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
                 for (exps,) in _bounded([(0,) * length], (d,))]
     roots = RootData.for_rank(n).positive_roots
     weighted = None in shape
-    names, groups, signs, left = [], [], [], []
+    names, groups, signs = [], [], []
     low_sign = "minus"
     for part in shape:
         if part is None:
@@ -200,40 +213,30 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
         names.append(name)
         groups.append([root[pos] - 1 if weighted else 0 for root in roots])
         signs.append(sign)
-        left.append(low_sign == "minus")
     # A field the shape leaves out reads the zero multi-index, appended
     # after the shape's own parts.
     zero = ((0,) * len(roots),)
-    # Coordinate i of a part's shift is moved last by the root (i, n),
-    # whose exponent is then solved for.
-    last = {k: i for k, (i, j) in enumerate(roots) if j == n}
     a, c = (names.index(f) if f in names else len(names) for f in ("A", "C"))
+    if block is None:
+        found = ((lam if weighted else None, parts)
+                 for lam in (compositions(n, d) if weighted else [(d,)])
+                 for parts in _bounded(groups, lam))
+    else:
+        src, dst = map(tuple, block)
+        if len(src) != n or len(dst) != n:
+            raise ValueError(f"block {block} needs two weights of length {n}")
+        if min(src) < 0 or sum(src) != d:
+            return []
+        walk = [[root[sign == "plus"] - 1 for root in roots] for sign in signs]
+        left = shape.index(None)  # the parts left of 1_lam
+        found = sorted(((_moved(n, src, parts[left:], signs[left:]), parts)
+                        for parts in _bounded(walk, src)
+                        if _moved(n, src, parts, signs) == dst),
+                       key=lambda item: [-x for x in item[0]])
     labels = []
-    for lam in compositions(n, d) if weighted else [(d,)]:
-        wt = lam if weighted else None
-        solve = None
-        if block is not None:
-            # The parts left of 1_lam shift lam to dst, those right of
-            # it shift src to lam; a side without a part shifts by 0.
-            # Read with the plus sign, a part's shift is a sum of
-            # positive roots: its partial sums are at least 0, the last 0.
-            src, dst = block
-            want = {True: tuple(map(sub, dst, lam)), False: tuple(map(sub, lam, src))}
-            plus = [want[side] if sign == "plus" else tuple(-x for x in want[side])
-                    for side, sign in zip(left, signs)]
-            sums = [list(accumulate(shift)) for shift in plus]
-            if (any(any(want[side]) for side in want if side not in left)
-                    or any(s[-1] or min(s) < 0 for s in sums)):
-                continue
-
-            def solve(g, exps, plus=plus):
-                i = last.get(len(exps))
-                return None if i is None else (
-                    plus[g][i - 1] - _signed_shift(n, tuple(exps), "plus")[i - 1])
-
-        for parts in _bounded(groups, lam, solve):
-            parts += zero
-            labels.append(BasisLabel(kind, parts[a], wt, parts[c]))
+    for lam, parts in found:
+        parts += zero
+        labels.append(BasisLabel(kind, parts[a], lam, parts[c]))
     return labels
 
 
@@ -426,59 +429,52 @@ def rank_of_labels(model, labels):
 def block_ranks(model, labels):
     """Exact rank of each weight block of a label family, ranked on the
     labels' images of u_src (``rootvectors.label_image``), as
-    ``{(src, dst): rank}`` over the blocks of :func:`block_index`; None
-    when some label pins no block.  The images (:func:`block_images`)
-    reach the rank kernel flat."""
-    index = block_index(model, labels)
-    if index is None:
+    ``{(src, dst): rank}`` in the order of :func:`block_index`, source
+    weight first; None when some label pins no block.  The images
+    (:func:`block_images`) reach the rank kernel flat."""
+    groups = block_index(model, labels)
+    if groups is None:
         return None
-    ranks = {block: rank_of_family(model, images)
-             for block, images in block_images(model, labels, index)}
-    return {block: ranks[block] for block in index}
+    return {block: rank_of_family(model, images)
+            for block, images in block_images(model, groups)}
 
 
-def block_images(model, labels, index):
-    """The flat images of u_src (``rootvectors._block_image``) of a
-    label family, as (block, images in the order of ``index[block]``)
-    for each block of ``index`` = :func:`block_index` of the family.
-
-    The blocks come source weight by source weight, and the images of
-    one source weight share their prefixes through one memo, dropped
-    when the next source weight starts."""
-    by_source = {}
-    for block in index:
-        by_source.setdefault(block[0], []).append(block)
-    for src, blocks in by_source.items():
+def block_images(model, groups):
+    """The flat images of u_src (``rootvectors._block_image``) of labels
+    grouped as :func:`block_index` groups them, ``{src: {dst: labels}}``:
+    ((src, dst), images in the order of the labels) for each block,
+    source weight by source weight.  The images of one source weight
+    share their prefixes through one memo, dropped when the next source
+    weight starts."""
+    for src, blocks in groups.items():
         memo = {}
-        for block in blocks:
-            yield block, [_block_image(model, labels[pos], src, memo) for pos in index[block]]
+        for dst, labels in blocks.items():
+            yield (src, dst), [_block_image(model, label, src, memo) for label in labels]
 
 
 def block_index(model, family):
-    """Positions of a label family grouped by weight block.
+    """A label family grouped by weight block, source weight first.
 
-    Returns ``{(src, dst): [positions in enumeration order]}`` with each
-    block as :func:`_label_block` gives it, or None when some label pins
-    no block (PBW and bare monomial flavors).  Only the index of the
-    last family is kept on the model, and the same family again is
-    recognized by comparing its members, mostly by identity, without
-    hashing them.
+    Returns ``{src: {dst: [labels in family order]}}`` with each block
+    (src, dst) as :func:`_label_block` gives it, the source weights and
+    the targets of each in the order they first appear, or None when
+    some label pins no block (PBW and bare monomial flavors).  Only the
+    grouping of the last family is kept on the model, and the same
+    family again is recognized by comparing its members, mostly by
+    identity, without hashing them.
     """
     family = tuple(family)
     last = model._last_family
     if last is None or last[0] != family:
-        last = model._last_family = (family, _new_block_index(model, family))
+        groups = {}
+        for label in family:
+            _, block = _label_block(label, model.root_data)
+            if block is None:
+                groups = None
+                break
+            groups.setdefault(block[0], {}).setdefault(block[1], []).append(label)
+        last = model._last_family = (family, groups)
     return last[1]
-
-
-def _new_block_index(model, family):
-    index = {}
-    for pos, label in enumerate(family):
-        _, block = _label_block(label, model.root_data)
-        if block is None:
-            return None
-        index.setdefault(block, []).append(pos)
-    return index
 
 
 @lru_cache(maxsize=None)
@@ -645,14 +641,14 @@ def structure_constants(model, basis, i, j):
     ``rootvectors``).
     """
     left, right = basis[i], basis[j]
-    index = block_index(model, basis)
-    if index is None:
+    groups = block_index(model, basis)
+    if groups is None:
         candidates = list(basis)
     else:
         (src, mid), (top, dst) = (_label_block(x, model.root_data)[1] for x in (right, left))
         if mid != top:
             return {}
-        candidates = [basis[pos] for pos in index.get((src, dst), ())]
+        candidates = groups[src].get(dst, [])
     product = {}
     for w, col in label_columns(model, right).items():
         image = apply_label(model, left, col)

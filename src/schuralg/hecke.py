@@ -74,9 +74,8 @@ def omega_truncation(model):
     (omega, omega), and reach the rank kernel flat.
     """
     omega = omega_weight(model)
-    block = (omega, omega)
-    labels = enumerate_basis(model.n, model.d, "B1", block=block)
-    [(_, images)] = block_images(model, labels, {block: range(len(labels))})
+    labels = enumerate_basis(model.n, model.d, "B1", block=(omega, omega))
+    [(_, images)] = block_images(model, {omega: {omega: labels}})
     family = [label for label, image in zip(labels, images) if image]
     return TruncationResult(omega, family, rank_of_family(model, [x for x in images if x]))
 

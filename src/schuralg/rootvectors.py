@@ -280,19 +280,22 @@ def _label_block(label, root_data):
     The label's operator moves every weight by ``shift``; ``block`` is
     its (source, target) weight pair when the label has a weight, so
     that the operator is 1_dst b 1_src, and None otherwise.  A PBW
-    label moves no one weight: (None, None).
+    label moves no one weight: (None, None).  A multi-index of the
+    shape that is not over the positive roots raises ValueError.
     """
     shape = _shape(label.flavor)
     if shape is None:
         return None, None
-    n = root_data.n
+    n, size = root_data.n, len(root_data.positive_roots)
     shift, pinned = (0,) * n, None
     for part in reversed(shape):  # right to left, as the operator acts
         if part is None:
             pinned = shift
         else:
-            step = _signed_shift(n, getattr(label, part[0]), part[1])
-            shift = tuple(map(add, shift, step))
+            exponents = getattr(label, part[0])
+            if len(exponents) != size:
+                raise ValueError(f"multi-index {exponents} should have length {size}")
+            shift = tuple(map(add, shift, _signed_shift(n, exponents, part[1])))
     if pinned is None:
         return shift, None
     src = tuple(map(sub, label.lam, pinned))
@@ -327,12 +330,10 @@ def _act(model, label, parts, vec, memo, key=None):
     the label's source weight, and a part None is passed over.  Each
     monomial goes by :func:`_prefix_image`, its images kept in the dict
     ``memo`` under (key, sign), for ``key`` naming the vector it acts
-    on."""
-    roots = model.root_data.positive_roots
+    on.  The caller has checked the length of each multi-index
+    (:func:`_label_block`)."""
     for name, sign in filter(None, reversed(parts)):
         exponents = getattr(label, name)
-        if len(exponents) != len(roots):
-            raise ValueError(f"multi-index {exponents} should have length {len(roots)}")
         key = (key, sign)
         vec = _prefix_image(model, exponents, sign, vec, memo.setdefault(key, {}))
         key += (exponents,)
@@ -358,6 +359,7 @@ def apply_label(model, label, vec):
     else:
         _, block = _label_block(label, model.root_data)
         if block is not None:
+            _check_weight(model, label.lam)
             weights = model.weights
             vec = {k: c for k, c in vec.items() if weights[k % size] == block[0]}
         vec = _act(model, label, shape, vec, {})

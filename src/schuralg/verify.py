@@ -35,6 +35,7 @@ from itertools import permutations
 from math import comb
 
 from .bases import (
+    _specialized_row,
     block_dimension,
     block_images,
     block_index,
@@ -658,23 +659,19 @@ def check_specialization(classical, quantum):
     size = quantum.num_words
     for kind in ("B1", "B2"):
         labels = enumerate_basis(n, d, kind)
-        index = block_index(quantum, labels)
-        # An entry's value at v = 1 is the sum of its coefficients: of
-        # the flat image's terms at keys row + N * e, by row.  The images
-        # of both modes come block by block, in step; the first failure
-        # is reported in enumeration order.
+        groups = block_index(quantum, labels)
+        # The images of both modes come block by block, in step; a
+        # quantum image is read at v = 1 by specializing its flat form.
+        # The first failure is reported in enumeration order.
         failed = set()
-        for (block, images), (_, expected) in zip(block_images(quantum, labels, index),
-                                                  block_images(classical, labels, index)):
-            for pos, image, want in zip(index[block], images, expected):
-                at_one = {}
-                for k, c in image.items():
-                    at_one[k % size] = at_one.get(k % size, 0) + c
-                if {i: x for i, x in at_one.items() if x} != want:
-                    failed.add(pos)
+        for ((src, dst), images), (_, expected) in zip(block_images(quantum, groups),
+                                                      block_images(classical, groups)):
+            for label, image, want in zip(groups[src][dst], images, expected):
+                if _specialized_row(image, 1, size) != want:
+                    failed.add(label)
         agg = _Agg()
-        for pos, label in enumerate(labels):
-            agg.check(pos not in failed, f"label {label}")
+        for label in labels:
+            agg.check(label not in failed, f"label {label}")
         rep.append(agg.item(f"{kind}[v=1]"))
     rep.notes.append(
         "ordered-monomial (PBW-style) labels are intentionally not compared:"

@@ -62,11 +62,9 @@ def _op_blocks(m, op):
 
 
 def _block_candidates(m, op, labels):
-    """The labels of the blocks ``op`` touches, by the block index, in
-    enumeration order."""
-    index = block_index(m, labels)
-    return [labels[pos]
-            for pos in sorted(p for b in _op_blocks(m, op) for p in index.get(b, ()))]
+    """The labels of the blocks ``op`` touches, in enumeration order."""
+    blocks = _op_blocks(m, op)
+    return [lab for lab in labels if _label_block(lab, m.root_data)[1] in blocks]
 
 
 def _expand(m, op, candidates, row):
@@ -338,18 +336,33 @@ def test_basis_serialization_shapes():
     assert table["triples"][1]["coeffs"] == {}
 
 
-def test_block_index_groups_positions_by_block():
+def _blocks(groups):
+    """A :func:`block_index` grouping as {(src, dst): labels}, in its
+    order."""
+    return {(src, dst): members
+            for src, by_dst in groups.items() for dst, members in by_dst.items()}
+
+
+def test_block_index_groups_labels_by_source_weight():
     m = build_model(3, 3)
     labels = enumerate_basis(3, 3, "B1")
-    index = block_index(m, labels)
-    assert sorted(pos for block in index.values() for pos in block) == list(
+    groups = block_index(m, labels)
+    position = {lab: p for p, lab in enumerate(labels)}
+    blocks = _blocks(groups)
+    assert sorted(position[lab] for members in blocks.values() for lab in members) == list(
         range(len(labels))
     )
-    for block, positions in index.items():
-        assert positions == sorted(positions)
-        assert all(_label_block(labels[p], m.root_data)[1] == block for p in positions)
-    # An equal family finds the same index.
-    assert block_index(m, enumerate_basis(3, 3, "B1")) is index
+    for block, members in blocks.items():
+        assert [position[lab] for lab in members] == sorted(position[lab] for lab in members)
+        assert all(_label_block(lab, m.root_data)[1] == block for lab in members)
+    # Source weights, and the targets of each, in order of first
+    # appearance in the family.
+    first = list(dict.fromkeys(_label_block(lab, m.root_data)[1] for lab in labels))
+    assert list(groups) == list(dict.fromkeys(src for src, _ in first))
+    for src, by_dst in groups.items():
+        assert list(by_dst) == [dst for s, dst in first if s == src]
+    # An equal family finds the same grouping.
+    assert block_index(m, enumerate_basis(3, 3, "B1")) is groups
     assert block_index(m, enumerate_basis(3, 3, "PBW")) is None
 
 
@@ -365,12 +378,12 @@ def test_block_index_knows_the_last_family_without_hashing(monkeypatch):
     assert block_index(m, labels) is index
     assert block_index(m, tuple(labels)) is index
     monkeypatch.undo()
-    # A family changed in place is indexed again.
+    # A family changed in place is grouped again.
     labels.pop(0)
-    moved = block_index(m, labels)
-    assert sum(len(positions) for positions in moved.values()) == len(labels)
-    assert all(_label_block(labels[p], m.root_data)[1] == block
-               for block, positions in moved.items() for p in positions)
+    moved = _blocks(block_index(m, labels))
+    assert sum(len(members) for members in moved.values()) == len(labels)
+    assert all(_label_block(lab, m.root_data)[1] == block
+               for block, members in moved.items() for lab in members)
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (3, 4)])
@@ -393,6 +406,20 @@ def test_enumerate_basis_block_is_the_filtered_scan(n, d):
                         == scans.get((src, dst), []))
             # A target of another degree is reached by no label.
             assert enumerate_basis(n, d, kind, block=(src, src[:-1] + (src[-1] + 1,))) == []
+
+
+def test_enumerate_basis_block_needs_weights_of_length_n():
+    # At n = 3 a block of pairs is refused, not read as the block
+    # ((2, 0, 0), (2, 0, 0)); so is a weight of length 4.  A weight of
+    # another degree, or with a negative entry, has no label.
+    for block in [((2, 0), (2, 0)), ((2, 0, 0), (2, 0)), ((2, 0), (2, 0, 0)),
+                  ((2, 0, 0, 0), (2, 0, 0, 0))]:
+        with pytest.raises(ValueError, match="length 3"):
+            enumerate_basis(3, 2, "B1", block=block)
+    for kind in ("B1", "B2", "BOREL_UP", "BOREL_DOWN", "ZERO"):
+        for block in [((3, 0, 0), (3, 0, 0)), ((3, -1, 0), (3, -1, 0)),
+                      ((2, 0, 0), (3, -1, 0)), ((3, -1, 0), (2, 0, 0))]:
+            assert enumerate_basis(3, 2, kind, block=block) == [], (kind, block)
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -430,11 +457,11 @@ def test_block_dimension_counts_b1_labels(n, d):
     # dim 1_mu S 1_lam is the number of matrices with row sums mu and
     # column sums lam; B1 has exactly that many labels in each block.
     m = build_model(n, d)
-    index = block_index(m, enumerate_basis(n, d, "B1"))
+    blocks = _blocks(block_index(m, enumerate_basis(n, d, "B1")))
     weights = compositions(n, d)
     dims = {(src, dst): block_dimension(src, dst)
             for src in weights for dst in weights}
-    assert {block: len(pos) for block, pos in index.items()} == dims
+    assert {block: len(members) for block, members in blocks.items()} == dims
     assert sum(dims.values()) == comb(n * n - 1 + d, d)
 
 
@@ -714,29 +741,31 @@ def test_image_rank_is_operator_rank(n, d, mode):
         if not shape or None not in shape:
             continue
         labels = enumerate_basis(n, d, kind)
-        ops = [eval_label(m, lab) for lab in labels]
-        assert rank_of_labels(m, labels) == rank_of_family(m, _full_rows(m, ops)), kind
+        ops = {lab: eval_label(m, lab) for lab in labels}
+        assert rank_of_labels(m, labels) == rank_of_family(
+            m, _full_rows(m, ops.values())), kind
         ranks = block_ranks(m, labels)
-        assert list(ranks) == list(block_index(m, labels))
-        for block, positions in block_index(m, labels).items():
-            full = rank_of_family(m, _full_rows(m, [ops[p] for p in positions]))
+        blocks = _blocks(block_index(m, labels))
+        assert list(ranks) == list(blocks)
+        for block, members in blocks.items():
+            full = rank_of_family(m, _full_rows(m, [ops[lab] for lab in members]))
             assert ranks[block] == full, (kind, block)
             if kind in ("B1", "B2"):
-                images = [label_image(m, labels[p]) for p in positions]
-                assert rank_of_family(m, images) == full == len(positions)
+                images = [label_image(m, lab) for lab in members]
+                assert rank_of_family(m, images) == full == len(members)
     # A duplicated label leaves a deficient family: the span check
     # certifies the rank below the count.  The largest block, with one
     # of its labels twice, and one label of another block.
     labels = enumerate_basis(n, d, "B1")
-    largest = max(block_index(m, labels).values(), key=len)
-    other = next(lab for p, lab in enumerate(labels) if p not in largest)
-    deficient = [labels[p] for p in largest] + [labels[largest[-1]], other]
+    largest = max(_blocks(block_index(m, labels)).values(), key=len)
+    other = next(lab for lab in labels if lab not in largest)
+    deficient = largest + [largest[-1], other]
     ops = [eval_label(m, lab) for lab in deficient]
     assert rank_of_labels(m, deficient) == rank_of_family(
         m, _full_rows(m, ops)) == len(largest) + 1
     # block_ranks certifies the duplicated block's rank below its label
     # count, exactly in both modes.
-    block = _label_block(labels[largest[0]], m.root_data)[1]
+    block = _label_block(largest[0], m.root_data)[1]
     assert block_ranks(m, deficient) == {
         block: len(largest), _label_block(other, m.root_data)[1]: 1}
     # PBW labels pin no block and are ranked on their images of every

@@ -1,15 +1,18 @@
 """Property tests for Laurent arithmetic, Gaussian binomials, exact
-division of flat vectors, fraction-free specialization and certified
-ranks."""
+division of flat vectors, fraction-free specialization, certified
+ranks and the labels of one weight block."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 
-from schuralg.bases import _specialized_row, rank_of_family
+from schuralg.bases import _specialized_row, enumerate_basis, rank_of_family
 from schuralg.errors import NotDivisible
 from schuralg.ring import (
     QUANTUM_SCALARS,
@@ -19,7 +22,8 @@ from schuralg.ring import (
     gaussian_binomial,
     quantum_factorial,
 )
-from schuralg.tensormodel import SparseOperator, build_model
+from schuralg.rootvectors import SHAPES, _label_block
+from schuralg.tensormodel import RootData, SparseOperator, build_model, compositions
 
 from oracle import field_rank, operator_row
 
@@ -205,3 +209,47 @@ def test_classical_rank_equals_rank_over_rationals(rows):
     sparse = [{k: s for k, s in enumerate(row) if s} for row in rows]
     full = [operator_row(CLASSICAL_MODEL, op) for op in _operators(rows)]
     assert rank_of_family(CLASSICAL_MODEL, full) == field_rank(sparse, QQ)
+
+
+WEIGHTED = [kind for kind, shape in SHAPES.items() if shape and None in shape]
+
+
+@lru_cache(maxsize=None)
+def _scanned_blocks(n, d, kind):
+    """The full enumeration of a kind, filtered block by block."""
+    root_data = RootData.for_rank(n)
+    blocks = {}
+    for label in enumerate_basis(n, d, kind):
+        blocks.setdefault(_label_block(label, root_data)[1], []).append(label)
+    return blocks
+
+
+@st.composite
+def block_requests(draw):
+    """A small (n, d) with n^d <= 256, a weighted kind, and a block
+    (src, dst) whose weights are weights of (n, d), or n-tuples of
+    another degree or with a negative entry, or of another length."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, max(e for e in range(1, 9) if n**e <= 256)))
+    kind = draw(st.sampled_from(WEIGHTED))
+    weight = st.one_of(
+        st.sampled_from(compositions(n, d)),
+        st.lists(st.integers(-1, d + 1), min_size=n, max_size=n).map(tuple),
+        st.sampled_from([n - 1, n + 1]).flatmap(
+            lambda k: st.lists(st.integers(0, d), min_size=k, max_size=k).map(tuple)),
+    )
+    return n, d, kind, (draw(weight), draw(weight))
+
+
+@SETTINGS
+@given(block_requests())
+def test_block_walk_is_the_filtered_enumeration(request):
+    # The labels walked from u_src are the full enumeration's labels of
+    # the block, in its order; a weight of another length is refused.
+    n, d, kind, block = request
+    if any(len(weight) != n for weight in block):
+        with pytest.raises(ValueError, match=f"length {n}"):
+            enumerate_basis(n, d, kind, block=block)
+    else:
+        expected = _scanned_blocks(n, d, kind).get(block, [])
+        assert enumerate_basis(n, d, kind, block=block) == expected

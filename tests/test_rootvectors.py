@@ -2,7 +2,13 @@
 
 import pytest
 
-from schuralg.bases import block_index, block_ranks, enumerate_basis, structure_constants
+from schuralg.bases import (
+    block_index,
+    block_ranks,
+    enumerate_basis,
+    rank_of_labels,
+    structure_constants,
+)
 from schuralg.errors import BadWeight, NotDivisible
 from schuralg.hecke import omega_truncation
 from schuralg.ring import LaurentPoly, quantum_factorial
@@ -416,12 +422,11 @@ def test_shared_prefix_image_is_the_operator_column(n, d, mode):
     m = build_model(n, d, mode=mode)
     for kind in ("B1", "B2", "BOREL_UP", "BOREL_DOWN"):
         labels = enumerate_basis(n, d, kind)
-        memos = {}
-        for (src, _), positions in block_index(m, labels).items():
+        for src, by_dst in block_index(m, labels).items():
             u_src = m.word_index[ordered_word(src)]
-            for pos in positions:
-                label = labels[pos]
-                image = _block_image(m, label, src, memos.setdefault(src, {}))
+            memo = {}
+            for label in (lab for members in by_dst.values() for lab in members):
+                image = _block_image(m, label, src, memo)
                 column = eval_label(m, label).cols.get(u_src, {})
                 assert m.scalars.from_flat(image, m.num_words) == column, label
 
@@ -491,21 +496,45 @@ def test_label_image_of_labels_outside_the_family():
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("name,exponents", [("A", (1, 0)), ("A", (0, 0, 0, 0)),
-                                            ("C", (1, 0)), ("C", (0, 0, 0, 0))])
+                                            ("C", (1, 0)), ("C", (0, 0, 0, 0)),
+                                            ("C", (0, 0, 3, 0))])
 def test_malformed_labels_raise(name, exponents, mode):
     # A B1 label at n = 3 whose A or C is not over the three positive
-    # roots is refused on every path: one image, one applied vector,
-    # the block ranks of a family, and the operator.
+    # roots is refused on every path: one image, its columns, one
+    # applied vector, the ranks of a family, a structure constant of
+    # it, and the operator.  With C = (0, 0, 3, 0) the roots' shifts,
+    # read without the last entry, would put the source weight at
+    # (1, 4, -3), which no word has.
     m = build_model(3, 2, mode=mode)
     label = BasisLabel(flavor="B1", lam=(1, 1, 0), **{"A": (0, 0, 0), "C": (0, 0, 0),
                                                         name: exponents})
     family = enumerate_basis(3, 2, "B1") + [label]
+    last = len(family) - 1
     one = m.scalars.one
-    calls = [lambda: label_image(m, label), lambda: block_ranks(m, family),
+    calls = [lambda: label_image(m, label), lambda: label_columns(m, label),
+             lambda: block_ranks(m, family), lambda: rank_of_labels(m, family),
+             lambda: structure_constants(m, family, last, 0),
+             lambda: structure_constants(m, family, 0, last),
              lambda: eval_label(m, label)]
     calls += [lambda j=j: apply_label(m, label, {j: one}) for j in range(m.num_words)]
     for call in calls:
         with pytest.raises(ValueError, match="should have length 3"):
+            call()
+
+
+@pytest.mark.parametrize("lam", [(3, 0, 0), (3, -1, 0), (1, 1)])
+def test_labels_off_the_weights_raise(lam):
+    # A B1 label at (3, 2) whose lam is not a weight: of another degree,
+    # with a negative entry, or of another length.  Its image, columns,
+    # applied vectors, block ranks and operator all refuse it.
+    m = build_model(3, 2)
+    label = BasisLabel(flavor="B1", A=(0, 0, 0), lam=lam, C=(0, 0, 0))
+    family = enumerate_basis(3, 2, "B1") + [label]
+    calls = [lambda: label_image(m, label), lambda: label_columns(m, label),
+             lambda: block_ranks(m, family), lambda: eval_label(m, label)]
+    calls += [lambda j=j: apply_label(m, label, {j: 1}) for j in range(m.num_words)]
+    for call in calls:
+        with pytest.raises(BadWeight):
             call()
 
 

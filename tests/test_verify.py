@@ -344,10 +344,9 @@ def test_specialization_reports_the_first_failing_label(monkeypatch):
 
     labels = enumerate_basis(2, 3, "B1")
     m = build_model(2, 3, mode="quantum")
-    index = block_index(m, labels)
-    order = [pos for src in dict.fromkeys(b[0] for b in index)
-             for block, positions in index.items() if block[0] == src for pos in positions]
-    assert order.index(2) < order.index(1)
+    order = [lab for by_dst in block_index(m, labels).values()
+             for members in by_dst.values() for lab in members]
+    assert order.index(labels[2]) < order.index(labels[1])
     real = bases._block_image
 
     def wrong(model, label, src, memo):
