@@ -21,10 +21,11 @@ weight (``rootvectors.label_image``).  Operators of different blocks
 have disjoint supports, so the rank of the family is the sum of the
 ranks of its blocks; :func:`block_ranks` returns them, and the
 triangular check of ``verify`` reads those of B1 and B2.  The labels
-are grouped source weight first (:func:`block_index`), so that the
-images of one source weight are built together from u_src
-(:func:`block_images`); :func:`enumerate_basis` walks the labels of
-one block from u_src directly.
+are grouped source weight first, and each label's lam checked to be a
+weight, in one place (:func:`block_index`), so that the images of one
+source weight are built together from u_src
+(``rootvectors.block_images``); :func:`enumerate_basis` walks the
+labels of one block from u_src directly.
 
 Every rank and every solve is certified one way (:func:`_pivots`).
 Classical entries are integers and their rows are reduced by
@@ -75,16 +76,16 @@ from .rootvectors import (
     KINDS,
     SHAPES,
     BasisLabel,
-    _block_image,
     _label_block,
     _signed_shift,
     apply_label,
+    block_images,
     label_columns,
     label_key,
     label_to_json,
     root_sum,
 )
-from .tensormodel import RootData, compositions, ordered_word_row
+from .tensormodel import RootData, _check_weight, compositions, ordered_word_row
 
 __all__ = [
     "KINDS",
@@ -95,7 +96,6 @@ __all__ = [
     "block_index",
     "block_dimension",
     "block_ranks",
-    "block_images",
     "rank_of_family",
     "rank_of_labels",
     "RankAccumulator",
@@ -428,28 +428,15 @@ def rank_of_labels(model, labels):
 
 def block_ranks(model, labels):
     """Exact rank of each weight block of a label family, ranked on the
-    labels' images of u_src (``rootvectors.label_image``), as
-    ``{(src, dst): rank}`` in the order of :func:`block_index`, source
-    weight first; None when some label pins no block.  The images
-    (:func:`block_images`) reach the rank kernel flat."""
+    labels' images of u_src, as ``{(src, dst): rank}`` in the order of
+    :func:`block_index`, source weight first; None when some label pins
+    no block.  The images (``rootvectors.block_images``) reach the rank
+    kernel flat."""
     groups = block_index(model, labels)
     if groups is None:
         return None
     return {block: rank_of_family(model, images)
             for block, images in block_images(model, groups)}
-
-
-def block_images(model, groups):
-    """The flat images of u_src (``rootvectors._block_image``) of labels
-    grouped as :func:`block_index` groups them, ``{src: {dst: labels}}``:
-    ((src, dst), images in the order of the labels) for each block,
-    source weight by source weight.  The images of one source weight
-    share their prefixes through one memo, dropped when the next source
-    weight starts."""
-    for src, blocks in groups.items():
-        memo = {}
-        for dst, labels in blocks.items():
-            yield (src, dst), [_block_image(model, label, src, memo) for label in labels]
 
 
 def block_index(model, family):
@@ -458,10 +445,12 @@ def block_index(model, family):
     Returns ``{src: {dst: [labels in family order]}}`` with each block
     (src, dst) as :func:`_label_block` gives it, the source weights and
     the targets of each in the order they first appear, or None when
-    some label pins no block (PBW and bare monomial flavors).  Only the
-    grouping of the last family is kept on the model, and the same
-    family again is recognized by comparing its members, mostly by
-    identity, without hashing them.
+    some label pins no block (PBW and bare monomial flavors).  A member
+    whose lam is not a weight of the model raises BadWeight: this is
+    where a family's labels are checked, once, before any reader builds
+    an image of them.  Only the grouping of the last family is kept on
+    the model, and the same family again is recognized by comparing its
+    members, mostly by identity, without hashing them.
     """
     family = tuple(family)
     last = model._last_family
@@ -472,6 +461,7 @@ def block_index(model, family):
             if block is None:
                 groups = None
                 break
+            _check_weight(model, label.lam)
             groups.setdefault(block[0], {}).setdefault(block[1], []).append(label)
         last = model._last_family = (family, groups)
     return last[1]

@@ -23,9 +23,9 @@ their images, and generation is a search of a cyclic module.
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bases import RankAccumulator, block_images, enumerate_basis, rank_of_family
+from .bases import RankAccumulator, enumerate_basis, rank_of_family
 from .errors import HypothesisError
-from .rootvectors import apply_label, label_image
+from .rootvectors import apply_label, block_images, label_image
 from .tensormodel import (
     SparseOperator,
     _apply_flat,
@@ -70,8 +70,8 @@ def omega_truncation(model):
     block has corner image 0, and one of this block is its own corner
     image, zero exactly when its image of u_omega is.  The family is a
     full scan's, in its order, ranked on those images, each built once
-    in one memo (``bases.block_images``): they all lie in the one block
-    (omega, omega), and reach the rank kernel flat.
+    in one memo (``rootvectors.block_images``): they all lie in the one
+    block (omega, omega), and reach the rank kernel flat.
     """
     omega = omega_weight(model)
     labels = enumerate_basis(model.n, model.d, "B1", block=(omega, omega))

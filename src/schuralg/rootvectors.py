@@ -60,16 +60,19 @@ x_r^(a) = x_r x_r^(a-1) / [a] gives x_A p = x_r (x_(A - eps_r) p) /
 [a_r], one application and one exact division by [a_r], or a_r, per
 step, from the image one root step shorter (:func:`_prefix_image`).
 That shorter image is the image of another label of the same source
-weight.  Images live only in the one memo that the caller owns and
-passes in (:func:`_block_image`), keyed by the vector each monomial
-acts on: ``bases.block_images`` keeps one per source weight and drops
-it when the next source weight starts, and :func:`label_image` is the
-case of one label and a new memo.  No vector is ever kept on the
-model.  A label's operator, where a test or a benchmark wants one
-(:func:`eval_label`), is the product of its factors by
-``tensormodel.compose``, recomputed on each call: the model caches
-root vectors, their divided powers and Cartan diagonals, all bounded
-by (n, d), and no label operator.
+weight.  :func:`block_images` is the one walk that builds the images
+of labels that pin a block: it checks the certificate once, builds
+u_src once per source weight, and keeps the images on the way in one
+memo per source weight, keyed by the vector each monomial acts on and
+dropped when the next source weight starts; :func:`label_image` is its
+case of one label.  No vector is ever kept on the model.  A lam is
+checked to be a weight where a family is grouped
+(``bases.block_index``), or by :func:`label_image` and
+:func:`apply_label` for one label.  A label's operator, where a
+test or a benchmark wants one (:func:`eval_label`), is the product of
+its factors by ``tensormodel.compose``, recomputed on each call: the
+model caches root vectors, their divided powers and Cartan diagonals,
+all bounded by (n, d), and no label operator.
 """
 
 from dataclasses import dataclass
@@ -96,6 +99,7 @@ __all__ = [
     "divided_power",
     "root_divided_power",
     "eval_label",
+    "block_images",
     "label_image",
     "label_columns",
     "apply_label",
@@ -324,15 +328,15 @@ def _prefix_image(model, exponents, sign, vec, images):
     return image
 
 
-def _act(model, label, parts, vec, memo, key=None):
-    """A label's shape parts, right to left, applied to a flat vector
-    that its 1_lam keeps whole: the caller has restricted the vector to
-    the label's source weight, and a part None is passed over.  Each
-    monomial goes by :func:`_prefix_image`, its images kept in the dict
-    ``memo`` under (key, sign), for ``key`` naming the vector it acts
-    on.  The caller has checked the length of each multi-index
-    (:func:`_label_block`)."""
-    for name, sign in filter(None, reversed(parts)):
+def _act(model, label, vec, memo, key=None):
+    """The parts of a label's shape (``SHAPES``), right to left, applied
+    to a flat vector that its 1_lam keeps whole: the caller has
+    restricted the vector to the label's source weight, and the part
+    None is passed over.  Each monomial goes by :func:`_prefix_image`,
+    its images kept in the dict ``memo`` under (key, sign), for ``key``
+    naming the vector it acts on.  The caller has checked the length of
+    each multi-index (:func:`_label_block`)."""
+    for name, sign in filter(None, reversed(SHAPES[label.flavor])):
         exponents = getattr(label, name)
         key = (key, sign)
         vec = _prefix_image(model, exponents, sign, vec, memo.setdefault(key, {}))
@@ -362,26 +366,27 @@ def apply_label(model, label, vec):
             _check_weight(model, label.lam)
             weights = model.weights
             vec = {k: c for k, c in vec.items() if weights[k % size] == block[0]}
-        vec = _act(model, label, shape, vec, {})
+        vec = _act(model, label, vec, {})
     return scalars.from_flat(vec, size)
 
 
-def _block_image(model, label, src, memo):
-    """:func:`label_image` as a flat vector, for a label of source
-    weight ``src``: the label's parts applied to u_src (:func:`_act`).
+def block_images(model, groups):
+    """The flat images of u_src of labels grouped ``{src: {dst:
+    [labels]}}`` as ``bases.block_index`` groups them, which checks each
+    lam: ((src, dst), images in label order) for each block, source
+    weight by source weight.  This is the one walk that builds images.
 
-    u_src has weight src, so the label's 1_lam keeps every vector on
-    the way whole.  The images on the way to each monomial are kept in
-    the dict ``memo``: a caller shares it among the labels of one source
-    weight, whose images then share their prefixes (f_C u_src serves
-    every e_A of B1), and drops it when it is done.  Nothing is kept on
-    the model."""
-    _check_weight(model, label.lam)
-    if min(src) < 0:  # no weight space reaches 1_lam: the operator is 0
-        return {}
+    The certificate is checked once, when the walk starts, and u_src is
+    built once per source weight (one with a negative entry has no word,
+    and its images are empty).  Each label's parts act on u_src
+    (:func:`_act`), sharing prefixes (f_C u_src serves every e_A of B1)
+    through one memo per source weight, dropped when the next starts."""
     certify_hecke_commutation(model)
-    start = {model.word_index[ordered_word(src)]: 1}
-    return _act(model, label, SHAPES[label.flavor], start, memo, src)
+    for src, blocks in groups.items():
+        memo = {}
+        start = {model.word_index[ordered_word(src)]: 1} if min(src) >= 0 else {}
+        for dst, labels in blocks.items():
+            yield (src, dst), [_act(model, label, start, memo, src) for label in labels]
 
 
 def label_image(model, label):
@@ -389,15 +394,17 @@ def label_image(model, label):
     weight block (src, dst), as a vector {word index: scalar}.
 
     The label's operator is fixed by this one vector (see the module
-    docstring); the Hecke-commutation certificate of the model is
-    checked before the first image.  The image is built flat, in a new
-    memo (:func:`_block_image`), and turned into scalars once, at the
-    end.
+    docstring).  It is :func:`block_images` for the one label, after its
+    lam is checked to be a weight: built flat, in a new memo, and turned
+    into scalars once, at the end.
     """
     _, block = _label_block(label, model.root_data)
     if block is None:
         raise ValueError(f"a {label.flavor} label pins no weight block")
-    return model.scalars.from_flat(_block_image(model, label, block[0], {}), model.num_words)
+    _check_weight(model, label.lam)
+    src, dst = block
+    [(_, [image])] = block_images(model, {src: {dst: [label]}})
+    return model.scalars.from_flat(image, model.num_words)
 
 
 def label_columns(model, label):

@@ -397,7 +397,7 @@ def generator_action(model, sym, index):
 
 
 def _check_weight(model, lam):
-    if len(lam) != model.n or any(part < 0 for part in lam):
+    if len(lam) != model.n or min(lam) < 0:
         raise BadWeight(f"{lam} is not a weight for n = {model.n}")
     if sum(lam) != model.d:
         raise BadWeight(f"{lam} does not sum to d = {model.d}")

@@ -37,7 +37,6 @@ from math import comb
 from .bases import (
     _specialized_row,
     block_dimension,
-    block_images,
     block_index,
     block_ranks,
     enumerate_basis,
@@ -45,7 +44,7 @@ from .bases import (
 )
 from .errors import HypothesisError
 from .ring import LaurentPoly
-from .rootvectors import root_divided_power, root_vector
+from .rootvectors import block_images, root_divided_power, root_vector
 from .tensormodel import (
     build_model,
     cartan_binomial,

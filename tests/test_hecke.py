@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from schuralg import bases, hecke
+from schuralg import hecke, rootvectors
 from schuralg.bases import RankAccumulator, enumerate_basis, rank_of_family
 from schuralg.errors import HypothesisError
 from schuralg.hecke import (
@@ -13,7 +13,7 @@ from schuralg.hecke import (
     omega_truncation,
     omega_weight,
 )
-from schuralg.rootvectors import _block_image, _label_block, eval_label, label_image
+from schuralg.rootvectors import _label_block, eval_label, label_image
 from schuralg.tensormodel import (
     RootData,
     build_model,
@@ -130,20 +130,16 @@ def test_corner_block_equals_full_scan(n, d, mode):
                                       (4, 3, "quantum")])
 def test_truncation_evaluates_d_factorial_labels(n, d, mode, monkeypatch):
     calls = []
+    real = rootvectors._act
 
-    def counted(model, label):
+    def counted(model, label, vec, memo, key=None):
         calls.append(label)
-        return label_image(model, label)
+        return real(model, label, vec, memo, key)
 
-    def counted_block(model, label, src, memo=None):
-        calls.append(label)
-        return _block_image(model, label, src, memo)
-
-    # Patched in both modules, so that every image, one built alone by
-    # label_image or one built by bases.block_images, is counted: each
-    # corner label's image is built once.
-    monkeypatch.setattr(hecke, "label_image", counted)
-    monkeypatch.setattr(bases, "_block_image", counted_block)
+    # Every label image, one built alone by label_image or one of a
+    # block_images walk, is one _act call: each corner label's image is
+    # built once.
+    monkeypatch.setattr(rootvectors, "_act", counted)
     result = omega_truncation(build_model(n, d, mode=mode))
     assert len(calls) == factorial(d)
     assert result.dim == factorial(d)

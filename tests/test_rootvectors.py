@@ -16,10 +16,10 @@ from schuralg.rootvectors import (
     KINDS,
     SHAPES,
     BasisLabel,
-    _block_image,
     _label_block,
     _prefix_image,
     apply_label,
+    block_images,
     divided_power,
     eval_label,
     label_columns,
@@ -421,14 +421,45 @@ def test_shared_prefix_image_is_the_operator_column(n, d, mode):
     # monomial by the recurrence x_r (x_(A - eps_r) p) / [a_r].
     m = build_model(n, d, mode=mode)
     for kind in ("B1", "B2", "BOREL_UP", "BOREL_DOWN"):
-        labels = enumerate_basis(n, d, kind)
-        for src, by_dst in block_index(m, labels).items():
+        groups = block_index(m, enumerate_basis(n, d, kind))
+        for (src, dst), images in block_images(m, groups):
             u_src = m.word_index[ordered_word(src)]
-            memo = {}
-            for label in (lab for members in by_dst.values() for lab in members):
-                image = _block_image(m, label, src, memo)
+            for label, image in zip(groups[src][dst], images, strict=True):
                 column = eval_label(m, label).cols.get(u_src, {})
                 assert m.scalars.from_flat(image, m.num_words) == column, label
+
+
+@pytest.mark.parametrize("n,d,mode", [(3, 3, "quantum"), (4, 3, "classical")])
+def test_block_walk_starts_each_source_weight_once(n, d, mode, monkeypatch):
+    # Ranking B1 builds u_src once per source weight of the grouping, in
+    # its order, and checks the Hecke certificate once, not once per
+    # label.
+    from schuralg import rootvectors
+
+    m = build_model(n, d, mode=mode)
+    labels = enumerate_basis(n, d, "B1")
+    words, certified = [], []
+    real_word, real_certify = rootvectors.ordered_word, rootvectors.certify_hecke_commutation
+    monkeypatch.setattr(rootvectors, "ordered_word",
+                        lambda lam: words.append(lam) or real_word(lam))
+    monkeypatch.setattr(rootvectors, "certify_hecke_commutation",
+                        lambda model: certified.append(model) or real_certify(model))
+    assert sum(block_ranks(m, labels).values()) == len(labels)
+    assert words == list(block_index(m, labels))
+    assert certified == [m]
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_a_negative_source_weight_gives_zero(mode):
+    # f_(1,2) moves (3, -1, 0) to lam = (2, 0, 0): no word has the
+    # source weight, so the label's image is empty and its block rank 0.
+    m = build_model(3, 2, mode=mode)
+    label = BasisLabel(flavor="B1", A=(0, 0, 0), lam=(2, 0, 0), C=(1, 0, 0))
+    block = ((3, -1, 0), (2, 0, 0))
+    assert _label_block(label, m.root_data)[1] == block
+    assert eval_label(m, label).is_zero()
+    assert label_image(m, label) == {}
+    assert block_ranks(m, [label]) == {block: 0}
 
 
 def test_wrong_twist_raises_inside_block_ranks():
@@ -526,12 +557,18 @@ def test_malformed_labels_raise(name, exponents, mode):
 def test_labels_off_the_weights_raise(lam):
     # A B1 label at (3, 2) whose lam is not a weight: of another degree,
     # with a negative entry, or of another length.  Its image, columns,
-    # applied vectors, block ranks and operator all refuse it.
+    # applied vectors, operator, and the grouping, block ranks and
+    # structure constants of a family with it, in either factor order,
+    # all refuse it.
     m = build_model(3, 2)
     label = BasisLabel(flavor="B1", A=(0, 0, 0), lam=lam, C=(0, 0, 0))
     family = enumerate_basis(3, 2, "B1") + [label]
+    last = len(family) - 1
     calls = [lambda: label_image(m, label), lambda: label_columns(m, label),
-             lambda: block_ranks(m, family), lambda: eval_label(m, label)]
+             lambda: block_index(m, family), lambda: block_ranks(m, family),
+             lambda: structure_constants(m, family, last, 0),
+             lambda: structure_constants(m, family, 0, last),
+             lambda: eval_label(m, label)]
     calls += [lambda j=j: apply_label(m, label, {j: 1}) for j in range(m.num_words)]
     for call in calls:
         with pytest.raises(BadWeight):

@@ -339,23 +339,23 @@ def test_specialization_reports_the_first_failing_label(monkeypatch):
     # The quantum images come source weight by source weight, out of
     # enumeration order: at (2, 3) B1 label 2 is built before label 1.
     # With both wrong, the report still names label 1.  The classical
-    # images are made wrong where block_images builds them.
-    from schuralg import bases
+    # images are made wrong where block_images builds them, in _act.
+    from schuralg import rootvectors
 
     labels = enumerate_basis(2, 3, "B1")
     m = build_model(2, 3, mode="quantum")
     order = [lab for by_dst in block_index(m, labels).values()
              for members in by_dst.values() for lab in members]
     assert order.index(labels[2]) < order.index(labels[1])
-    real = bases._block_image
+    real = rootvectors._act
 
-    def wrong(model, label, src, memo):
-        image = real(model, label, src, memo)
+    def wrong(model, label, vec, memo, key=None):
+        image = real(model, label, vec, memo, key)
         if model.mode == "classical" and label in (labels[1], labels[2]):
             return {**image, 0: 99}
         return image
 
-    monkeypatch.setattr(bases, "_block_image", wrong)
+    monkeypatch.setattr(rootvectors, "_act", wrong)
     item = check_specialization(*_pair(2, 3)).items[0]
     assert (item.id, item.ok, item.detail) == ("B1[v=1]", False, f"failed at label {labels[1]}")
 

@@ -1,0 +1,109 @@
+"""Alternating A/B runs of the benchmark on two checkouts, stdlib only.
+
+For each workload, runs ``bench/run.py --workload W --seed S --seconds T
+--trace 0`` in a parent checkout and in a change checkout, N pairs of
+runs, alternating which side runs first.  For each end-to-end metric of
+``BENCHMARK.json`` it prints both medians, the distance between the
+parent's quartiles (its run-to-run spread), the change's median
+relative to the parent's, and the pairs the change won; a tie counts
+for neither side.  Any run that exits non-zero or reports
+``"correct": false`` is listed after the table, and makes the exit
+status 1.
+
+Run from anywhere::
+
+    python3 tools/ab.py PARENT CHANGE [--workload W ...] [--seed 0]
+                        [--seconds 25] [--pairs 10]
+
+The workloads default to those of the change's ``BENCHMARK.json``.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def compare(pairs, better="lower"):
+    """Summary of one metric over ``pairs`` of (parent, change) values,
+    one per pair of runs: the two medians, the parent's quartile spread
+    (inclusive quartiles; 0 for one pair), and the pairs in which the
+    change is strictly better, lower or higher as ``better`` says."""
+    parent = [p for p, _ in pairs]
+    change = [c for _, c in pairs]
+    sign = 1 if better == "lower" else -1
+    spread = 0.0
+    if len(parent) > 1:
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        spread = q3 - q1
+    return {"parent": statistics.median(parent), "change": statistics.median(change),
+            "spread": spread, "wins": sum(sign * (p - c) > 0 for p, c in pairs),
+            "pairs": len(pairs)}
+
+
+def read_run(returncode, stdout):
+    """(metrics, problem) of one bench run: the end-to-end values of its
+    last output line, None if it exited non-zero; and a note when it
+    exited non-zero or was not correct, else None."""
+    if returncode != 0:
+        return None, f"exit status {returncode}"
+    line = json.loads(stdout.strip().splitlines()[-1])
+    metrics = {name: m["value"] for name, m in line["metrics"].items()}
+    if line["correct"]:
+        return metrics, None
+    return metrics, f"correct: false ({line['failed']}/{line['attempted']} failed)"
+
+
+def _run(checkout, workload, seed, seconds):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    return read_run(proc.returncode, proc.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    sides = {"parent": args.parent, "change": args.change}
+    problems = []
+    print(f"{'workload':<14}{'metric':<13}{'parent':>10}{'change':>10}"
+          f"{'parent IQR':>12}{'change/parent':>15}{'wins':>8}")
+    for workload in workloads:
+        pairs = []
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            got = {}
+            for side in order:
+                metrics, problem = _run(sides[side], workload, args.seed, args.seconds)
+                if problem:
+                    problems.append(f"{workload} pair {i + 1} {side}: {problem}")
+                got[side] = metrics
+            if got["parent"] is not None and got["change"] is not None:
+                pairs.append((got["parent"], got["change"]))
+        for name, direction in better.items():
+            values = [(p[name], c[name]) for p, c in pairs if name in p and name in c]
+            if not values:
+                continue
+            s = compare(values, direction)
+            ratio = s["change"] / s["parent"] - 1 if s["parent"] else float("nan")
+            print(f"{workload:<14}{name:<13}{s['parent']:>10.4f}{s['change']:>10.4f}"
+                  f"{s['spread']:>12.4f}{ratio:>14.1%} {s['wins']:>4}/{s['pairs']}")
+    for problem in problems:
+        print(f"# {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
