@@ -15,17 +15,18 @@ Ranks and expansions take sparse rows {position: scalar}; an element
 of S(n, d) becomes one through its columns at the ordered words
 (``tensormodel.ordered_word_row``, ``rootvectors.label_columns``), which
 fix it once the model's Hecke-commutation certificate holds.  A family
-whose labels all pin a weight block is ranked block by block instead,
-one vector per label: its image of the ordered word u_src of its source
-weight (``rootvectors.label_image``).  Operators of different blocks
-have disjoint supports, so the rank of the family is the sum of the
-ranks of its blocks; :func:`block_ranks` returns them, and the
-triangular check of ``verify`` reads those of B1 and B2.  The labels
-are grouped source weight first, and each label's lam checked to be a
-weight, in one place (:func:`block_index`), so that the images of one
-source weight are built together from u_src
-(``rootvectors.block_images``); :func:`enumerate_basis` walks the
-labels of one block from u_src directly.
+whose labels all pin a weight block is ranked and multiplied block by
+block instead, one vector per label: its image of the ordered word
+u_src of its source weight, built in a ``rootvectors.block_images``
+walk.  Operators of different blocks have disjoint supports, so the
+rank of the family is the sum of the ranks of its blocks;
+:func:`block_ranks` returns them, and the triangular check of
+``verify`` reads those of B1 and B2.  The labels are grouped source
+weight first, and each label's lam checked to be a weight, in one place
+(:func:`block_index`), so that the images of one source weight are
+built together from u_src, and a product takes its right factor and
+its candidates from one walk (:func:`structure_constants`);
+:func:`enumerate_basis` walks the labels of one block from u_src.
 
 Every rank and every solve is certified one way (:func:`_pivots`).
 Classical entries are integers and their rows are reduced by
@@ -85,7 +86,7 @@ from .rootvectors import (
     label_to_json,
     root_sum,
 )
-from .tensormodel import RootData, _check_weight, compositions, ordered_word_row
+from .tensormodel import RootData, _check_weight, compositions, ordered_word, ordered_word_row
 
 __all__ = [
     "KINDS",
@@ -405,16 +406,12 @@ def rank_of_family(model, rows):
     return len(_pivots(model, rows)[0])
 
 
-def _label_row(model, label):
-    return ordered_word_row(model, label_columns(model, label))
-
-
 def rank_of_labels(model, labels):
     """Exact rank of the operators of a label family, from their images
     of the ordered words, without building operators.
 
     When every label pins a weight block, the family is ranked block by
-    block, one image of u_src per label (``rootvectors.label_image``):
+    block, one image of u_src per label (:func:`block_ranks`):
     operators of different blocks have disjoint supports.  Otherwise
     each label is the row of its columns at the ordered words.  Once the
     model's Hecke-commutation certificate holds, either rank is the rank
@@ -422,7 +419,8 @@ def rank_of_labels(model, labels):
     """
     ranks = block_ranks(model, labels)
     if ranks is None:
-        return rank_of_family(model, [_label_row(model, label) for label in labels])
+        return rank_of_family(model, [ordered_word_row(model, label_columns(model, label))
+                                      for label in labels])
     return sum(ranks.values())
 
 
@@ -623,30 +621,37 @@ def structure_constants(model, basis, i, j):
 
     No operator is built: the product is fixed by its columns at the
     ordered words, which the left factor gives from the right factor's
-    (:func:`~schuralg.rootvectors.label_columns`), and these are
-    expanded by :func:`coordinates` in the columns of the candidates:
-    when every label pins a block, the product is 0 unless the blocks
-    chain, and the candidates are the labels of its block; otherwise
-    all labels.  The expansion is the operator identity (see
-    ``rootvectors``).
+    (``rootvectors.apply_label``), and these are expanded by
+    :func:`coordinates` in the columns of the candidates.  When every
+    label pins a block, the product is 0 unless the blocks chain, and
+    the candidates are the labels of its block in the cached
+    :func:`block_index`; the right factor's image of u_src and theirs
+    come from one ``rootvectors.block_images`` walk, in one list, as its
+    block may be theirs.  Otherwise the candidates are all labels, read
+    by ``rootvectors.label_columns``.  The expansion is the operator
+    identity (see ``rootvectors``).
     """
     left, right = basis[i], basis[j]
     groups = block_index(model, basis)
     if groups is None:
         candidates = list(basis)
+        columns = (label_columns(model, x) for x in [right, *candidates])
     else:
         (src, mid), (top, dst) = (_label_block(x, model.root_data)[1] for x in (right, left))
         if mid != top:
             return {}
         candidates = groups[src].get(dst, [])
+        [(_, images)] = block_images(model, {src: {dst: [right, *candidates]}})
+        w, from_flat = model.word_index[ordered_word(src)], model.scalars.from_flat
+        columns = ({w: from_flat(x, model.num_words)} if x else {} for x in images)
     product = {}
-    for w, col in label_columns(model, right).items():
+    for w, col in next(columns).items():
         image = apply_label(model, left, col)
         if image:
             product[w] = image
     if not product:
         return {}
-    values = coordinates(model, [_label_row(model, label) for label in candidates],
+    values = coordinates(model, [ordered_word_row(model, x) for x in columns],
                          ordered_word_row(model, product))
     return {label: val for label, val in zip(candidates, values) if val}
 

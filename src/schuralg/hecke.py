@@ -25,7 +25,7 @@ from math import factorial
 
 from .bases import RankAccumulator, enumerate_basis, rank_of_family
 from .errors import HypothesisError
-from .rootvectors import apply_label, block_images, label_image
+from .rootvectors import _act, block_images
 from .tensormodel import (
     SparseOperator,
     _apply_flat,
@@ -137,17 +137,18 @@ def hecke_summary(model):
     Products of corner elements stay in 1_omega S 1_omega, whose
     dimension is block_dimension(omega, omega) = d!, so a family of that
     rank is closed under products without forming any.  Otherwise
-    closure is decided by the exact rank of the family's images with
-    the images x (y u_omega) of all its pairwise products x y.
+    closure is decided by the exact rank of the family's images of
+    u_omega, from one ``rootvectors.block_images`` walk, with the flat
+    images x (y u_omega) of its pairwise products (``rootvectors._act``).
     """
     result = omega_truncation(model)
     expected = factorial(model.d)
     family = result.family
     closed = result.dim == expected
     if not closed:
-        images = [label_image(model, x) for x in family]
+        [(_, images)] = block_images(model, {result.omega: {result.omega: family}})
         closed = result.dim == rank_of_family(
-            model, images + [apply_label(model, x, y) for x in family for y in images])
+            model, images + [_act(model, x, y, {}) for x in family for y in images])
     data = {
         "omega": list(result.omega),
         "dim": result.dim,

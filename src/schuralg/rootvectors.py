@@ -45,34 +45,33 @@ the images of such operators at u_src, for example an expansion
 b_l b_r u_src = sum_u x_u b_u u_src, is therefore the identity between
 the operators themselves, proved.
 
-A label that pins no block (PBW, PLUS, MINUS) is its images of every
-ordered word instead (:func:`label_columns`): a PBW label's generator
-powers, and a PLUS or MINUS label's parts, act right to left on each
-u_lam (:func:`apply_label`).  Its operator commutes with H_d too, and
-b 1_lam is zero exactly when b u_lam is, so these images fix b.
+A label is also its images of every ordered word u_lam
+(:func:`label_columns`, one :func:`apply_label` each; a pinned label's
+restriction leaves one, at u_src).  Its operator commutes with H_d, and
+b 1_lam is zero exactly when b u_lam is, so these images fix b; ranks
+and products of labels that pin no block (PBW, PLUS, MINUS) read them.
 
 Images are built on flat integer vectors {row + n^d * e: c} (see
 ``ring``), each root vector applied through its flat columns, and
-become {row: scalar} vectors, with LaurentPoly entries quantumly, only
-when :func:`label_image` or :func:`apply_label` returns.  A Kostant
-monomial x_A acts by a recurrence: with r the first root with a_r > 0,
-x_r^(a) = x_r x_r^(a-1) / [a] gives x_A p = x_r (x_(A - eps_r) p) /
-[a_r], one application and one exact division by [a_r], or a_r, per
-step, from the image one root step shorter (:func:`_prefix_image`).
-That shorter image is the image of another label of the same source
-weight.  :func:`block_images` is the one walk that builds the images
-of labels that pin a block: it checks the certificate once, builds
-u_src once per source weight, and keeps the images on the way in one
-memo per source weight, keyed by the vector each monomial acts on and
-dropped when the next source weight starts; :func:`label_image` is its
-case of one label.  No vector is ever kept on the model.  A lam is
-checked to be a weight where a family is grouped
-(``bases.block_index``), or by :func:`label_image` and
-:func:`apply_label` for one label.  A label's operator, where a
-test or a benchmark wants one (:func:`eval_label`), is the product of
-its factors by ``tensormodel.compose``, recomputed on each call: the
-model caches root vectors, their divided powers and Cartan diagonals,
-all bounded by (n, d), and no label operator.
+become {row: scalar} vectors, LaurentPoly quantumly, only where a
+reader needs scalars.  A Kostant monomial x_A acts by a recurrence:
+with r the first root with a_r > 0, x_r^(a) = x_r x_r^(a-1) / [a]
+gives x_A p = x_r (x_(A - eps_r) p) / [a_r], one application and one
+exact division by [a_r], or a_r, per step, from the image one root
+step shorter (:func:`_prefix_image`), which is the image of another
+label of the same source weight.  :func:`block_images` is the one walk
+that builds the images of labels that pin a block, for every rank,
+product and corner: it checks the certificate once, builds u_src once
+per source weight, and keeps the images on the way in one memo per
+source weight, dropped when the next starts.  No command builds a
+one-label image; :func:`label_image`, the walk of one label, is the
+reference that tests check.  No vector is kept on the model.  A lam is
+checked to be a weight where a family is grouped (``bases.block_index``),
+or by :func:`label_image` and :func:`apply_label` for one label.  A
+label's operator (:func:`eval_label`), for tests and benchmarks, is the
+product of its factors by ``tensormodel.compose``, recomputed on each
+call: the model caches root vectors, their divided powers and Cartan
+diagonals, all bounded by (n, d), and no label operator.
 """
 
 from dataclasses import dataclass
@@ -395,8 +394,8 @@ def label_image(model, label):
 
     The label's operator is fixed by this one vector (see the module
     docstring).  It is :func:`block_images` for the one label, after its
-    lam is checked to be a weight: built flat, in a new memo, and turned
-    into scalars once, at the end.
+    lam is checked to be a weight: the reference that tests check, as no
+    command builds a one-label image.
     """
     _, block = _label_block(label, model.root_data)
     if block is None:
@@ -408,22 +407,16 @@ def label_image(model, label):
 
 
 def label_columns(model, label):
-    """A label's nonzero columns at the ordered words, as
-    {index of u_lam: image}, after the Hecke-commutation certificate.
-
-    A label that pins a block (src, dst) has one, :func:`label_image` at
-    u_src; a PBW, PLUS or MINUS label gets its image of every u_lam.
-    Either way the columns fix the operator (see the module docstring).
-    """
-    index = model.word_index
-    _, block = _label_block(label, model.root_data)
-    if block is not None:
-        image = label_image(model, label)
-        return {index[ordered_word(block[0])]: image} if image else {}
+    """A label's nonzero columns at the ordered words, as {index of
+    u_lam: image}, after the Hecke-commutation certificate: one path,
+    :func:`apply_label` at each u_lam.  They fix the operator (see the
+    module docstring).  A label that pins a block (src, dst) is
+    restricted to src, so it has one column, at u_src; a family of such
+    labels is read from a :func:`block_images` walk instead."""
     certify_hecke_commutation(model)
     out = {}
     for lam in model.weight_set:
-        j = index[ordered_word(lam)]
+        j = model.word_index[ordered_word(lam)]
         image = apply_label(model, label, {j: model.scalars.one})
         if image:
             out[j] = image

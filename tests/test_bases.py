@@ -812,6 +812,42 @@ def test_structure_constants_match_operator_coordinates(n, d, count, mode):
     assert structure_constants(m, labels, left, 0) == {}
 
 
+@pytest.mark.parametrize("n,d,mode", [(3, 4, "quantum"), (3, 3, "classical")])
+def test_structure_constants_make_one_walk(n, d, mode, monkeypatch):
+    # A product of B1 labels whose blocks chain reads the right factor
+    # and every candidate from one block_images walk from u_src, and a
+    # pair whose blocks do not chain makes none.  The grouping that
+    # block_index keeps on the model stays the basis's.
+    from schuralg import rootvectors
+
+    m = build_model(n, d, mode=mode)
+    labels = enumerate_basis(n, d, "B1")
+    blocks = [_label_block(lab, m.root_data)[1] for lab in labels]
+    walks, real = [], rootvectors.block_images
+
+    def counted(model, groups):
+        walks.append(groups)
+        return real(model, groups)
+
+    for module in (bases, rootvectors):
+        monkeypatch.setattr(module, "block_images", counted)
+    rng = random.Random(n * 10 + d)
+    nonzero = 0
+    for _ in range(12):
+        right = rng.randrange(len(labels))
+        left = rng.choice([k for k, b in enumerate(blocks) if b[0] == blocks[right][1]])
+        walks.clear()
+        nonzero += bool(structure_constants(m, labels, left, right))
+        assert len(walks) == 1, (left, right)
+        assert m._last_family[0] == tuple(labels)
+    assert nonzero
+    left = next(k for k, b in enumerate(blocks) if b[0] != blocks[0][1])
+    walks.clear()
+    assert structure_constants(m, labels, left, 0) == {}
+    assert walks == []
+    assert m._last_family[0] == tuple(labels)
+
+
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
 def test_pbw_rank_of_labels_is_the_full_row_rank(n, d, mode):

@@ -7,7 +7,9 @@ hecke, structconst and basis in both modes at (2, 3), (3, 3) and
 (4, 2), the structural, specialization, reduction, idempotent and
 relations suites at (3, 4) and (4, 3), the structural suite at (4, 4)
 (the bench's structural-c command), the quantum specialization suite at
-(4, 4), the corner at (4, 4) in both modes, (5, 4) and (5, 5), and
+(4, 4), the corner at (4, 4) in both modes, (5, 4) and (5, 5), three
+structure-constant pairs of B1 at (3, 5) in both modes (blocks of four
+and five labels, as the bench's structconst-q command multiplies), and
 basis JSON for every kind at (3, 3).  ``label_key`` shows only in text
 and CSV output, so ``TEXT_CSV_GOLDEN`` adds the text and CSV output of
 ``basis`` for every kind at (3, 2), and the CSV output of structconst
@@ -81,6 +83,18 @@ GOLDEN = [
      "ee0c380c2ee586f4305b2f372dc1192e5239d3eae268aada73e3570f77e21c69"),
     ("structconst 4 2 --quantum --left 24 --right 7",
      "9c499dcfdff16178131032f37db151ad913fc7cadf95ea5a16d98af354412d79"),
+    ("structconst 3 5 --left 1031 --right 1219",
+     "47b9ec47305d9e846e830694f6b0652ebb7ffe9fd196e1ab2a94baf8ed447a9e"),
+    ("structconst 3 5 --quantum --left 1031 --right 1219",
+     "27f56087ed8da0159c54205d6e85d92231d8d9efc61012b748cf94fc22d6a8f1"),
+    ("structconst 3 5 --left 817 --right 1153",
+     "ba187b12ec4ccdd768fad7f6e04c3ad5ffc5c123270353cdc8c8763eae97f33a"),
+    ("structconst 3 5 --quantum --left 817 --right 1153",
+     "8b6a5a6465f3ab950af4f12ed8c7c5a73e8f7deac5e0f36f22d1129c3685dbdd"),
+    ("structconst 3 5 --left 632 --right 789",
+     "76b6a32c4ce150b1bd9e267e31e4c4df1a62d7bed90ecb5af0c5a605154090d7"),
+    ("structconst 3 5 --quantum --left 632 --right 789",
+     "048f52ce48f557e26a3e48c67a1e75ffb2b8757e0563128677796900b8d58aed"),
     ("basis 3 3 --kind b1",
      "1aea09d27df0dbe1ada603dc5e731e60c6dc523886ecb0857d78f2566bf0e44a"),
     ("basis 2 3 --kind pbw",
@@ -172,11 +186,12 @@ VECTOR_ONLY = [(c, d) for c, d in GOLDEN
 def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatch):
     # dim, structure constants, the corner and every verify suite, the
     # triangular check and the v = 1 comparison included, work on the
-    # images of the ordered words: with label operators out of reach,
-    # the output is unchanged.  The images live in their callers' memos:
-    # afterwards no model keeps a vector.
+    # images of the ordered words, those of pinned labels built in
+    # block_images walks: with label operators and one-label images out
+    # of reach, the output is unchanged.  The images live in their
+    # callers' memos: afterwards no model keeps a vector.
     def refuse(model, label):
-        raise RuntimeError("eval_label was called")
+        raise RuntimeError("eval_label or label_image was called")
 
     models = []
 
@@ -185,8 +200,9 @@ def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatc
         return models[-1]
 
     for module in (schuralg, bases, cli, hecke, rootvectors, verify):
-        if hasattr(module, "eval_label"):
-            monkeypatch.setattr(module, "eval_label", refuse)
+        for name in ("eval_label", "label_image"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
         if hasattr(module, "build_model"):
             monkeypatch.setattr(module, "build_model", captured)
     assert _digest(command.split() + ["--format", "json"]) == digest

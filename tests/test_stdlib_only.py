@@ -44,14 +44,26 @@ def _code_names(tree):
             yield node.attr
 
 
-@pytest.mark.parametrize("source", sorted(path.name for path in PACKAGE.glob("*.py")
-                                           if path.name not in ("rootvectors.py", "__init__.py")))
+OUTSIDE_ROOTVECTORS = sorted(path.name for path in PACKAGE.glob("*.py")
+                             if path.name not in ("rootvectors.py", "__init__.py"))
+
+
+@pytest.mark.parametrize("source", OUTSIDE_ROOTVECTORS)
 def test_bases_does_not_import_eval_label(source):
     # Ranks, expansions, the corner and every check take rows, columns
     # and images.  eval_label is the operator reference that only tests
     # and benchmarks call: no other module of the package names it.
     names = set(_code_names(ast.parse((PACKAGE / source).read_text())))
     assert names and "eval_label" not in names
+
+
+@pytest.mark.parametrize("source", OUTSIDE_ROOTVECTORS)
+def test_no_command_builds_a_one_label_image(source):
+    # Ranks, products and the corner build the images of pinned labels
+    # in block_images walks.  label_image is the one-label reference
+    # that tests call: no other module of the package names it.
+    names = set(_code_names(ast.parse((PACKAGE / source).read_text())))
+    assert names and "label_image" not in names
 
 
 @pytest.mark.parametrize("source", sorted(path.name for path in PACKAGE.glob("*.py")))
