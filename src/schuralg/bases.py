@@ -131,33 +131,36 @@ def content_low(root_data, exponents):
     return tuple(out)
 
 
-def _bounded(groups, budget):
+def _bounded(groups, budget, memo):
     """Exponent tuples, one per group of slots, in ascending
     lexicographic order of their concatenation: position k of a group
     is charged to ``budget[group[k]]``, and no budget entry is
-    overdrawn.  Each tuple is shared by all its continuations."""
-    out = []
-    budget = list(budget)
+    overdrawn.
 
-    def rec(g, idx, done, acc):
-        if g == len(groups):
-            out.append(done)
-            return
-        slots = groups[g]
-        if idx == len(slots):
-            rec(g + 1, 0, done + (tuple(acc),), [])
-            return
-        j = slots[idx]
-        cap = budget[j]
-        for m in range(cap + 1):
-            acc.append(m)
-            budget[j] = cap - m
-            rec(g, idx + 1, done, acc)
-            acc.pop()
-        budget[j] = cap
-
-    rec(0, 0, (), [])
-    return out
+    The first group's tuples are built level by level, one slot at a
+    time, with no call per slot: each partial tuple carries what it
+    leaves of the budget, and a slot's choices, with what each leaves,
+    are listed once per distinct remainder.  The tuples of the later
+    groups depend on the first group's remainder alone, so they are
+    listed once per remainder and kept in ``memo`` under (number of
+    groups left, remainder).  A memo serves the one list of groups it
+    was filled for, at any budget: :func:`enumerate_basis` makes one
+    per call and shares it over all its weights."""
+    if not groups:
+        return [()]
+    first, *rest = groups
+    tuples = [((), tuple(budget))]
+    for j in first:
+        moves = {left: [((m,), left[:j] + (left[j] - m,) + left[j + 1:])
+                        for m in range(left[j] + 1)]
+                 for left in {left for _, left in tuples}}
+        tuples = [(acc + m, after) for acc, left in tuples for m, after in moves[left]]
+    if not rest:
+        return [(acc,) for acc, _ in tuples]
+    for _, left in tuples:
+        if (len(rest), left) not in memo:
+            memo[len(rest), left] = _bounded(rest, left, memo)
+    return [(acc,) + tail for acc, left in tuples for tail in memo[len(rest), left]]
 
 
 def _moved(n, weight, parts, signs):
@@ -185,6 +188,9 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     parts draw on the one budget src.  The walks that land on dst are
     kept and put in the order of the weights lam.
 
+    The exponents come from :func:`_bounded`, through a memo that lives
+    for this call alone: no call leaves state for the next.
+
     >>> [(x.A, x.lam, x.C) for x in enumerate_basis(2, 2, "B1", block=((1, 1), (1, 1)))]
     [((0,), (1, 1), (0,)), ((1,), (0, 2), (1,))]
     """
@@ -200,7 +206,7 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
             raise ValueError(f"k0 must be in 1..{n}")
         length = n * n - 1  # two per positive root, n - 1 Cartan
         return [BasisLabel(flavor="PBW", pbw=exps, k0=k0)
-                for (exps,) in _bounded([(0,) * length], (d,))]
+                for (exps,) in _bounded([(0,) * length], (d,), {})]
     roots = RootData.for_rank(n).positive_roots
     weighted = None in shape
     names, groups, signs = [], [], []
@@ -218,10 +224,11 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     # after the shape's own parts.
     zero = ((0,) * len(roots),)
     a, c = (names.index(f) if f in names else len(names) for f in ("A", "C"))
+    memo = {}
     if block is None:
         found = ((lam if weighted else None, parts)
                  for lam in (compositions(n, d) if weighted else [(d,)])
-                 for parts in _bounded(groups, lam))
+                 for parts in _bounded(groups, lam, memo))
     else:
         src, dst = map(tuple, block)
         if len(src) != n or len(dst) != n:
@@ -231,7 +238,7 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
         walk = [[root[sign == "plus"] - 1 for root in roots] for sign in signs]
         left = shape.index(None)  # the parts left of 1_lam
         found = sorted(((_moved(n, src, parts[left:], signs[left:]), parts)
-                        for parts in _bounded(walk, src)
+                        for parts in _bounded(walk, src, memo)
                         if _moved(n, src, parts, signs) == dst),
                        key=lambda item: [-x for x in item[0]])
     labels = []

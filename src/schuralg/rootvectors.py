@@ -47,7 +47,7 @@ the operators themselves, proved.
 
 A label is also its images of every ordered word u_lam
 (:func:`label_columns`, one :func:`apply_label` each; a pinned label's
-restriction leaves one, at u_src).  Its operator commutes with H_d, and
+restriction leaves one, at u_src, the only word it is applied at).  Its operator commutes with H_d, and
 b 1_lam is zero exactly when b u_lam is, so these images fix b; ranks
 and products of labels that pin no block (PBW, PLUS, MINUS) read them.
 
@@ -135,7 +135,7 @@ def _shape(flavor):
     return SHAPES[flavor]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisLabel:
     """One basis element, described combinatorially.
 
@@ -409,13 +409,18 @@ def label_image(model, label):
 def label_columns(model, label):
     """A label's nonzero columns at the ordered words, as {index of
     u_lam: image}, after the Hecke-commutation certificate: one path,
-    :func:`apply_label` at each u_lam.  They fix the operator (see the
-    module docstring).  A label that pins a block (src, dst) is
-    restricted to src, so it has one column, at u_src; a family of such
-    labels is read from a :func:`block_images` walk instead."""
+    :func:`apply_label` at u_lam.  They fix the operator (see the module
+    docstring).  A PBW, PLUS or MINUS label is applied at every u_lam.
+    A label that pins a block (src, dst) is restricted to src, so it is
+    applied at u_src alone, and at no word when src is not a weight
+    (its lam is checked all the same); a family of such labels is read
+    from a :func:`block_images` walk instead."""
     certify_hecke_commutation(model)
+    _, block = _label_block(label, model.root_data)
+    if block is not None:
+        _check_weight(model, label.lam)
     out = {}
-    for lam in model.weight_set:
+    for lam in [w for w in model.weight_set if block is None or w == block[0]]:
         j = model.word_index[ordered_word(lam)]
         image = apply_label(model, label, {j: model.scalars.one})
         if image:

@@ -42,3 +42,38 @@ def test_read_run_reports_failed_and_incorrect_runs():
     assert ab.read_run(0, json.dumps(line)) == ({"wall_s": 0.5},
                                                 "correct: false (1/4 failed)")
     assert ab.read_run(1, "") == (None, "exit status 1")
+
+
+def test_beyond_bound_reads_the_bound_as_a_fraction_of_the_parent():
+    ab = _load_ab()
+    assert not ab.beyond_bound({"parent": 1.0, "change": 1.25}, "lower", 0.25)
+    assert ab.beyond_bound({"parent": 1.0, "change": 1.26}, "lower", 0.25)
+    assert not ab.beyond_bound({"parent": 1.0, "change": 0.1}, "lower", 0.25)
+    assert ab.beyond_bound({"parent": 1.0, "change": 0.8}, "higher", 0.1)
+    assert not ab.beyond_bound({"parent": 1.0, "change": 2.0}, "higher", 0.1)
+
+
+def test_main_flags_a_median_worse_than_its_bound(tmp_path, monkeypatch, capsys):
+    # Fixed runs: wall_s is 30 % worse at the change, beyond its 25 %
+    # bound; peak_rss_mb is 5 % worse, within its 10 %.  The wall_s row
+    # is marked, listed after the table, and the exit status is 1.
+    ab = _load_ab()
+    spec = {"workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    runs = {parent: {"wall_s": 1.0, "peak_rss_mb": 20.0},
+            change: {"wall_s": 1.3, "peak_rss_mb": 21.0}}
+    monkeypatch.setattr(ab, "_run", lambda checkout, *args: (runs[checkout], None))
+    assert ab.main([str(parent), str(change), "--pairs", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[1]: line for line in lines[1:3]}
+    assert rows["wall_s"].endswith(" !") and not rows["peak_rss_mb"].endswith("!")
+    assert lines[3:] == ["# w wall_s: change median +30.0% against the parent's, "
+                         "beyond its bound of 25%"]
+    runs[change]["wall_s"] = 1.2
+    assert ab.main([str(parent), str(change), "--pairs", "3"]) == 0
+    assert "!" not in capsys.readouterr().out

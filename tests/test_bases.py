@@ -3,10 +3,13 @@ structure constants."""
 
 import random
 from fractions import Fraction
+from itertools import accumulate, product
 from math import comb, gcd
 from operator import sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import QQ
 
 from schuralg import bases
@@ -386,7 +389,7 @@ def test_block_index_knows_the_last_family_without_hashing(monkeypatch):
                for block, members in moved.items() for lab in members)
 
 
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
 def test_enumerate_basis_block_is_the_filtered_scan(n, d):
     # Pruning a part by its partial shift drops no label of the block
     # and keeps the order of the full enumeration.
@@ -420,6 +423,72 @@ def test_enumerate_basis_block_needs_weights_of_length_n():
         for block in [((3, 0, 0), (3, 0, 0)), ((3, -1, 0), (3, -1, 0)),
                       ((2, 0, 0), (3, -1, 0)), ((3, -1, 0), (2, 0, 0))]:
             assert enumerate_basis(3, 2, kind, block=block) == [], (kind, block)
+
+
+@st.composite
+def bounded_requests(draw):
+    """Groups of slots (an empty group, or no group, included) charging
+    a budget of one to three entries, at most six slots in all, and two
+    budgets of that length (zero entries included)."""
+    size = draw(st.integers(1, 3))
+    slot = st.integers(0, size - 1)
+    groups = draw(st.lists(st.lists(slot, max_size=3), max_size=3)
+                  .filter(lambda groups: sum(map(len, groups)) <= 6))
+    budget = st.tuples(*[st.integers(0, 3)] * size)
+    return groups, draw(budget), draw(budget)
+
+
+def _bounded_reference(groups, budget):
+    """Every exponent tuple of the slots, by brute force: the product of
+    each slot's range, filtered by the budget, sorted, and cut into
+    groups."""
+    slots = [j for group in groups for j in group]
+    cuts = [0, *accumulate(map(len, groups))]
+    out = []
+    for exps in product(*(range(budget[j] + 1) for j in slots)):
+        spent = [0] * len(budget)
+        for j, m in zip(slots, exps):
+            spent[j] += m
+        if all(x <= b for x, b in zip(spent, budget)):
+            out.append(tuple(exps[i:k] for i, k in zip(cuts, cuts[1:])))
+    return sorted(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_requests())
+def test_bounded_is_the_filtered_product(request):
+    # One memo serves every budget of one list of groups.
+    groups, first, second = request
+    memo = {}
+    for budget in (first, second, first):
+        assert bases._bounded(groups, budget, memo) == _bounded_reference(groups, budget)
+
+
+def test_enumeration_keeps_no_state_between_calls(monkeypatch):
+    # Each call starts from nothing: two equal calls make the same calls
+    # to _bounded, and no module-level container or cache of bases
+    # grows.
+    def sizes():
+        return {name: (value.cache_info().currsize if hasattr(value, "cache_info")
+                       else len(value))
+                for name, value in vars(bases).items()
+                if hasattr(value, "cache_info")
+                or (isinstance(value, (dict, list, set)) and not name.startswith("__"))}
+
+    calls = []
+    bounded = bases._bounded
+
+    def counted(*args):
+        calls.append(args[1])
+        return bounded(*args)
+
+    monkeypatch.setattr(bases, "_bounded", counted)
+    before = sizes()
+    first = enumerate_basis(4, 4, "B1")
+    once = len(calls)
+    assert enumerate_basis(4, 4, "B1") == first
+    assert once > len(compositions(4, 4)) and len(calls) == 2 * once
+    assert sizes() == before
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

@@ -9,11 +9,13 @@ relations suites at (3, 4) and (4, 3), the structural suite at (4, 4)
 (the bench's structural-c command), the quantum specialization suite at
 (4, 4), the corner at (4, 4) in both modes, (5, 4) and (5, 5), three
 structure-constant pairs of B1 at (3, 5) in both modes (blocks of four
-and five labels, as the bench's structconst-q command multiplies), and
-basis JSON for every kind at (3, 3).  ``label_key`` shows only in text
-and CSV output, so ``TEXT_CSV_GOLDEN`` adds the text and CSV output of
-``basis`` for every kind at (3, 2), and the CSV output of structconst
-in both modes.  A changed digest is an output change and has to be
+and five labels, as the bench's structconst-q command multiplies),
+basis JSON for every kind at (3, 3), and the enumeration order of
+larger bases: B1 at (5, 4), B2 and PLUS at (4, 4), PBW at (4, 3) and
+BOREL_DOWN at (3, 5).  ``label_key`` shows only in text and CSV output,
+so ``TEXT_CSV_GOLDEN`` adds the text and CSV output of ``basis`` for
+every kind at (3, 2), the CSV output of B1 at (5, 4), and the CSV
+output of structconst in both modes.  A changed digest is an output change and has to be
 declared as one, never silently re-recorded.
 """
 
@@ -115,6 +117,16 @@ GOLDEN = [
      "319b96ab21097a4ca83b2c770b784bc64231722b56a7aaa3147b6386efbeecd5"),
     ("basis 3 3 --quantum --kind b2",
      "a52f153ba7a3bb83edd5046e8a01dbf85288d74aee05716397da24d72e6738c7"),
+    ("basis 5 4 --kind b1",
+     "9bdc782dd1840f1cc64324afd15813e0ddfd0966be2cb9886639536473ed3789"),
+    ("basis 4 4 --kind b2",
+     "a9e73a21d63a7e99d58c085095766089ea7882ad46758c98091e1033b5e0c307"),
+    ("basis 4 3 --kind pbw",
+     "2dc9095c95e60add8dd2d104cbe09fb57b1d45d4904ae008be391cb603f145bc"),
+    ("basis 4 4 --kind plus",
+     "64f69e8e2eb6ca7dbfe458cbd7df747fab7d25f64f3ba4f03a3ec8a53711430f"),
+    ("basis 3 5 --kind borel_down",
+     "88f39b8c4aab40569d70244fc804edb2186b6ce6faa0691503a5211db1d245d3"),
 ]
 
 
@@ -155,6 +167,8 @@ TEXT_CSV_GOLDEN = [
      "8e395b2c7df08915d908b259cd877edbc09dec6b7fc107662da42691741f7799"),
     ("structconst 3 3 --quantum --left 5 --right 79 --format csv",
      "8bae7de48c2e16a0514178d0dcc51909bbc2b5ed3d820a68de5fbe71e56ab13c"),
+    ("basis 5 4 --kind b1 --format csv",
+     "10bd9a5b3f3cbc435a1f4ad37b0df1523d29db08aece2798b106dc8dbdef51f8"),
 ]
 
 

@@ -1,5 +1,8 @@
 """Tests for root vectors, divided powers, and label evaluation."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from schuralg.bases import (
@@ -601,3 +604,55 @@ def test_label_columns_are_the_operator_columns_at_the_ordered_words(n, d, mode)
             cols = eval_label(m, label).cols
             expected = {j: cols[j] for j in ordered if cols.get(j)}
             assert label_columns(m, label) == expected, label
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_label_columns_apply_a_pinned_label_at_u_src_alone(mode, monkeypatch):
+    # A label that pins a block is applied once, at u_src, and not at
+    # all when src is not a weight; a PBW, PLUS or MINUS label is
+    # applied at every ordered word.
+    from schuralg import rootvectors
+
+    m = build_model(3, 3, mode=mode)
+    calls = []
+    real = rootvectors.apply_label
+    monkeypatch.setattr(rootvectors, "apply_label",
+                        lambda model, label, vec: calls.append(vec) or real(model, label, vec))
+    pinned = BasisLabel(flavor="B1", A=(1, 0, 0), lam=(1, 1, 1), C=(0, 1, 0))
+    src = _label_block(pinned, m.root_data)[1][0]
+    assert label_columns(m, pinned)
+    assert calls == [{m.word_index[ordered_word(src)]: m.scalars.one}]
+    for label in (enumerate_basis(3, 3, "PBW")[7], enumerate_basis(3, 3, "PLUS")[5],
+                  enumerate_basis(3, 3, "MINUS")[5]):
+        calls.clear()
+        assert label_columns(m, label)
+        assert len(calls) == len(m.weight_set), label
+    calls.clear()
+    # f^(2) 1_(1,1,1) starts from (3, -1, 1): no word, no column.
+    empty = BasisLabel(flavor="BOREL_DOWN", A=(2, 0, 0), lam=(1, 1, 1))
+    assert label_columns(m, empty) == {} and calls == []
+
+
+def test_basis_label_keeps_its_value_semantics():
+    # A label is a frozen value with slots: equal fields make equal,
+    # equally hashed labels, and a pickle round trip, replace and repr
+    # are those of a plain frozen dataclass; it has no __dict__.
+    label = BasisLabel("B1", (1, 0, 0), (1, 1, 1), (0, 1, 0))
+    same = BasisLabel(flavor="B1", A=(1, 0, 0), lam=(1, 1, 1), C=(0, 1, 0))
+    pbw = BasisLabel(flavor="PBW", pbw=(0, 1, 2), k0=2)
+    assert label == same and hash(label) == hash(same)
+    assert label != BasisLabel("B2", (1, 0, 0), (1, 1, 1), (0, 1, 0)) != pbw
+    assert len({label, same, pbw}) == 2
+    for value in (label, pbw):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
+    assert dataclasses.replace(label, lam=(2, 1, 0)) == BasisLabel("B1", (1, 0, 0), (2, 1, 0),
+                                                                   (0, 1, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        label.lam = (3, 0, 0)
+    assert repr(label) == ("BasisLabel(flavor='B1', A=(1, 0, 0), lam=(1, 1, 1), "
+                           "C=(0, 1, 0), pbw=None, k0=None)")
+    assert repr(pbw) == "BasisLabel(flavor='PBW', A=(), lam=None, C=(), pbw=(0, 1, 2), k0=2)"
+    assert not hasattr(label, "__dict__")
+    with pytest.raises(TypeError):
+        vars(label)

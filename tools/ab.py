@@ -6,9 +6,11 @@ runs, alternating which side runs first.  For each end-to-end metric of
 ``BENCHMARK.json`` it prints both medians, the distance between the
 parent's quartiles (its run-to-run spread), the change's median
 relative to the parent's, and the pairs the change won; a tie counts
-for neither side.  Any run that exits non-zero or reports
-``"correct": false`` is listed after the table, and makes the exit
-status 1.
+for neither side.  A row whose change median is worse than the
+parent's by more than the metric's ``bound`` in the change's
+``BENCHMARK.json`` (a fraction of the parent's median) is marked ``!``.
+Those rows, and any run that exits non-zero or reports ``"correct":
+false``, are listed after the table, and make the exit status 1.
 
 Run from anywhere::
 
@@ -43,6 +45,16 @@ def compare(pairs, better="lower"):
             "pairs": len(pairs)}
 
 
+def beyond_bound(summary, better, bound):
+    """Whether the change's median in ``summary`` (see :func:`compare`)
+    is worse than the parent's, in the direction ``better`` says, by
+    more than ``bound`` times the parent's median."""
+    worse = summary["change"] - summary["parent"]
+    if better != "lower":
+        worse = -worse
+    return worse > bound * abs(summary["parent"])
+
+
 def read_run(returncode, stdout):
     """(metrics, problem) of one bench run: the end-to-end values of its
     last output line, None if it exited non-zero; and a note when it
@@ -74,7 +86,7 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
     problems = []
@@ -92,14 +104,19 @@ def main(argv=None):
                 got[side] = metrics
             if got["parent"] is not None and got["change"] is not None:
                 pairs.append((got["parent"], got["change"]))
-        for name, direction in better.items():
+        for name, metric in end_to_end.items():
             values = [(p[name], c[name]) for p, c in pairs if name in p and name in c]
             if not values:
                 continue
-            s = compare(values, direction)
+            s = compare(values, metric["better"])
             ratio = s["change"] / s["parent"] - 1 if s["parent"] else float("nan")
+            flag = beyond_bound(s, metric["better"], metric["bound"])
+            if flag:
+                problems.append(f"{workload} {name}: change median {ratio:+.1%} against "
+                                f"the parent's, beyond its bound of {metric['bound']:.0%}")
             print(f"{workload:<14}{name:<13}{s['parent']:>10.4f}{s['change']:>10.4f}"
-                  f"{s['spread']:>12.4f}{ratio:>14.1%} {s['wins']:>4}/{s['pairs']}")
+                  f"{s['spread']:>12.4f}{ratio:>14.1%} {s['wins']:>4}/{s['pairs']}"
+                  f"{' !' if flag else ''}")
     for problem in problems:
         print(f"# {problem}")
     return 1 if problems else 0
