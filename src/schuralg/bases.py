@@ -19,14 +19,17 @@ whose labels all pin a weight block is ranked and multiplied block by
 block instead, one vector per label: its image of the ordered word
 u_src of its source weight, built in a ``rootvectors.block_images``
 walk.  Operators of different blocks have disjoint supports, so the
-rank of the family is the sum of the ranks of its blocks;
-:func:`block_ranks` returns them, and the triangular check of
-``verify`` reads those of B1 and B2.  The labels are grouped source
-weight first, and each label's lam checked to be a weight, in one place
-(:func:`block_index`), so that the images of one source weight are
-built together from u_src, and a product takes its right factor and
-its candidates from one walk (:func:`structure_constants`);
-:func:`enumerate_basis` walks the labels of one block from u_src.
+rank of the family is the sum of the ranks of its blocks, which
+:func:`grouped_ranks` returns for labels grouped source weight first,
+so that the images of one source weight are built together from u_src.
+A whole basis comes grouped from its enumeration
+(:func:`enumerate_blocks`), whose every lam is a weight: ``dim``, the
+triangular check and the v = 1 comparison read it.  A family that a
+caller hands in is grouped, and each label's lam checked to be a
+weight, by :func:`block_index` (:func:`block_ranks`), and a product
+takes its right factor and its candidates from one walk
+(:func:`structure_constants`); :func:`enumerate_basis` walks the labels
+of one block from u_src.
 
 Every rank and every solve is certified one way (:func:`_pivots`).
 Classical entries are integers and their rows are reduced by
@@ -94,9 +97,11 @@ __all__ = [
     "content_low",
     "root_sum",
     "enumerate_basis",
+    "enumerate_blocks",
     "block_index",
     "block_dimension",
     "block_ranks",
+    "grouped_ranks",
     "rank_of_family",
     "rank_of_labels",
     "RankAccumulator",
@@ -170,6 +175,30 @@ def _moved(n, weight, parts, signs):
     return weight
 
 
+def _parts(n, kind):
+    """A shaped kind's monomial parts as the enumeration reads them, in
+    shape order: their slot groups for :func:`_bounded` (the budget
+    position each root charges), their signs, the positions of the
+    fields A and C among them, and the zero multi-index.  A field that
+    the shape leaves out reads the zero multi-index, which the caller
+    appends after the shape's own parts."""
+    shape = SHAPES[kind]
+    roots = RootData.for_rank(n).positive_roots
+    weighted = None in shape
+    names, groups, signs = [], [], []
+    low_sign = "minus"
+    for part in shape:
+        if part is None:
+            low_sign = "plus"
+            continue
+        name, sign = part
+        names.append(name)
+        groups.append([root[sign != low_sign] - 1 if weighted else 0 for root in roots])
+        signs.append(sign)
+    a, c = (names.index(f) if f in names else len(names) for f in ("A", "C"))
+    return groups, signs, a, c, ((0,) * len(roots),)
+
+
 def enumerate_basis(n, d, kind, k0=None, block=None):
     """Deterministically ordered labels of the requested basis kind.
 
@@ -186,7 +215,8 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     right to left, each root vector for (i, j) takes one letter of the
     word it acts on, a letter j for e and a letter i for f, so all the
     parts draw on the one budget src.  The walks that land on dst are
-    kept and put in the order of the weights lam.
+    kept and put in the order of the weights lam.  All the blocks of a
+    kind at once come grouped from :func:`enumerate_blocks`.
 
     The exponents come from :func:`_bounded`, through a memo that lives
     for this call alone: no call leaves state for the next.
@@ -209,21 +239,7 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
                 for (exps,) in _bounded([(0,) * length], (d,), {})]
     roots = RootData.for_rank(n).positive_roots
     weighted = None in shape
-    names, groups, signs = [], [], []
-    low_sign = "minus"
-    for part in shape:
-        if part is None:
-            low_sign = "plus"
-            continue
-        name, sign = part
-        pos = 0 if sign == low_sign else 1
-        names.append(name)
-        groups.append([root[pos] - 1 if weighted else 0 for root in roots])
-        signs.append(sign)
-    # A field the shape leaves out reads the zero multi-index, appended
-    # after the shape's own parts.
-    zero = ((0,) * len(roots),)
-    a, c = (names.index(f) if f in names else len(names) for f in ("A", "C"))
+    groups, signs, a, c, zero = _parts(n, kind)
     memo = {}
     if block is None:
         found = ((lam if weighted else None, parts)
@@ -246,6 +262,51 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
         parts += zero
         labels.append(BasisLabel(kind, parts[a], lam, parts[c]))
     return labels
+
+
+def enumerate_blocks(n, d, kind):
+    """The labels of a kind that pins weight blocks, grouped as they are
+    enumerated: ``{src: {dst: [labels]}}``, equal to
+    ``block_index(model, enumerate_basis(n, d, kind))`` in every order,
+    the source weights and the targets of each in order of first
+    appearance and each block's labels in enumeration order.
+
+    The enumeration is :func:`enumerate_basis`'s, lam outer.  For each
+    lam the target lam + (shift of the parts left of 1_lam) of each left
+    exponent tuple, and the source lam - (shift of the parts right of
+    it) of each right one, are summed once, so no label's block is
+    found again afterwards.  Every lam comes from ``compositions`` and
+    is a weight.  PBW, PLUS and MINUS labels pin no block, and an unknown
+    kind names none: ValueError.
+
+    >>> [(src, dst, [(x.A, x.lam, x.C) for x in labels])
+    ...  for src, by_dst in enumerate_blocks(2, 1, "B1").items()
+    ...  for dst, labels in by_dst.items()]  # doctest: +NORMALIZE_WHITESPACE
+    [((1, 0), (1, 0), [((0,), (1, 0), (0,))]), ((1, 0), (0, 1), [((0,), (0, 1), (1,))]),
+     ((0, 1), (0, 1), [((0,), (0, 1), (0,))]), ((0, 1), (1, 0), [((1,), (0, 1), (0,))])]
+    """
+    shape = SHAPES.get(kind)
+    if shape is None or None not in shape:
+        raise ValueError(f"{kind} labels pin no weight block")
+    groups, signs, a, c, zero = _parts(n, kind)
+    left = shape.index(None)  # the parts left of 1_lam
+    ahead = signs[:left]
+    back = ["minus" if sign == "plus" else "plus" for sign in signs[left:]]
+    memo, out = {}, {}
+    for lam in compositions(n, d):
+        # A source weight, and a target of it, enter ``out`` with their
+        # first label, as in block_index.
+        dsts, blocks = {}, {}
+        for parts in _bounded(groups, lam, memo):
+            head, tail = parts[:left], parts[left:]
+            if tail not in blocks:
+                blocks[tail] = out.setdefault(_moved(n, lam, tail, back), {})
+            if head not in dsts:
+                dsts[head] = _moved(n, lam, head, ahead)
+            parts += zero
+            label = BasisLabel(kind, parts[a], lam, parts[c])
+            blocks[tail].setdefault(dsts[head], []).append(label)
+    return out
 
 
 def _specialized_row(row, point, size=None):
@@ -432,14 +493,21 @@ def rank_of_labels(model, labels):
 
 
 def block_ranks(model, labels):
-    """Exact rank of each weight block of a label family, ranked on the
-    labels' images of u_src, as ``{(src, dst): rank}`` in the order of
+    """Exact rank of each weight block of a label family that a caller
+    hands in, as ``{(src, dst): rank}`` in the order of
     :func:`block_index`, source weight first; None when some label pins
-    no block.  The images (``rootvectors.block_images``) reach the rank
-    kernel flat."""
+    no block.  The family is grouped by :func:`block_index` and ranked
+    by :func:`grouped_ranks`."""
     groups = block_index(model, labels)
-    if groups is None:
-        return None
+    return None if groups is None else grouped_ranks(model, groups)
+
+
+def grouped_ranks(model, groups):
+    """Exact rank of each block of labels grouped ``{src: {dst:
+    [labels]}}``, as :func:`block_index` and :func:`enumerate_blocks`
+    give them, ranked on the labels' images of u_src: ``{(src, dst):
+    rank}`` in the order of the groups.  The images
+    (``rootvectors.block_images``) reach the rank kernel flat."""
     return {block: rank_of_family(model, images)
             for block, images in block_images(model, groups)}
 
@@ -694,20 +762,10 @@ def structure_table_json(model, labels, pairs):
     triples = []
     for i, j in pairs:
         coeffs = structure_constants(model, labels, i, j)
-        triples.append(
-            {
-                "left": i,
-                "right": j,
-                "coeffs": {
-                    label_key(label, model.root_data): model.scalars.render(s)
-                    for label, s in coeffs.items()
-                },
-            }
-        )
-    return {
-        "basis": [label_to_json(label, model.root_data) for label in labels],
-        "triples": triples,
-    }
+        triples.append({"left": i, "right": j,
+                        "coeffs": {label_key(label, model.root_data): model.scalars.render(s)
+                                   for label, s in coeffs.items()}})
+    return {**basis_json(model, labels), "triples": triples}
 
 
 def structure_table_csv(table):

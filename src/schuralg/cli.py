@@ -31,7 +31,8 @@ from .bases import (
     basis_csv,
     basis_json,
     enumerate_basis,
-    rank_of_labels,
+    enumerate_blocks,
+    grouped_ranks,
     structure_table_csv,
     structure_table_json,
 )
@@ -197,9 +198,9 @@ def _model(args):
 
 def _cmd_dim(args):
     model = _model(args)
-    labels = enumerate_basis(args.n, args.d, "B1")
-    count = len(labels)
-    rank = rank_of_labels(model, labels)
+    groups = enumerate_blocks(args.n, args.d, "B1")
+    count = sum(len(labels) for blocks in groups.values() for labels in blocks.values())
+    rank = sum(grouped_ranks(model, groups).values())
     expected = comb(args.n * args.n - 1 + args.d, args.d)
     ok = count == rank == expected
     payload = {"count": count, "rank": rank, "expected": expected}

@@ -66,8 +66,11 @@ per source weight, and keeps the images on the way in one memo per
 source weight, dropped when the next starts.  No command builds a
 one-label image; :func:`label_image`, the walk of one label, is the
 reference that tests check.  No vector is kept on the model.  A lam is
-checked to be a weight where a family is grouped (``bases.block_index``),
-or by :func:`label_image` and :func:`apply_label` for one label.  A
+a weight by construction in a basis grouped as it is enumerated
+(``bases.enumerate_blocks``, whose every lam comes from
+``compositions``); it is checked where a family handed in is grouped
+(``bases.block_index``), and by :func:`label_image` and
+:func:`apply_label` for one label.  A
 label's operator (:func:`eval_label`), for tests and benchmarks, is the
 product of its factors by ``tensormodel.compose``, recomputed on each
 call: the model caches root vectors, their divided powers and Cartan
@@ -371,9 +374,10 @@ def apply_label(model, label, vec):
 
 def block_images(model, groups):
     """The flat images of u_src of labels grouped ``{src: {dst:
-    [labels]}}`` as ``bases.block_index`` groups them, which checks each
-    lam: ((src, dst), images in label order) for each block, source
-    weight by source weight.  This is the one walk that builds images.
+    [labels]}}`` as ``bases.enumerate_blocks`` and ``bases.block_index``
+    give them, with every lam a weight: ((src, dst), images in label
+    order) for each block, source weight by source weight.  This is the
+    one walk that builds images.
 
     The certificate is checked once, when the walk starts, and u_src is
     built once per source weight (one with a negative entry has no word,

@@ -37,9 +37,8 @@ from math import comb
 from .bases import (
     _specialized_row,
     block_dimension,
-    block_index,
-    block_ranks,
-    enumerate_basis,
+    enumerate_blocks,
+    grouped_ranks,
     rank_of_family,
 )
 from .errors import HypothesisError
@@ -571,8 +570,10 @@ def _triangular_items(model, rep):
     monomials, Cartan products and MINUS monomials span S(n, d).
 
     The three orders that put S+ left of S- read the block ranks of the
-    basis B1 (:func:`~schuralg.bases.block_ranks`), the other three
-    those of B2, with 0 for a block without labels.  A B1 label
+    basis B1, grouped as it is enumerated
+    (:func:`~schuralg.bases.enumerate_blocks`,
+    :func:`~schuralg.bases.grouped_ranks`), the other three those of
+    B2, with 0 for a block without labels.  A B1 label
     e_A 1_lam f_C of block (src, dst) is also e_A f_C 1_src and
     1_dst e_A f_C, because f_C maps M^src into M^lam and e_A maps M^lam
     into M^dst.  The weight idempotents 1_src, 1_lam and 1_dst are
@@ -590,7 +591,7 @@ def _triangular_items(model, rep):
     weights = model.weight_set
     ranks = {}
     for kind in ("B1", "B2"):
-        found = block_ranks(model, enumerate_basis(model.n, model.d, kind))
+        found = grouped_ranks(model, enumerate_blocks(model.n, model.d, kind))
         ranks[kind] = {(src, dst): found.get((src, dst), 0)
                        for src in weights for dst in weights}
     for perm in permutations("+0-"):
@@ -657,20 +658,21 @@ def check_specialization(classical, quantum):
     rep = CheckReport("specialization", n, d, "both")
     size = quantum.num_words
     for kind in ("B1", "B2"):
-        labels = enumerate_basis(n, d, kind)
-        groups = block_index(quantum, labels)
+        groups = enumerate_blocks(n, d, kind)
         # The images of both modes come block by block, in step; a
         # quantum image is read at v = 1 by specializing its flat form.
-        # The first failure is reported in enumeration order.
-        failed = set()
+        # The first failure is reported in enumeration order: lam in the
+        # order of ``compositions``, then the parts A, C ascending.
+        agg, failed = _Agg(), []
         for ((src, dst), images), (_, expected) in zip(block_images(quantum, groups),
                                                       block_images(classical, groups)):
-            for label, image, want in zip(groups[src][dst], images, expected):
-                if _specialized_row(image, 1, size) != want:
-                    failed.add(label)
-        agg = _Agg()
-        for label in labels:
-            agg.check(label not in failed, f"label {label}")
+            labels = groups[src][dst]
+            agg.count += len(labels)
+            failed += [label for label, image, want in zip(labels, images, expected)
+                       if _specialized_row(image, 1, size) != want]
+        if failed:
+            first = min(failed, key=lambda x: ([-m for m in x.lam], x.A, x.C))
+            agg.first_failure = f"label {first}"
         rep.append(agg.item(f"{kind}[v=1]"))
     rep.notes.append(
         "ordered-monomial (PBW-style) labels are intentionally not compared:"

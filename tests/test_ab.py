@@ -77,3 +77,42 @@ def test_main_flags_a_median_worse_than_its_bound(tmp_path, monkeypatch, capsys)
     runs[change]["wall_s"] = 1.2
     assert ab.main([str(parent), str(change), "--pairs", "3"]) == 0
     assert "!" not in capsys.readouterr().out
+
+
+def test_main_writes_every_run_as_json(tmp_path, monkeypatch):
+    # Three pairs with fixed runs: the record keeps each side's runs in
+    # pair order, their inclusive quartiles, the change's wins and its
+    # median change, and the attempted and failed counts of every run
+    # summed per side, one pair's failed run included.
+    ab = _load_ab()
+    spec = {"workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    runs = {parent: iter([1.0, 1.2, 1.1, 1.4]), change: iter([0.9, 1.0, None, 0.8])}
+
+    def run(checkout, *args):
+        value = next(runs[checkout])
+        if value is None:
+            return None, "exit status 1"
+        return {"wall_s": value, "attempted": 10, "failed": int(checkout == change)}, None
+
+    monkeypatch.setattr(ab, "_run", run)
+    out = tmp_path / "ab.json"
+    assert ab.main([str(parent), str(change), "--pairs", "4", "--seed", "3",
+                    "--seconds", "6", "--json", str(out)]) == 1
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["command"] == "python3 bench/run.py --workload W --seed 3 --seconds 6 --trace 0"
+    assert (record["seed"], record["pairs"]) == (3, 4)
+    assert record["attempted"] == {"parent": 40, "change": 30}
+    assert record["failed"] == {"parent": 0, "change": 3}
+    wall = record["workloads"]["w"]["wall_s"]
+    # The third pair lost its change run, so it has no values.
+    assert (wall["parent"]["runs"], wall["change"]["runs"]) == ([1.0, 1.2, 1.4], [0.9, 1.0, 0.8])
+    for side, quartiles in (("parent", (1.1, 1.2, 1.3)), ("change", (0.85, 0.9, 0.95))):
+        assert [wall[side][k] for k in ("q1", "median", "q3")] == pytest.approx(quartiles)
+    assert wall["change_lower_in_pairs"] == "3/3"
+    assert wall["median_change_pct"] == -25.0
+    assert ab.runs_summary([2.0]) == {"q1": 2.0, "median": 2.0, "q3": 2.0, "runs": [2.0]}

@@ -26,6 +26,8 @@ from schuralg.bases import (
     content_low,
     coordinates,
     enumerate_basis,
+    enumerate_blocks,
+    grouped_ranks,
     rank_of_family,
     rank_of_labels,
     root_sum,
@@ -423,6 +425,30 @@ def test_enumerate_basis_block_needs_weights_of_length_n():
         for block in [((3, 0, 0), (3, 0, 0)), ((3, -1, 0), (3, -1, 0)),
                       ((2, 0, 0), (3, -1, 0)), ((3, -1, 0), (2, 0, 0))]:
             assert enumerate_basis(3, 2, kind, block=block) == [], (kind, block)
+
+
+def _in_order(groups):
+    """A grouping with its order made part of its value: source weights,
+    then each one's targets and labels, as nested lists."""
+    return [(src, list(by_dst.items())) for src, by_dst in groups.items()]
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(n, d) for n in (2, 3, 4) for d in (1, 2, 3, 4)])
+def test_enumerate_blocks_is_the_regrouped_enumeration(n, d, mode):
+    # The grouping comes straight from the enumeration, and it is the
+    # one block_index finds again in the flat list: the same source
+    # weights, targets and labels, each in the same order.
+    m = build_model(n, d, mode=mode)
+    for kind, shape in SHAPES.items():
+        if not shape or None not in shape:
+            with pytest.raises(ValueError, match="pin no weight block"):
+                enumerate_blocks(n, d, kind)
+            continue
+        grouped = enumerate_blocks(n, d, kind)
+        assert _in_order(grouped) == _in_order(block_index(m, enumerate_basis(n, d, kind)))
+    with pytest.raises(ValueError):
+        enumerate_blocks(n, d, "B3")
 
 
 @st.composite

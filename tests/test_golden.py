@@ -16,7 +16,9 @@ BOREL_DOWN at (3, 5).  ``label_key`` shows only in text and CSV output,
 so ``TEXT_CSV_GOLDEN`` adds the text and CSV output of ``basis`` for
 every kind at (3, 2), the CSV output of B1 at (5, 4), and the CSV
 output of structconst in both modes.  A changed digest is an output change and has to be
-declared as one, never silently re-recorded.
+declared as one, never silently re-recorded.  ``dim`` and the structural
+suite are also checked to read their bases grouped as they are
+enumerated, with their digests unchanged.
 """
 
 import hashlib
@@ -223,3 +225,49 @@ def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatc
     assert models
     for model in models:
         assert not any(isinstance(value, dict) for value in model._op_cache.values())
+
+
+REGROUP = ("_label_block", "block_index", "enumerate_basis")
+
+
+def _count_regroup_calls(monkeypatch):
+    """Counts of the calls that find a label's block after enumerating
+    it, by name, through every module that binds one of them."""
+    calls = dict.fromkeys(REGROUP, 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (schuralg, bases, cli, hecke, rootvectors, verify):
+        for name in REGROUP:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("dim 4 4", "3689f818e5c5b019cb77b1f9d20f6002ec93f89668c1788e6682d44fcf710322"),
+    ("dim 3 4 --quantum", "c9148571f3da5542bec4d6e2319fedf5f45f964112854c50c8de7b6596a1a13d"),
+    ("verify 4 4 --suite structural",
+     "7631e070a1f9ee3200adba92496f8475b3d3f5559b241b7f8dbe48e13448dd59"),
+])
+def test_whole_bases_come_grouped_from_the_enumeration(command, digest, monkeypatch):
+    # dim and the triangular check read B1 and B2 grouped as they are
+    # enumerated: no flat list is enumerated and regrouped, and no
+    # label's block is found again.  The output is unchanged.
+    calls = _count_regroup_calls(monkeypatch)
+    assert _digest(command.split() + ["--format", "json"]) == digest
+    assert calls == dict.fromkeys(REGROUP, 0)
+
+
+def test_structural_facts_come_grouped_from_the_enumeration(monkeypatch):
+    calls = _count_regroup_calls(monkeypatch)
+    assert verify.check_structural_facts(build_model(3, 3)).passed
+    assert calls == dict.fromkeys(REGROUP, 0)
+    # The counters see a path that still regroups: structconst hands
+    # its flat B1 list to block_index.
+    _digest("structconst 3 3 --left 5 --right 79 --format json".split())
+    assert calls["enumerate_basis"] and calls["block_index"] and calls["_label_block"]

@@ -360,6 +360,45 @@ def test_specialization_reports_the_first_failing_label(monkeypatch):
     assert (item.id, item.ok, item.detail) == ("B1[v=1]", False, f"failed at label {labels[1]}")
 
 
+@pytest.mark.parametrize("kind", ["B1", "B2"])
+def test_specialization_names_a_broken_label_in_enumeration_order(kind, monkeypatch):
+    # One classical image broken at a time, the first, a middle and the
+    # last label of the enumeration: the item names that label.  Then
+    # the later half of the labels in block order at once: the item
+    # names the one that comes first in the flat enumeration (lam in the
+    # order of compositions, then the parts ascending), not the first
+    # in block order.
+    from schuralg import rootvectors
+
+    labels = enumerate_basis(3, 3, kind)
+    order = [lab for by_dst in block_index(build_model(3, 3), labels).values()
+             for members in by_dst.values() for lab in members]
+    real, broken = rootvectors._act, set()
+
+    def wrong(model, label, vec, memo, key=None):
+        image = real(model, label, vec, memo, key)
+        if model.mode == "classical" and label in broken:
+            return {**image, 0: 99}
+        return image
+
+    monkeypatch.setattr(rootvectors, "_act", wrong)
+    index = 0 if kind == "B1" else 1
+    models = _pair(3, 3)
+    for target in (labels[0], labels[len(labels) // 2], labels[-1]):
+        broken = {target}
+        item = check_specialization(*models).items[index]
+        assert (item.id, item.ok, item.detail) == (f"{kind}[v=1]", False,
+                                                   f"failed at label {target}")
+    broken = set(order[len(order) // 2:])
+    first = next(lab for lab in labels if lab in broken)
+    assert first != order[len(order) // 2]
+    item = check_specialization(*models).items[index]
+    assert item.detail == f"failed at label {first}"
+    broken = set()
+    item = check_specialization(*models).items[index]
+    assert item.ok and item.detail == f"{len(labels)} instance(s)"
+
+
 def test_suite_reports_selection():
     reports = suite_reports(2, 2, mode="classical", suite="relations")
     assert [r.name for r in reports] == ["enveloping-relations", "schur-relations"]
@@ -609,16 +648,17 @@ def test_structural_report_ranks_two_sign_pairs(monkeypatch):
     from schuralg import verify
 
     calls = []
-    real = verify.block_ranks
+    real = verify.grouped_ranks
 
-    def recording(model, labels):
-        calls.append(labels[-1].flavor)
-        return real(model, labels)
+    def recording(model, groups):
+        calls.append({label.flavor for blocks in groups.values()
+                      for labels in blocks.values() for label in labels})
+        return real(model, groups)
 
-    monkeypatch.setattr(verify, "block_ranks", recording)
+    monkeypatch.setattr(verify, "grouped_ranks", recording)
     rep = check_structural_facts(build_model(2, 3))
     assert rep.passed
-    assert calls == ["B1", "B2"]
+    assert calls == [{"B1"}, {"B2"}]
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

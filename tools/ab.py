@@ -12,10 +12,17 @@ parent's by more than the metric's ``bound`` in the change's
 Those rows, and any run that exits non-zero or reports ``"correct":
 false``, are listed after the table, and make the exit status 1.
 
+With ``--json PATH`` it also writes every run to PATH, in the layout of
+one seed of a ``BENCH_<k>.json``: for each workload and metric, each
+side's inclusive quartiles, median and runs in pair order (the pairs in
+which both sides ran), the pairs the change won and its median relative
+to the parent's in percent; and for each side the operations attempted
+and failed, summed over the last output lines of all its runs.
+
 Run from anywhere::
 
     python3 tools/ab.py PARENT CHANGE [--workload W ...] [--seed 0]
-                        [--seconds 25] [--pairs 10]
+                        [--seconds 25] [--pairs 10] [--json PATH]
 
 The workloads default to those of the change's ``BENCHMARK.json``.
 """
@@ -33,16 +40,19 @@ def compare(pairs, better="lower"):
     one per pair of runs: the two medians, the parent's quartile spread
     (inclusive quartiles; 0 for one pair), and the pairs in which the
     change is strictly better, lower or higher as ``better`` says."""
-    parent = [p for p, _ in pairs]
-    change = [c for _, c in pairs]
+    parent = runs_summary([p for p, _ in pairs])
     sign = 1 if better == "lower" else -1
-    spread = 0.0
-    if len(parent) > 1:
-        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-        spread = q3 - q1
-    return {"parent": statistics.median(parent), "change": statistics.median(change),
-            "spread": spread, "wins": sum(sign * (p - c) > 0 for p, c in pairs),
-            "pairs": len(pairs)}
+    return {"parent": parent["median"], "change": statistics.median(c for _, c in pairs),
+            "spread": parent["q3"] - parent["q1"],
+            "wins": sum(sign * (p - c) > 0 for p, c in pairs), "pairs": len(pairs)}
+
+
+def runs_summary(values):
+    """One side's values of one metric: their inclusive quartiles (both
+    the one value for a single run), median, and the values."""
+    q1, q3 = (statistics.quantiles(values, n=4, method="inclusive")[::2]
+              if len(values) > 1 else values * 2)
+    return {"q1": q1, "median": statistics.median(values), "q3": q3, "runs": list(values)}
 
 
 def beyond_bound(summary, better, bound):
@@ -69,11 +79,18 @@ def read_run(returncode, stdout):
 
 
 def _run(checkout, workload, seed, seconds):
+    """(metrics, problem) of one bench run as :func:`read_run` gives
+    them, the metrics with the run's ``attempted`` and ``failed``
+    counts added."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
-    return read_run(proc.returncode, proc.stdout)
+    metrics, problem = read_run(proc.returncode, proc.stdout)
+    if metrics is not None:
+        line = json.loads(proc.stdout.strip().splitlines()[-1])
+        metrics.update(attempted=line["attempted"], failed=line["failed"])
+    return metrics, problem
 
 
 def main(argv=None):
@@ -84,12 +101,15 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", type=Path, metavar="PATH")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
     problems = []
+    counts = {name: dict.fromkeys(sides, 0) for name in ("failed", "attempted")}
+    rows = {}
     print(f"{'workload':<14}{'metric':<13}{'parent':>10}{'change':>10}"
           f"{'parent IQR':>12}{'change/parent':>15}{'wins':>8}")
     for workload in workloads:
@@ -101,6 +121,8 @@ def main(argv=None):
                 metrics, problem = _run(sides[side], workload, args.seed, args.seconds)
                 if problem:
                     problems.append(f"{workload} pair {i + 1} {side}: {problem}")
+                for name, count in counts.items():
+                    count[side] += (metrics or {}).get(name, 0)
                 got[side] = metrics
             if got["parent"] is not None and got["change"] is not None:
                 pairs.append((got["parent"], got["change"]))
@@ -117,8 +139,18 @@ def main(argv=None):
             print(f"{workload:<14}{name:<13}{s['parent']:>10.4f}{s['change']:>10.4f}"
                   f"{s['spread']:>12.4f}{ratio:>14.1%} {s['wins']:>4}/{s['pairs']}"
                   f"{' !' if flag else ''}")
+            rows.setdefault(workload, {})[name] = {
+                "parent": runs_summary([p for p, _ in values]),
+                "change": runs_summary([c for _, c in values]),
+                f"change_{metric['better']}_in_pairs": f"{s['wins']}/{s['pairs']}",
+                "median_change_pct": round(100 * ratio, 2) if s["parent"] else None}
     for problem in problems:
         print(f"# {problem}")
+    if args.json:
+        record = {"command": f"python3 bench/run.py --workload W --seed {args.seed} "
+                             f"--seconds {args.seconds:g} --trace 0",
+                  "seed": args.seed, "pairs": args.pairs, **counts, "workloads": rows}
+        args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 1 if problems else 0
 
 
