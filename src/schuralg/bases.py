@@ -31,21 +31,19 @@ takes its right factor and its candidates from one walk
 (:func:`structure_constants`); :func:`enumerate_basis` walks the labels
 of one block from u_src.
 
-Every rank and every solve is certified one way (:func:`_pivots`).
-Classical entries are integers and their rows are reduced by
+Every rank and every solve is certified one way (:func:`_pivots`), on
+flat integer rows {position + N * e: c}, the term c v^e at a position
+below the stride N (see ``ring``).  Label images come flat, N = n^d;
+scalar rows, such as ordered-word rows and the columns of
+:func:`coordinates`, are flattened where they enter (:func:`_flattened`).
+Classically a row is its own flat form, and rows are reduced by
 fraction-free elimination on primitive integer rows, which is exact.
-Quantum entries are integer Laurent polynomials; each row is
-specialized at a rational point v = a/b straight to integers: with lo
-and hi the lowest and highest exponents of v in the row, an entry
-sum c_e v^e becomes sum c_e a^(e - lo) b^(hi - e).  That is the value
-at a/b times a^-lo b^hi, one nonzero constant for the whole row, so the
-integer row has exactly the rank of the specialized one.  The label
-images of :func:`block_ranks` are specialized from their flat form
-{position + N * e: c}, N = n^d (see ``ring``): each key gives e and
-the position by one divmod, and lo and hi are the extreme keys divided
-by N, so no LaurentPoly is built.  A family of them short of full rank
-is turned into LaurentPoly rows for its span check below; ordered-word
-rows, and the columns of :func:`coordinates`, stay LaurentPoly rows.
+Quantumly each row is specialized at a rational point v = a/b straight
+to integers: a key gives e and the position by one divmod, and with lo
+and hi the row's extreme keys divided by N, an entry sum c_e v^e becomes
+sum c_e a^(e - lo) b^(hi - e).  That is the value at a/b times
+a^-lo b^hi, one nonzero constant for the whole row, so the integer row
+has exactly the rank of the specialized one.
 
 The rows that grow the echelon at the point are independent, and the
 lead positions of its pivots pick a minor of them that is nonzero:
@@ -76,6 +74,7 @@ from math import gcd
 from operator import add, le, sub
 
 from .errors import NotDivisible, NotInSpan
+from .ring import LaurentPoly
 from .rootvectors import (
     KINDS,
     SHAPES,
@@ -309,29 +308,20 @@ def enumerate_blocks(n, d, kind):
     return out
 
 
-def _specialized_row(row, point, size=None):
-    """Integer row proportional to a row of Laurent polynomials at
-    v = point = a/b: each entry sum c_e v^e becomes
-    sum c_e a^(e - lo) b^(hi - e) for the row's extreme exponents lo, hi.
-    With ``size`` = N the row is flat, {position + N * e: c} (see
-    ``ring``), and lo and hi are its extreme keys divided by N."""
+def _specialized_row(row, point, size):
+    """Integer row proportional to a flat row {position + size * e: c}
+    at v = point = a/b: each entry sum c_e v^e becomes
+    sum c_e a^(e - lo) b^(hi - e), for lo and hi the row's extreme keys
+    divided by ``size``."""
     if not row:
         return {}
     a, b = point.numerator, point.denominator
-    if size is None:
-        lo = min(min(p.coeffs) for p in row.values())
-        hi = max(max(p.coeffs) for p in row.values())
-    else:
-        lo, hi = min(row) // size, max(row) // size
+    lo, hi = min(row) // size, max(row) // size
     weights = [a**t * b ** (hi - lo - t) for t in range(hi - lo + 1)]
     out = {}
-    if size is None:
-        for k, p in row.items():
-            out[k] = sum(c * weights[e - lo] for e, c in p.coeffs.items())
-    else:
-        for k, c in row.items():
-            e, i = divmod(k, size)
-            out[i] = out.get(i, 0) + c * weights[e - lo]
+    for k, c in row.items():
+        e, i = divmod(k, size)
+        out[i] = out.get(i, 0) + c * weights[e - lo]
     return {k: c for k, c in out.items() if c}
 
 
@@ -393,20 +383,31 @@ def _points(model):
     yield from (Fraction(m) for m in count(2) if m not in points)
 
 
-def _prepared(row, point, size=None):
-    """A row as a primitive integer row at ``point`` (None: as it is);
-    ``size`` as in :func:`_specialized_row`."""
+def _prepared(row, point, size):
+    """A flat row as a primitive integer row at ``point`` (None: as it
+    is); ``size`` as in :func:`_specialized_row`."""
     return _reduce_by_gcd(row if point is None else _specialized_row(row, point, size))
+
+
+def _flattened(model, rows):
+    """A family as the kernel reads it, (flat rows, stride): the one place
+    that looks at a row's form.  Quantum scalar rows {position:
+    LaurentPoly} are flattened by ``to_flat`` one above their largest
+    position; integer rows, flat at n^d or classical, pass as they are."""
+    rows = list(rows)
+    entry = next((c for row in rows for c in row.values()), None)
+    if not isinstance(entry, LaurentPoly):
+        return rows, model.num_words
+    size = 1 + max(max(row) for row in rows if row)
+    return [model.scalars.to_flat(row, size) for row in rows], size
 
 
 class RankAccumulator:
     """Incremental rank of a stream of operators at the first point of
-    :func:`_points`, each flattened to its columns' entries; the corner
-    search of ``hecke`` streams its vectors through one.
-
-    The rank is exact classically and a certified lower bound quantumly;
-    a caller that compares it with a known dimension gets a proof when
-    the two meet.  :func:`rank_of_family` certifies the rank itself.
+    :func:`_points`, each one row of its columns' entries that enters the
+    kernel by :func:`_flattened`: the whole-operator reference of the
+    tests, which no command uses.  The rank is exact classically and a
+    lower bound quantumly; :func:`rank_of_family` certifies a rank.
     """
 
     def __init__(self, model):
@@ -420,17 +421,15 @@ class RankAccumulator:
 
     def add(self, op):
         """Reduce ``op``; return True if the rank grew."""
-        size, row = self.model.num_words, {}
-        for j, col in op.cols.items():
-            base = j * size
-            for i, s in col.items():
-                row[base + i] = s
-        return self._echelon.add(_prepared(row, self.point))
+        size = self.model.num_words
+        row = {j * size + i: s for j, col in op.cols.items() for i, s in col.items()}
+        [row], stride = _flattened(self.model, [row])
+        return self._echelon.add(_prepared(row, self.point, stride))
 
 
-def _pivots(model, rows):
-    """Independent rows of a family, and positions where their minor is
-    nonzero: (indices, leads), both ascending.
+def _pivots(model, rows, size):
+    """Independent rows of a family of flat rows at stride ``size``, and
+    positions where their minor is nonzero: (indices, leads), ascending.
 
     The rows that grow an :class:`_IntEchelon` at a point of v are
     independent, and the leads of its pivots pick a nonzero minor (see
@@ -438,16 +437,9 @@ def _pivots(model, rows):
     against them at those positions, at the points of :func:`_points` in
     turn until all checks pass.  A full-rank family needs no check; a
     short one is split first into groups of rows that share positions,
-    so that each check solves a small minor.  Quantum rows with integer
-    entries are flat, {position + N * e: c} for N = n^d (see ``ring``),
-    and are specialized as they are; a short family of them is turned
-    into LaurentPoly rows for its checks.
+    so that each check solves a small minor.  The rows stay flat; only
+    the grouping and the checks read ring scalars, from ``from_flat``.
     """
-    size = None
-    if model.mode == "quantum":
-        entry = next((c for row in rows for c in row.values()), None)
-        if isinstance(entry, int):
-            size = model.num_words
     for point in _points(model):
         echelon = _IntEchelon()
         grew = [echelon.add(_prepared(row, point, size)) for row in rows]
@@ -455,23 +447,22 @@ def _pivots(model, rows):
         leads = sorted(echelon.pivots)
         if point is None or len(indices) == len(rows):
             return indices, leads
-        if size is not None:
-            rows, size = [model.scalars.from_flat(row, size) for row in rows], None
-        groups = _connected_columns(rows)
+        scalar = [model.scalars.from_flat(row, size) for row in rows]
+        groups = _connected_columns(scalar)
         if len(groups) > 1:
-            found = [_pivots(model, [rows[u] for u in group]) for group in groups]
+            found = [_pivots(model, [rows[u] for u in group], size) for group in groups]
             return (sorted(group[u] for group, (picked, _) in zip(groups, found) for u in picked),
                     sorted(chain.from_iterable(lead for _, lead in found)))
-        pivots = [rows[u] for u in indices]
+        pivots = [scalar[u] for u in indices]
         if all(_span_solve(model.scalars, pivots, leads, row) is not None
-               for row, g in zip(rows, grew) if not g):
+               for row, g in zip(scalar, grew) if not g):
             return indices, leads
 
 
 def rank_of_family(model, rows):
-    """Exact rank of a family of sparse rows {position: scalar}, or
-    quantumly of flat rows (see :func:`_pivots`)."""
-    return len(_pivots(model, rows)[0])
+    """Exact rank of a family of sparse rows {position: scalar}, or flat
+    at stride n^d (see :func:`_flattened` and :func:`_pivots`)."""
+    return len(_pivots(model, *_flattened(model, rows))[0])
 
 
 def rank_of_labels(model, labels):
@@ -574,9 +565,10 @@ def coordinates(model, columns, target):
     values = [model.scalars.zero] * len(columns)
     rest = dict(target)
     dependent = False
+    flat, size = _flattened(model, columns)
     for group in _connected_columns(columns):
         members = [columns[u] for u in group]
-        indices, leads = _pivots(model, members)
+        indices, leads = _pivots(model, [flat[u] for u in group], size)
         part = {k: rest.pop(k) for k in set(chain.from_iterable(members)) if k in rest}
         solved = _span_solve(model.scalars, [members[u] for u in indices], leads, part)
         if solved is None:

@@ -17,17 +17,17 @@ block: d! of them, against C(n^2 - 1 + d, d) in the whole family.
 No operator product is formed: once the model's Hecke-commutation
 certificate holds, a corner element x = x 1_omega is fixed by its image
 x u_omega (see ``rootvectors``), so labels are ranked and multiplied on
-their images, and generation is a search of a cyclic module.
+their images, and generation is a search of a cyclic module, whose flat
+vectors go straight to the rank kernel and whose rank is exact.
 """
 
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bases import RankAccumulator, enumerate_basis, rank_of_family
+from .bases import _IntEchelon, _points, _prepared, enumerate_basis, rank_of_family
 from .errors import HypothesisError
 from .rootvectors import _act, block_images
 from .tensormodel import (
-    SparseOperator,
     _apply_flat,
     _flat_columns,
     certify_hecke_commutation,
@@ -81,40 +81,45 @@ def omega_truncation(model):
 
 
 def _closure_rank(model, pairs, target):
-    """Rank and search depth of A u_omega, for A the unital algebra that
-    the corner products 1_omega a b 1_omega of ``pairs`` generate.
+    """Exact rank and search depth of A u_omega, for A the unital algebra
+    that the corner products 1_omega a b 1_omega of ``pairs`` generate.
 
     A breadth-first search from u_omega, which stands for 1_omega,
-    applies each a b to every vector that grew the rank, on flat vectors
-    (``tensormodel._apply_flat``); a b keeps the weight omega, so nothing
-    is projected.  ``depth`` counts the rounds that grew the rank.  As
-    dim A u_omega <= dim A <= d! = ``target``, a rank that reaches
-    ``target`` proves generation (the rank is a certified lower bound,
-    see :class:`RankAccumulator`); a shorter one is dim A at the point
-    of v used, since the certificate holds.
+    applies each a b to every vector that grew the rank at a point of v,
+    on flat vectors (``tensormodel._apply_flat``); a b keeps the weight
+    omega, so nothing is projected.  ``depth`` counts the rounds that
+    grew the rank.  As dim A u_omega <= dim A <= d! = ``target``, a rank
+    that reaches ``target`` proves generation.  A shorter one is
+    certified on all the vectors generated: if they have no larger rank,
+    those that grew it span the rest, their span is stable under each
+    a b and is A u_omega, of dimension dim A since the certificate
+    holds.  If they have, the point was a root, and the next is tried.
     """
     certify_hecke_commutation(model)
     anchor = model.word_index[ordered_word(omega_weight(model))]
-    size, from_flat = model.num_words, model.scalars.from_flat
+    size = model.num_words
     pairs = [(_flat_columns(model, a), _flat_columns(model, b)) for a, b in pairs]
     start = {anchor: 1}
-    acc = RankAccumulator(model)
-    acc.add(SparseOperator({anchor: from_flat(start, size)}))
-    frontier, depth = [start], 0
-    while frontier and acc.rank < target:
-        grown = []
-        for x in frontier:
-            for a, b in pairs:
-                y = _apply_flat(a, _apply_flat(b, x, size), size)
-                if acc.add(SparseOperator({anchor: from_flat(y, size)})):
-                    grown.append(y)
-        frontier = grown
-        depth += bool(grown)
-    return acc.rank, depth
+    for point in _points(model):
+        echelon, frontier, generated, depth = _IntEchelon(), [start], [start], 0
+        echelon.add(_prepared(start, point, size))
+        while frontier and echelon.rank < target:
+            grown = []
+            for x in frontier:
+                for a, b in pairs:
+                    y = _apply_flat(a, _apply_flat(b, x, size), size)
+                    generated.append(y)
+                    if echelon.add(_prepared(y, point, size)):
+                        grown.append(y)
+            frontier = grown
+            depth += bool(grown)
+        if echelon.rank == target or rank_of_family(model, generated) == echelon.rank:
+            return echelon.rank, depth
 
 
 def check_hecke_generation(model):
-    """For n = d: both corner generator families span the truncation."""
+    """For n = d: both corner generator families span the truncation;
+    each item reports its family's exact closure rank (:func:`_closure_rank`)."""
     if model.n != model.d:
         raise HypothesisError(
             f"the generation statement needs n = d, got n={model.n}, d={model.d}"

@@ -19,9 +19,10 @@ exponents of ``v`` to nonzero integer coefficients.
 
 Vectors on the label-image path of ``rootvectors`` are flat integer
 dicts: the term c v^e at row i is the key i + N * e, N = n^d > i, with
-value c, and classically the vector {row: int} itself.  The adapters'
-``to_flat`` and ``from_flat`` convert at that path's public boundary,
-and ``divide_integer`` divides by m or [m] on the flat form.  That is
+value c, and classically the vector {row: int} itself; the rank kernel
+of ``bases`` reads every row so.  The adapters' ``to_flat`` and
+``from_flat`` convert at the boundaries of both, and
+``divide_integer`` divides by m or [m] on the flat form.  That is
 the one flat division: :func:`flat_integer_quotient`, one exact step
 by [k], row by row on dense coefficient tuples.  A division by [m]! is
 the steps k = 2, ..., m in turn, which the recurrence of

@@ -23,12 +23,13 @@ enumerated, with their digests unchanged.
 
 import hashlib
 import io
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
 import schuralg
-from schuralg import bases, cli, hecke, rootvectors, verify
+from schuralg import bases, cli, hecke, rootvectors, tensormodel, verify
 from schuralg.cli import main
 from schuralg.tensormodel import build_model
 
@@ -271,3 +272,29 @@ def test_structural_facts_come_grouped_from_the_enumeration(monkeypatch):
     # its flat B1 list to block_index.
     _digest("structconst 3 3 --left 5 --right 79 --format json".split())
     assert calls["enumerate_basis"] and calls["block_index"] and calls["_label_block"]
+
+
+CORNER_GUARDED = [(c, d) for c, d in GOLDEN
+                  if c in ("hecke 3 3", "hecke 4 4", "hecke 4 4 --quantum")]
+
+
+@pytest.mark.parametrize("command,digest", CORNER_GUARDED, ids=[c for c, _ in CORNER_GUARDED])
+def test_corner_ranks_vectors_without_operators(command, digest, monkeypatch):
+    # The corner and its closure search hand their flat vectors to the
+    # rank kernel as they are: RankAccumulator.add is never called, and
+    # hecke builds no operator to rank a vector.  The output is unchanged.
+    calls = {"add": 0, "operators": 0}
+    real_add, real_init = bases.RankAccumulator.add, tensormodel.SparseOperator.__init__
+
+    def add(self, op):
+        calls["add"] += 1
+        return real_add(self, op)
+
+    def init(self, cols=None):
+        calls["operators"] += sys._getframe(1).f_globals["__name__"] == hecke.__name__
+        real_init(self, cols)
+
+    monkeypatch.setattr(bases.RankAccumulator, "add", add)
+    monkeypatch.setattr(tensormodel.SparseOperator, "__init__", init)
+    assert _digest(command.split() + ["--format", "json"]) == digest
+    assert calls == {"add": 0, "operators": 0}

@@ -209,10 +209,12 @@ def _corner_pairs(model, first, second):
 def test_closure_matches_full_row_reference(d, mode):
     # The search of A u_omega finds the rank of the pairwise closure of
     # 1_omega and the corner products 1_omega a_i b_i 1_omega as whole
-    # operators, also when the generators fall short (the last pair left
-    # out); the reference's u_omega columns have that rank over Q(v).
-    # The first k - 1 pairs generate the Hecke algebra of S_k, which the
-    # search spans at the length k(k - 1)/2 of the longest element.
+    # operators, also when the generators fall short (the last pair or
+    # the first left out), where the search certifies its rank over Q(v);
+    # the reference's u_omega columns have that rank over Q(v).  The
+    # first or the last k - 1 pairs generate the Hecke algebra of S_k,
+    # which the search spans at the length k(k - 1)/2 of its longest
+    # element.
     m = build_model(d, d, mode=mode)
     target = factorial(d)
     names = m.names
@@ -220,7 +222,7 @@ def test_closure_matches_full_row_reference(d, mode):
     anchor = m.word_index[ordered_word(omega_weight(m))]
     full = [_corner_pairs(m, names.plus, names.minus),
             _corner_pairs(m, names.minus, names.plus)]
-    for pairs, k in [(full[0], d), (full[1], d), (full[0][:-1], d - 1)]:
+    for pairs, k in [(full[0], d), (full[1], d), (full[0][:-1], d - 1), (full[0][1:], d - 1)]:
         gens = [proj] + [proj @ a @ b @ proj for a, b in pairs]
         rank, reps = _full_row_closure(m, gens, target)
         ours, depth = hecke._closure_rank(m, pairs, target)
@@ -228,3 +230,35 @@ def test_closure_matches_full_row_reference(d, mode):
         assert ours == factorial(k)
         assert depth == k * (k - 1) // 2
     assert ours < target
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_closure_moves_on_from_a_root(mode, monkeypatch):
+    # At a first, sentinel point only u_omega's row is nonzero, so the
+    # search stops at rank 1.  Its certificate finds a larger rank over
+    # Q(v), and the search runs again at the next point, to d! at the
+    # depth of the unpatched search.
+    m = build_model(3, 3, mode=mode)
+    pairs = _corner_pairs(m, m.names.plus, m.names.minus)
+    expected = hecke._closure_rank(m, pairs, factorial(3))
+    assert expected == (factorial(3), 3)
+    start = {m.word_index[ordered_word(omega_weight(m))]: 1}
+    sentinel = object()
+    real_points, real_prepared = hecke._points, hecke._prepared
+    seen = []
+
+    def points(model):
+        yield sentinel
+        yield from real_points(model)
+
+    def prepared(row, point, size):
+        seen.append(point)
+        if point is sentinel:
+            return dict(start) if row == start else {}
+        return real_prepared(row, point, size)
+
+    monkeypatch.setattr(hecke, "_points", points)
+    monkeypatch.setattr(hecke, "_prepared", prepared)
+    assert hecke._closure_rank(m, pairs, factorial(3)) == expected
+    assert sentinel in seen and seen[-1] is not sentinel
+

@@ -129,19 +129,22 @@ def test_gaussian_binomial_specializes_to_binomial(args):
 @given(st.dictionaries(st.integers(0, 9), nonzero_polys, max_size=6),
        st.sampled_from(build_model(2, 1, mode="quantum").spec_points + (Fraction(2),)))
 def test_flat_row_specializes_as_its_laurent_row(row, point):
-    # The default points and v = 2: the flat form {position + N * e: c}
-    # specializes to the same integer row, the same multiple included.
-    flat = QUANTUM_SCALARS.to_flat(row, 10)
-    assert _specialized_row(flat, point, 10) == _specialized_row(row, point)
+    # The default points and v = 2: a scalar row flattened at any stride
+    # above its positions, {position + N * e: c}, specializes to the same
+    # integer row, the same multiple included.
+    narrow = QUANTUM_SCALARS.to_flat(row, 10)
+    wide = QUANTUM_SCALARS.to_flat(row, 10_007)
+    assert _specialized_row(narrow, point, 10) == _specialized_row(wide, point, 10_007)
 
 
 @SETTINGS
 @given(st.lists(polys, min_size=1, max_size=6), points)
 def test_specialized_row_is_a_nonzero_multiple(row, point):
-    """The integer row is the row of values at v = point, scaled by
-    one nonzero constant."""
+    """The integer row of a flattened row is the row of values at
+    v = point, scaled by one nonzero constant."""
     values = {k: p.specialize(point) for k, p in enumerate(row) if not p.is_zero()}
-    ints = _specialized_row({k: p for k, p in enumerate(row) if not p.is_zero()}, point)
+    flat = QUANTUM_SCALARS.to_flat({k: p for k, p in enumerate(row) if not p.is_zero()}, 10)
+    ints = _specialized_row(flat, point, 10)
     assert all(isinstance(c, int) for c in ints.values())
     assert ints.keys() == {k for k, x in values.items() if x}
     if ints:
@@ -201,6 +204,12 @@ def test_quantum_rank_equals_rank_over_rational_functions(rows):
     sparse = [{k: s for k, s in enumerate(row) if s} for row in rows]
     full = [operator_row(QUANTUM_MODEL, op) for op in _operators(rows)]
     assert rank_of_family(QUANTUM_MODEL, full) == field_rank(sparse)
+    # Scalar rows enter the kernel flattened at a stride above their
+    # largest position: here positions far above n^(2d) = 4, and every
+    # entry shifted to negative exponents of v.
+    far = [{1_000 + 97 * k: s * LaurentPoly.v_power(-3) for k, s in row.items()}
+           for row in sparse]
+    assert rank_of_family(QUANTUM_MODEL, far) == field_rank(sparse)
 
 
 @SETTINGS
