@@ -79,6 +79,7 @@ from .rootvectors import (
     KINDS,
     SHAPES,
     BasisLabel,
+    _act,
     _label_block,
     _signed_shift,
     apply_label,
@@ -687,35 +688,36 @@ def structure_constants(model, basis, i, j):
     """Coefficient vector of basis[i] . basis[j] in the basis itself.
 
     No operator is built: the product is fixed by its columns at the
-    ordered words, which the left factor gives from the right factor's
-    (``rootvectors.apply_label``), and these are expanded by
-    :func:`coordinates` in the columns of the candidates.  When every
-    label pins a block, the product is 0 unless the blocks chain, and
-    the candidates are the labels of its block in the cached
-    :func:`block_index`; the right factor's image of u_src and theirs
-    come from one ``rootvectors.block_images`` walk, in one list, as its
-    block may be theirs.  Otherwise the candidates are all labels, read
-    by ``rootvectors.label_columns``.  The expansion is the operator
-    identity (see ``rootvectors``).
+    ordered words, which the left factor gives from the right factor's,
+    and these are expanded by :func:`coordinates` in the columns of the
+    candidates.  When every label pins a block, the product is 0 unless
+    the blocks chain, and the candidates are the labels of its block in
+    the cached :func:`block_index`; the right factor's image of u_src
+    and theirs come from one ``rootvectors.block_images`` walk, in one
+    list, as its block may be theirs.  That image lies in the left
+    factor's source weight, so the left factor's parts act on it flat
+    (``rootvectors._act``), and only the product and the candidates'
+    images become scalar columns, for their rows.  Otherwise the
+    candidates are all labels, read by ``rootvectors.label_columns``,
+    and the left factor acts by ``rootvectors.apply_label``.  The
+    expansion is the operator identity (see ``rootvectors``).
     """
     left, right = basis[i], basis[j]
     groups = block_index(model, basis)
     if groups is None:
         candidates = list(basis)
-        columns = (label_columns(model, x) for x in [right, *candidates])
+        product = {w: image for w, col in label_columns(model, right).items()
+                   if (image := apply_label(model, left, col))}
+        columns = (label_columns(model, x) for x in candidates)
     else:
         (src, mid), (top, dst) = (_label_block(x, model.root_data)[1] for x in (right, left))
         if mid != top:
             return {}
         candidates = groups[src].get(dst, [])
-        [(_, images)] = block_images(model, {src: {dst: [right, *candidates]}})
-        w, from_flat = model.word_index[ordered_word(src)], model.scalars.from_flat
-        columns = ({w: from_flat(x, model.num_words)} if x else {} for x in images)
-    product = {}
-    for w, col in next(columns).items():
-        image = apply_label(model, left, col)
-        if image:
-            product[w] = image
+        [(_, [image, *images])] = block_images(model, {src: {dst: [right, *candidates]}})
+        w, size = model.word_index[ordered_word(src)], model.num_words
+        product, *columns = ({w: model.scalars.from_flat(x, size)} if x else {}
+                             for x in [_act(model, left, image, {}), *images])
     if not product:
         return {}
     values = coordinates(model, [ordered_word_row(model, x) for x in columns],

@@ -10,12 +10,19 @@ by the commutator-style recursion
 
 for j > i + 1, in both modes.  Classically v = 1 and this is the Lie
 bracket [E_{i,j-1}, E_{j-1,j}] = E_{ij} of gl_n, so the root vectors
-act by the Leibniz rule of the matrix units.  A divided power is the
-m-th operator power divided by m! (classical) or [m]! (quantum); a
-root vector's cached divided powers step x^(m) = x^(m-1) x / [m]
-instead.  Every division must be exact entrywise and raises
-NotDivisible otherwise, which is how a wrong sign or twist in the
-recursion would surface.
+act by the Leibniz rule of the matrix units.  The recursion forms no
+operator product: it runs on flat columns (see ``ring``), column by
+column, each product one application of a factor's flat columns to
+one flat column, and v^-1 a shift of the keys (:func:`root_vector`).
+A root vector's LaurentPoly entries are read back from its flat
+columns only when a reader of the operator asks for them.  A divided
+power is the m-th operator power divided by m! (classical) or [m]!
+(quantum); a root vector's cached divided powers step
+x^(m) = x^(m-1) x / [m] instead.  Every division must be exact
+entrywise and raises NotDivisible otherwise, which is how a missing
+twist in the recursion surfaces.  The mirrored twist, v for v^-1,
+gives the other integral root vector E_{i,j-1} E_{j-1,j} - v
+E_{j-1,j} E_{i,j-1}, which no division sees.
 
 A basis label is a flavor with multi-index exponents, and every flavor
 but PBW is a shape: e_A 1_lam f_C for B1, f_A 1_lam e_C for B2, and
@@ -86,6 +93,7 @@ from .tensormodel import (
     _apply_flat,
     _check_weight,
     _flat_columns,
+    _flat_operator,
     certify_hecke_commutation,
     compose,
     generator_action,
@@ -157,9 +165,14 @@ class BasisLabel:
 
 
 def root_vector(model, root, sign):
-    """The root vector operator for a positive root (i, j) and a sign.
+    """The root vector operator for a positive root (i, j) and a sign,
+    "plus" or "minus", cached on the model.
 
-    sign is "plus" or "minus".
+    A simple root vector is its generator.  Any other is built on flat
+    columns (:func:`_commutator_columns`) from those of its two factors
+    in the recursion of the module docstring, and its operator keeps
+    them: the image path reads them as they are, and the LaurentPoly
+    columns are read back from them only for a reader of the operator.
     """
     i, j = root
     if not (1 <= i < j <= model.n):
@@ -173,17 +186,49 @@ def root_vector(model, root, sign):
         names = model.names
         out = generator_action(model, names.plus if sign == "plus" else names.minus, i)
     else:
-        v = model.scalars.v_power
+        upper, step = (_flat_columns(model, root_vector(model, r, sign))
+                       for r in ((i, j - 1), (j - 1, j)))
+        # v^e is a shift of the flat keys by N * e; classically v = 1.
+        size = model.num_words
+        shift = size if model.mode == "quantum" else 0
         if sign == "plus":
-            upper = root_vector(model, (i, j - 1), "plus")
-            step = root_vector(model, (j - 1, j), "plus")
-            out = (upper @ step) - (step @ upper).scale(v(-1))
+            cols = _commutator_columns(upper, step, -shift, size)
         else:
-            upper = root_vector(model, (i, j - 1), "minus")
-            step = root_vector(model, (j - 1, j), "minus")
-            out = (step @ upper) - (upper @ step).scale(v(1))
+            cols = _commutator_columns(step, upper, shift, size)
+        out = _flat_operator(model, cols)
     model._op_cache[key] = out
     return out
+
+
+def _commutator_columns(a, b, shift, size):
+    """The flat columns of a b - v^e b a, from the flat columns of a and
+    b, with N = ``size`` and shift = N * e: a (b c) for each column c of
+    b, and b (a c) subtracted for each column c of a, its keys moved by
+    ``shift``, each accumulated as :func:`_apply_flat` applies.  E_ij is
+    (E_(i,j-1), E_(j-1,j), -N), F_ij is (F_(j-1,j), F_(i,j-1), N), and
+    classically the shift is 0."""
+    out = {}
+    for c, vec in b.items():
+        col = out[c] = {}
+        for key, x in vec.items():
+            mid = key % size
+            acol = a.get(mid)
+            if acol:
+                moved = key - mid
+                for k, y in acol.items():
+                    k += moved
+                    col[k] = col.get(k, 0) + y * x
+    for c, vec in a.items():
+        col = out.setdefault(c, {})
+        for key, x in vec.items():
+            mid = key % size
+            bcol = b.get(mid)
+            if bcol:
+                moved = key - mid + shift
+                for k, y in bcol.items():
+                    k += moved
+                    col[k] = col.get(k, 0) - y * x
+    return {c: kept for c, col in out.items() if (kept := {k: x for k, x in col.items() if x})}
 
 
 def divided_power(model, op, m):

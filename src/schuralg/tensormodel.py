@@ -21,7 +21,9 @@ Operators are stored column-sparse: for each input word index, the
 image vector as a mapping from word index to scalar.  Everything is
 exact; no floats appear anywhere.  Vectors on the label-image path are
 flat integer dicts {row + n^d * e: c} instead (see ``ring``), to which
-:func:`_apply_flat` applies an operator's :func:`_flat_columns`.
+:func:`_apply_flat` applies an operator's :func:`_flat_columns`; an
+operator built on flat columns keeps them and reads its ``cols`` back
+from them only when they are first read (:class:`_FlatOperator`).
 
 The Hecke algebra H_d acts on the words by place permutations: with
 a, b the letters at positions p and p + 1 of w, and s_p w the word
@@ -51,7 +53,7 @@ from math import prod
 from operator import le, matmul
 
 from .errors import BadWeight, CertificateError, SizeLimit
-from .ring import scalar_ring
+from .ring import QUANTUM_SCALARS, scalar_ring
 
 __all__ = [
     "DEFAULT_WORD_CAP",
@@ -518,6 +520,32 @@ def _flat_columns(model, op):
     if op.flat is None:
         op.flat = {j: model.scalars.to_flat(col, model.num_words) for j, col in op.cols.items()}
     return op.flat
+
+
+class _FlatOperator(SparseOperator):
+    """A quantum operator given by its flat columns, which it keeps as
+    ``flat``: its LaurentPoly ``cols`` are read back from them the first
+    time they are read, and never if only :func:`_flat_columns` is."""
+
+    __slots__ = ("_cols", "_size")
+
+    def __init__(self, flat, size):
+        self.flat, self._size, self._cols = flat, size, None
+
+    @property
+    def cols(self):
+        if self._cols is None:
+            from_flat, size = QUANTUM_SCALARS.from_flat, self._size
+            self._cols = {j: from_flat(col, size) for j, col in self.flat.items()}
+        return self._cols
+
+
+def _flat_operator(model, flat):
+    """The operator whose :func:`_flat_columns` are ``flat``: classically
+    the operator on them, quantumly a :class:`_FlatOperator`."""
+    if model.mode == "classical":
+        return SparseOperator(flat)
+    return _FlatOperator(flat, model.num_words)
 
 
 def _term_columns(model, op):

@@ -2,7 +2,8 @@
 package's scalars are embedded to check its ranks and coordinates, the
 full row of an operator, the reference its ordered-word rows are
 compared with, the full-product reference for the Hecke certificate,
-and the operator-product reference for the Cartan binomials."""
+and the operator-product references for the Cartan binomials and the
+root vectors."""
 
 from fractions import Fraction
 
@@ -76,3 +77,20 @@ def cartan_binomial_by_products(model, k, m):
             den = den * (ring.v_power(s) - ring.v_power(-s))
         acc = acc @ factor
     return model.divide(acc, den)
+
+
+def root_vector_by_products(model, root, sign):
+    """The root vector for (root, sign) by whole operator products: a
+    simple one is its generator, and otherwise
+    E_ij = E_(i,j-1) E_(j-1,j) - v^-1 E_(j-1,j) E_(i,j-1) and
+    F_ij = F_(j-1,j) F_(i,j-1) - v F_(i,j-1) F_(j-1,j)."""
+    i, j = root
+    names = model.names
+    if j == i + 1:
+        return generator_action(model, names.plus if sign == "plus" else names.minus, i)
+    upper = root_vector_by_products(model, (i, j - 1), sign)
+    step = root_vector_by_products(model, (j - 1, j), sign)
+    v = model.scalars.v_power
+    if sign == "plus":
+        return upper @ step - (step @ upper).scale(v(-1))
+    return step @ upper - (upper @ step).scale(v(1))

@@ -7,7 +7,9 @@ hecke, structconst and basis in both modes at (2, 3), (3, 3) and
 (4, 2), the structural, specialization, reduction, idempotent and
 relations suites at (3, 4) and (4, 3), the structural suite at (4, 4)
 (the bench's structural-c command), the quantum specialization suite at
-(4, 4), the corner at (4, 4) in both modes, (5, 4) and (5, 5), three
+(4, 4), the corner at (4, 4) in both modes, (5, 4) and (5, 5), the
+quantum corner at (5, 4) and quantum dim at (4, 4), which build the
+quantum root vectors of n = 5 and n = 4 by their recursion, three
 structure-constant pairs of B1 at (3, 5) in both modes (blocks of four
 and five labels, as the bench's structconst-q command multiplies),
 basis JSON for every kind at (3, 3), and the enumeration order of
@@ -18,7 +20,8 @@ every kind at (3, 2), the CSV output of B1 at (5, 4), and the CSV
 output of structconst in both modes.  A changed digest is an output change and has to be
 declared as one, never silently re-recorded.  ``dim`` and the structural
 suite are also checked to read their bases grouped as they are
-enumerated, with their digests unchanged.
+enumerated, with their digests unchanged, and ``dim``, ``hecke`` and
+``structconst`` to form no operator product.
 """
 
 import hashlib
@@ -40,6 +43,8 @@ GOLDEN = [
      "328fac9e89cae6b5e67152018cf516310c244e8f5d5def9b53918190c802b4ed"),
     ("dim 4 2",
      "6208f62b66ef2ae0445a94d1d5370e4192a6fd81c983eb030dbd37a835542679"),
+    ("dim 4 4 --quantum",
+     "f726c7d9d3f355825bf7969013dd64605a8d311339ae2983cc5cf52807dfd08f"),
     ("verify 2 3 --suite all",
      "69382ee7363acab8ec5e659ff409a9dba9671b17828d164d48dfb4d8e84320b1"),
     ("verify 3 3 --suite all",
@@ -80,6 +85,8 @@ GOLDEN = [
      "ae04983475953a55d8825375877b52f4354062878308c1eba5c3d4070967c97c"),
     ("hecke 5 5",
      "cb18e8d5c6c4fd5e23cdd9fcd962ab2f0da9f3856db5666c5104243886bc21b9"),
+    ("hecke 5 4 --quantum",
+     "366f9214f8da04f3281c8ff7049c6f7d973aab84dbc8e31ff3aec0cdfc582406"),
     ("structconst 2 3 --left 1 --right 8",
      "8f2194774419b1ff7fd41adb42e3eec8387326a10d38849616238fa7e73e1713"),
     ("structconst 3 3 --left 5 --right 79",
@@ -199,8 +206,24 @@ VECTOR_ONLY = [(c, d) for c, d in GOLDEN
                if c.split()[0] in ("dim", "structconst", "hecke", "verify")]
 
 
+@pytest.fixture
+def built_models(monkeypatch):
+    """The models that the command under test builds, in order."""
+    models = []
+
+    def captured(*args, **kwargs):
+        models.append(build_model(*args, **kwargs))
+        return models[-1]
+
+    for module in (schuralg, bases, cli, hecke, rootvectors, verify):
+        if hasattr(module, "build_model"):
+            monkeypatch.setattr(module, "build_model", captured)
+    return models
+
+
 @pytest.mark.parametrize("command,digest", VECTOR_ONLY, ids=[c for c, _ in VECTOR_ONLY])
-def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatch):
+def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatch,
+                                                     built_models):
     # dim, structure constants, the corner and every verify suite, the
     # triangular check and the v = 1 comparison included, work on the
     # images of the ordered words, those of pinned labels built in
@@ -210,22 +233,41 @@ def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatc
     def refuse(model, label):
         raise RuntimeError("eval_label or label_image was called")
 
-    models = []
-
-    def captured(*args, **kwargs):
-        models.append(build_model(*args, **kwargs))
-        return models[-1]
-
     for module in (schuralg, bases, cli, hecke, rootvectors, verify):
         for name in ("eval_label", "label_image"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-        if hasattr(module, "build_model"):
-            monkeypatch.setattr(module, "build_model", captured)
     assert _digest(command.split() + ["--format", "json"]) == digest
-    assert models
-    for model in models:
+    assert built_models
+    for model in built_models:
         assert not any(isinstance(value, dict) for value in model._op_cache.values())
+
+
+OPERATOR_FREE = [(c, d) for c, d in GOLDEN if c.split()[0] in ("dim", "hecke", "structconst")]
+
+
+@pytest.mark.parametrize("command,digest", OPERATOR_FREE, ids=[c for c, _ in OPERATOR_FREE])
+def test_dim_hecke_and_structconst_form_no_operator_product(command, digest, monkeypatch,
+                                                            built_models):
+    # The root vectors are built on flat columns and every image is
+    # applied flat, so these commands make no operator product, and no
+    # quantum root vector's LaurentPoly columns are read back.  The
+    # output is unchanged.
+    calls = []
+    matmul = tensormodel.SparseOperator.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(tensormodel.SparseOperator, "__matmul__", counted)
+    assert _digest(command.split() + ["--format", "json"]) == digest
+    assert not calls
+    assert built_models
+    built = [op for model in built_models if model.mode == "quantum"
+             for key, op in model._op_cache.items()
+             if key[0] == "root_vector" and key[1][1] > key[1][0] + 1]
+    assert all(op._cols is None for op in built)
 
 
 REGROUP = ("_label_block", "block_index", "enumerate_basis")

@@ -5,6 +5,8 @@ import pickle
 
 import pytest
 
+from oracle import root_vector_by_products
+from schuralg import rootvectors
 from schuralg.bases import (
     block_index,
     block_ranks,
@@ -36,6 +38,7 @@ from schuralg.rootvectors import (
 )
 from schuralg.tensormodel import (
     SparseOperator,
+    _flat_columns,
     build_model,
     cartan_binomial,
     certify_hecke_commutation,
@@ -109,6 +112,20 @@ def test_quantum_long_root_recursion():
     assert root_vector(m, (1, 3), "minus") == expected
 
 
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 2)])
+def test_root_vectors_match_the_operator_recursion(n, d, mode):
+    # The flat recursion gives every root vector's flat columns, and the
+    # operator read back from them, as the whole operator products do.
+    m = build_model(n, d, mode=mode)
+    for root in m.root_data.positive_roots:
+        for sign in ("plus", "minus"):
+            expected = root_vector_by_products(m, root, sign)
+            x = root_vector(m, root, sign)
+            assert _flat_columns(m, x) == _flat_columns(m, expected), (root, sign)
+            assert x == expected, (root, sign)
+
+
 def test_root_vector_validation():
     m = build_model(2, 2)
     with pytest.raises(ValueError):
@@ -180,6 +197,27 @@ def test_wrong_twist_on_the_image_path_is_not_divisible():
     e.flat = {j: {i: 1 for i in col} for j, col in e.cols.items()}
     with pytest.raises(NotDivisible):
         _prefix_image(m, (2,), "plus", start, {})
+
+
+def test_wrong_twist_in_the_recursion(monkeypatch):
+    # E_13^(2) u_233 at quantum (3, 3) divides by [2]; with the twist of
+    # the non-simple recursion dropped (v^0 where v^-1 belongs) the step
+    # e^(2) = e e^(1) / [2] does not.  The mirrored twist, v where v^-1
+    # belongs, gives E_12 E_23 - v E_23 E_12, the other integral root
+    # vector: its divided powers divide exactly, so no division sees it,
+    # and the comparison with the operator recursion does.
+    label = BasisLabel(flavor="BOREL_UP", A=(0, 2, 0), lam=(0, 1, 2))
+    assert label_image(build_model(3, 3, mode="quantum"), label)
+    real = rootvectors._commutator_columns
+    monkeypatch.setattr(rootvectors, "_commutator_columns",
+                        lambda a, b, shift, size: real(a, b, 0, size))
+    with pytest.raises(NotDivisible, match=r"\[2\]"):
+        label_image(build_model(3, 3, mode="quantum"), label)
+    monkeypatch.setattr(rootvectors, "_commutator_columns",
+                        lambda a, b, shift, size: real(a, b, -shift, size))
+    m = build_model(3, 3, mode="quantum")
+    assert label_image(m, label)
+    assert root_vector(m, (1, 3), "plus") != root_vector_by_products(m, (1, 3), "plus")
 
 
 def test_quantum_divided_powers_are_integral():
@@ -326,6 +364,7 @@ def test_eval_label_caches_only_its_factors(mode):
     first = [eval_label(m, label) for label in labels]
     assert m._op_cache
     assert {key[0] for key in m._op_cache} <= {"root_vector", "divided", "cartan"}
+    assert all(isinstance(value, SparseOperator) for value in m._op_cache.values())
     assert [eval_label(m, label) for label in labels] == first
 
 
@@ -493,6 +532,11 @@ def test_block_ranks_keep_no_image_on_the_model(mode):
     added = {key: m._op_cache[key] for key in set(m._op_cache) - before}
     assert added and all(key[0] == "root_vector" for key in added)
     assert not any(isinstance(value, dict) for value in m._op_cache.values())
+    # Quantumly a non-simple root vector keeps its flat columns, and its
+    # LaurentPoly columns have not been read back from them.
+    if mode == "quantum":
+        assert all(x.flat and x._cols is None
+                   for (_, (i, j), _), x in added.items() if j > i + 1)
     labels = enumerate_basis(3, 3, "B1")
     right = BasisLabel(flavor="B1", A=(1, 0, 0), lam=(1, 1, 1), C=(0, 1, 0))
     dst = _label_block(right, m.root_data)[1][1]
