@@ -154,7 +154,9 @@ class SparseOperator:
 
     ``cols`` maps a column (input word index) to a dict from row
     (output word index) to a nonzero scalar.  Instances are treated as
-    immutable; all arithmetic returns new operators.
+    immutable; a product returns a new operator.  Operators have no sum
+    or scalar multiple: identities between them are checked on their
+    images of the ordered words (``verify``).
     """
 
     __slots__ = ("cols", "flat")
@@ -165,41 +167,6 @@ class SparseOperator:
 
     def is_zero(self):
         return not self.cols
-
-    def __add__(self, other):
-        if not isinstance(other, SparseOperator):
-            return NotImplemented
-        out = {j: dict(col) for j, col in self.cols.items()}
-        for j, col in other.cols.items():
-            tgt = out.setdefault(j, {})
-            for i, s in col.items():
-                t = tgt.get(i, 0) + s
-                if t == 0:
-                    tgt.pop(i, None)
-                else:
-                    tgt[i] = t
-            if not tgt:
-                del out[j]
-        return SparseOperator(out)
-
-    def __neg__(self):
-        return SparseOperator(
-            {j: {i: -s for i, s in col.items()} for j, col in self.cols.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, SparseOperator):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, s):
-        if s == 0:
-            return SparseOperator()
-        if s == 1:
-            return self
-        return SparseOperator(
-            {j: {i: s * t for i, t in col.items()} for j, col in self.cols.items()}
-        )
 
     def __matmul__(self, other):
         """Operator composition: (A @ B)(w) = A(B(w))."""
@@ -271,9 +238,6 @@ class Model:
     def identity(self):
         one = self.scalars.one
         return SparseOperator({j: {j: one} for j in range(self.num_words)})
-
-    def zero_op(self):
-        return SparseOperator()
 
     def divide(self, op, den):
         """``op`` with every entry divided exactly by the scalar ``den``;
@@ -418,24 +382,31 @@ def cartan_binomial(model, k, m):
     return cartan_product(model, tuple(m if i == k else 0 for i in range(1, model.n + 1)))
 
 
+def _cartan_values(model, B):
+    """The scalar by which the Cartan product of B acts on each weight
+    space, {mu: prod_k binom(mu_k, B_k)}, the Gaussian binomial
+    quantumly, which is 0 when some B_k > mu_k."""
+    B = tuple(B)
+    if len(B) != model.n or min(B) < 0:
+        raise ValueError(f"{B} is not a Cartan multi-index for n = {model.n}")
+    ring = model.scalars
+    table = {b: [ring.binomial(a, b) for a in range(model.d + 1)] for b in set(B)}
+    return {mu: prod((table[b][a] for a, b in zip(mu, B) if b), start=ring.one)
+            for mu in model.weight_set}
+
+
 def cartan_product(model, B):
     """The product of the Cartan binomials binom(H_k, B_k) over k,
     quantumly of their Gaussian analogues; the identity for B = 0.
 
     It is read off the weights, with no operator product: H_k is
     diagonal with eigenvalue mu_k on M^mu (K_k with v^{mu_k}), so the
-    product acts on M^mu by the scalar prod_k binom(mu_k, B_k), the
-    Gaussian binomial quantumly, which is 0 when some B_k > mu_k.
+    product acts on M^mu by a scalar (:func:`_cartan_values`).
     """
     B = tuple(B)
-    if len(B) != model.n or min(B) < 0:
-        raise ValueError(f"{B} is not a Cartan multi-index for n = {model.n}")
     key = ("cartan", B)
     if key not in model._op_cache:
-        ring = model.scalars
-        table = {b: [ring.binomial(a, b) for a in range(model.d + 1)] for b in set(B)}
-        value = {mu: prod((table[b][a] for a, b in zip(mu, B) if b), start=ring.one)
-                 for mu in model.weight_set}
+        value = _cartan_values(model, B)
         model._op_cache[key] = model.diagonal(lambda j: value[model.weights[j]])
     return model._op_cache[key]
 

@@ -1,31 +1,40 @@
 """Exact identity checks for the realized algebra.
 
-Every check evaluates operator identities inside the tensor model and
-reports one entry per relation family: the defining relations of the
-generator algebra, the extra degree-d relations, the idempotent
-presentation, divided-power reduction formulas, the two-generator
-presentation available when n = 2, structural facts (nilpotency
-degrees, vanishing Cartan products, triangular decompositions), and the
-agreement of quantum basis operators with their classical counterparts
-at v = 1.
+Every check reports one entry per relation family: the defining
+relations of the generator algebra, the extra degree-d relations, the
+idempotent presentation, divided-power reduction formulas, the
+two-generator presentation available when n = 2, structural facts
+(nilpotency degrees, vanishing Cartan products, triangular
+decompositions), and the agreement of quantum basis operators with
+their classical counterparts at v = 1.
 
 All comparisons are exact;  there are no tolerances anywhere.  A check
 whose quantified range is empty is reported as *vacuous*, never as a
 silent pass.
 
-Weight blocks are ranked and compared on vectors.  Once the model's
-Hecke-commutation certificate holds, an operator x = x 1_src built from
-generators stands for its column at the ordered word u_src
-(``tensormodel``): the column at T_w u_src is T_w applied to it, and
-T_w is invertible, so this holds at each point of v too, v = 1
-included.  The triangular check ranks the weight blocks of the bases
-B1 and B2 on these images (see :func:`_triangular_items`).
+Every check compares certified images of the ordered words u_lam.  Once
+the model's Hecke-commutation certificate holds, an element x built
+from generators commutes with H_d, and the words of weight lam are the
+T_w u_lam, so x is zero exactly when x u_lam is zero for every weight
+lam (``tensormodel``); T_w is invertible, so this holds at each point
+of v too, v = 1 included.  A relation is a sum of products of factors,
+applied right to left to each u_lam as a flat vector (see ``ring``),
+and it holds when every image vanishes (:class:`_Images`, which checks
+the certificate first).  Generators, root vectors and Cartan products
+act through their flat columns and divided powers by the recurrence of
+``rootvectors``, so no operator product is formed; a product such as
+prod_t (K - v^t) is applied one factor at a time.  A Cartan product of
+degree above d acts on each weight space by a scalar, which is read
+off the weights.  The triangular check ranks the weight blocks of the
+bases B1 and B2 on these images (see :func:`_triangular_items`), and
+the rank-one check its truncated monomials on their ordered-word rows.
 
 Each check takes the models it reads: one model, or for the v = 1
 comparison and the rank-one presentation a classical and a quantum
 model of one (n, d).  :func:`suite_reports` is the one place that
 builds models, one per mode that its suites need, with the word cap
-and the spec points.  Each report times itself (:class:`CheckReport`).
+and the spec points, and it checks each model's certificate before
+any suite runs.  Each report times itself (:class:`CheckReport`).
 """
 
 import time
@@ -41,16 +50,19 @@ from .bases import (
     grouped_ranks,
     rank_of_family,
 )
-from .errors import HypothesisError
+from .errors import CertificateError, HypothesisError
 from .ring import LaurentPoly
-from .rootvectors import block_images, root_divided_power, root_vector
+from .rootvectors import _prefix_image, block_images, root_vector
 from .tensormodel import (
+    _apply_flat,
+    _cartan_values,
+    _flat_columns,
     build_model,
     cartan_binomial,
-    cartan_product,
-    compose,
+    certify_hecke_commutation,
     compositions,
     generator_action,
+    ordered_word,
     ordered_word_row,
     weight_idempotent,
 )
@@ -192,85 +204,160 @@ class _Agg:
 _V_MINUS_INVERSE = LaurentPoly({1: 1, -1: -1})
 
 
-def _shifted_idempotent(model, lam, step, k):
-    """The weight idempotent of lam + k step, or the zero operator when
-    that leaves the weight set (``step`` sums to 0)."""
+def _apply_sum(model, terms, vec):
+    """The flat vector sum c x_1 ... x_k vec over the ``terms`` (c, x_1,
+    ..., x_k), each x a map of flat vectors, applied right to left, and
+    c an integer or a Laurent polynomial.  A term c_e v^e of c moves the
+    keys of the image by N * e, N = n^d, and keys that meet add up."""
+    size, out = model.num_words, {}
+    for c, *factors in terms:
+        image = vec
+        for x in reversed(factors):
+            if image:
+                image = x(image)
+        coeffs = c.coeffs if isinstance(c, LaurentPoly) else {0: c}
+        for key, b in image.items():
+            for e, a in coeffs.items():
+                k = key + size * e
+                out[k] = out.get(k, 0) + a * b
+    return {k: b for k, b in out.items() if b}
+
+
+class _Images:
+    """The images of the ordered words u_lam of one model, one flat
+    vector per weight in the order of ``weight_set``, under sums of
+    products of maps of flat vectors (:func:`_apply_sum`).
+
+    Creating one checks the model's Hecke-commutation certificate, so
+    an element built from generators stands for its images (see the
+    module docstring): it is zero exactly when they all are, and two
+    such elements are equal exactly when their difference is.
+    """
+
+    def __init__(self, model):
+        certify_hecke_commutation(model)
+        self.model = model
+        self.words = [model.word_index[ordered_word(lam)] for lam in model.weight_set]
+        self._powers = {}
+
+    def acting(self, op):
+        """``op`` as a map of flat vectors, through its flat columns."""
+        return partial(_apply_flat, _flat_columns(self.model, op), size=self.model.num_words)
+
+    def divided(self, root, sign, m):
+        """The divided power x^(m) of the root vector x for (root, sign)
+        as a map of flat vectors, by the recurrence of
+        ``rootvectors._prefix_image``: x^(m) p = x x^(m-1) p / [m].  The
+        images of each vector p are kept, by sign, for as long as this
+        object lives, so the powers of one root vector at p share them."""
+        model, powers = self.model, self._powers
+        exponents = tuple(m if r == root else 0 for r in model.root_data.positive_roots)
+
+        def power(vec):
+            memo = powers.setdefault((sign, frozenset(vec.items())), {})
+            return _prefix_image(model, exponents, sign, vec, memo)
+        return power
+
+    def sum(self, *terms):
+        """The map sum c x_1 ... x_k of flat vectors (:func:`_apply_sum`)."""
+        return partial(_apply_sum, self.model, terms)
+
+    def of(self, *terms):
+        """The images of sum c x_1 ... x_k, one per weight."""
+        return [_apply_sum(self.model, terms, {j: 1}) for j in self.words]
+
+    def vanish(self, *terms):
+        """Whether sum c x_1 ... x_k is zero: all its images are."""
+        return not any(self.of(*terms))
+
+    def row(self, images):
+        """The ordered-word row (``tensormodel.ordered_word_row``) of an
+        element with these images."""
+        model = self.model
+        from_flat, size = model.scalars.from_flat, model.num_words
+        return ordered_word_row(model, {j: from_flat(image, size)
+                                        for j, image in zip(self.words, images)})
+
+
+def _shifted_idempotent(u, lam, step, k):
+    """The weight idempotent of lam + k step as a map of flat vectors,
+    or the zero map, the empty sum, when that leaves the weight set
+    (``step`` sums to 0)."""
     lam = tuple(x + k * y for x, y in zip(lam, step))
     if min(lam) < 0:
-        return model.zero_op()
-    return weight_idempotent(model, lam)
+        return u.sum()
+    return u.acting(weight_idempotent(u.model, lam))
+
+
+def _idempotent_products(idem, images):
+    """{(lam, mu): whether 1_lam 1_mu = delta_(lam, mu) 1_lam}, for the
+    maps ``idem`` {lam: 1_lam} and ``images`` {mu: the images of 1_mu}:
+    1_lam acts on each nonzero image of 1_mu."""
+    return {(lam, mu): all(x(image) == (image if lam == mu else {})
+                           for image in images[mu] if image)
+            for lam, x in idem.items() for mu in idem}
 
 
 def check_enveloping_relations(model):
     """Defining relations of the generator algebra, evaluated exactly."""
     rep = CheckReport("enveloping-relations", model.n, model.d, model.mode)
+    u = _Images(model)
     n = model.n
     rd = model.root_data
     rng = range(1, n)  # off-diagonal generator indices
-    e = {i: generator_action(model, model.names.plus, i) for i in rng}
-    f = {i: generator_action(model, model.names.minus, i) for i in rng}
+    gen = partial(generator_action, model)
+    e = {i: u.acting(gen(model.names.plus, i)) for i in rng}
+    f = {i: u.acting(gen(model.names.minus, i)) for i in rng}
     if model.mode == "classical":
-        H = {k: generator_action(model, "H", k) for k in range(1, n + 1)}
+        H = {k: u.acting(gen("H", k)) for k in range(1, n + 1)}
         agg = _Agg()
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                agg.check(H[i] @ H[j] == H[j] @ H[i], f"(i,j)=({i},{j})")
+                agg.check(u.vanish((1, H[i], H[j]), (-1, H[j], H[i])), f"(i,j)=({i},{j})")
         rep.append(agg.item("R1"))
         agg = _Agg()
         for i in rng:
             for j in rng:
-                lhs = e[i] @ f[j] - f[j] @ e[i]
-                rhs = H[j] - H[j + 1] if i == j else model.zero_op()
-                agg.check(lhs == rhs, f"(i,j)=({i},{j})")
+                rhs = ((-1, H[j]), (1, H[j + 1])) if i == j else ()
+                agg.check(u.vanish((1, e[i], f[j]), (-1, f[j], e[i]), *rhs),
+                          f"(i,j)=({i},{j})")
         rep.append(agg.item("R2"))
         agg = _Agg()
         for i in range(1, n + 1):
             for j in rng:
                 c = rd.pairing(i, j)
-                agg.check(
-                    H[i] @ e[j] - e[j] @ H[i] == e[j].scale(c),
-                    f"H{i},e{j}",
-                )
-                agg.check(
-                    H[i] @ f[j] - f[j] @ H[i] == f[j].scale(-c),
-                    f"H{i},f{j}",
-                )
+                agg.check(u.vanish((1, H[i], e[j]), (-1, e[j], H[i]), (-c, e[j])),
+                          f"H{i},e{j}")
+                agg.check(u.vanish((1, H[i], f[j]), (-1, f[j], H[i]), (c, f[j])),
+                          f"H{i},f{j}")
         rep.append(agg.item("R3"))
         serre_ids = ("R4", "R5")
     else:
-        K = {k: generator_action(model, "K", k) for k in range(1, n + 1)}
-        Kinv = {k: generator_action(model, "K^-1", k) for k in range(1, n + 1)}
-        ident = model.identity()
+        K = {k: u.acting(gen("K", k)) for k in range(1, n + 1)}
+        Kinv = {k: u.acting(gen("K^-1", k)) for k in range(1, n + 1)}
         agg = _Agg()
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                agg.check(K[i] @ K[j] == K[j] @ K[i], f"(i,j)=({i},{j})")
+                agg.check(u.vanish((1, K[i], K[j]), (-1, K[j], K[i])), f"(i,j)=({i},{j})")
         for i in range(1, n + 1):
-            agg.check(K[i] @ Kinv[i] == ident, f"K{i}K{i}^-1")
-            agg.check(Kinv[i] @ K[i] == ident, f"K{i}^-1K{i}")
+            agg.check(u.vanish((1, K[i], Kinv[i]), (-1,)), f"K{i}K{i}^-1")
+            agg.check(u.vanish((1, Kinv[i], K[i]), (-1,)), f"K{i}^-1K{i}")
         rep.append(agg.item("Q1"))
         agg = _Agg()
         for i in rng:
             for j in rng:
-                lhs = (e[i] @ f[j] - f[j] @ e[i]).scale(_V_MINUS_INVERSE)
-                if i == j:
-                    rhs = K[i] @ Kinv[i + 1] - Kinv[i] @ K[i + 1]
-                else:
-                    rhs = model.zero_op()
-                agg.check(lhs == rhs, f"(i,j)=({i},{j})")
+                rhs = ((-1, K[i], Kinv[i + 1]), (1, Kinv[i], K[i + 1])) if i == j else ()
+                agg.check(u.vanish((_V_MINUS_INVERSE, e[i], f[j]),
+                                   (-_V_MINUS_INVERSE, f[j], e[i]), *rhs),
+                          f"(i,j)=({i},{j})")
         rep.append(agg.item("Q2"))
         agg = _Agg()
+        vpow = model.scalars.v_power
         for i in range(1, n + 1):
             for j in rng:
                 c = rd.pairing(i, j)
-                agg.check(
-                    K[i] @ e[j] == (e[j] @ K[i]).scale(model.scalars.v_power(c)),
-                    f"K{i},E{j}",
-                )
-                agg.check(
-                    K[i] @ f[j] == (f[j] @ K[i]).scale(model.scalars.v_power(-c)),
-                    f"K{i},F{j}",
-                )
+                agg.check(u.vanish((1, K[i], e[j]), (-vpow(c), e[j], K[i])), f"K{i},E{j}")
+                agg.check(u.vanish((1, K[i], f[j]), (-vpow(-c), f[j], K[i])), f"K{i},F{j}")
         rep.append(agg.item("Q3"))
         serre_ids = ("Q4", "Q5")
         rep.notes.append(
@@ -285,14 +372,11 @@ def check_enveloping_relations(model):
                 if i == j:
                     continue
                 if abs(i - j) == 1:
-                    lhs = (
-                        x[i] @ x[i] @ x[j]
-                        - (x[i] @ x[j] @ x[i]).scale(two)
-                        + x[j] @ x[i] @ x[i]
-                    )
+                    terms = ((1, x[i], x[i], x[j]), (-two, x[i], x[j], x[i]),
+                             (1, x[j], x[i], x[i]))
                 else:
-                    lhs = x[i] @ x[j] - x[j] @ x[i]
-                agg.check(lhs.is_zero(), f"(i,j)=({i},{j})")
+                    terms = ((1, x[i], x[j]), (-1, x[j], x[i]))
+                agg.check(u.vanish(*terms), f"(i,j)=({i},{j})")
         rep.append(agg.item(item_id, "no generator pairs for n = 2"))
     return rep
 
@@ -300,30 +384,25 @@ def check_enveloping_relations(model):
 def check_schur_relations(model):
     """The two extra relations that cut the algebra down to degree d."""
     rep = CheckReport("schur-relations", model.n, model.d, model.mode)
+    u = _Images(model)
     n, d = model.n, model.d
-    ident = model.identity()
+    cartan = [u.acting(generator_action(model, model.names.cartan, k))
+              for k in range(1, n + 1)]
     if model.mode == "classical":
-        total = model.zero_op()
-        for k in range(1, n + 1):
-            total = total + generator_action(model, "H", k)
-        rep.add("R6", total == ident.scale(d), detail="sum of H_k equals d")
+        rep.add("R6", u.vanish(*((1, h) for h in cartan), (-d,)),
+                detail="sum of H_k equals d")
         last_id = "R7"
     else:
-        factors = (generator_action(model, "K", k) for k in range(1, n + 1))
-        prod = compose(model, factors)
-        rep.add(
-            "Q6",
-            prod == ident.scale(model.scalars.v_power(d)),
-            detail="product of K_k equals v^d",
-        )
+        rep.add("Q6", u.vanish((1, *cartan), (-model.scalars.v_power(d),)),
+                detail="product of K_k equals v^d")
         last_id = "Q7"
     # Each Cartan generator is killed by the product of C_k - c(t) over
-    # its eigenvalues c(t) on t = 0..d letters k: t for H_k, v^t for K_k.
+    # its eigenvalues c(t) on t = 0..d letters k: t for H_k, v^t for K_k,
+    # applied one factor at a time.
     agg = _Agg()
-    for k in range(1, n + 1):
-        cartan = generator_action(model, model.names.cartan, k)
-        factors = (cartan - ident.scale(model.scalars.cartan(t)) for t in range(d + 1))
-        agg.check(compose(model, factors).is_zero(), f"k={k}")
+    for k, x in enumerate(cartan, 1):
+        factors = (u.sum((1, x), (-model.scalars.cartan(t),)) for t in range(d + 1))
+        agg.check(u.vanish((1, *factors)), f"k={k}")
     rep.append(agg.item(last_id))
     return rep
 
@@ -332,48 +411,43 @@ def check_idempotent_presentation(model):
     """Relations of the presentation by weight idempotents and simple
     raising/lowering generators, including every zero branch."""
     rep = CheckReport("idempotent-presentation", model.n, model.d, model.mode)
-    n, d = model.n, model.d
+    u = _Images(model)
+    n = model.n
     suffix = "'" if model.mode == "quantum" else ""
     esym, fsym = model.names.plus, model.names.minus
     rd = model.root_data
     weights = model.weight_set
-    idem = {lam: weight_idempotent(model, lam) for lam in weights}
-    e = {i: generator_action(model, esym, i) for i in range(1, n)}
-    f = {i: generator_action(model, fsym, i) for i in range(1, n)}
+    idem = {lam: u.acting(weight_idempotent(model, lam)) for lam in weights}
+    e = {i: u.acting(generator_action(model, esym, i)) for i in range(1, n)}
+    f = {i: u.acting(generator_action(model, fsym, i)) for i in range(1, n)}
 
     agg = _Agg()
-    for lam in weights:
-        for mu in weights:
-            expected = idem[lam] if lam == mu else model.zero_op()
-            agg.check(idem[lam] @ idem[mu] == expected, f"({lam},{mu})")
-    total = model.zero_op()
-    for lam in weights:
-        total = total + idem[lam]
-    agg.check(total == model.identity(), "resolution of identity")
+    images = {lam: u.of((1, x)) for lam, x in idem.items()}
+    for (lam, mu), ok in _idempotent_products(idem, images).items():
+        agg.check(ok, f"({lam},{mu})")
+    agg.check(u.vanish(*((1, x) for x in idem.values()), (-1,)), "resolution of identity")
     rep.append(agg.item(f"S1{suffix}"))
 
     agg = _Agg()
     for i in range(1, n):
         alpha = rd.simple_root(i)
         for lam in weights:
-            up = _shifted_idempotent(model, lam, alpha, 1)
-            down = _shifted_idempotent(model, lam, alpha, -1)
-            agg.check(e[i] @ idem[lam] == up @ e[i], f"{esym}{i}.1_{lam}")
-            agg.check(f[i] @ idem[lam] == down @ f[i], f"{fsym}{i}.1_{lam}")
-            agg.check(idem[lam] @ e[i] == e[i] @ down, f"1_{lam}.{esym}{i}")
-            agg.check(idem[lam] @ f[i] == f[i] @ up, f"1_{lam}.{fsym}{i}")
+            up = _shifted_idempotent(u, lam, alpha, 1)
+            down = _shifted_idempotent(u, lam, alpha, -1)
+            agg.check(u.vanish((1, e[i], idem[lam]), (-1, up, e[i])), f"{esym}{i}.1_{lam}")
+            agg.check(u.vanish((1, f[i], idem[lam]), (-1, down, f[i])), f"{fsym}{i}.1_{lam}")
+            agg.check(u.vanish((1, idem[lam], e[i]), (-1, e[i], down)), f"1_{lam}.{esym}{i}")
+            agg.check(u.vanish((1, idem[lam], f[i]), (-1, f[i], up)), f"1_{lam}.{fsym}{i}")
     rep.append(agg.item(f"S2{suffix}"))
 
     agg = _Agg()
     for i in range(1, n):
         for j in range(1, n):
-            lhs = e[i] @ f[j] - f[j] @ e[i]
-            rhs = model.zero_op()
+            rhs = ()
             if i == j:
-                for lam in weights:
-                    coeff = model.scalars.integer(lam[j - 1] - lam[j])
-                    rhs = rhs + idem[lam].scale(coeff)
-            agg.check(lhs == rhs, f"(i,j)=({i},{j})")
+                rhs = tuple((-model.scalars.integer(lam[j - 1] - lam[j]), idem[lam])
+                            for lam in weights)
+            agg.check(u.vanish((1, e[i], f[j]), (-1, f[j], e[i]), *rhs), f"(i,j)=({i},{j})")
     rep.append(agg.item(f"S3{suffix}"))
     rep.notes.append(
         "braid relations between the simple generators are covered by the"
@@ -382,31 +456,27 @@ def check_idempotent_presentation(model):
     return rep
 
 
-def _straightening_item(model, item_id, left, right, cases, name, empty):
+def _straightening_item(u, item_id, left, right, cases, name, empty):
     """One reduction item: over the ``cases`` (a, b, c, M) with
     s = a + b + c - d >= 1, in order, x^(a) M(0) y^(c) equals the sum over
     k = s..min(a, c) of (-1)^(k-s) binom(k-1, s-1) binom(b+k, k)
-    x^(a-k) M(k) y^(c-k), with x^(m) = ``left(m)``, y^(m) = ``right(m)``
-    and the model's binomials (Gaussian quantumly); a zero M(k) adds no
-    term.  ``name`` names b in a failure detail; ``empty`` is the detail
-    when no case has s >= 1."""
-    binomial = model.scalars.binomial
+    x^(a-k) M(k) y^(c-k), with x^(m) = ``left(m)``, y^(m) = ``right(m)``,
+    M(k) maps of flat vectors, and the model's binomials (Gaussian
+    quantumly); a zero M(k) adds a zero term.  ``name`` names b in a
+    failure detail; ``empty`` is the detail when no case has s >= 1."""
+    binomial = u.model.scalars.binomial
     agg = _Agg()
     for a, b, c, middle in cases:
-        s = a + b + c - model.d
+        s = a + b + c - u.model.d
         if s < 1:
             continue
-        lhs = left(a) @ middle(0) @ right(c)
-        rhs = model.zero_op()
+        terms = [(1, left(a), middle(0), right(c))]
         for k in range(s, min(a, c) + 1):
-            mid = middle(k)
-            if not mid.is_zero():
-                coeff = binomial(k - 1, s - 1) * binomial(b + k, k)
-                if (k - s) % 2:
-                    coeff = -coeff
-                term = left(a - k) @ mid @ right(c - k)
-                rhs = rhs + term.scale(coeff)
-        agg.check(lhs == rhs, f"(a,{name},c)=({a},{b},{c})")
+            coeff = binomial(k - 1, s - 1) * binomial(b + k, k)
+            if not (k - s) % 2:
+                coeff = -coeff
+            terms.append((coeff, left(a - k), middle(k), right(c - k)))
+        agg.check(u.vanish(*terms), f"(a,{name},c)=({a},{b},{c})")
     return agg.item(item_id, empty)
 
 
@@ -424,23 +494,23 @@ def check_reduction_formulas(model, family):
     if model.mode != wanted:
         raise ValueError(f"family {family!r} needs a {wanted} model")
     rep = CheckReport(f"reduction[{family}]", model.n, model.d, model.mode)
+    u = _Images(model)
     d, n, rng = model.d, model.n, range(model.d + 1)
     eletter, fletter = model.names.plus, model.names.minus
     for root in model.root_data.positive_roots:
         i, j = root
-        E, F = (
-            partial(root_divided_power, model, root, sign) for sign in ("plus", "minus")
-        )
+        E, F = (partial(u.divided, root, sign) for sign in ("plus", "minus"))
         if family == "classical-H":
             for item_id, left, right, m in ((f"fHe[{i}-{j}]", F, E, j),
                                             (f"eHf[{i}-{j}]", E, F, i)):
                 cases = (
-                    (a, b, c, lambda k, b=b, m=m: cartan_binomial(model, m, b + k))
+                    (a, b, c,
+                     lambda k, b=b, m=m: u.acting(cartan_binomial(model, m, b + k)))
                     for a in rng
                     for b in rng
                     for c in rng
                 )
-                rep.append(_straightening_item(model, item_id, left, right, cases,
+                rep.append(_straightening_item(u, item_id, left, right, cases,
                                                "b", "no triples with s >= 1"))
             continue
         alpha = model.root_data.root_as_vector(root)
@@ -454,9 +524,9 @@ def check_reduction_formulas(model, family):
                     b1 if k == i else (d - b1 if k == j else 0) for k in range(1, n + 1)
                 )
                 step = tuple(sign * y for y in alpha)
-                middle = partial(_shifted_idempotent, model, lam, step)
+                middle = partial(_shifted_idempotent, u, lam, step)
                 cases.extend((a, lam[pos - 1], c, middle) for a in rng for c in rng)
-            rep.append(_straightening_item(model, item_id, left, right, cases,
+            rep.append(_straightening_item(u, item_id, left, right, cases,
                                            name, "no s >= 1 cases"))
     if family != "classical-H":
         rep.notes.append(
@@ -466,22 +536,40 @@ def check_reduction_formulas(model, family):
     return rep
 
 
-def _minimal_polynomial_items(rep, model, op, exponents, shown):
-    """Items asserting that ``op`` has the minimal polynomial
-    prod_t (op - c(t)) over the distinct ``exponents`` t, where c is the
+def _minimal_polynomial_items(rep, u, x, exponents, shown):
+    """Items asserting that the map ``x`` has the minimal polynomial
+    prod_t (x - c(t)) over the distinct ``exponents`` t, where c is the
     Cartan eigenvalue (t classically, v^t quantumly): the product
-    vanishes and no product skipping one factor does.  ``shown(t)``
-    names the skipped eigenvalue in a failure detail."""
-    ident = model.identity()
-    factors = {t: op - ident.scale(model.scalars.cartan(t)) for t in exponents}
-    rep.add(f"{model.mode}:minimal-polynomial",
-            compose(model, factors.values()).is_zero(),
+    vanishes and no product skipping one factor does, each applied one
+    factor at a time.  ``shown(t)`` names the skipped eigenvalue in a
+    failure detail."""
+    model = u.model
+    factors = {t: u.sum((1, x), (-model.scalars.cartan(t),)) for t in exponents}
+    rep.add(f"{model.mode}:minimal-polynomial", u.vanish((1, *factors.values())),
             detail=f"degree {len(exponents)}")
     agg = _Agg()
     for skip in exponents:
-        sub = compose(model, (f for t, f in factors.items() if t != skip))
-        agg.check(not sub.is_zero(), f"factor for eigenvalue {shown(skip)}")
+        others = (f for t, f in factors.items() if t != skip)
+        agg.check(not u.vanish((1, *others)), f"factor for eigenvalue {shown(skip)}")
     rep.append(agg.item(f"{model.mode}:no-proper-subproduct-vanishes"))
+
+
+def _truncated_monomial_item(rep, u, lower, cartan, upper):
+    """The item asserting that the monomials lower^a cartan^b upper^c,
+    a + b + c <= d, are binom(d + 3, 3) elements of rank binom(d + 3, 3),
+    ranked exactly on their ordered-word rows."""
+    model, d = u.model, u.model.d
+    labels = [(a, b, c) for a in range(d + 1) for b in range(d + 1) for c in range(d + 1)
+              if a + b + c <= d]
+    rows = [u.row(u.of((1, *[lower] * a, *[cartan] * b, *[upper] * c)))
+            for a, b, c in labels]
+    expected = comb(d + 3, 3)
+    rank = rank_of_family(model, rows)
+    rep.add(
+        f"{model.mode}:truncated-monomials",
+        len(labels) == expected and rank == expected,
+        detail=f"count {len(labels)}, rank {rank}, expected {expected}",
+    )
 
 
 _RANK_ONE_NEEDS = "the rank-one presentation check needs n = 2"
@@ -497,55 +585,41 @@ def _check_pair(classical, quantum):
 
 def check_rank_one_presentation(classical, quantum):
     """Two-generator presentation of the n = 2 algebra, both modes, on
-    a classical and a quantum model of one (2, d)."""
+    a classical and a quantum model of one (2, d): the relations, the
+    minimal polynomial of h = H_1 - H_2 and of K = K_1 K_2^-1, and the
+    rank of the truncated monomials f^a h^b e^c and F^a K^b E^c."""
     _check_pair(classical, quantum)
     if classical.n != 2:
         raise HypothesisError(_RANK_ONE_NEEDS)
     d = classical.d
     rep = CheckReport("rank-one-presentation", 2, d, "both")
-    e = generator_action(classical, "e", 1)
-    f = generator_action(classical, "f", 1)
-    h = generator_action(classical, "H", 1) - generator_action(classical, "H", 2)
-    rep.add("classical:he-eh=2e", h @ e - e @ h == e.scale(2))
-    rep.add("classical:ef-fe=h", e @ f - f @ e == h)
-    rep.add("classical:hf-fh=-2f", h @ f - f @ h == f.scale(-2))
+    u = _Images(classical)
+    e, f, h1, h2 = (u.acting(generator_action(classical, sym, k))
+                    for sym, k in (("e", 1), ("f", 1), ("H", 1), ("H", 2)))
+    h = u.sum((1, h1), (-1, h2))
+    rep.add("classical:he-eh=2e", u.vanish((1, h, e), (-1, e, h), (-2, e)))
+    rep.add("classical:ef-fe=h", u.vanish((1, e, f), (-1, f, e), (-1, h)))
+    rep.add("classical:hf-fh=-2f", u.vanish((1, h, f), (-1, f, h), (2, f)))
     eigens = [d - 2 * k for k in range(d + 1)]
-    _minimal_polynomial_items(rep, classical, h, eigens, str)
-    labels = [
-        (a, b, c)
-        for a in range(d + 1)
-        for b in range(d + 1)
-        for c in range(d + 1)
-        if a + b + c <= d
-    ]
-    rows = [ordered_word_row(classical, compose(classical, [f] * a + [h] * b + [e] * c).cols)
-            for (a, b, c) in labels]
-    expected = comb(d + 3, 3)
-    rank = rank_of_family(classical, rows)
-    rep.add(
-        "classical:truncated-monomials",
-        len(labels) == expected and rank == expected,
-        detail=f"count {len(labels)}, rank {rank}, expected {expected}",
-    )
+    _minimal_polynomial_items(rep, u, h, eigens, str)
+    _truncated_monomial_item(rep, u, f, h, e)
 
-    E = generator_action(quantum, "E", 1)
-    F = generator_action(quantum, "F", 1)
-    K = generator_action(quantum, "K", 1) @ generator_action(quantum, "K^-1", 2)
-    Kinv = generator_action(quantum, "K^-1", 1) @ generator_action(quantum, "K", 2)
-    qid = quantum.identity()
+    u = _Images(quantum)
+    E, F, K1, K2, K1inv, K2inv = (
+        u.acting(generator_action(quantum, sym, k))
+        for sym, k in (("E", 1), ("F", 1), ("K", 1), ("K", 2), ("K^-1", 1), ("K^-1", 2)))
+    K = u.sum((1, K1, K2inv))
+    Kinv = u.sum((1, K1inv, K2))
     vpow = quantum.scalars.v_power
-    rep.add("quantum:KK^-1=1", K @ Kinv == qid and Kinv @ K == qid)
-    rep.add("quantum:KEK^-1=v^2E", K @ E @ Kinv == E.scale(vpow(2)))
-    rep.add("quantum:KFK^-1=v^-2F", K @ F @ Kinv == F.scale(vpow(-2)))
+    rep.add("quantum:KK^-1=1", u.vanish((1, K, Kinv), (-1,)) and u.vanish((1, Kinv, K), (-1,)))
+    rep.add("quantum:KEK^-1=v^2E", u.vanish((1, K, E, Kinv), (-vpow(2), E)))
+    rep.add("quantum:KFK^-1=v^-2F", u.vanish((1, K, F, Kinv), (-vpow(-2), F)))
     rep.add(
         "quantum:EF-FE=(K-K^-1)/(v-v^-1)",
-        (E @ F - F @ E).scale(_V_MINUS_INVERSE) == K - Kinv,
+        u.vanish((_V_MINUS_INVERSE, E, F), (-_V_MINUS_INVERSE, F, E), (-1, K), (1, Kinv)),
     )
-    _minimal_polynomial_items(rep, quantum, K, eigens, "v^{}".format)
-    rep.notes.append(
-        "the truncated monomial family is certified in classical mode; the"
-        " quantum presentation asserts the relations and minimal polynomial"
-    )
+    _minimal_polynomial_items(rep, u, K, eigens, "v^{}".format)
+    _truncated_monomial_item(rep, u, F, K, E)
     return rep
 
 
@@ -609,37 +683,33 @@ def check_structural_facts(model):
     orders with S+ left of S-, B2 for the other three (see
     :func:`_triangular_items`)."""
     rep = CheckReport("structural-facts", model.n, model.d, model.mode)
+    u = _Images(model)
     n, d = model.n, model.d
 
     agg = _Agg()
     for root in model.root_data.positive_roots:
         for sign in ("plus", "minus"):
-            x = root_vector(model, root, sign)
+            x = u.acting(root_vector(model, root, sign))
             i, j = root
-            where = f"{sign}[{i}-{j}]"
-            p = x**d
-            agg.check(
-                (p @ x).is_zero() and not p.is_zero(), where
-            )
+            p = u.of((1, *[x] * d))
+            agg.check(any(p) and not any(map(x, p)), f"{sign}[{i}-{j}]")
     rep.append(agg.item("nilpotency-index-d+1"))
 
     for total in (d + 1, d + 2):
         agg = _Agg()
         for B in compositions(n, total):
-            agg.check(cartan_product(model, B).is_zero(), f"B={B}")
+            agg.check(not any(_cartan_values(model, B).values()), f"B={B}")
         rep.append(agg.item(f"cartan-products-vanish[degree={total}]"))
 
     weights = model.weight_set
-    idem = [weight_idempotent(model, lam) for lam in weights]
-    ortho = all((x @ y).is_zero() for x, y in permutations(idem, 2))
-    total_op = model.zero_op()
-    for op in idem:
-        total_op = total_op + op
+    idem = {lam: u.acting(weight_idempotent(model, lam)) for lam in weights}
+    images = {lam: u.of((1, x)) for lam, x in idem.items()}
+    ortho = all(ok for (lam, mu), ok in _idempotent_products(idem, images).items() if lam != mu)
     rep.add("idempotents-orthogonal", ortho, detail=f"{len(weights)} weights")
-    rep.add("idempotents-resolve-identity", total_op == model.identity())
+    rep.add("idempotents-resolve-identity", u.vanish(*((1, x) for x in idem.values()), (-1,)))
     rep.add(
         "idempotents-independent",
-        rank_of_family(model, [ordered_word_row(model, op.cols) for op in idem])
+        rank_of_family(model, [u.row(by_weight) for by_weight in images.values()])
         == len(weights),
         detail=f"rank {len(weights)}",
     )
@@ -685,7 +755,10 @@ def suite_reports(n, d, mode="classical", suite="all", word_cap=None,
                   spec_points=None):
     """Reports for one grid point.  This is the one place that builds
     models: one per mode that the suites need, with the configuration,
-    shared by every check that reads it."""
+    shared by every check that reads it.  Each model's Hecke-commutation
+    certificate is checked once, before any suite: when it fails, the
+    one report returned is a single FAIL item that names the generator,
+    and no suite runs."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if suite == "rank1" and n != 2:
@@ -693,6 +766,13 @@ def suite_reports(n, d, mode="classical", suite="all", word_cap=None,
     single = suite in ("relations", "idempotent", "reduction", "structural")
     models = {m: build_model(n, d, mode=m, word_cap=word_cap, spec_points=spec_points)
               for m in ((mode,) if single else ("classical", "quantum"))}
+    for built in models.values():
+        try:
+            certify_hecke_commutation(built)
+        except CertificateError as exc:
+            rep = CheckReport("hecke-certificate", n, d, built.mode)
+            rep.add("hecke-commutation", False, detail=str(exc))
+            return [rep]
     model = models.get(mode)
     reports = []
     if suite in ("all", "relations"):

@@ -3,7 +3,9 @@ package's scalars are embedded to check its ranks and coordinates, the
 full row of an operator, the reference its ordered-word rows are
 compared with, the full-product reference for the Hecke certificate,
 and the operator-product references for the Cartan binomials and the
-root vectors."""
+root vectors.  The sum, difference and scalar multiple of operators
+(:func:`add`, :func:`sub`, :func:`scale`), which the package no longer
+forms, live here for those references and for the tests."""
 
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from sympy import QQ, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from schuralg.ring import LaurentFraction, LaurentPoly
-from schuralg.tensormodel import generator_action, hecke_generator
+from schuralg.tensormodel import SparseOperator, generator_action, hecke_generator
 
 FIELD = QQ.frac_field(symbols("v"))
 
@@ -52,6 +54,48 @@ def operator_row(model, op):
     return row
 
 
+def add(a, b):
+    """The operator a + b, with no zero entry and no empty column."""
+    out = {j: dict(col) for j, col in a.cols.items()}
+    for j, col in b.cols.items():
+        tgt = out.setdefault(j, {})
+        for i, s in col.items():
+            t = tgt.get(i, 0) + s
+            if t == 0:
+                tgt.pop(i, None)
+            else:
+                tgt[i] = t
+        if not tgt:
+            del out[j]
+    return SparseOperator(out)
+
+
+def scale(op, s):
+    """The operator s op: the zero operator for s = 0, ``op`` itself for
+    s = 1."""
+    if s == 0:
+        return SparseOperator()
+    if s == 1:
+        return op
+    return SparseOperator({j: {i: s * t for i, t in col.items()} for j, col in op.cols.items()})
+
+
+def sub(a, b):
+    """The operator a - b."""
+    return add(a, scale(b, -1))
+
+
+def with_one_entry(op, change):
+    """``op`` with the first entry whose value ``change`` alters changed."""
+    cols = {j: dict(col) for j, col in op.cols.items()}
+    for col in cols.values():
+        for i, s in col.items():
+            if change(s) != s:
+                col[i] = change(s)
+                return SparseOperator(cols)
+    raise AssertionError("no entry to change")
+
+
 def commutes_with_hecke(model):
     """Whether every generator of ``model`` commutes with every T_p, by
     full operator products: the reference for the certificate."""
@@ -69,11 +113,11 @@ def cartan_binomial_by_products(model, k, m):
     acc, den = ident, ring.one
     for s in range(1, m + 1):
         if model.mode == "classical":
-            factor = generator_action(model, "H", k) - ident.scale(s - 1)
+            factor = sub(generator_action(model, "H", k), scale(ident, s - 1))
             den = den * s
         else:
-            factor = (generator_action(model, "K", k).scale(ring.v_power(1 - s))
-                      - generator_action(model, "K^-1", k).scale(ring.v_power(s - 1)))
+            factor = sub(scale(generator_action(model, "K", k), ring.v_power(1 - s)),
+                         scale(generator_action(model, "K^-1", k), ring.v_power(s - 1)))
             den = den * (ring.v_power(s) - ring.v_power(-s))
         acc = acc @ factor
     return model.divide(acc, den)
@@ -92,5 +136,5 @@ def root_vector_by_products(model, root, sign):
     step = root_vector_by_products(model, (j - 1, j), sign)
     v = model.scalars.v_power
     if sign == "plus":
-        return upper @ step - (step @ upper).scale(v(-1))
-    return step @ upper - (upper @ step).scale(v(1))
+        return sub(upper @ step, scale(step @ upper, v(-1)))
+    return sub(step @ upper, scale(upper @ step, v(1)))

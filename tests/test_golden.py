@@ -20,8 +20,8 @@ every kind at (3, 2), the CSV output of B1 at (5, 4), and the CSV
 output of structconst in both modes.  A changed digest is an output change and has to be
 declared as one, never silently re-recorded.  ``dim`` and the structural
 suite are also checked to read their bases grouped as they are
-enumerated, with their digests unchanged, and ``dim``, ``hecke`` and
-``structconst`` to form no operator product.
+enumerated, with their digests unchanged, and ``dim``, ``hecke``,
+``structconst`` and ``verify`` to form no operator product.
 """
 
 import hashlib
@@ -46,7 +46,7 @@ GOLDEN = [
     ("dim 4 4 --quantum",
      "f726c7d9d3f355825bf7969013dd64605a8d311339ae2983cc5cf52807dfd08f"),
     ("verify 2 3 --suite all",
-     "69382ee7363acab8ec5e659ff409a9dba9671b17828d164d48dfb4d8e84320b1"),
+     "c1ef036a0f7589ee3fb65b66e9eb185f996800f0d84c61f20019b10b65c44834"),
     ("verify 3 3 --suite all",
      "11c2c377db83ce8f35dfe61268c86a60178bc68178b0979876407c7966639eb1"),
     ("verify 3 3 --quantum --suite all",
@@ -243,16 +243,17 @@ def test_dim_and_structconst_build_no_label_operator(command, digest, monkeypatc
         assert not any(isinstance(value, dict) for value in model._op_cache.values())
 
 
-OPERATOR_FREE = [(c, d) for c, d in GOLDEN if c.split()[0] in ("dim", "hecke", "structconst")]
+OPERATOR_FREE = [(c, d) for c, d in GOLDEN
+                 if c.split()[0] in ("dim", "hecke", "structconst", "verify")]
 
 
 @pytest.mark.parametrize("command,digest", OPERATOR_FREE, ids=[c for c, _ in OPERATOR_FREE])
 def test_dim_hecke_and_structconst_form_no_operator_product(command, digest, monkeypatch,
                                                             built_models):
     # The root vectors are built on flat columns and every image is
-    # applied flat, so these commands make no operator product, and no
-    # quantum root vector's LaurentPoly columns are read back.  The
-    # output is unchanged.
+    # applied flat, so these commands, every verify suite included, make
+    # no operator product, and no quantum root vector's LaurentPoly
+    # columns are read back.  The output is unchanged.
     calls = []
     matmul = tensormodel.SparseOperator.__matmul__
 

@@ -7,10 +7,12 @@ regression in the checkers cannot hide behind their own pass flags.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 from math import comb
 
 import pytest
+from oracle import add, field_rank, scale, sub, with_one_entry
 
 from schuralg.bases import (
     RankAccumulator,
@@ -22,15 +24,19 @@ from schuralg.bases import (
 from schuralg.errors import HypothesisError
 from schuralg.ring import LaurentPoly, quantum_integer
 from schuralg.tensormodel import (
+    SparseOperator,
     build_model,
     cartan_binomial,
     cartan_product,
+    compose,
     compositions,
     generator_action,
+    ordered_word_row,
     weight_idempotent,
 )
 from schuralg.rootvectors import SHAPES, _label_block, eval_label, root_divided_power
 from schuralg.verify import (
+    SUITES,
     CheckReport,
     check_enveloping_relations,
     check_idempotent_presentation,
@@ -41,7 +47,7 @@ from schuralg.verify import (
     check_structural_facts,
     suite_reports,
 )
-from schuralg.verify import _Agg, _triangular_item
+from schuralg.verify import _Agg, _apply_sum, _triangular_item
 
 
 def _ids(report):
@@ -105,9 +111,9 @@ def test_schur_relations_and_direct_diagonals():
     # Independent recomputation: H_1 + H_2 = 2 and the cubic kills H_1.
     h1 = generator_action(m, "H", 1)
     h2 = generator_action(m, "H", 2)
-    assert h1 + h2 == m.identity().scale(2)
+    assert add(h1, h2) == scale(m.identity(), 2)
     ident = m.identity()
-    cubic = h1 @ (h1 - ident) @ (h1 - ident.scale(2))
+    cubic = h1 @ sub(h1, ident) @ sub(h1, scale(ident, 2))
     assert cubic.is_zero()
 
     q = build_model(2, 2, mode="quantum")
@@ -116,7 +122,7 @@ def test_schur_relations_and_direct_diagonals():
     k1 = generator_action(q, "K", 1)
     qid = q.identity()
     vp = q.scalars.v_power
-    poly = (k1 - qid) @ (k1 - qid.scale(vp(1))) @ (k1 - qid.scale(vp(2)))
+    poly = sub(k1, qid) @ sub(k1, scale(qid, vp(1))) @ sub(k1, scale(qid, vp(2)))
     assert poly.is_zero()
 
 
@@ -138,8 +144,8 @@ def test_idempotent_shift_rules_directly():
     assert (e1 @ one_20).is_zero()  # shifted weight (3, -1) is invalid
     # Commutator eigenvalues 2, 0, -2 on the three weight spaces.
     f1 = generator_action(m, "f", 1)
-    comm = e1 @ f1 - f1 @ e1
-    expected = one_20.scale(2) + one_02.scale(-2)
+    comm = sub(e1 @ f1, f1 @ e1)
+    expected = add(scale(one_20, 2), scale(one_02, -2))
     assert comm == expected
 
 
@@ -147,11 +153,11 @@ def test_idempotent_commutator_quantum_uses_signed_brackets():
     q = build_model(2, 3, mode="quantum")
     E = generator_action(q, "E", 1)
     F = generator_action(q, "F", 1)
-    comm = E @ F - F @ E
-    expected = q.zero_op()
+    comm = sub(E @ F, F @ E)
+    expected = SparseOperator()
     for lam in q.weight_set:
         coeff = quantum_integer(lam[0] - lam[1])  # negative arguments occur
-        expected = expected + weight_idempotent(q, lam).scale(coeff)
+        expected = add(expected, scale(weight_idempotent(q, lam), coeff))
     assert comm == expected
 
 
@@ -162,7 +168,7 @@ def test_reduction_classical_worked_instance():
     f1 = root_divided_power(m, (1, 2), "minus", 1)
     e1 = root_divided_power(m, (1, 2), "plus", 1)
     lhs = f1 @ cartan_binomial(m, 2, 1) @ e1
-    rhs = cartan_binomial(m, 2, 2).scale(2)
+    rhs = scale(cartan_binomial(m, 2, 2), 2)
     assert lhs == rhs
 
 
@@ -172,7 +178,7 @@ def test_reduction_quantum_worked_instance():
     E = root_divided_power(q, (1, 2), "plus", 1)
     F = root_divided_power(q, (1, 2), "minus", 1)
     lhs = E @ weight_idempotent(q, (1, 1)) @ F
-    rhs = weight_idempotent(q, (2, 0)).scale(LaurentPoly({1: 1, -1: 1}))
+    rhs = scale(weight_idempotent(q, (2, 0)), LaurentPoly({1: 1, -1: 1}))
     assert lhs == rhs
 
 
@@ -231,7 +237,7 @@ def test_wrong_middle_factor_fails_its_reductions(family, mode, name, target,
     def doubled(model, *args):
         op = real(model, *args)
         key = args if name == "cartan_binomial" else tuple(args[0])
-        return op.scale(model.scalars.integer(2)) if key == target else op
+        return scale(op, model.scalars.integer(2)) if key == target else op
 
     monkeypatch.setattr(verify, name, doubled)
     rep = check_reduction_formulas(build_model(3, 2, mode=mode), family)
@@ -701,3 +707,278 @@ def test_failing_triangular_item_block_is_short():
     for (_, a), (_, b), (_, c) in product(*(families[p] for p in "+0-")):
         projected.add(one_dst @ a @ b @ c @ one_src)
     assert short <= projected.rank
+
+
+# The failing items of each suite under generators that still pass the
+# certificate, as the suites reported them when they compared whole
+# operators: the raising generator e_1 (E_1) doubled in every model, and
+# K_1 times v in the quantum ones.  Keyed by (change, n, d, mode, suite):
+# each report's name and its failing (id, detail) pairs.
+FAILURES_AT_OPERATOR_LEVEL = {
+    ("e1-doubled", 3, 2, "classical", "relations"): [
+        ("enveloping-relations", [
+            ("R2", "failed at (i,j)=(1,1)"),
+        ]),
+        ("schur-relations", []),
+    ],
+    ("e1-doubled", 3, 2, "classical", "idempotent"): [
+        ("idempotent-presentation", [
+            ("S3", "failed at (i,j)=(1,1)"),
+        ]),
+    ],
+    ("e1-doubled", 3, 2, "classical", "reduction"): [
+        ("reduction[classical-H]", [
+            ("fHe[1-2]", "failed at (a,b,c)=(1,0,2)"),
+            ("eHf[1-2]", "failed at (a,b,c)=(1,0,2)"),
+            ("fHe[1-3]", "failed at (a,b,c)=(1,0,2)"),
+            ("eHf[1-3]", "failed at (a,b,c)=(1,0,2)"),
+        ]),
+        ("reduction[classical-idempotent]", [
+            ("e1f[1-2]", "failed at (a,b1,c)=(1,0,2)"),
+            ("f1e[1-2]", "failed at (a,b2,c)=(1,1,1)"),
+            ("e1f[1-3]", "failed at (a,b1,c)=(1,0,2)"),
+            ("f1e[1-3]", "failed at (a,b2,c)=(1,1,1)"),
+        ]),
+    ],
+    ("e1-doubled", 3, 2, "classical", "structural"): [
+        ("structural-facts", []),
+    ],
+    ("e1-doubled", 3, 2, "quantum", "relations"): [
+        ("enveloping-relations", [
+            ("Q2", "failed at (i,j)=(1,1)"),
+        ]),
+        ("schur-relations", []),
+    ],
+    ("e1-doubled", 3, 2, "quantum", "idempotent"): [
+        ("idempotent-presentation", [
+            ("S3'", "failed at (i,j)=(1,1)"),
+        ]),
+    ],
+    ("e1-doubled", 3, 2, "quantum", "reduction"): [
+        ("reduction[quantum-idempotent]", [
+            ("E1F[1-2]", "failed at (a,b1,c)=(1,0,2)"),
+            ("F1E[1-2]", "failed at (a,b2,c)=(1,1,1)"),
+            ("E1F[1-3]", "failed at (a,b1,c)=(1,0,2)"),
+            ("F1E[1-3]", "failed at (a,b2,c)=(1,1,1)"),
+        ]),
+    ],
+    ("e1-doubled", 3, 2, "quantum", "structural"): [
+        ("structural-facts", []),
+    ],
+    ("e1-doubled", 2, 3, "classical", "relations"): [
+        ("enveloping-relations", [
+            ("R2", "failed at (i,j)=(1,1)"),
+        ]),
+        ("schur-relations", []),
+    ],
+    ("e1-doubled", 2, 3, "classical", "idempotent"): [
+        ("idempotent-presentation", [
+            ("S3", "failed at (i,j)=(1,1)"),
+        ]),
+    ],
+    ("e1-doubled", 2, 3, "classical", "reduction"): [
+        ("reduction[classical-H]", [
+            ("fHe[1-2]", "failed at (a,b,c)=(1,0,3)"),
+            ("eHf[1-2]", "failed at (a,b,c)=(1,0,3)"),
+        ]),
+        ("reduction[classical-idempotent]", [
+            ("e1f[1-2]", "failed at (a,b1,c)=(1,0,3)"),
+            ("f1e[1-2]", "failed at (a,b2,c)=(1,2,1)"),
+        ]),
+    ],
+    ("e1-doubled", 2, 3, "classical", "structural"): [
+        ("structural-facts", []),
+    ],
+    ("e1-doubled", 2, 3, "classical", "rank1"): [
+        ("rank-one-presentation", [
+            ("classical:ef-fe=h", ""),
+            ("quantum:EF-FE=(K-K^-1)/(v-v^-1)", ""),
+        ]),
+    ],
+    ("e1-doubled", 2, 3, "quantum", "relations"): [
+        ("enveloping-relations", [
+            ("Q2", "failed at (i,j)=(1,1)"),
+        ]),
+        ("schur-relations", []),
+    ],
+    ("e1-doubled", 2, 3, "quantum", "idempotent"): [
+        ("idempotent-presentation", [
+            ("S3'", "failed at (i,j)=(1,1)"),
+        ]),
+    ],
+    ("e1-doubled", 2, 3, "quantum", "reduction"): [
+        ("reduction[quantum-idempotent]", [
+            ("E1F[1-2]", "failed at (a,b1,c)=(1,0,3)"),
+            ("F1E[1-2]", "failed at (a,b2,c)=(1,2,1)"),
+        ]),
+    ],
+    ("e1-doubled", 2, 3, "quantum", "structural"): [
+        ("structural-facts", []),
+    ],
+    ("e1-doubled", 2, 3, "quantum", "rank1"): [
+        ("rank-one-presentation", [
+            ("classical:ef-fe=h", ""),
+            ("quantum:EF-FE=(K-K^-1)/(v-v^-1)", ""),
+        ]),
+    ],
+    ("K1-times-v", 3, 2, "quantum", "relations"): [
+        ("enveloping-relations", [
+            ("Q1", "failed at K1K1^-1"),
+            ("Q2", "failed at (i,j)=(1,1)"),
+        ]),
+        ("schur-relations", [
+            ("Q6", "product of K_k equals v^d"),
+            ("Q7", "failed at k=1"),
+        ]),
+    ],
+    ("K1-times-v", 3, 2, "quantum", "idempotent"): [
+        ("idempotent-presentation", []),
+    ],
+    ("K1-times-v", 3, 2, "quantum", "reduction"): [
+        ("reduction[quantum-idempotent]", []),
+    ],
+    ("K1-times-v", 3, 2, "quantum", "structural"): [
+        ("structural-facts", []),
+    ],
+    ("K1-times-v", 2, 3, "quantum", "relations"): [
+        ("enveloping-relations", [
+            ("Q1", "failed at K1K1^-1"),
+            ("Q2", "failed at (i,j)=(1,1)"),
+        ]),
+        ("schur-relations", [
+            ("Q6", "product of K_k equals v^d"),
+            ("Q7", "failed at k=1"),
+        ]),
+    ],
+    ("K1-times-v", 2, 3, "quantum", "idempotent"): [
+        ("idempotent-presentation", []),
+    ],
+    ("K1-times-v", 2, 3, "quantum", "reduction"): [
+        ("reduction[quantum-idempotent]", []),
+    ],
+    ("K1-times-v", 2, 3, "quantum", "structural"): [
+        ("structural-facts", []),
+    ],
+    ("K1-times-v", 2, 3, "quantum", "rank1"): [
+        ("rank-one-presentation", [
+            ("quantum:KK^-1=1", ""),
+            ("quantum:KEK^-1=v^2E", ""),
+            ("quantum:KFK^-1=v^-2F", ""),
+            ("quantum:EF-FE=(K-K^-1)/(v-v^-1)", ""),
+            ("quantum:minimal-polynomial", "degree 4"),
+        ]),
+    ],
+}
+
+
+def _change_generators(change, monkeypatch):
+    """Make ``verify.build_model`` return models with one generator
+    changed by ``change``, which keeps it commuting with every T_p."""
+    from schuralg import verify
+
+    real = verify.build_model
+
+    def build(*args, **kwargs):
+        model = real(*args, **kwargs)
+        if change == "e1-doubled":
+            key, factor = (model.names.plus, 1), 2
+        elif model.mode == "quantum":
+            key, factor = ("K", 1), LaurentPoly.v_power(1)
+        else:
+            return model
+        model._generators[key] = scale(model._generators[key], factor)
+        return model
+
+    monkeypatch.setattr(verify, "build_model", build)
+
+
+@pytest.mark.parametrize("change,n,d,mode,suite", list(FAILURES_AT_OPERATOR_LEVEL))
+def test_failures_on_images_are_those_on_operators(change, n, d, mode, suite,
+                                                  monkeypatch):
+    # A polynomial in the generators passes the certificate, so each
+    # identity fails on the images of the ordered words exactly where it
+    # failed between whole operators, at the same first instance.
+    _change_generators(change, monkeypatch)
+    reports = suite_reports(n, d, mode=mode, suite=suite)
+    got = [(r.name, [(item.id, item.detail) for item in r.failures()]) for r in reports]
+    assert got == FAILURES_AT_OPERATOR_LEVEL[change, n, d, mode, suite]
+
+
+@pytest.mark.parametrize("suite", [suite for suite in SUITES if suite != "rank1"])
+def test_a_broken_generator_gives_one_fail_item(suite, monkeypatch):
+    # f_2 at (3, 3) with one entry negated fails the certificate.  Every
+    # suite reports that as one FAIL item naming f_2 and runs no check,
+    # and the CLI exits with 1.
+    import io
+    from contextlib import redirect_stdout
+
+    from schuralg import verify
+    from schuralg.cli import main
+
+    real = verify.build_model
+
+    def build(*args, **kwargs):
+        model = real(*args, **kwargs)
+        if model.mode == "classical":
+            model._generators["f", 2] = with_one_entry(model._generators["f", 2], lambda s: -s)
+        return model
+
+    monkeypatch.setattr(verify, "build_model", build)
+    message = "f_2 does not commute with T_2 at (n, d) = (3, 3) in classical mode"
+    [report] = suite_reports(3, 3, suite=suite)
+    assert (report.name, report.mode, report.passed) == ("hecke-certificate", "classical", False)
+    assert [(item.id, item.ok, item.detail) for item in report.items] == [
+        ("hecke-commutation", False, message)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "3", "3", "--suite", suite])
+    assert code == 1
+    assert f"[FAIL] hecke-commutation ({message})" in out.getvalue()
+
+
+def _quantum_monomial_rows(quantum):
+    """Reference rows of F^a K^b E^c, a + b + c <= d, K = K_1 K_2^-1: the
+    ordered-word rows of whole operator products."""
+    gen = partial(generator_action, quantum)
+    E, F = gen("E", 1), gen("F", 1)
+    K = gen("K", 1) @ gen("K^-1", 2)
+    d = quantum.d
+    return [ordered_word_row(quantum, compose(quantum, [F] * a + [K] * b + [E] * c).cols)
+            for a in range(d + 1) for b in range(d + 1) for c in range(d + 1)
+            if a + b + c <= d]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_rank_one_ranks_the_quantum_truncated_monomials(d):
+    classical, quantum = _pair(2, d)
+    rep = check_rank_one_presentation(classical, quantum)
+    count = comb(d + 3, 3)
+    item = {item.id: item for item in rep.items}["quantum:truncated-monomials"]
+    assert item.ok and item.detail == f"count {count}, rank {count}, expected {count}"
+    assert _ids(rep)[-1] == "quantum:truncated-monomials"
+    assert rep.notes == []
+    if d <= 3:
+        assert field_rank(_quantum_monomial_rows(quantum)) == count
+
+
+def test_short_quantum_truncated_monomials_fail_with_their_rank():
+    # With K_2 in place of K_1, K = K_2 K_2^-1 = 1 and the monomials
+    # F^a K^b E^c repeat over b: the item fails with their exact rank.
+    classical, quantum = _pair(2, 3)
+    quantum._generators["K", 1] = quantum._generators["K", 2]
+    rank = field_rank(_quantum_monomial_rows(quantum))
+    assert rank < 20
+    item = {item.id: item
+            for item in check_rank_one_presentation(classical, quantum).items}[
+        "quantum:truncated-monomials"]
+    assert not item.ok and item.detail == f"count 20, rank {rank}, expected 20"
+
+
+def test_laurent_coefficients_add_up_where_keys_meet():
+    # (v + v^-1) times (v + v^-1) u at one word: v v^-1 and v^-1 v meet
+    # at v^0, where their terms add up to 2.
+    q = build_model(2, 2, mode="quantum")
+    size = q.num_words
+    vec = {1 + size: 1, 1 - size: 1}
+    assert _apply_sum(q, [(quantum_integer(2),)], vec) == {1 + 2 * size: 1, 1: 2,
+                                                           1 - 2 * size: 1}
