@@ -14,11 +14,12 @@ act by the Leibniz rule of the matrix units.  The recursion forms no
 operator product: it runs on flat columns (see ``ring``), column by
 column, each product one application of a factor's flat columns to
 one flat column, and v^-1 a shift of the keys (:func:`root_vector`).
-A root vector's LaurentPoly entries are read back from its flat
-columns only when a reader of the operator asks for them.  A divided
-power is the m-th operator power divided by m! (classical) or [m]!
-(quantum); a root vector's cached divided powers step
-x^(m) = x^(m-1) x / [m] instead.  Every division must be exact
+A column is built when it is first read, from the factors' columns it
+needs, and kept; a root vector's LaurentPoly entries are read back
+from all its flat columns only when a reader of the operator asks for
+them.  A divided power is the m-th operator power divided by m!
+(classical) or [m]! (quantum); a root vector's cached divided powers
+step x^(m) = x^(m-1) x / [m] instead.  Every division must be exact
 entrywise and raises NotDivisible otherwise, which is how a missing
 twist in the recursion surfaces.  The mirrored twist, v for v^-1,
 gives the other integral root vector E_{i,j-1} E_{j-1,j} - v
@@ -93,7 +94,7 @@ from .tensormodel import (
     _apply_flat,
     _check_weight,
     _flat_columns,
-    _flat_operator,
+    _FlatOperator,
     certify_hecke_commutation,
     compose,
     generator_action,
@@ -169,10 +170,12 @@ def root_vector(model, root, sign):
     "plus" or "minus", cached on the model.
 
     A simple root vector is its generator.  Any other is built on flat
-    columns (:func:`_commutator_columns`) from those of its two factors
-    in the recursion of the module docstring, and its operator keeps
-    them: the image path reads them as they are, and the LaurentPoly
-    columns are read back from them only for a reader of the operator.
+    columns from those of its two factors in the recursion of the module
+    docstring, one column at a time when it is first read
+    (:func:`_commutator_column`, kept on the operator's
+    :class:`~schuralg.tensormodel._FlatOperator`): the image path reads
+    few of them.  A reader of the operator's ``cols`` gets all of them,
+    built once, and LaurentPoly quantumly.
     """
     i, j = root
     if not (1 <= i < j <= model.n):
@@ -191,44 +194,38 @@ def root_vector(model, root, sign):
         # v^e is a shift of the flat keys by N * e; classically v = 1.
         size = model.num_words
         shift = size if model.mode == "quantum" else 0
-        if sign == "plus":
-            cols = _commutator_columns(upper, step, -shift, size)
-        else:
-            cols = _commutator_columns(step, upper, shift, size)
-        out = _flat_operator(model, cols)
+        a, b, shift = (upper, step, -shift) if sign == "plus" else (step, upper, shift)
+        out = _FlatOperator(model, lambda c: _commutator_column(a, b, shift, size, c))
     model._op_cache[key] = out
     return out
 
 
-def _commutator_columns(a, b, shift, size):
-    """The flat columns of a b - v^e b a, from the flat columns of a and
-    b, with N = ``size`` and shift = N * e: a (b c) for each column c of
-    b, and b (a c) subtracted for each column c of a, its keys moved by
-    ``shift``, each accumulated as :func:`_apply_flat` applies.  E_ij is
+def _commutator_column(a, b, shift, size, c):
+    """Column c of a b - v^e b a, from the flat columns of a and b, with
+    N = ``size`` and shift = N * e: a applied to b's column c, less b
+    applied to a's column c with its keys moved by ``shift``, each
+    accumulated as :func:`_apply_flat` applies; it reads a's columns at
+    the words of b's column c and b's at those of a's.  E_ij is
     (E_(i,j-1), E_(j-1,j), -N), F_ij is (F_(j-1,j), F_(i,j-1), N), and
     classically the shift is 0."""
-    out = {}
-    for c, vec in b.items():
-        col = out[c] = {}
-        for key, x in vec.items():
-            mid = key % size
-            acol = a.get(mid)
-            if acol:
-                moved = key - mid
-                for k, y in acol.items():
-                    k += moved
-                    col[k] = col.get(k, 0) + y * x
-    for c, vec in a.items():
-        col = out.setdefault(c, {})
-        for key, x in vec.items():
-            mid = key % size
-            bcol = b.get(mid)
-            if bcol:
-                moved = key - mid + shift
-                for k, y in bcol.items():
-                    k += moved
-                    col[k] = col.get(k, 0) - y * x
-    return {c: kept for c, col in out.items() if (kept := {k: x for k, x in col.items() if x})}
+    col = {}
+    for key, x in (b.get(c) or {}).items():
+        mid = key % size
+        acol = a.get(mid)
+        if acol:
+            moved = key - mid
+            for k, y in acol.items():
+                k += moved
+                col[k] = col.get(k, 0) + y * x
+    for key, x in (a.get(c) or {}).items():
+        mid = key % size
+        bcol = b.get(mid)
+        if bcol:
+            moved = key - mid + shift
+            for k, y in bcol.items():
+                k += moved
+                col[k] = col.get(k, 0) - y * x
+    return {k: x for k, x in col.items() if x}
 
 
 def divided_power(model, op, m):

@@ -22,8 +22,9 @@ image vector as a mapping from word index to scalar.  Everything is
 exact; no floats appear anywhere.  Vectors on the label-image path are
 flat integer dicts {row + n^d * e: c} instead (see ``ring``), to which
 :func:`_apply_flat` applies an operator's :func:`_flat_columns`; an
-operator built on flat columns keeps them and reads its ``cols`` back
-from them only when they are first read (:class:`_FlatOperator`).
+operator built on flat columns builds each one when it is first
+applied, and all of them, read back as its ``cols``, only when those
+are first read (:class:`_FlatOperator`).
 
 The Hecke algebra H_d acts on the words by place permutations: with
 a, b the letters at positions p and p + 1 of w, and s_p w the word
@@ -34,15 +35,29 @@ with those two letters swapped,
     T_p w = s_p w + (v - v^-1) w   if a > b.
 
 Classically v - v^-1 = 0 and T_p is the swap of the symmetric group.
+T_p is defined once, as a table over the words (:func:`hecke_table`):
+each word's partner s_p w and its coefficient, 0 when a < b,
+v - v^-1 when a > b and v when a = b (a fixed word, its own partner).
+On each pair {w, s_p w} with a < b, T_p has the matrix
+[[0, 1], [1, v - v^-1]], so T_p^2 = (v - v^-1) T_p + 1, which holds on
+the fixed words too.
+
 The generators commute with every T_p (quantum Schur-Weyl duality,
 Jimbo, Lett. Math. Phys. 11, 1986); :func:`certify_hecke_commutation`
-checks this exactly on the model's own operators.  Each weight space
-M^lam is then generated by the ordered word u_lam = 1^lam_1 ... n^lam_n
-(T_p u = s_p u whenever a < b), so an operator built from generators
-is fixed by its images of the ordered words.  Its ordered-word row
-(:func:`ordered_word_row`) lists those columns, one row per element of
-S(n, d): a family's rows have the rank of its operators, and an
-expansion of the rows is the expansion of the operators.
+checks this exactly on the model's own operators.  By the quadratic
+relation it compares each generator g at the coefficient-0 member w of
+each pair and at the fixed words only: if g T_p w = T_p g w, that is
+g s_p w = T_p g w, then at s_p w as well
+
+    g T_p s_p w = g w + (v - v^-1) g s_p w = T_p^2 g w = T_p g s_p w.
+
+Each weight space M^lam is then generated by the ordered word
+u_lam = 1^lam_1 ... n^lam_n (T_p u = s_p u whenever a < b), so an
+operator built from generators is fixed by its images of the ordered
+words.  Its ordered-word row (:func:`ordered_word_row`) lists those
+columns, one row per element of S(n, d): a family's rows have the rank
+of its operators, and an expansion of the rows is the expansion of the
+operators.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +68,7 @@ from math import prod
 from operator import le, matmul
 
 from .errors import BadWeight, CertificateError, SizeLimit
-from .ring import QUANTUM_SCALARS, scalar_ring
+from .ring import scalar_ring
 
 __all__ = [
     "DEFAULT_WORD_CAP",
@@ -71,6 +86,7 @@ __all__ = [
     "word_weight",
     "ordered_word",
     "ordered_word_row",
+    "hecke_table",
     "hecke_generator",
     "certify_hecke_commutation",
     "compose",
@@ -163,7 +179,7 @@ class SparseOperator:
 
     def __init__(self, cols=None):
         self.cols = cols or {}
-        self.flat = None  # quantum flat columns, see _flat_columns
+        self.flat = None  # see _flat_columns
 
     def is_zero(self):
         return not self.cols
@@ -449,20 +465,31 @@ def ordered_word_row(model, columns):
             for i, s in col.items()}
 
 
-def hecke_generator(model, p):
-    """T_p (1 <= p < d) on the word basis, as in the module docstring."""
+def hecke_table(model, p):
+    """T_p (1 <= p < d) as a table over the words, as in the module
+    docstring: (partner, coeff), two lists over the word indices, with
+    T_p w = s_p w + coeff[w] w where partner[w] = s_p w is another word,
+    and T_p w = coeff[w] w on a fixed word, its own partner."""
     scalars, index = model.scalars, model.word_index
     v = scalars.v_power(1)
     gap = v - scalars.v_power(-1)
-    cols = {}
-    for j, word in enumerate(model.words):
+    partner, coeff = [], []
+    for word in model.words:
         a, b = word[p - 1], word[p]
-        if a == b:
-            cols[j] = {j: v}
-            continue
-        col = cols[j] = {index[word[:p - 1] + (b, a) + word[p + 1:]]: scalars.one}
-        if a > b and gap:
-            col[j] = gap
+        partner.append(index[word[:p - 1] + (b, a) + word[p + 1:]])
+        coeff.append(v if a == b else gap if a > b else scalars.zero)
+    return partner, coeff
+
+
+def hecke_generator(model, p):
+    """T_p (1 <= p < d) on the word basis: the operator of its
+    :func:`hecke_table`."""
+    one, (partner, coeff) = model.scalars.one, hecke_table(model, p)
+    cols = {}
+    for j, (s, c) in enumerate(zip(partner, coeff)):
+        col = cols[j] = {} if s == j else {s: one}
+        if c:
+            col[j] = c
     return SparseOperator(cols)
 
 
@@ -477,77 +504,56 @@ def _constant_by_weight(model, gen):
     return True
 
 
-def _keeps_weight(model, t):
-    """Whether every entry of ``t`` maps a word to one of its weight."""
-    weights = model.weights
-    return all(weights[i] == weights[j] for j, col in t.cols.items() for i in col)
-
-
 def _flat_columns(model, op):
     """``op``'s columns as flat vectors (see ``ring``), {column: {row +
-    N * e: c}}, kept on the operator; classically ``op.cols`` itself."""
-    if model.mode == "classical":
-        return op.cols
+    N * e: c}}, kept on the operator; classically ``op.cols`` itself.
+    Readers call only ``get``, so that a :class:`_FlatOperator` builds
+    just the columns they read."""
     if op.flat is None:
-        op.flat = {j: model.scalars.to_flat(col, model.num_words) for j, col in op.cols.items()}
+        to_flat, size = model.scalars.to_flat, model.num_words
+        op.flat = (op.cols if model.mode == "classical"
+                   else {j: to_flat(col, size) for j, col in op.cols.items()})
     return op.flat
 
 
+class _LazyColumns:
+    """Flat columns made on first read: ``get(j)`` is column j, built by
+    ``build(j)`` the first time and kept, empty for a zero column;
+    ``items()`` builds all N = ``size`` columns and lists the nonzero."""
+
+    __slots__ = ("build", "size", "built")
+
+    def __init__(self, build, size):
+        self.build, self.size, self.built = build, size, {}
+
+    def get(self, j):
+        col = self.built.get(j)
+        if col is None:
+            col = self.built[j] = self.build(j)
+        return col
+
+    def items(self):
+        return [(j, col) for j in range(self.size) if (col := self.get(j))]
+
+
 class _FlatOperator(SparseOperator):
-    """A quantum operator given by its flat columns, which it keeps as
-    ``flat``: its LaurentPoly ``cols`` are read back from them the first
-    time they are read, and never if only :func:`_flat_columns` is."""
+    """An operator given by a builder of its flat columns, ``build(j)``
+    for column j: its :func:`_flat_columns` are :class:`_LazyColumns`,
+    each built when first read.  Its ``cols`` are all of them, built and
+    read back (LaurentPoly quantumly) the first time they are read."""
 
-    __slots__ = ("_cols", "_size")
+    __slots__ = ("_cols", "_read")
 
-    def __init__(self, flat, size):
-        self.flat, self._size, self._cols = flat, size, None
+    def __init__(self, model, build):
+        self.flat = _LazyColumns(build, model.num_words)
+        self._read, self._cols = model.scalars.from_flat, None
 
     @property
     def cols(self):
         if self._cols is None:
-            from_flat, size = QUANTUM_SCALARS.from_flat, self._size
-            self._cols = {j: from_flat(col, size) for j, col in self.flat.items()}
+            read, size = self._read, self.flat.size
+            self._cols = {j: read(col, size) for j, col in self.flat.items()}
         return self._cols
-
-
-def _flat_operator(model, flat):
-    """The operator whose :func:`_flat_columns` are ``flat``: classically
-    the operator on them, quantumly a :class:`_FlatOperator`."""
-    if model.mode == "classical":
-        return SparseOperator(flat)
-    return _FlatOperator(flat, model.num_words)
-
-
-def _term_columns(model, op):
-    """``op`` as {column: [(row, N * e, c), ...]}, one triple per term
-    c v^e of an entry, with N = n^d; classically e = 0.  A sum of
-    row + N * e keys (row, e) injectively, since 0 <= row < N."""
-    size = model.num_words
-    if model.mode == "classical":
-        return {j: [(i, 0, s) for i, s in col.items()] for j, col in op.cols.items()}
-    return {j: [(i, size * e, c) for i, s in col.items() for e, c in s.coeffs.items()]
-            for j, col in op.cols.items()}
-
-
-def _commutes(model, g, t):
-    """Whether g t = t g for operators in :func:`_term_columns` form,
-    column by column: each column of the difference is accumulated over
-    (row, exponent of v) keys, so no operator product is formed and,
-    quantumly, no LaurentPoly."""
-    for j in range(model.num_words):
-        acc = {}
-        for mid, x, b in t.get(j, ()):
-            for i, y, c in g.get(mid, ()):
-                key = i + x + y
-                acc[key] = acc.get(key, 0) + c * b
-        for mid, x, b in g.get(j, ()):
-            for i, y, c in t.get(mid, ()):
-                key = i + x + y
-                acc[key] = acc.get(key, 0) - c * b
-        if any(acc.values()):
-            return False
-    return True
 
 
 def _apply_flat(cols, vec, size):
@@ -567,35 +573,99 @@ def _apply_flat(cols, vec, size):
     return {k: c for k, c in out.items() if c}
 
 
+def _compared_words(model, p, partner, coeff):
+    """The words at which :func:`certify_hecke_commutation` compares a
+    generator with T_p, given by its :func:`hecke_table`: each fixed
+    word and the coefficient-0 member of each pair.  Raises
+    CertificateError, naming T_p, unless the table has the form of the
+    module docstring (a partner map that is an involution, coefficient v
+    on the fixed words and the coefficients {0, v - v^-1} on each pair),
+    on which the comparison at these words alone is a proof."""
+    scalars = model.scalars
+    v = scalars.v_power(1)
+    gap = v - scalars.v_power(-1)
+    words = []
+    for j, (s, c) in enumerate(zip(partner, coeff)):
+        if partner[s] != j:
+            problem = "its partner map is not an involution"
+        elif s == j:
+            words.append(j)
+            if c == v:
+                continue
+            problem = "a fixed word's coefficient is not v"
+        elif s < j:
+            continue
+        else:
+            w, x = (j, s) if not c else (s, j)
+            words.append(w)
+            if not coeff[w] and coeff[x] == gap:
+                continue
+            problem = "a pair's coefficients are not 0 and v - v^-1"
+        raise CertificateError(
+            f"T_{p} is not a Hecke generator at (n, d) = ({model.n}, {model.d}) in "
+            f"{model.mode} mode: {problem} (word {model.words[j]})"
+        )
+    return words
+
+
+def _apply_table(vec, move, gap_rows, size):
+    """T_p applied to a flat vector, N = ``size``: the key k of row
+    r = k % N moves to k + move[r], at r's partner, or to k + N (v
+    times it; k itself classically) for a fixed row r; a row in
+    ``gap_rows`` also gets its term times v - v^-1, and classically
+    there is no such row."""
+    out = {k + move[k % size]: c for k, c in vec.items()}
+    if not gap_rows:
+        return out
+    for k, c in vec.items():
+        if k % size in gap_rows:
+            out[k + size] = out.get(k + size, 0) + c
+            out[k - size] = out.get(k - size, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
 def certify_hecke_commutation(model):
     """Check exactly that every generator of the model commutes with
     T_1, ..., T_{d-1}; raise CertificateError otherwise.
 
-    A generator that is diagonal with one value on each weight space
-    commutes with every T_p that keeps weight: the first fact is checked
-    once per generator, the second once per T_p.  Every other pair is
-    compared column by column (:func:`_commutes`).  The check runs once per model and its success
-    is kept on the model.  Every operator the package builds is a
-    polynomial in the generators, so it commutes with H_d too, and is
-    fixed by its images of the ordered words (see the module docstring).
+    Each T_p is read from its :func:`hecke_table`, whose form is checked
+    first (:func:`_compared_words`).  A generator that is diagonal with
+    one value on each weight space commutes with every T_p that keeps
+    weight: the first fact is checked once per generator, the second
+    once per T_p.  Every other generator g is compared on flat columns
+    at the coefficient-0 member w of each pair, g s_p w = T_p g w, and
+    at each fixed word w, T_p g w = v g w, which by the quadratic
+    relation of the module docstring proves g T_p = T_p g.  The check
+    runs once per model and its success is kept on the model.  Every
+    operator the package builds is a polynomial in the generators, so
+    it commutes with H_d too, and is fixed by its images of the ordered
+    words (see the module docstring).
     """
     if model._hecke_certified:
         return
-    gens = model._generators
+    gens, weights, size = model._generators, model.weights, model.num_words
     by_weight = {key for key, gen in gens.items() if _constant_by_weight(model, gen)}
-    terms = {}
+    v_shift = size if model.mode == "quantum" else 0  # v on flat keys
     for p in range(1, model.d):
-        t = hecke_generator(model, p)
-        skip = by_weight if _keeps_weight(model, t) else ()
-        t = _term_columns(model, t)
+        partner, coeff = hecke_table(model, p)
+        words = _compared_words(model, p, partner, coeff)
+        keeps_weight = all(weights[s] == weights[j] for j, s in enumerate(partner))
+        move = [s - j if s != j else v_shift for j, s in enumerate(partner)]
+        gap_rows = {j for j, (s, c) in enumerate(zip(partner, coeff)) if s != j and c}
         for (sym, i), gen in gens.items():
-            if (sym, i) in skip:
+            if keeps_weight and (sym, i) in by_weight:
                 continue
-            if (sym, i) not in terms:
-                terms[sym, i] = _term_columns(model, gen)
-            if not _commutes(model, terms[sym, i], t):
-                raise CertificateError(
-                    f"{sym}_{i} does not commute with T_{p} at (n, d) = "
-                    f"({model.n}, {model.d}) in {model.mode} mode"
-                )
+            cols = _flat_columns(model, gen)
+            for j in words:
+                col, s = cols.get(j), partner[j]
+                if col:
+                    want = cols.get(s) if s != j else {k + v_shift: c for k, c in col.items()}
+                    commutes = _apply_table(col, move, gap_rows, size) == want
+                else:  # g w = 0, so T_p g w = 0
+                    commutes = s == j or not cols.get(s)
+                if not commutes:
+                    raise CertificateError(
+                        f"{sym}_{i} does not commute with T_{p} at (n, d) = "
+                        f"({model.n}, {model.d}) in {model.mode} mode"
+                    )
     model._hecke_certified = True

@@ -7,11 +7,11 @@ hecke, structconst and basis in both modes at (2, 3), (3, 3) and
 (4, 2), the structural, specialization, reduction, idempotent and
 relations suites at (3, 4) and (4, 3), the structural suite at (4, 4)
 (the bench's structural-c command), the quantum specialization suite at
-(4, 4), the corner at (4, 4) in both modes, (5, 4) and (5, 5), the
-quantum corner at (5, 4) and quantum dim at (4, 4), which build the
-quantum root vectors of n = 5 and n = 4 by their recursion, three
-structure-constant pairs of B1 at (3, 5) in both modes (blocks of four
-and five labels, as the bench's structconst-q command multiplies),
+(4, 4), the corner at (4, 4), (5, 4) and (5, 5) in both modes and
+quantum dim at (4, 4), which build the quantum root vectors of n = 5
+and n = 4 by their recursion, three structure-constant pairs of B1 at
+(3, 5) in both modes (blocks of four and five labels, as the bench's
+structconst-q command multiplies),
 basis JSON for every kind at (3, 3), and the enumeration order of
 larger bases: B1 at (5, 4), B2 and PLUS at (4, 4), PBW at (4, 3) and
 BOREL_DOWN at (3, 5).  ``label_key`` shows only in text and CSV output,
@@ -20,8 +20,9 @@ every kind at (3, 2), the CSV output of B1 at (5, 4), and the CSV
 output of structconst in both modes.  A changed digest is an output change and has to be
 declared as one, never silently re-recorded.  ``dim`` and the structural
 suite are also checked to read their bases grouped as they are
-enumerated, with their digests unchanged, and ``dim``, ``hecke``,
-``structconst`` and ``verify`` to form no operator product.
+enumerated, with their digests unchanged, ``dim``, ``hecke``,
+``structconst`` and ``verify`` to form no operator product, and
+``hecke 5 4`` to build only the root-vector columns it reads.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ import sys
 from contextlib import redirect_stdout
 
 import pytest
+from oracle import root_vector_by_products
 
 import schuralg
 from schuralg import bases, cli, hecke, rootvectors, tensormodel, verify
@@ -87,6 +89,8 @@ GOLDEN = [
      "cb18e8d5c6c4fd5e23cdd9fcd962ab2f0da9f3856db5666c5104243886bc21b9"),
     ("hecke 5 4 --quantum",
      "366f9214f8da04f3281c8ff7049c6f7d973aab84dbc8e31ff3aec0cdfc582406"),
+    ("hecke 5 5 --quantum",
+     "fc99a315f7f584f8b9a3e2c1673c5666453085737a5ef3d6ed613ee416104edc"),
     ("structconst 2 3 --left 1 --right 8",
      "8f2194774419b1ff7fd41adb42e3eec8387326a10d38849616238fa7e73e1713"),
     ("structconst 3 3 --left 5 --right 79",
@@ -252,8 +256,8 @@ def test_dim_hecke_and_structconst_form_no_operator_product(command, digest, mon
                                                             built_models):
     # The root vectors are built on flat columns and every image is
     # applied flat, so these commands, every verify suite included, make
-    # no operator product, and no quantum root vector's LaurentPoly
-    # columns are read back.  The output is unchanged.
+    # no operator product, and no non-simple root vector's columns are
+    # all built and read back as its operator.  The output is unchanged.
     calls = []
     matmul = tensormodel.SparseOperator.__matmul__
 
@@ -265,10 +269,61 @@ def test_dim_hecke_and_structconst_form_no_operator_product(command, digest, mon
     assert _digest(command.split() + ["--format", "json"]) == digest
     assert not calls
     assert built_models
-    built = [op for model in built_models if model.mode == "quantum"
-             for key, op in model._op_cache.items()
+    built = [op for model in built_models for key, op in model._op_cache.items()
              if key[0] == "root_vector" and key[1][1] > key[1][0] + 1]
     assert all(op._cols is None for op in built)
+
+
+def _needed_columns(model, reads):
+    """The non-simple root-vector columns, as (root, sign, column), that
+    building those in ``reads`` needs, ``reads`` included: column c of
+    x = a b - v^e b a needs column c of a and of b, a's columns at the
+    words of b's column c and b's at those of a's.  Their words are read
+    from the whole-product reference; simple factors are left out."""
+    factors, reference = {}, {}
+    for i, j in model.root_data.positive_roots:
+        if j > i + 1:
+            upper, step = (i, j - 1), (j - 1, j)
+            factors[(i, j), "plus"] = (upper, step)
+            factors[(i, j), "minus"] = (step, upper)
+    needed, todo = set(), list(reads)
+    while todo:
+        root, sign, c = item = todo.pop()
+        if item in needed or (root, sign) not in factors:
+            continue
+        needed.add(item)
+        a, b = factors[root, sign]
+        for x, y in ((a, b), (b, a)):
+            if (y, sign) not in reference:
+                reference[y, sign] = root_vector_by_products(model, y, sign).cols
+            todo += [(x, sign, w) for w in reference[y, sign].get(c, ())]
+            todo.append((y, sign, c))
+    return needed
+
+
+def test_hecke_builds_only_the_root_vector_columns_it_reads(monkeypatch, built_models):
+    # hecke 5 4 applies 24 columns of its six non-simple root vectors,
+    # which have 2214 nonzero columns: it builds just those 24, and the
+    # 13 columns of their factors that building them reads.
+    reads, apply_flat = [], tensormodel._apply_flat
+
+    def recording(cols, vec, size):
+        reads.extend((id(cols), key % size) for key in vec)
+        return apply_flat(cols, vec, size)
+
+    for module in (tensormodel, rootvectors, hecke, verify):
+        monkeypatch.setattr(module, "_apply_flat", recording)
+    command, digest = next((c, d) for c, d in GOLDEN if c == "hecke 5 4")
+    assert _digest(command.split() + ["--format", "json"]) == digest
+    [model] = built_models
+    roots = {id(op.flat): key[1:] for key, op in model._op_cache.items()
+             if key[0] == "root_vector" and key[1][1] > key[1][0] + 1}
+    read = {(*roots[i], c) for i, c in reads if i in roots}
+    built = {(*roots[id(op.flat)], c) for op in model._op_cache.values()
+             if id(op.flat) in roots for c in op.flat.built}
+    assert len(roots) == 6 and len(read) == 24
+    assert built == _needed_columns(model, read)
+    assert len(built) == 37
 
 
 REGROUP = ("_label_block", "block_index", "enumerate_basis")

@@ -116,13 +116,14 @@ def test_quantum_long_root_recursion():
 @pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 2)])
 def test_root_vectors_match_the_operator_recursion(n, d, mode):
     # The flat recursion gives every root vector's flat columns, and the
-    # operator read back from them, as the whole operator products do.
+    # operator read back from them, as the whole operator products do:
+    # every column is built and compared.
     m = build_model(n, d, mode=mode)
     for root in m.root_data.positive_roots:
         for sign in ("plus", "minus"):
             expected = root_vector_by_products(m, root, sign)
             x = root_vector(m, root, sign)
-            assert _flat_columns(m, x) == _flat_columns(m, expected), (root, sign)
+            assert dict(_flat_columns(m, x).items()) == _flat_columns(m, expected), (root, sign)
             assert x == expected, (root, sign)
 
 
@@ -208,13 +209,13 @@ def test_wrong_twist_in_the_recursion(monkeypatch):
     # and the comparison with the operator recursion does.
     label = BasisLabel(flavor="BOREL_UP", A=(0, 2, 0), lam=(0, 1, 2))
     assert label_image(build_model(3, 3, mode="quantum"), label)
-    real = rootvectors._commutator_columns
-    monkeypatch.setattr(rootvectors, "_commutator_columns",
-                        lambda a, b, shift, size: real(a, b, 0, size))
+    real = rootvectors._commutator_column
+    monkeypatch.setattr(rootvectors, "_commutator_column",
+                        lambda a, b, shift, size, c: real(a, b, 0, size, c))
     with pytest.raises(NotDivisible, match=r"\[2\]"):
         label_image(build_model(3, 3, mode="quantum"), label)
-    monkeypatch.setattr(rootvectors, "_commutator_columns",
-                        lambda a, b, shift, size: real(a, b, -shift, size))
+    monkeypatch.setattr(rootvectors, "_commutator_column",
+                        lambda a, b, shift, size, c: real(a, b, -shift, size, c))
     m = build_model(3, 3, mode="quantum")
     assert label_image(m, label)
     assert root_vector(m, (1, 3), "plus") != root_vector_by_products(m, (1, 3), "plus")
@@ -532,11 +533,10 @@ def test_block_ranks_keep_no_image_on_the_model(mode):
     added = {key: m._op_cache[key] for key in set(m._op_cache) - before}
     assert added and all(key[0] == "root_vector" for key in added)
     assert not any(isinstance(value, dict) for value in m._op_cache.values())
-    # Quantumly a non-simple root vector keeps its flat columns, and its
-    # LaurentPoly columns have not been read back from them.
-    if mode == "quantum":
-        assert all(x.flat and x._cols is None
-                   for (_, (i, j), _), x in added.items() if j > i + 1)
+    # A non-simple root vector keeps the flat columns it has built, and
+    # its columns have not all been built and read back as an operator.
+    assert all(x.flat.built and x._cols is None
+               for (_, (i, j), _), x in added.items() if j > i + 1)
     labels = enumerate_basis(3, 3, "B1")
     right = BasisLabel(flavor="B1", A=(1, 0, 0), lam=(1, 1, 1), C=(0, 1, 0))
     dst = _label_block(right, m.root_data)[1][1]

@@ -32,6 +32,7 @@ from schuralg.tensormodel import (
     compositions,
     generator_action,
     hecke_generator,
+    hecke_table,
     weight_idempotent,
     word_weight,
 )
@@ -432,6 +433,23 @@ def test_apply_is_one_column_of_a_product():
         assert _apply_flat(flat_e, {}, size) == {}
 
 
+def _hecke_by_formula(model, p):
+    """T_p by the module docstring's formula, word by word."""
+    scalars, index = model.scalars, model.word_index
+    v = scalars.v_power(1)
+    gap = v - scalars.v_power(-1)
+    cols = {}
+    for j, word in enumerate(model.words):
+        a, b = word[p - 1], word[p]
+        if a == b:
+            cols[j] = {j: v}
+            continue
+        cols[j] = {index[word[:p - 1] + (b, a) + word[p + 1:]]: scalars.one}
+        if a > b and gap:
+            cols[j][j] = gap
+    return SparseOperator(cols)
+
+
 def test_hecke_generator_on_words():
     q = build_model(2, 2, mode="quantum")
     v = LaurentPoly.v_power(1)
@@ -444,6 +462,50 @@ def test_hecke_generator_on_words():
     swap = {(w, w[:1] + (w[2], w[1])) for w in c.words}
     assert {(w, r) for w, col in op_as_dict(c, hecke_generator(c, 2)).items()
             for r in col} == swap
+    # The operator of the table is the formula, at every p.
+    for m in (q, c, build_model(3, 4, mode="quantum"), build_model(2, 4)):
+        for p in range(1, m.d):
+            assert hecke_generator(m, p) == _hecke_by_formula(m, p)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3)])
+def test_hecke_generators_satisfy_the_quadratic_relation(n, d, mode):
+    # (T_p - v)(T_p + v^-1) = 0, by operator products: the relation on
+    # which the certificate's comparison at half the columns rests.
+    m = build_model(n, d, mode=mode)
+    v, ident = m.scalars.v_power, m.identity()
+    for p in range(1, d):
+        t = hecke_generator(m, p)
+        assert (sub(t, scale(ident, v(1))) @ add(t, scale(ident, v(-1)))).is_zero()
+
+
+def _malformed_tables(model, p):
+    """Tables of T_p refused by the certificate's form check: a partner
+    map that is no involution, a pair with coefficients (0, 0), and a
+    fixed word whose coefficient is not v."""
+    partner, coeff = hecke_table(model, p)
+    pair = next(j for j, s in enumerate(partner) if s > j and not coeff[j])
+    fixed = next(j for j, s in enumerate(partner) if s == j)
+    yield [fixed if j == pair else s for j, s in enumerate(partner)], coeff
+    zero = model.scalars.zero
+    yield partner, [zero if j == partner[pair] else c for j, c in enumerate(coeff)]
+    yield partner, [model.scalars.one if j == fixed else c for j, c in enumerate(coeff)]
+
+
+@pytest.mark.parametrize("which,problem", [(0, "partner map is not an involution"),
+                                           (1, "pair's coefficients"),
+                                           (2, "fixed word's coefficient")])
+def test_certificate_refuses_a_malformed_hecke_table(which, problem, monkeypatch):
+    m = build_model(3, 3, mode="quantum")
+
+    def malformed(model, p):
+        return list(_malformed_tables(model, p))[which] if p == 2 else hecke_table(model, p)
+
+    monkeypatch.setattr(tensormodel, "hecke_table", malformed)
+    with pytest.raises(CertificateError, match=f"^T_2 is not a Hecke generator .*{problem}"):
+        certify_hecke_commutation(m)
+    assert not m._hecke_certified
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -457,22 +519,13 @@ def test_generators_commute_with_the_hecke_action(n, d, mode):
 
 
 def _hecke_branches_swapped(model, p):
-    """T_p with its a < b and a > b branches exchanged."""
-    one, v = model.scalars.one, model.scalars.v_power
-    cols = {}
-    for j, word in enumerate(model.words):
-        a, b = word[p - 1], word[p]
-        if a == b:
-            cols[j] = {j: v(1)}
-            continue
-        cols[j] = {model.word_index[word[:p - 1] + (b, a) + word[p + 1:]]: one}
-        if a < b:
-            cols[j][j] = v(1) - v(-1)
-    return SparseOperator(cols)
+    """The table of T_p with its a < b and a > b coefficients exchanged."""
+    partner, coeff = hecke_table(model, p)
+    return partner, [c if s == j else coeff[s] for j, (s, c) in enumerate(zip(partner, coeff))]
 
 
 def test_certificate_rejects_swapped_hecke_branches(monkeypatch):
-    monkeypatch.setattr(tensormodel, "hecke_generator", _hecke_branches_swapped)
+    monkeypatch.setattr(tensormodel, "hecke_table", _hecke_branches_swapped)
     m = build_model(3, 3, mode="quantum")
     with pytest.raises(CertificateError, match="does not commute with T_"):
         certify_hecke_commutation(m)
@@ -505,6 +558,12 @@ def _single_entry_changes(model, key, gen):
         changes.append(LaurentPoly.bar)
     entries = [(j, i) for j, col in sorted(gen.cols.items()) for i in sorted(col)]
     picks = entries[::max(1, len(entries) // 3)]
+    # The certificate compares no column whose word has a > b at p, so
+    # take the first and last entry of such columns for each p too.
+    for p in range(1, model.d):
+        later = [(j, i) for j, i in entries if model.words[j][p - 1] > model.words[j][p]]
+        picks += later[:1] + later[-1:]
+    picks = list(dict.fromkeys(picks))
 
     def changed(j, i, value):
         cols = {c: dict(col) for c, col in gen.cols.items()}
@@ -580,10 +639,14 @@ def test_certificate_checks_cartan_generators_against_a_weight_moving_t(
     j, i = m.word_index[(1, 1, 1)], m.word_index[(1, 1, 2)]
 
     def weight_moving(model, p):
-        t = hecke_generator(model, p)
-        return add(t, SparseOperator({j: {i: model.scalars.one}}))
+        # The fixed words 111 and 112 of T_1 become partners.
+        partner, coeff = hecke_table(model, p)
+        if p == 1:
+            gap = model.scalars.v_power(1) - model.scalars.v_power(-1)
+            partner[j], partner[i], coeff[j], coeff[i] = i, j, model.scalars.zero, gap
+        return partner, coeff
 
-    monkeypatch.setattr(tensormodel, "hecke_generator", weight_moving)
+    monkeypatch.setattr(tensormodel, "hecke_table", weight_moving)
     with pytest.raises(CertificateError, match=f"{cartan}_1 does not commute with T_1"):
         certify_hecke_commutation(m)
 
@@ -605,7 +668,7 @@ def test_certificate_forms_no_operator_product(mode, monkeypatch):
 
 
 def test_failed_certificate_exits_with_status_one(monkeypatch):
-    monkeypatch.setattr(tensormodel, "hecke_generator", _hecke_branches_swapped)
+    monkeypatch.setattr(tensormodel, "hecke_table", _hecke_branches_swapped)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["dim", "2", "3", "--quantum"])

@@ -461,14 +461,14 @@ def test_suite_all_builds_and_certifies_each_model_once(n, d, mode, monkeypatch)
     from schuralg import tensormodel
 
     built, positions = _count_builds(monkeypatch), []
-    real_hecke = tensormodel.hecke_generator
+    real_table = tensormodel.hecke_table
 
-    def recording_hecke(model, p):
-        # The certificate forms each T_p once per run.
+    def recording_table(model, p):
+        # The certificate builds each T_p's table once per run.
         positions.append((model.mode, p))
-        return real_hecke(model, p)
+        return real_table(model, p)
 
-    monkeypatch.setattr(tensormodel, "hecke_generator", recording_hecke)
+    monkeypatch.setattr(tensormodel, "hecke_table", recording_table)
     reports = suite_reports(n, d, mode=mode, suite="all")
     assert all(report.passed for report in reports)
     assert sorted(built) == ["classical", "quantum"]
