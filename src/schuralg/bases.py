@@ -52,13 +52,24 @@ it and nonzero at its own, a triangular minor, and the pivots are the
 grown rows up to a triangular change of basis with nonzero diagonal.
 A minor nonzero at a point is nonzero over Q(v), so the specialized
 rank r is a lower bound.  A span check then proves that every other
-row lies in the span of those r, which makes r exact: Bareiss
-elimination of the minor over Z[v, v^-1] gives D = +-det != 0 and
-numerators N_u, and D * row = sum_u N_u * pivot_u is checked exactly
-at every position.  If a row fails the check, the point was a root of
+row lies in the span of those r, which makes r exact: elimination of
+the minor gives D = +-det != 0 and numerators N_u, and
+D * row = sum_u N_u * pivot_u is checked exactly at every position of
+the flat rows.  If a row fails the check, the point was a root of
 a larger minor, and the next point is tried: the model's
 ``spec_points`` in order, then v = 2, 3, 4, ...  A nonzero minor has
 finitely many roots, so the sequence ends.
+
+Bareiss elimination of the minor over Z[v, v^-1] runs on integers: each
+row of the augmented system [M | b], times the unit v^-lo for lo its
+lowest exponent, is polynomial and is evaluated at v = 2^K, a ring
+homomorphism, so every exact division stays exact on the values.  No
+minor has a coefficient above B, the product over the rows of
+max(1, sum of the row's |coefficients|), in absolute value, so for
+K = B.bit_length() + 2 a minor is zero exactly when its value is (the
+swaps are those over the ring), and D and the N_u, minors themselves,
+are read back as the balanced base-2^K digits of their values times
+v^(sum lo).  Classically an entry is its own value.
 
 An expansion of a target in columns is solved the same way, group by
 group of columns that share positions: the target is solved on the
@@ -74,7 +85,7 @@ from math import gcd
 from operator import add, le, sub
 
 from .errors import NotDivisible, NotInSpan
-from .ring import LaurentPoly
+from .ring import CLASSICAL_SCALARS, LaurentPoly
 from .rootvectors import (
     KINDS,
     SHAPES,
@@ -438,8 +449,8 @@ def _pivots(model, rows, size):
     against them at those positions, at the points of :func:`_points` in
     turn until all checks pass.  A full-rank family needs no check; a
     short one is split first into groups of rows that share positions,
-    so that each check solves a small minor.  The rows stay flat; only
-    the grouping and the checks read ring scalars, from ``from_flat``.
+    so that each check solves a small minor.  The rows stay flat
+    throughout; only the minor of a check is read as ring scalars.
     """
     for point in _points(model):
         echelon = _IntEchelon()
@@ -448,15 +459,14 @@ def _pivots(model, rows, size):
         leads = sorted(echelon.pivots)
         if point is None or len(indices) == len(rows):
             return indices, leads
-        scalar = [model.scalars.from_flat(row, size) for row in rows]
-        groups = _connected_columns(scalar)
+        groups = _connected_columns([{k % size for k in row} for row in rows])
         if len(groups) > 1:
             found = [_pivots(model, [rows[u] for u in group], size) for group in groups]
             return (sorted(group[u] for group, (picked, _) in zip(groups, found) for u in picked),
                     sorted(chain.from_iterable(lead for _, lead in found)))
-        pivots = [scalar[u] for u in indices]
-        if all(_span_solve(model.scalars, pivots, leads, row) is not None
-               for row, g in zip(scalar, grew) if not g):
+        pivots = [rows[u] for u in indices]
+        if all(_span_solve(model.scalars, pivots, leads, row, size) is not None
+               for row, g in zip(rows, grew) if not g):
             return indices, leads
 
 
@@ -568,10 +578,11 @@ def coordinates(model, columns, target):
     dependent = False
     flat, size = _flattened(model, columns)
     for group in _connected_columns(columns):
-        members = [columns[u] for u in group]
-        indices, leads = _pivots(model, [flat[u] for u in group], size)
-        part = {k: rest.pop(k) for k in set(chain.from_iterable(members)) if k in rest}
-        solved = _span_solve(model.scalars, [members[u] for u in indices], leads, part)
+        members = [flat[u] for u in group]
+        indices, leads = _pivots(model, members, size)
+        part = {k: rest.pop(k) for u in group for k in columns[u] if k in rest}
+        solved = _span_solve(model.scalars, [members[u] for u in indices], leads,
+                             model.scalars.to_flat(part, size), size)
         if solved is None:
             raise NotInSpan("target is outside the span of the columns")
         dependent = dependent or len(indices) < len(members)
@@ -605,55 +616,57 @@ def _connected_columns(columns):
     return list(groups.values())
 
 
-def _span_solve(scalars, basis, rows, target):
-    """Coordinates of ``target`` in ``basis``, proved, or None when the
-    target lies outside their span.
+def _span_solve(scalars, basis, leads, target, size):
+    """Coordinates of ``target`` in ``basis``, flat rows at stride
+    ``size``, proved, or None when the target lies outside their span.
 
-    ``rows`` are positions where the minor of ``basis`` is nonzero.  The
-    check D * target = sum_u N_u * basis[u] of the module docstring is
-    divided through by D when D divides every N_u.
+    ``leads`` are positions where the minor of ``basis`` is nonzero.  The
+    check sum_u N_u * basis[u] - D * target = 0 of the module docstring
+    (over D when D divides every N_u) sums on the flat rows: a weight's
+    term c v^e, the key size * e of its flat form {0 + size * e: c}, adds
+    c times its row shifted by that key, as ``tensormodel._apply_flat`` does.
     """
-    zero = scalars.zero
-    det, nums = _bareiss_solve(
-        scalars,
-        [[col.get(k, zero) for col in basis] for k in rows],
-        [target.get(k, zero) for k in rows],
-    )
+    zero, at = scalars.zero, set(leads)
+    *minor, rhs = (scalars.from_flat(row, size, at) for row in [*basis, target])
+    det, nums = _bareiss_solve(scalars, [[col.get(k, zero) for col in minor] for k in leads],
+                               [rhs.get(k, zero) for k in leads])
     quotients = [_ring_quotient(scalars, num, det) for num in nums]
-    if None in quotients:
-        weights, expected = nums, {k: det * s for k, s in target.items()}
-    else:
-        weights, expected = quotients, target
     combined = {}
-    for col, w in zip(basis, weights):
-        if w:
-            for k, s in col.items():
-                term = w * s
-                prev = combined.get(k)
-                combined[k] = term if prev is None else prev + term
-    if {k: s for k, s in combined.items() if s} != expected:
+    for w, row in zip([*nums, -det] if None in quotients else [*quotients, -scalars.one],
+                      [*basis, target]):
+        for shift, c in scalars.to_flat({0: w}, size).items():
+            for k, x in row.items():
+                k += shift
+                combined[k] = combined.get(k, 0) + c * x
+    if any(combined.values()):
         return None
     return [scalars.div(num, det) if q is None else q
             for num, q in zip(nums, quotients)]
 
 
 def _bareiss_solve(scalars, matrix, rhs):
-    """Fraction-free solution of a nonsingular square system over an
-    integral domain (Bareiss, Math. Comp. 22, 1968).
+    """Fraction-free solution of a nonsingular square system over the
+    scalar ring (Bareiss, Math. Comp. 22, 1968), run on integers.
 
     Returns (D, N) with D = +-det(matrix) and matrix * N = D * rhs, so
-    the solution is N / D.  Every division, by the previous pivot in the
-    elimination and by the diagonal in the back substitution, is exact:
-    the quotients are minors of the augmented matrix, and D * x is N.
+    the solution is N / D.  The system enters by the adapter's
+    ``evaluated``, quantumly at v = 2^K (see the module docstring).
+    Every division, by the previous pivot in the elimination and by the
+    diagonal in the back substitution, is exact: the quotients are
+    minors of the augmented matrix, and D * x is N.  A remainder raises.
 
-    >>> from schuralg.ring import CLASSICAL_SCALARS
+    >>> from schuralg.ring import CLASSICAL_SCALARS, QUANTUM_SCALARS, LaurentPoly
     >>> _bareiss_solve(CLASSICAL_SCALARS, [[2, 1], [1, 3]], [3, 5])
     (5, [4, 7])
+    >>> zero, one, v = LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.v_power(1)
+    >>> det, nums = _bareiss_solve(QUANTUM_SCALARS, [[zero, v], [v.bar(), one]], [v, 2 * one])
+    >>> str(det), [str(x) for x in nums]
+    ('1', ['v', '1'])
     """
-    quotient = scalars.exact_quotient
+    quotient = CLASSICAL_SCALARS.exact_quotient
     size = len(matrix)
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    prev = scalars.one
+    rows, read = scalars.evaluated([list(row) + [b] for row, b in zip(matrix, rhs)])
+    prev = 1
     for i in range(size):
         swap = next((r for r in range(i, size) if rows[r][i]), None)
         if swap is None:
@@ -671,9 +684,9 @@ def _bareiss_solve(scalars, matrix, rhs):
         row = rows[i]
         total = prev * row[size]
         for c in range(i + 1, size):
-            total = total - row[c] * nums[c]
+            total -= row[c] * nums[c]
         nums[i] = quotient(total, row[i])
-    return prev, nums
+    return read(prev), [read(x) for x in nums]
 
 
 def _ring_quotient(scalars, num, det):

@@ -32,7 +32,7 @@ the steps k = 2, ..., m in turn, which the recurrence of
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import NotDivisible
 
@@ -446,8 +446,10 @@ class ClassicalScalars:
     def render(s):
         return str(s)
 
-    # A vector {row: int} is its own flat form.
-    to_flat = from_flat = staticmethod(lambda vec, size: vec)
+    # A vector {row: int} is its own flat form, a system its own value.
+    to_flat = staticmethod(lambda vec, size: vec)
+    from_flat = staticmethod(lambda vec, size, rows=None: vec)
+    evaluated = staticmethod(lambda rows: (rows, lambda x: x))
 
     @staticmethod
     def divide_integer(vec, m, size):
@@ -485,9 +487,34 @@ class QuantumScalars:
         return {row + size * e: c for row, s in vec.items() for e, c in s.coeffs.items()}
 
     @staticmethod
-    def from_flat(vec, size):
-        """{row + size * e: c} as {row: LaurentPoly}."""
+    def from_flat(vec, size, rows=None):
+        """{row + size * e: c} as {row: LaurentPoly}, at the set ``rows`` if given."""
+        if rows is not None:
+            vec = {k: c for k, c in vec.items() if k % size in rows}
         return {row: LaurentPoly(coeffs) for row, coeffs in _flat_rows(vec, size).items()}
+
+    @staticmethod
+    def evaluated(rows):
+        """Rows of Laurent polynomials as integer rows, and the read-back
+        of their minors: (integer rows, read).  Each row is multiplied by
+        the unit v^-lo, lo its lowest exponent, and evaluated at v = 2^K,
+        with K so large that a minor's value x has its coefficients as
+        balanced base-2^K digits (see ``bases``); read(x) is the minor
+        of the rows as given, those digits times v^(sum lo)."""
+        lows = [min((min(s.coeffs) for s in row if s), default=0) for row in rows]
+        bound = prod(max(1, sum(abs(c) for s in row for c in s.coeffs.values())) for row in rows)
+        bits = bound.bit_length() + 2
+        half = 1 << (bits - 1)
+
+        def read(x):
+            coeffs, e = {}, sum(lows)
+            while x:
+                coeffs[e] = ((x + half) & (2 * half - 1)) - half
+                x, e = (x + half) >> bits, e + 1
+            return LaurentPoly(coeffs)
+
+        return [[sum(c << bits * (e - lo) for e, c in s.coeffs.items()) for s in row]
+                for lo, row in zip(lows, rows)], read
 
     divide_integer = staticmethod(flat_integer_quotient)
 

@@ -2,8 +2,9 @@
 package's scalars are embedded to check its ranks and coordinates, the
 full row of an operator, the reference its ordered-word rows are
 compared with, the full-product reference for the Hecke certificate,
-and the operator-product references for the Cartan binomials and the
-root vectors.  The sum, difference and scalar multiple of operators
+the operator-product references for the Cartan binomials and the root
+vectors, and the Bareiss elimination over the scalar ring itself, which
+the package runs on integers.  The sum, difference and scalar multiple of operators
 (:func:`add`, :func:`sub`, :func:`scale`), which the package no longer
 forms, live here for those references and for the tests."""
 
@@ -138,3 +139,35 @@ def root_vector_by_products(model, root, sign):
     if sign == "plus":
         return sub(upper @ step, scale(step @ upper, v(-1)))
     return sub(step @ upper, scale(upper @ step, v(1)))
+
+
+def bareiss_reference(scalars, matrix, rhs):
+    """Fraction-free solution (D, N) of a nonsingular square system by
+    Bareiss elimination over the scalar ring itself, with the ring's
+    products and exact quotients: the reference for the integer
+    elimination of ``bases._bareiss_solve``, with the same swaps.
+    Raises ZeroDivisionError on a singular system."""
+    quotient = scalars.exact_quotient
+    size = len(matrix)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    prev = scalars.one
+    for i in range(size):
+        swap = next((r for r in range(i, size) if rows[r][i]), None)
+        if swap is None:
+            raise ZeroDivisionError("singular system")
+        rows[i], rows[swap] = rows[swap], rows[i]
+        top = rows[i]
+        pivot = top[i]
+        for row in rows[i + 1:]:
+            factor = row[i]
+            for c in range(i + 1, size + 1):
+                row[c] = quotient(pivot * row[c] - factor * top[c], prev)
+        prev = pivot
+    nums = [None] * size
+    for i in reversed(range(size)):
+        row = rows[i]
+        total = prev * row[size]
+        for c in range(i + 1, size):
+            total = total - row[c] * nums[c]
+        nums[i] = quotient(total, row[i])
+    return prev, nums

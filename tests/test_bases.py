@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 
-from schuralg import bases
+from schuralg import bases, ring
 from schuralg.errors import NotInSpan
 from schuralg.bases import (
     RankAccumulator,
@@ -34,7 +34,7 @@ from schuralg.bases import (
     structure_constants,
     structure_table_json,
 )
-from schuralg.ring import LaurentFraction, LaurentPoly
+from schuralg.ring import CLASSICAL_SCALARS, QUANTUM_SCALARS, LaurentFraction, LaurentPoly
 from schuralg.rootvectors import SHAPES, BasisLabel, eval_label, label_image
 from schuralg.tensormodel import (
     SparseOperator,
@@ -45,7 +45,7 @@ from schuralg.tensormodel import (
     ordered_word_row,
 )
 
-from oracle import FIELD, add, field_rank, operator_row, scale, to_field
+from oracle import FIELD, add, bareiss_reference, field_rank, operator_row, scale, to_field
 
 
 def _ordered_row(m, op):
@@ -753,7 +753,7 @@ VANISHING = (5 * V - 7) * (7 * V - 11)
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_certified_solve_falls_back_when_minors_vanish(mode, monkeypatch):
-    from schuralg import bases
+    from schuralg import bases, ring
 
     tried = []
     points = bases._points
@@ -778,7 +778,7 @@ def test_certified_solve_falls_back_when_minors_vanish(mode, monkeypatch):
 def test_points_are_the_spec_points_then_the_integers():
     from itertools import islice
 
-    from schuralg import bases
+    from schuralg import bases, ring
 
     m = build_model(2, 2, mode="quantum", spec_points=(2, Fraction(3, 2)))
     for _ in range(2):  # the same order every time
@@ -826,6 +826,142 @@ def test_certified_solve_dependent_family(mode):
         coordinates(m, apart, {**consistent, 5: one, 6: 2 * one})
     with pytest.raises(NotInSpan, match="linearly dependent"):
         coordinates(m, apart, {**consistent, 5: one, 6: one})
+
+
+_POLYS = st.dictionaries(st.integers(-4, 4), st.integers(-10**6, 10**6), max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def square_systems(draw):
+    """A square system of Laurent polynomials, size 1 to 6, exponents
+    -4..4 and coefficients up to 10^6 in absolute value, whose first
+    rows are zero in the first column, so that the elimination swaps."""
+    size = draw(st.integers(1, 6))
+    matrix = [[draw(_POLYS) for _ in range(size)] for _ in range(size)]
+    for row in matrix[:draw(st.integers(0, size - 1))]:
+        row[0] = ZERO
+    return matrix, [draw(_POLYS) for _ in range(size)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_bareiss_matches_the_ring_elimination(system):
+    # The integer elimination returns exactly the (D, N) of the
+    # elimination over Z[v, v^-1], and classically over Z at v = 1; a
+    # singular system raises in both.
+    matrix, rhs = system
+    classical = ([[int(p.specialize(1)) for p in row] for row in matrix],
+                 [int(p.specialize(1)) for p in rhs])
+    for scalars, (mat, vec) in ((QUANTUM_SCALARS, system), (CLASSICAL_SCALARS, classical)):
+        try:
+            expected = bareiss_reference(scalars, mat, vec)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                bases._bareiss_solve(scalars, mat, vec)
+            continue
+        det, nums = bases._bareiss_solve(scalars, mat, vec)
+        assert (det, nums) == expected
+        assert all(type(x) is type(scalars.one) for x in [det, *nums])
+
+
+@pytest.mark.parametrize("scalars", [CLASSICAL_SCALARS, QUANTUM_SCALARS])
+def test_bareiss_raises_on_a_singular_system(scalars):
+    one, v = scalars.one, scalars.v_power(1)
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        bases._bareiss_solve(scalars, [[one, v], [2 * one, 2 * v]], [one, one])
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        bases._bareiss_solve(scalars, [[scalars.zero]], [one])
+    assert bases._bareiss_solve(scalars, [], []) == (one, [])
+
+
+def test_read_back_gives_the_balanced_digits():
+    # One entry of coefficient sum 1 gives B = 1 and K = 3, so the read
+    # back takes coefficients up to 2^(K-1) - 1 = 3 in absolute value:
+    # negative ones, interior zeros, and zero itself.
+    rows, read = QUANTUM_SCALARS.evaluated([[ONE.shift(-3)]])
+    assert rows == [[1]]
+    for coeffs in ([3, 0, -3, -1], [-3, 3], [0, 0, 1], [-1], [3], [2, -2, 0, 0, -3], []):
+        x = sum(c * 8**t for t, c in enumerate(coeffs))
+        assert read(x) == LaurentPoly(dict(enumerate(coeffs))).shift(-3)
+    assert read(0) == ZERO
+    # B = 5 + 7 + 1 = 13 and K = 6: up to +-31, and the row's lowest
+    # exponent -2 is undone.
+    rows, read = QUANTUM_SCALARS.evaluated([[LaurentPoly({-2: 5, 1: -7}), ONE]])
+    assert rows == [[5 - 7 * 64**3, 64**2]]
+    for coeffs in ([31, -31], [-31, 0, 0, 31], [0, -1, 0, 30]):
+        assert read(sum(c * 64**t for t, c in enumerate(coeffs))) == LaurentPoly(
+            dict(enumerate(coeffs))).shift(-2)
+
+
+@pytest.mark.parametrize("m", [0, 5])
+def test_bareiss_reads_back_a_large_determinant(m):
+    # The Sylvester-Hadamard matrix H of size 8 times (1 + v)^m, each row
+    # shifted by a power of v: det H = 8^4, so D = +-4096 (1 + v)^(8m)
+    # times v^(sum of the shifts), whose middle coefficient for m = 5 is
+    # 4096 C(40, 20), about 5.7e14, far above the entries' 1.
+    h = [[1]]
+    for _ in range(3):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    base = (1 + V) ** m
+    matrix = [[(x * base).shift(r - 4) for x in row] for r, row in enumerate(h)]
+    rhs = [matrix[r][0] for r in range(8)]
+    det, nums = bases._bareiss_solve(QUANTUM_SCALARS, matrix, rhs)
+    assert (det, nums) == bareiss_reference(QUANTUM_SCALARS, matrix, rhs)
+    assert det in (4096 * ((1 + V) ** (8 * m)).shift(-4), -4096 * ((1 + V) ** (8 * m)).shift(-4))
+    assert nums == [det] + [ZERO] * 7
+
+
+def test_bareiss_forms_no_ring_product_or_quotient(monkeypatch):
+    # A quantum 5 x 5 system is eliminated with no LaurentPoly product
+    # and no exact division of Laurent polynomials.
+    rng = random.Random(5)
+    matrix = [[LaurentPoly({e: rng.randint(-2, 2) for e in range(-3, 4)}) for _ in range(5)]
+              for _ in range(5)]
+    matrix[0][0] = ZERO
+    rhs = [LaurentPoly({rng.randint(-3, 3): 1}) for _ in range(5)]
+    expected = bareiss_reference(QUANTUM_SCALARS, matrix, rhs)
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, counting(name, getattr(LaurentPoly, name)))
+    monkeypatch.setattr(ring, "exact_div", counting("exact_div", ring.exact_div))
+    monkeypatch.setattr(ring.QuantumScalars, "exact_quotient",
+                        staticmethod(counting("exact_quotient", ring.exact_div)))
+    solved = bases._bareiss_solve(QUANTUM_SCALARS, matrix, rhs)
+    assert calls == []
+    monkeypatch.undo()
+    assert solved == expected
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("entries,target", [
+    ([[ONE, ONE], [ONE, 2 + V]], [2 + V, 3 + 2 * V]),  # x = (1, 1)
+    ([[ONE, ONE], [ONE, 2 + V]], [ONE, 2 * ONE]),  # x1 = 1 / (1 + v)
+])
+def test_span_check_rejects_a_wrong_numerator(mode, entries, target, monkeypatch):
+    # With one N_u multiplied by v (by 2 classically, where v is 1), the
+    # exact check fails: _span_solve returns None and coordinates raises.
+    m, rows = _solver_case(mode, entries)
+    scalars = m.scalars
+    target = {k: s if mode == "quantum" else int(s.specialize(1)) for k, s in enumerate(target)}
+    real = bases._bareiss_solve
+
+    def corrupted(scalars, matrix, rhs):
+        det, nums = real(scalars, matrix, rhs)
+        return det, [nums[0] * (V if mode == "quantum" else 2), *nums[1:]]
+
+    flat, size = bases._flattened(m, rows)
+    assert bases._span_solve(scalars, flat, [0, 1], scalars.to_flat(target, size), size)
+    monkeypatch.setattr(bases, "_bareiss_solve", corrupted)
+    assert bases._span_solve(scalars, flat, [0, 1], scalars.to_flat(target, size), size) is None
+    with pytest.raises(NotInSpan, match="outside the span"):
+        coordinates(m, rows, target)
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
