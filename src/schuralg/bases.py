@@ -33,9 +33,11 @@ of one block from u_src.
 
 Every rank and every solve is certified one way (:func:`_pivots`), on
 flat integer rows {position + N * e: c}, the term c v^e at a position
-below the stride N (see ``ring``).  Label images come flat, N = n^d;
-scalar rows, such as ordered-word rows and the columns of
-:func:`coordinates`, are flattened where they enter (:func:`_flattened`).
+below the stride N (see ``ring``).  Label images come flat, N = n^d, and
+reach the ranks and the expansions of structure constants as they are;
+scalar rows, such as the ordered-word rows of labels that pin no block,
+are flattened where they enter (:func:`_flattened`), at N one above
+their largest position.
 Classically a row is its own flat form, and rows are reduced by
 fraction-free elimination on primitive integer rows, which is exact.
 Quantumly each row is specialized at a rational point v = a/b straight
@@ -72,10 +74,11 @@ are read back as the balanced base-2^K digits of their values times
 v^(sum lo).  Classically an entry is its own value.
 
 An expansion of a target in columns is solved the same way, group by
-group of columns that share positions: the target is solved on the
-group's pivots at their leads, and the same check proves the expansion
-x_u = N_u / D.  Each x_u is returned in the ring when D divides N_u, as
-a fraction otherwise.
+group of columns that share positions: the target's slice at the
+group's positions is solved on the group's pivots at their leads, and
+the same check, sum_u N_u * column_u - D * target = 0, proves the
+expansion x_u = N_u / D.  Each x_u is returned in the ring when D
+divides N_u, as a fraction otherwise.
 """
 
 from fractions import Fraction
@@ -100,7 +103,7 @@ from .rootvectors import (
     label_to_json,
     root_sum,
 )
-from .tensormodel import RootData, _check_weight, compositions, ordered_word, ordered_word_row
+from .tensormodel import RootData, _check_weight, compositions, ordered_word_row
 
 __all__ = [
     "KINDS",
@@ -403,14 +406,16 @@ def _prepared(row, point, size):
 
 def _flattened(model, rows):
     """A family as the kernel reads it, (flat rows, stride): the one place
-    that looks at a row's form.  Quantum scalar rows {position:
-    LaurentPoly} are flattened by ``to_flat`` one above their largest
-    position; integer rows, flat at n^d or classical, pass as they are."""
+    that looks at a row's form.  Scalar rows {position: scalar} are
+    flattened by ``to_flat`` at the stride one above their largest
+    position, which reads a classical row as it is: it is its own flat
+    form, with e = 0, at any stride above its positions.  Quantum integer
+    rows are flat at n^d already and pass as they are."""
     rows = list(rows)
     entry = next((c for row in rows for c in row.values()), None)
-    if not isinstance(entry, LaurentPoly):
+    if model.mode == "quantum" and not isinstance(entry, LaurentPoly):
         return rows, model.num_words
-    size = 1 + max(max(row) for row in rows if row)
+    size = 1 + max((max(row) for row in rows if row), default=0)
     return [model.scalars.to_flat(row, size) for row in rows], size
 
 
@@ -509,8 +514,10 @@ def grouped_ranks(model, groups):
     [labels]}}``, as :func:`block_index` and :func:`enumerate_blocks`
     give them, ranked on the labels' images of u_src: ``{(src, dst):
     rank}`` in the order of the groups.  The images
-    (``rootvectors.block_images``) reach the rank kernel flat."""
-    return {block: rank_of_family(model, images)
+    (``rootvectors.block_images``) are flat at stride n^d in both modes,
+    so they reach the rank kernel (:func:`_pivots`) as they are, with no
+    look at their form."""
+    return {block: len(_pivots(model, images, model.num_words)[0])
             for block, images in block_images(model, groups)}
 
 
@@ -542,7 +549,7 @@ def block_index(model, family):
     return last[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def block_dimension(src, dst):
     """dim 1_dst S(n, d) 1_src: the number of n x n matrices of
     nonnegative integers with row sums ``dst`` and column sums ``src``
@@ -561,44 +568,51 @@ def block_dimension(src, dst):
 
 def coordinates(model, columns, target):
     """Coefficients x_u with sum_u x_u * columns[u] = target, proved and
-    unique; ``columns`` and ``target`` are sparse rows.
+    unique.  ``columns`` and ``target`` are rows in a form that
+    :func:`rank_of_family` reads, sparse {position: scalar} or flat at
+    stride n^d, and enter the kernel together by one :func:`_flattened`.
 
-    The columns are split into groups that share positions.  Groups
-    have disjoint supports, so the expansion is the sum of the groups'
-    expansions, and each group is solved alone, on its pivots at their
-    leads
+    The columns are split into groups that share positions, and the
+    target is sliced by position to the groups; a target position that
+    no column has is outside the span.  Groups have disjoint supports, so
+    the expansion is the sum of the groups' expansions, and each group is
+    solved alone on its slice, on its pivots at their leads
     (:func:`_pivots`), then checked at every position.  Coefficients
     are integers classically and Laurent polynomials quantumly whenever
     they are integral, fractions otherwise.  An inconsistent system is
     reported as outside the span before a dependent one is reported as
     dependent; both raise NotInSpan.
     """
-    values = [model.scalars.zero] * len(columns)
-    rest = dict(target)
+    (*flat, target), size = _flattened(model, [*columns, target])
+    positions = [{k % size for k in row} for row in flat]
+    groups = _connected_columns(positions)
+    group_of = {i: g for g, group in enumerate(groups) for u in group for i in positions[u]}
+    parts = [{} for _ in range(len(groups) + 1)]  # the last: positions that no column has
+    for k, c in target.items():
+        parts[group_of.get(k % size, -1)][k] = c
+    if parts.pop():
+        raise NotInSpan("target is outside the span of the columns")
+    values = [model.scalars.zero] * len(flat)
     dependent = False
-    flat, size = _flattened(model, columns)
-    for group in _connected_columns(columns):
+    for group, part in zip(groups, parts):
         members = [flat[u] for u in group]
         indices, leads = _pivots(model, members, size)
-        part = {k: rest.pop(k) for u in group for k in columns[u] if k in rest}
-        solved = _span_solve(model.scalars, [members[u] for u in indices], leads,
-                             model.scalars.to_flat(part, size), size)
+        solved = _span_solve(model.scalars, [members[u] for u in indices], leads, part, size)
         if solved is None:
             raise NotInSpan("target is outside the span of the columns")
         dependent = dependent or len(indices) < len(members)
         for u, x in zip(indices, solved):
             values[group[u]] = x
-    if rest:
-        raise NotInSpan("target is outside the span of the columns")
     if dependent:
         raise NotInSpan("family is linearly dependent; no unique expansion")
     return values
 
 
-def _connected_columns(columns):
-    """Indices of ``columns`` grouped by shared positions, each group and
-    the groups in ascending order."""
-    root = list(range(len(columns)))
+def _connected_columns(positions):
+    """Indices of a family grouped by shared positions, given each
+    member's set of positions: each group and the groups in ascending
+    order."""
+    root = list(range(len(positions)))
 
     def find(u):
         while root[u] != u:
@@ -607,11 +621,11 @@ def _connected_columns(columns):
         return u
 
     owner = {}
-    for u, col in enumerate(columns):
-        for k in col:
+    for u, at in enumerate(positions):
+        for k in at:
             root[find(owner.setdefault(k, u))] = find(u)
     groups = {}
-    for u in range(len(columns)):
+    for u in range(len(positions)):
         groups.setdefault(find(u), []).append(u)
     return list(groups.values())
 
@@ -622,26 +636,25 @@ def _span_solve(scalars, basis, leads, target, size):
 
     ``leads`` are positions where the minor of ``basis`` is nonzero.  The
     check sum_u N_u * basis[u] - D * target = 0 of the module docstring
-    (over D when D divides every N_u) sums on the flat rows: a weight's
-    term c v^e, the key size * e of its flat form {0 + size * e: c}, adds
-    c times its row shifted by that key, as ``tensormodel._apply_flat`` does.
+    sums on the flat rows: a weight's term c v^e, the key size * e of its
+    flat form {0 + size * e: c}, adds c times its row shifted by that
+    key, as ``tensormodel._apply_flat`` does.  It is the one proof, for
+    integral and fractional coordinates alike; each x_u = N_u / D is then
+    returned by :func:`_ring_quotient`.
     """
     zero, at = scalars.zero, set(leads)
     *minor, rhs = (scalars.from_flat(row, size, at) for row in [*basis, target])
     det, nums = _bareiss_solve(scalars, [[col.get(k, zero) for col in minor] for k in leads],
                                [rhs.get(k, zero) for k in leads])
-    quotients = [_ring_quotient(scalars, num, det) for num in nums]
     combined = {}
-    for w, row in zip([*nums, -det] if None in quotients else [*quotients, -scalars.one],
-                      [*basis, target]):
+    for w, row in zip([*nums, -det], [*basis, target]):
         for shift, c in scalars.to_flat({0: w}, size).items():
             for k, x in row.items():
                 k += shift
                 combined[k] = combined.get(k, 0) + c * x
     if any(combined.values()):
         return None
-    return [scalars.div(num, det) if q is None else q
-            for num, q in zip(nums, quotients)]
+    return [_ring_quotient(scalars, num, det) for num in nums]
 
 
 def _bareiss_solve(scalars, matrix, rhs):
@@ -690,11 +703,12 @@ def _bareiss_solve(scalars, matrix, rhs):
 
 
 def _ring_quotient(scalars, num, det):
-    """num / det when it lies in the scalar ring, else None."""
+    """num / det in the scalar ring when it lies there, as a fraction
+    otherwise."""
     try:
         return scalars.exact_quotient(num, det)
     except NotDivisible:
-        return None
+        return scalars.div(num, det)
 
 
 def structure_constants(model, basis, i, j):
@@ -709,32 +723,30 @@ def structure_constants(model, basis, i, j):
     and theirs come from one ``rootvectors.block_images`` walk, in one
     list, as its block may be theirs.  That image lies in the left
     factor's source weight, so the left factor's parts act on it flat
-    (``rootvectors._act``), and only the product and the candidates'
-    images become scalar columns, for their rows.  Otherwise the
-    candidates are all labels, read by ``rootvectors.label_columns``,
-    and the left factor acts by ``rootvectors.apply_label``.  The
-    expansion is the operator identity (see ``rootvectors``).
+    (``rootvectors._act``), and the product and the candidates' images
+    reach :func:`coordinates` as the walk gives them, flat at stride n^d.
+    Otherwise the candidates are all labels, read by
+    ``rootvectors.label_columns`` into scalar ordered-word rows, and the
+    left factor acts by ``rootvectors.apply_label``.  The expansion is
+    the operator identity (see ``rootvectors``).
     """
     left, right = basis[i], basis[j]
     groups = block_index(model, basis)
     if groups is None:
         candidates = list(basis)
-        product = {w: image for w, col in label_columns(model, right).items()
-                   if (image := apply_label(model, left, col))}
-        columns = (label_columns(model, x) for x in candidates)
+        product = ordered_word_row(model, {w: apply_label(model, left, col)
+                                           for w, col in label_columns(model, right).items()})
+        columns = [ordered_word_row(model, label_columns(model, x)) for x in candidates]
     else:
         (src, mid), (top, dst) = (_label_block(x, model.root_data)[1] for x in (right, left))
         if mid != top:
             return {}
         candidates = groups[src].get(dst, [])
-        [(_, [image, *images])] = block_images(model, {src: {dst: [right, *candidates]}})
-        w, size = model.word_index[ordered_word(src)], model.num_words
-        product, *columns = ({w: model.scalars.from_flat(x, size)} if x else {}
-                             for x in [_act(model, left, image, {}), *images])
+        [(_, [image, *columns])] = block_images(model, {src: {dst: [right, *candidates]}})
+        product = _act(model, left, image, {})
     if not product:
         return {}
-    values = coordinates(model, [ordered_word_row(model, x) for x in columns],
-                         ordered_word_row(model, product))
+    values = coordinates(model, columns, product)
     return {label: val for label, val in zip(candidates, values) if val}
 
 

@@ -20,8 +20,28 @@ lam (``tensormodel``); T_w is invertible, so this holds at each point
 of v too, v = 1 included.  A relation is a sum of products of factors,
 applied right to left to each u_lam as a flat vector (see ``ring``),
 and it holds when every image vanishes (:class:`_Images`, which checks
-the certificate first).  Generators, root vectors and Cartan products
-act through their flat columns and divided powers by the recurrence of
+the certificate first).
+
+An instance in idempotent form is evaluated at the ordered word of its
+source weight alone: the S2 instances, S3 split per lam, and the
+idempotent reduction families.  Each of its terms is x 1_mu y, with y
+moving weights by a fixed shift, so it is x 1_mu y 1_src for the one
+source weight src with src + shift = mu, and it kills u_lam for every
+other lam.  That the generators move a weight space by their root, so
+that y does, holds by construction, the fact that ``rootvectors`` uses
+to apply a label's 1_lam as a restriction of its input; and the S2
+instances e_i 1_lam = 1_(lam + alpha_i) e_i and
+f_i 1_lam = 1_(lam - alpha_i) f_i, checked at their sources lam, prove
+it for each model, since with the certificate a generator's image of
+u_lam fixes its image of the whole weight space: a generator that
+moved u_lam elsewhere fails there.  So the other u_lam give 0, and an
+instance whose source is not a weight (an entry below 0) holds at no
+word.  Instances without an idempotent, the classical-H family,
+S1, the resolution of identity and the enveloping, Schur, rank-one and
+structural checks, are evaluated at every u_lam.
+
+Generators, root vectors and Cartan products act through their flat
+columns and divided powers by the recurrence of
 ``rootvectors``, so no operator product is formed; a product such as
 prod_t (K - v^t) is applied one factor at a time.  A Cartan product of
 degree above d acts on each weight space by a scalar, which is read
@@ -238,6 +258,7 @@ class _Images:
         certify_hecke_commutation(model)
         self.model = model
         self.words = [model.word_index[ordered_word(lam)] for lam in model.weight_set]
+        self._word = {lam: [j] for lam, j in zip(model.weight_set, self.words)}
         self._powers = {}
 
     def acting(self, op):
@@ -262,13 +283,17 @@ class _Images:
         """The map sum c x_1 ... x_k of flat vectors (:func:`_apply_sum`)."""
         return partial(_apply_sum, self.model, terms)
 
-    def of(self, *terms):
-        """The images of sum c x_1 ... x_k, one per weight."""
-        return [_apply_sum(self.model, terms, {j: 1}) for j in self.words]
+    def of(self, *terms, at=None):
+        """The images of sum c x_1 ... x_k, one per weight; for an instance
+        with source weight ``at``, the image of u_at alone, and none when
+        ``at`` is not a weight (see the module docstring)."""
+        words = self.words if at is None else self._word.get(at, [])
+        return [_apply_sum(self.model, terms, {j: 1}) for j in words]
 
-    def vanish(self, *terms):
-        """Whether sum c x_1 ... x_k is zero: all its images are."""
-        return not any(self.of(*terms))
+    def vanish(self, *terms, at=None):
+        """Whether sum c x_1 ... x_k is zero: all its images are, or, for an
+        instance with source weight ``at``, its image of u_at is."""
+        return not any(self.of(*terms, at=at))
 
     def row(self, images):
         """The ordered-word row (``tensormodel.ordered_word_row``) of an
@@ -279,11 +304,16 @@ class _Images:
                                         for j, image in zip(self.words, images)})
 
 
+def _shifted(lam, step, k):
+    """The weight lam + k step, outside the weight set when an entry is
+    negative (``step`` sums to 0)."""
+    return tuple(x + k * y for x, y in zip(lam, step))
+
+
 def _shifted_idempotent(u, lam, step, k):
     """The weight idempotent of lam + k step as a map of flat vectors,
-    or the zero map, the empty sum, when that leaves the weight set
-    (``step`` sums to 0)."""
-    lam = tuple(x + k * y for x, y in zip(lam, step))
+    or the zero map, the empty sum, when that leaves the weight set."""
+    lam = _shifted(lam, step, k)
     if min(lam) < 0:
         return u.sum()
     return u.acting(weight_idempotent(u.model, lam))
@@ -415,8 +445,7 @@ def check_idempotent_presentation(model):
     n = model.n
     suffix = "'" if model.mode == "quantum" else ""
     esym, fsym = model.names.plus, model.names.minus
-    rd = model.root_data
-    weights = model.weight_set
+    weights, integer = model.weight_set, model.scalars.integer
     idem = {lam: u.acting(weight_idempotent(model, lam)) for lam in weights}
     e = {i: u.acting(generator_action(model, esym, i)) for i in range(1, n)}
     f = {i: u.acting(generator_action(model, fsym, i)) for i in range(1, n)}
@@ -430,24 +459,25 @@ def check_idempotent_presentation(model):
 
     agg = _Agg()
     for i in range(1, n):
-        alpha = rd.simple_root(i)
+        alpha = model.root_data.simple_root(i)
         for lam in weights:
-            up = _shifted_idempotent(u, lam, alpha, 1)
-            down = _shifted_idempotent(u, lam, alpha, -1)
-            agg.check(u.vanish((1, e[i], idem[lam]), (-1, up, e[i])), f"{esym}{i}.1_{lam}")
-            agg.check(u.vanish((1, f[i], idem[lam]), (-1, down, f[i])), f"{fsym}{i}.1_{lam}")
-            agg.check(u.vanish((1, idem[lam], e[i]), (-1, e[i], down)), f"1_{lam}.{esym}{i}")
-            agg.check(u.vanish((1, idem[lam], f[i]), (-1, f[i], up)), f"1_{lam}.{fsym}{i}")
+            one = idem[lam]
+            up, down = (_shifted(lam, alpha, k) for k in (1, -1))
+            above, below = (_shifted_idempotent(u, lam, alpha, k) for k in (1, -1))
+            agg.check(u.vanish((1, e[i], one), (-1, above, e[i]), at=lam), f"{esym}{i}.1_{lam}")
+            agg.check(u.vanish((1, f[i], one), (-1, below, f[i]), at=lam), f"{fsym}{i}.1_{lam}")
+            agg.check(u.vanish((1, one, e[i]), (-1, e[i], below), at=down), f"1_{lam}.{esym}{i}")
+            agg.check(u.vanish((1, one, f[i]), (-1, f[i], above), at=up), f"1_{lam}.{fsym}{i}")
     rep.append(agg.item(f"S2{suffix}"))
 
+    # S3, split per lam: e_i f_j 1_lam - f_j e_i 1_lam = delta_ij [lam_i - lam_i+1] 1_lam,
+    # still one instance per (i, j).
     agg = _Agg()
     for i in range(1, n):
         for j in range(1, n):
-            rhs = ()
-            if i == j:
-                rhs = tuple((-model.scalars.integer(lam[j - 1] - lam[j]), idem[lam])
-                            for lam in weights)
-            agg.check(u.vanish((1, e[i], f[j]), (-1, f[j], e[i]), *rhs), f"(i,j)=({i},{j})")
+            agg.check(all(u.vanish((1, e[i], f[j], idem[lam]), (-1, f[j], e[i], idem[lam]),
+                                   (-(i == j) * integer(lam[i - 1] - lam[i]), idem[lam]), at=lam)
+                          for lam in weights), f"(i,j)=({i},{j})")
     rep.append(agg.item(f"S3{suffix}"))
     rep.notes.append(
         "braid relations between the simple generators are covered by the"
@@ -457,16 +487,18 @@ def check_idempotent_presentation(model):
 
 
 def _straightening_item(u, item_id, left, right, cases, name, empty):
-    """One reduction item: over the ``cases`` (a, b, c, M) with
+    """One reduction item: over the ``cases`` (a, b, c, M, at) with
     s = a + b + c - d >= 1, in order, x^(a) M(0) y^(c) equals the sum over
     k = s..min(a, c) of (-1)^(k-s) binom(k-1, s-1) binom(b+k, k)
     x^(a-k) M(k) y^(c-k), with x^(m) = ``left(m)``, y^(m) = ``right(m)``,
     M(k) maps of flat vectors, and the model's binomials (Gaussian
-    quantumly); a zero M(k) adds a zero term.  ``name`` names b in a
+    quantumly); a zero M(k) adds a zero term.  ``at`` is the source
+    weight of an instance in idempotent form, evaluated at u_at alone,
+    or None (see :class:`_Images`).  ``name`` names b in a
     failure detail; ``empty`` is the detail when no case has s >= 1."""
     binomial = u.model.scalars.binomial
     agg = _Agg()
-    for a, b, c, middle in cases:
+    for a, b, c, middle, at in cases:
         s = a + b + c - u.model.d
         if s < 1:
             continue
@@ -476,7 +508,7 @@ def _straightening_item(u, item_id, left, right, cases, name, empty):
             if not (k - s) % 2:
                 coeff = -coeff
             terms.append((coeff, left(a - k), middle(k), right(c - k)))
-        agg.check(u.vanish(*terms), f"(a,{name},c)=({a},{b},{c})")
+        agg.check(u.vanish(*terms, at=at), f"(a,{name},c)=({a},{b},{c})")
     return agg.item(item_id, empty)
 
 
@@ -487,7 +519,9 @@ def check_reduction_formulas(model, family):
     in f H e, i in e H f) and, for the idempotent families, with
     M(k) = 1_{lam + k alpha} in e 1 f (b = b1 = lam_i) and 1_{lam - k alpha}
     in f 1 e (b = b2 = lam_j), zero off the weight set, where
-    lam = b1 eps_i + (d - b1) eps_j."""
+    lam = b1 eps_i + (d - b1) eps_j.  An idempotent instance is checked at
+    its source weight lam + c alpha (lam - c alpha in f 1 e): y^(c - k)
+    carries it to lam + k alpha (lam - k alpha), where M(k) keeps it."""
     if family not in REDUCTION_FAMILIES:
         raise ValueError(f"unknown reduction family {family!r}")
     wanted = "quantum" if family == "quantum-idempotent" else "classical"
@@ -505,7 +539,7 @@ def check_reduction_formulas(model, family):
                                             (f"eHf[{i}-{j}]", E, F, i)):
                 cases = (
                     (a, b, c,
-                     lambda k, b=b, m=m: u.acting(cartan_binomial(model, m, b + k)))
+                     lambda k, b=b, m=m: u.acting(cartan_binomial(model, m, b + k)), None)
                     for a in rng
                     for b in rng
                     for c in rng
@@ -525,7 +559,8 @@ def check_reduction_formulas(model, family):
                 )
                 step = tuple(sign * y for y in alpha)
                 middle = partial(_shifted_idempotent, u, lam, step)
-                cases.extend((a, lam[pos - 1], c, middle) for a in rng for c in rng)
+                cases.extend((a, lam[pos - 1], c, middle, _shifted(lam, step, c))
+                             for a in rng for c in rng)
             rep.append(_straightening_item(u, item_id, left, right, cases,
                                            name, "no s >= 1 cases"))
     if family != "classical-H":

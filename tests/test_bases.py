@@ -1125,3 +1125,110 @@ def test_pbw_structure_constants_build_no_label_operator(n, d, mode, monkeypatch
     for (i, j), want in zip(pairs, expected):
         got = structure_constants(m, labels, i, j)
         assert [(lab, to_field(x)) for lab, x in got.items()] == want
+
+
+def _outcome(model, columns, target):
+    """coordinates' values, or the message of the NotInSpan it raises."""
+    try:
+        return coordinates(model, columns, target)
+    except NotInSpan as exc:
+        return str(exc)
+
+
+_OUTSIDE = "target is outside the span of the columns"
+_DEPENDENT = "family is linearly dependent; no unique expansion"
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("entries,xs,extra,expected", [
+    # integral, over two groups of columns
+    ([[ONE, V, ZERO], [ZERO, ONE, V], [ZERO, ZERO, ZERO, ONE]], [3, 2, -1], None, None),
+    # fractional: x0 + x1 = 1 and x0 + (2 + v) x1 = 2
+    ([[ONE, ONE], [ONE, 2 + V]], None, None, "fraction"),
+    # a target position that no column has
+    ([[ONE, V, ZERO], [ZERO, ONE, V]], [1, 1], 5, _OUTSIDE),
+    # a dependent family
+    ([[ONE, V, ZERO], [2 * ONE, 2 * V, ZERO], [ZERO, ONE, V]], [1, 1, 1], None, _DEPENDENT),
+])
+def test_flat_and_scalar_rows_expand_alike(mode, entries, xs, extra, expected):
+    # The same columns and target, as scalar rows and flat at stride
+    # n^d, give the same coordinates or the same error.
+    m = build_model(2, 3, mode=mode)
+    scalars, size = m.scalars, m.num_words
+    rows = [{k: s if mode == "quantum" else int(s.specialize(1))
+             for k, s in enumerate(col) if s} for col in entries]
+    one = scalars.one
+    target = _combine(m, rows, xs) if xs else {0: one, 1: 2 * one}
+    if extra is not None:
+        target[extra] = scalars.v_power(2)
+    flat = [scalars.to_flat(row, size) for row in rows]
+    got = _outcome(m, flat, scalars.to_flat(target, size))
+    assert got == _outcome(m, rows, target)
+    if expected is None:
+        assert got == [x * one for x in xs]
+    elif expected == "fraction":
+        assert got == ([LaurentFraction(V, 1 + V), LaurentFraction(ONE, 1 + V)]
+                       if mode == "quantum" else [Fraction(1, 2), Fraction(1, 2)])
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_rows_past_n_to_the_d_are_solved_at_their_own_stride(mode):
+    # Scalar rows at positions far above n^d = 2, which meet mod 2: they
+    # are read at the stride one above their largest position, so the
+    # expansion is exact and an uncovered position that aliases covered
+    # ones is outside the span.
+    m = build_model(2, 1, mode=mode)
+    one, v = m.scalars.one, m.scalars.v_power(1)
+    rows = [{0: one, 3: one}, {2: one, 5: 2 * v}, {4: 3 * one, 9: v}]
+    xs = [2 * one, -v, one + v]
+    target = _combine(m, rows, xs)
+    assert coordinates(m, rows, target) == xs
+    with pytest.raises(NotInSpan, match="outside the span"):
+        coordinates(m, rows, {**target, 7: one})
+    flat, size = bases._flattened(m, rows + [target])
+    assert size == 10
+    assert flat[:3] == (rows if mode == "classical" else
+                        [m.scalars.to_flat(row, 10) for row in rows])
+
+
+@pytest.mark.parametrize("n,d,mode", [(3, 4, "quantum"), (3, 3, "classical")])
+def test_pinned_structure_constants_read_the_flat_images(n, d, mode, monkeypatch):
+    # The walk's flat images reach coordinates as they are: no
+    # ordered-word row is built, and nothing is read back into ring
+    # scalars except the minor that _span_solve eliminates.
+    m = build_model(n, d, mode=mode)
+    labels = enumerate_basis(n, d, "B1")
+    blocks = [_label_block(lab, m.root_data)[1] for lab in labels]
+    rng = random.Random(n * 10 + d)
+    pairs = []
+    while len(pairs) < 8:
+        right = rng.randrange(len(labels))
+        left = rng.choice([k for k, b in enumerate(blocks) if b[0] == blocks[right][1]])
+        pairs.append((left, right))
+    expected = [structure_constants(m, labels, i, j) for i, j in pairs]
+    assert any(expected)
+    depth, outside, rows = [0], [], []
+    solve = bases._span_solve
+
+    def in_solve(*args):
+        depth[0] += 1
+        try:
+            return solve(*args)
+        finally:
+            depth[0] -= 1
+
+    def reading(real):
+        def wrapper(vec, size, rows=None):
+            if not depth[0]:
+                outside.append(vec)
+            return real(vec, size, rows)
+        return staticmethod(wrapper)
+
+    monkeypatch.setattr(bases, "_span_solve", in_solve)
+    monkeypatch.setattr(bases, "ordered_word_row", lambda *args: rows.append(args))
+    for cls in (ring.ClassicalScalars, ring.QuantumScalars):
+        monkeypatch.setattr(cls, "from_flat", reading(cls.from_flat))
+    assert [structure_constants(m, labels, i, j) for i, j in pairs] == expected
+    assert rows == [] and outside == []

@@ -982,3 +982,96 @@ def test_laurent_coefficients_add_up_where_keys_meet():
     vec = {1 + size: 1, 1 - size: 1}
     assert _apply_sum(q, [(quantum_integer(2),)], vec) == {1 + 2 * size: 1, 1: 2,
                                                            1 - 2 * size: 1}
+
+
+def _instances(report, item_id):
+    """The instance count in a passing item's detail."""
+    [item] = [item for item in report.items if item.id == item_id]
+    assert item.ok
+    return int(item.detail.split()[0])
+
+
+@pytest.mark.parametrize("n,d,mode", [(4, 3, "classical"), (3, 3, "quantum")])
+def test_idempotent_instances_are_evaluated_at_their_source_word(n, d, mode, monkeypatch):
+    # An instance in idempotent form makes at most one evaluation, at its
+    # source weight's ordered word: S2 one per instance, S3 one per (i, j)
+    # and lam, the idempotent reductions one per case.  S1 and the
+    # resolution of identity still read every u_lam.
+    from schuralg import verify
+
+    calls = []
+    real = verify._apply_sum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_apply_sum", counted)
+    model = build_model(n, d, mode=mode)
+    weights = len(model.weight_set)
+    rep = check_idempotent_presentation(model)
+    assert rep.passed
+    suffix = "'" if mode == "quantum" else ""
+    s1 = weights * weights + weights
+    s3 = _instances(rep, f"S3{suffix}") * weights
+    assert _instances(rep, f"S3{suffix}") == (n - 1) ** 2
+    assert len(calls) <= s1 + _instances(rep, f"S2{suffix}") + s3
+    family = "quantum-idempotent" if mode == "quantum" else "classical-idempotent"
+    calls.clear()
+    rep = check_reduction_formulas(model, family)
+    assert rep.passed
+    assert 0 < len(calls) <= sum(_instances(rep, item.id) for item in rep.items)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_a_generator_that_moves_no_weight_fails_s2_and_s3(mode, monkeypatch):
+    # e_1 + f_1 in place of e_1 commutes with every T_p, so it passes the
+    # certificate, but it does not move weights by alpha_1.  Checked at
+    # their source words only, S2 and S3 still fail.
+    from schuralg import verify
+
+    real = verify.build_model
+
+    def build(*args, **kwargs):
+        model = real(*args, **kwargs)
+        plus, minus = (model.names.plus, 1), (model.names.minus, 1)
+        model._generators[plus] = add(model._generators[plus], model._generators[minus])
+        return model
+
+    monkeypatch.setattr(verify, "build_model", build)
+    [rep] = suite_reports(3, 2, mode=mode, suite="idempotent")
+    suffix = "'" if mode == "quantum" else ""
+    failed = {item.id for item in rep.failures()}
+    assert {f"S2{suffix}", f"S3{suffix}"} <= failed
+    assert f"S1{suffix}" not in failed
+
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_each_term_of_an_instance_kills_every_other_ordered_word(mode, monkeypatch):
+    # The claim that lets an instance be checked at its source word alone:
+    # each of its terms is zero at u_lam for every weight lam but the
+    # source.  Recorded from the idempotent and reduction suites at (3, 2).
+    from schuralg import verify
+
+    recorded = []
+    real = verify._Images.vanish
+
+    def recording(self, *terms, at=None):
+        if at is not None:
+            recorded.append((self, terms, at))
+        return real(self, *terms, at=at)
+
+    monkeypatch.setattr(verify._Images, "vanish", recording)
+    reports = suite_reports(3, 2, mode=mode, suite="idempotent")
+    reports += suite_reports(3, 2, mode=mode, suite="reduction")
+    assert all(rep.passed for rep in reports)
+    assert len(recorded) > 100
+    nonzero = 0
+    for u, terms, at in recorded:
+        for term in terms:
+            images = u.of(term)
+            nonzero += any(images)
+            assert not any(image for lam, image in zip(u.model.weight_set, images)
+                           if lam != at), (term, at)
+    assert nonzero
