@@ -17,16 +17,23 @@ of S(n, d) becomes one through its columns at the ordered words
 fix it once the model's Hecke-commutation certificate holds.  A family
 whose labels all pin a weight block is ranked and multiplied block by
 block instead, one vector per label: its image of the ordered word
-u_src of its source weight, built in a ``rootvectors.block_images``
-walk.  Operators of different blocks have disjoint supports, so the
-rank of the family is the sum of the ranks of its blocks, which
-:func:`grouped_ranks` returns for labels grouped source weight first,
-so that the images of one source weight are built together from u_src.
-A whole basis comes grouped from its enumeration
-(:func:`enumerate_blocks`), whose every lam is a weight: ``dim``, the
-triangular check and the v = 1 comparison read it.  A family that a
-caller hands in is grouped, and each label's lam checked to be a
-weight, by :func:`block_index` (:func:`block_ranks`), and a product
+u_src of its source weight, built in the one walk,
+``rootvectors.parts_images``.  Operators of different blocks have
+disjoint supports, so the rank of the family is the sum of the ranks
+of its blocks (:func:`_walk_ranks`), taken source weight first, so
+that the images of one source weight are built together from u_src.
+
+The block path runs on parts, not labels: a member of a kind is its
+exponent tuples, one per monomial part of the shape, (A, C) for B1
+and B2.  A whole basis comes grouped from its enumeration
+(:func:`enumerate_block_parts`), whose every lam is a weight, and
+``dim``, the triangular check and the v = 1 comparison enumerate,
+walk and rank it (:func:`parts_ranks`) with no label built.  The label
+functions are adapters: :func:`enumerate_blocks` makes the members
+labels, and :func:`grouped_ranks` ranks labels grouped so, through
+``rootvectors.block_images``, which makes them parts again.  A family
+that a caller hands in is grouped, and each label's lam checked to be
+a weight, by :func:`block_index` (:func:`block_ranks`), and a product
 takes its right factor and its candidates from one walk
 (:func:`structure_constants`); :func:`enumerate_basis` walks the labels
 of one block from u_src.
@@ -78,7 +85,9 @@ group of columns that share positions: the target's slice at the
 group's positions is solved on the group's pivots at their leads, and
 the same check, sum_u N_u * column_u - D * target = 0, proves the
 expansion x_u = N_u / D.  Each x_u is returned in the ring when D
-divides N_u, as a fraction otherwise.
+divides N_u, as a fraction otherwise; a unit D, +-v^k, the only kind
+the B1 structure constants measured meet, divides as a shift of the
+exponents and a sign, with no long division.
 """
 
 from fractions import Fraction
@@ -101,6 +110,7 @@ from .rootvectors import (
     label_columns,
     label_key,
     label_to_json,
+    parts_images,
     root_sum,
 )
 from .tensormodel import RootData, _check_weight, compositions, ordered_word_row
@@ -112,10 +122,12 @@ __all__ = [
     "root_sum",
     "enumerate_basis",
     "enumerate_blocks",
+    "enumerate_block_parts",
     "block_index",
     "block_dimension",
     "block_ranks",
     "grouped_ranks",
+    "parts_ranks",
     "rank_of_family",
     "rank_of_labels",
     "RankAccumulator",
@@ -168,18 +180,26 @@ def _bounded(groups, budget, memo):
     if not groups:
         return [()]
     first, *rest = groups
-    tuples = [((), tuple(budget))]
-    for j in first:
-        moves = {left: [((m,), left[:j] + (left[j] - m,) + left[j + 1:])
-                        for m in range(left[j] + 1)]
-                 for left in {left for _, left in tuples}}
-        tuples = [(acc + m, after) for acc, left in tuples for m, after in moves[left]]
+    tuples = _levels(first, budget)
     if not rest:
         return [(acc,) for acc, _ in tuples]
     for _, left in tuples:
         if (len(rest), left) not in memo:
             memo[len(rest), left] = _bounded(rest, left, memo)
     return [(acc,) + tail for acc, left in tuples for tail in memo[len(rest), left]]
+
+
+def _levels(group, budget):
+    """The exponent tuples of one group of slots, as :func:`_bounded`
+    charges them, in ascending lexicographic order, each with what it
+    leaves of ``budget``: [(tuple, remainder)]."""
+    tuples = [((), tuple(budget))]
+    for j in group:
+        moves = {left: [((m,), left[:j] + (left[j] - m,) + left[j + 1:])
+                        for m in range(left[j] + 1)]
+                 for left in {left for _, left in tuples}}
+        tuples = [(acc + m, after) for acc, left in tuples for m, after in moves[left]]
+    return tuples
 
 
 def _moved(n, weight, parts, signs):
@@ -278,20 +298,76 @@ def enumerate_basis(n, d, kind, k0=None, block=None):
     return labels
 
 
+def enumerate_block_parts(n, d, kind):
+    """The members of a kind that pins weight blocks, each given by its
+    parts, one exponent tuple per monomial part of the shape in shape
+    order ((A, C) for B1 and B2), grouped as they are enumerated:
+    ``{src: {dst: [parts]}}``.  No label is built: ``dim`` and the
+    triangular check read the parts alone, and :func:`enumerate_blocks`
+    is the adapter that makes them labels.
+
+    The enumeration is :func:`enumerate_basis`'s, lam outer, then the
+    parts left of 1_lam ascending and, for each, those right of it
+    ascending.  For each lam the source lam - (shift of the right parts)
+    of each right tuple is found once, and the target lam + (shift of
+    the left parts) of each left one; the right tuples depend on what
+    the left ones leave of lam alone, so they are listed once per
+    remainder.  The source weights, and the targets of each, enter in
+    order of first appearance.  Every lam comes from ``compositions``
+    and is a weight.  PBW, PLUS and MINUS labels pin no block, and an
+    unknown kind names none: ValueError.
+
+    >>> enumerate_block_parts(2, 1, "B1")  # doctest: +NORMALIZE_WHITESPACE
+    {(1, 0): {(1, 0): [((0,), (0,))], (0, 1): [((0,), (1,))]},
+     (0, 1): {(0, 1): [((0,), (0,))], (1, 0): [((1,), (0,))]}}
+    """
+    shape = SHAPES.get(kind)
+    if shape is None or None not in shape:
+        raise ValueError(f"{kind} labels pin no weight block")
+    groups, signs, *_ = _parts(n, kind)
+    left = shape.index(None)  # the parts left of 1_lam
+    ahead = signs[:left]
+    back = ["minus" if sign == "plus" else "plus" for sign in signs[left:]]
+    tails, memo, listed, out = groups[left:], {}, {}, {}
+    for lam in compositions(n, d):
+        heads = [((), lam)]
+        for group in groups[:left]:
+            heads = [(head + (acc,), rest) for head, budget in heads
+                     for acc, rest in _levels(group, budget)]
+        targets = {}  # right tuple -> the targets of its source weight
+        for head, rest in heads:
+            if rest not in listed:
+                listed[rest] = _bounded(tails, rest, memo)
+            dst = _moved(n, lam, head, ahead)
+            for tail in listed[rest]:
+                by_dst = targets.get(tail)
+                if by_dst is None:
+                    by_dst = targets[tail] = out.setdefault(_moved(n, lam, tail, back), {})
+                by_dst.setdefault(dst, []).append(head + tail)
+    return out
+
+
+def _block_labels(n, kind, src, members):
+    """The labels of members of a kind, given by their parts (see
+    :func:`enumerate_block_parts`), in a block with source weight
+    ``src``: each lam is src moved by the parts right of 1_lam."""
+    _, signs, a, c, zero = _parts(n, kind)
+    left = SHAPES[kind].index(None)
+    labels = []
+    for parts in members:
+        lam = _moved(n, src, parts[left:], signs[left:])
+        parts += zero
+        labels.append(BasisLabel(kind, parts[a], lam, parts[c]))
+    return labels
+
+
 def enumerate_blocks(n, d, kind):
     """The labels of a kind that pins weight blocks, grouped as they are
     enumerated: ``{src: {dst: [labels]}}``, equal to
     ``block_index(model, enumerate_basis(n, d, kind))`` in every order,
     the source weights and the targets of each in order of first
-    appearance and each block's labels in enumeration order.
-
-    The enumeration is :func:`enumerate_basis`'s, lam outer.  For each
-    lam the target lam + (shift of the parts left of 1_lam) of each left
-    exponent tuple, and the source lam - (shift of the parts right of
-    it) of each right one, are summed once, so no label's block is
-    found again afterwards.  Every lam comes from ``compositions`` and
-    is a weight.  PBW, PLUS and MINUS labels pin no block, and an unknown
-    kind names none: ValueError.
+    appearance and each block's labels in enumeration order.  An adapter:
+    :func:`enumerate_block_parts`, with each member made a label.
 
     >>> [(src, dst, [(x.A, x.lam, x.C) for x in labels])
     ...  for src, by_dst in enumerate_blocks(2, 1, "B1").items()
@@ -299,28 +375,8 @@ def enumerate_blocks(n, d, kind):
     [((1, 0), (1, 0), [((0,), (1, 0), (0,))]), ((1, 0), (0, 1), [((0,), (0, 1), (1,))]),
      ((0, 1), (0, 1), [((0,), (0, 1), (0,))]), ((0, 1), (1, 0), [((1,), (0, 1), (0,))])]
     """
-    shape = SHAPES.get(kind)
-    if shape is None or None not in shape:
-        raise ValueError(f"{kind} labels pin no weight block")
-    groups, signs, a, c, zero = _parts(n, kind)
-    left = shape.index(None)  # the parts left of 1_lam
-    ahead = signs[:left]
-    back = ["minus" if sign == "plus" else "plus" for sign in signs[left:]]
-    memo, out = {}, {}
-    for lam in compositions(n, d):
-        # A source weight, and a target of it, enter ``out`` with their
-        # first label, as in block_index.
-        dsts, blocks = {}, {}
-        for parts in _bounded(groups, lam, memo):
-            head, tail = parts[:left], parts[left:]
-            if tail not in blocks:
-                blocks[tail] = out.setdefault(_moved(n, lam, tail, back), {})
-            if head not in dsts:
-                dsts[head] = _moved(n, lam, head, ahead)
-            parts += zero
-            label = BasisLabel(kind, parts[a], lam, parts[c])
-            blocks[tail].setdefault(dsts[head], []).append(label)
-    return out
+    return {src: {dst: _block_labels(n, kind, src, members) for dst, members in by_dst.items()}
+            for src, by_dst in enumerate_block_parts(n, d, kind).items()}
 
 
 def _specialized_row(row, point, size):
@@ -513,12 +569,27 @@ def grouped_ranks(model, groups):
     """Exact rank of each block of labels grouped ``{src: {dst:
     [labels]}}``, as :func:`block_index` and :func:`enumerate_blocks`
     give them, ranked on the labels' images of u_src: ``{(src, dst):
-    rank}`` in the order of the groups.  The images
-    (``rootvectors.block_images``) are flat at stride n^d in both modes,
-    so they reach the rank kernel (:func:`_pivots`) as they are, with no
-    look at their form."""
-    return {block: len(_pivots(model, images, model.num_words)[0])
-            for block, images in block_images(model, groups)}
+    rank}`` in the order of the groups (:func:`_walk_ranks` of a
+    ``rootvectors.block_images`` walk)."""
+    return _walk_ranks(model, block_images(model, groups))
+
+
+def parts_ranks(model, kind, groups):
+    """:func:`grouped_ranks` for the members of a kind given by their
+    parts and grouped as :func:`enumerate_block_parts` gives them, with
+    no label: :func:`_walk_ranks` of a ``rootvectors.parts_images``
+    walk."""
+    return _walk_ranks(model, parts_images(model, SHAPES[kind], groups))
+
+
+def _walk_ranks(model, walk):
+    """``{(src, dst): rank}`` of the blocks of an image walk, in its
+    order.  The images are flat at stride n^d in both modes, so they
+    reach the rank kernel (:func:`_pivots`) as they are, with no look at
+    their form; one image alone has rank 1 exactly when it is nonzero."""
+    size = model.num_words
+    return {block: len(_pivots(model, images, size)[0]) if len(images) != 1
+            else int(any(images[0].values())) for block, images in walk}
 
 
 def block_index(model, family):
@@ -704,7 +775,12 @@ def _bareiss_solve(scalars, matrix, rhs):
 
 def _ring_quotient(scalars, num, det):
     """num / det in the scalar ring when it lies there, as a fraction
-    otherwise."""
+    otherwise.  A unit det, +-v^k (+-1 classically), divides as a shift
+    and a sign (the adapter's ``unit_quotient``); any other goes by the
+    ring's exact division, which raises on a remainder."""
+    quotient = scalars.unit_quotient(num, det)
+    if quotient is not None:
+        return quotient
     try:
         return scalars.exact_quotient(num, det)
     except NotDivisible:
@@ -743,7 +819,7 @@ def structure_constants(model, basis, i, j):
             return {}
         candidates = groups[src].get(dst, [])
         [(_, [image, *columns])] = block_images(model, {src: {dst: [right, *candidates]}})
-        product = _act(model, left, image, {})
+        product = _act(model, left, image)
     if not product:
         return {}
     values = coordinates(model, columns, product)

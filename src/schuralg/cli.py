@@ -31,8 +31,8 @@ from .bases import (
     basis_csv,
     basis_json,
     enumerate_basis,
-    enumerate_blocks,
-    grouped_ranks,
+    enumerate_block_parts,
+    parts_ranks,
     structure_table_csv,
     structure_table_json,
 )
@@ -198,9 +198,9 @@ def _model(args):
 
 def _cmd_dim(args):
     model = _model(args)
-    groups = enumerate_blocks(args.n, args.d, "B1")
-    count = sum(len(labels) for blocks in groups.values() for labels in blocks.values())
-    rank = sum(grouped_ranks(model, groups).values())
+    groups = enumerate_block_parts(args.n, args.d, "B1")
+    count = sum(len(members) for blocks in groups.values() for members in blocks.values())
+    rank = sum(parts_ranks(model, "B1", groups).values())
     expected = comb(args.n * args.n - 1 + args.d, args.d)
     ok = count == rank == expected
     payload = {"count": count, "rank": rank, "expected": expected}

@@ -153,7 +153,7 @@ def hecke_summary(model):
     if not closed:
         [(_, images)] = block_images(model, {result.omega: {result.omega: family}})
         closed = result.dim == rank_of_family(
-            model, images + [_act(model, x, y, {}) for x in family for y in images])
+            model, images + [_act(model, x, y) for x in family for y in images])
     data = {
         "omega": list(result.omega),
         "dim": result.dim,

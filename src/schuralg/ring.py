@@ -443,6 +443,11 @@ class ClassicalScalars:
         return q
 
     @staticmethod
+    def unit_quotient(a, b):
+        """a / b when b is a unit, +-1, as a sign; None otherwise."""
+        return a * b if b in (1, -1) else None
+
+    @staticmethod
     def render(s):
         return str(s)
 
@@ -476,6 +481,16 @@ class QuantumScalars:
     def div(a, b):
         """a / b in Q(v), as a fraction to render."""
         return LaurentFraction(a, b)
+
+    @staticmethod
+    def unit_quotient(a, b):
+        """a / b when b is a unit +-v^k, as a shift of a's exponents by -k
+        and a sign, with no long division; None otherwise."""
+        if len(b.coeffs) == 1:
+            [(k, c)] = b.coeffs.items()
+            if c in (1, -1):
+                return LaurentPoly({e - k: c * x for e, x in a.coeffs.items()})
+        return None
 
     @staticmethod
     def render(s):

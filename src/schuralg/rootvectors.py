@@ -66,19 +66,29 @@ reader needs scalars.  A Kostant monomial x_A acts by a recurrence:
 with r the first root with a_r > 0, x_r^(a) = x_r x_r^(a-1) / [a]
 gives x_A p = x_r (x_(A - eps_r) p) / [a_r], one application and one
 exact division by [a_r], or a_r, per step, from the image one root
-step shorter (:func:`_prefix_image`), which is the image of another
-label of the same source weight.  :func:`block_images` is the one walk
-that builds the images of labels that pin a block, for every rank,
-product and corner: it checks the certificate once, builds u_src once
-per source weight, and keeps the images on the way in one memo per
-source weight, dropped when the next starts.  No command builds a
-one-label image; :func:`label_image`, the walk of one label, is the
-reference that tests check.  No vector is kept on the model.  A lam is
-a weight by construction in a basis grouped as it is enumerated
-(``bases.enumerate_blocks``, whose every lam comes from
-``compositions``); it is checked where a family handed in is grouped
-(``bases.block_index``), and by :func:`label_image` and
-:func:`apply_label` for one label.  A
+step shorter, which is the image of another label of the same source
+weight (:func:`_walker`, the one place the recurrence is written).
+
+The walk and the recurrence run on parts, not labels: a member of a
+shaped kind is its exponent tuples, one per monomial part in shape
+order, (A, C) for B1 and B2 (:func:`_label_parts`), and the shape.
+:func:`parts_images` is the one walk that builds the images of the
+members of a kind that pins a block, for every rank, product and
+corner: it checks the certificate once, builds u_src once per source
+weight, fetches a root vector's flat columns once, when first read,
+and keeps the images on the way in one memo per source weight, keyed
+by the parts and dropped when the next starts.  ``dim`` and the
+triangular check hand it parts from ``bases.enumerate_block_parts``
+and build no label.  The label functions are adapters that turn labels
+into parts: :func:`block_images` (ranks of a family handed in,
+products, the corner), :func:`_act` (one label on one vector) and
+:func:`label_image`, the walk of one label, which is the reference
+that tests check; no command builds a one-label image.  No vector is
+kept on the model.  A lam is a weight by construction in a basis
+grouped as it is enumerated (``bases.enumerate_block_parts``, whose
+every lam comes from ``compositions``); it is checked where a family
+handed in is grouped (``bases.block_index``), and by
+:func:`label_image` and :func:`apply_label` for one label.  A
 label's operator (:func:`eval_label`), for tests and benchmarks, is the
 product of its factors by ``tensormodel.compose``, recomputed on each
 call: the model caches root vectors, their divided powers and Cartan
@@ -111,6 +121,7 @@ __all__ = [
     "root_divided_power",
     "eval_label",
     "block_images",
+    "parts_images",
     "label_image",
     "label_columns",
     "apply_label",
@@ -350,42 +361,62 @@ def _label_block(label, root_data):
     return shift, (src, tuple(map(add, src, shift)))
 
 
-def _prefix_image(model, exponents, sign, vec, images):
-    """A Kostant monomial x_A applied to a flat vector p, by the
-    recurrence x_A p = x_r (x_(A - eps_r) p) / [a_r] for r the first
+def _label_parts(label):
+    """A label's exponent tuples, one per monomial part of its shape, in
+    shape order: (A, C) for B1 and B2, (A,) for the Borel flavors."""
+    return tuple(getattr(label, name) for name, _ in filter(None, SHAPES[label.flavor]))
+
+
+def _walker(model, shape):
+    """The one recurrence that applies the monomial parts of ``shape``:
+    a function image(memo, parts) of exponent tuples ``parts``, one per
+    part in shape order, that returns them applied right to left to the
+    flat vector memo[()].
+
+    The flat columns of a root vector, signed as a part, are fetched
+    once, when the recurrence first applies it: a root vector that no
+    member reads is not built.  A Kostant monomial x_A acts on a flat
+    vector p by x_A p = x_r (x_(A - eps_r) p) / [a_r] for r the first
     root with a_r > 0 (x_r^(a) = x_r x_r^(a-1) / [a]): one application
-    and one exact division by [a_r], or a_r, per image, or NotDivisible.
-    ``images`` holds the images x_B p of p already built, keyed by B,
-    and receives those built on the way."""
-    if not vec or not any(exponents):
+    and one exact division by [a_r], or a_r, per image, or
+    NotDivisible.  The memo is keyed by suffixes of parts, each the
+    image of that suffix of memo[()], and receives those built on the
+    way: x_(A - eps_r) f_C p is the image of another label of p's
+    source weight."""
+    size, divide = model.num_words, model.scalars.divide_integer
+    roots = model.root_data.positive_roots
+    signs = [sign for _, sign in filter(None, shape)]
+    columns = [[None] * len(roots) for _ in signs]  # [part][root], fetched when first read
+
+    def image(memo, parts):
+        vec = memo.get(parts)
+        if vec is None:
+            exps, rest = parts[0], parts[1:]
+            for r, m in enumerate(exps):
+                if m:
+                    vec = image(memo, ((*exps[:r], m - 1, *exps[r + 1:]), *rest))
+                    if vec:
+                        part = columns[-len(parts)]
+                        cols = part[r]
+                        if cols is None:
+                            cols = part[r] = _flat_columns(
+                                model, root_vector(model, roots[r], signs[-len(parts)]))
+                        vec = divide(_apply_flat(cols, vec, size), m, size)
+                    break
+            else:
+                vec = image(memo, rest)
+            memo[parts] = vec
         return vec
-    image = images.get(exponents)
-    if image is None:
-        r = next(t for t, m in enumerate(exponents) if m)
-        m = exponents[r]
-        prefix = _prefix_image(model, exponents[:r] + (m - 1,) + exponents[r + 1:],
-                               sign, vec, images)
-        size = model.num_words
-        cols = _flat_columns(model, root_vector(model, model.root_data.positive_roots[r], sign))
-        image = images[exponents] = model.scalars.divide_integer(
-            _apply_flat(cols, prefix, size), m, size)
     return image
 
 
-def _act(model, label, vec, memo, key=None):
+def _act(model, label, vec):
     """The parts of a label's shape (``SHAPES``), right to left, applied
-    to a flat vector that its 1_lam keeps whole: the caller has
-    restricted the vector to the label's source weight, and the part
-    None is passed over.  Each monomial goes by :func:`_prefix_image`,
-    its images kept in the dict ``memo`` under (key, sign), for ``key``
-    naming the vector it acts on.  The caller has checked the length of
+    to a flat vector that its 1_lam keeps whole, by :func:`_walker`: the
+    caller has restricted the vector to the label's source weight, and
+    the part None is passed over.  The caller has checked the length of
     each multi-index (:func:`_label_block`)."""
-    for name, sign in filter(None, reversed(SHAPES[label.flavor])):
-        exponents = getattr(label, name)
-        key = (key, sign)
-        vec = _prefix_image(model, exponents, sign, vec, memo.setdefault(key, {}))
-        key += (exponents,)
-    return vec
+    return _walker(model, SHAPES[label.flavor])({(): vec}, _label_parts(label))
 
 
 def apply_label(model, label, vec):
@@ -410,28 +441,48 @@ def apply_label(model, label, vec):
             _check_weight(model, label.lam)
             weights = model.weights
             vec = {k: c for k, c in vec.items() if weights[k % size] == block[0]}
-        vec = _act(model, label, vec, {})
+        vec = _act(model, label, vec)
     return scalars.from_flat(vec, size)
+
+
+def parts_images(model, shape, groups):
+    """The flat images of u_src of the members of a kind of ``shape``,
+    each given by its parts (:func:`_label_parts`) and grouped ``{src:
+    {dst: [parts]}}`` as ``bases.enumerate_block_parts`` gives them:
+    ((src, dst), images in member order) for each block, source weight
+    by source weight.  This is the one walk that builds images.
+
+    The certificate is checked once, when the walk starts, and u_src is
+    built once per source weight (one with a negative entry has no word,
+    and its images are empty).  Each member's parts act on u_src by the
+    recurrence of :func:`_walker`, sharing prefixes (f_C u_src serves
+    every e_A of B1) through one memo per source weight, keyed by the
+    parts and dropped when the next starts."""
+    certify_hecke_commutation(model)
+    image = _walker(model, shape)
+    for src, blocks in groups.items():
+        memo = {(): {model.word_index[ordered_word(src)]: 1} if min(src) >= 0 else {}}
+        for dst, members in blocks.items():
+            yield (src, dst), [image(memo, parts) for parts in members]
 
 
 def block_images(model, groups):
     """The flat images of u_src of labels grouped ``{src: {dst:
     [labels]}}`` as ``bases.enumerate_blocks`` and ``bases.block_index``
     give them, with every lam a weight: ((src, dst), images in label
-    order) for each block, source weight by source weight.  This is the
-    one walk that builds images.
-
-    The certificate is checked once, when the walk starts, and u_src is
-    built once per source weight (one with a negative entry has no word,
-    and its images are empty).  Each label's parts act on u_src
-    (:func:`_act`), sharing prefixes (f_C u_src serves every e_A of B1)
-    through one memo per source weight, dropped when the next starts."""
-    certify_hecke_commutation(model)
+    order) for each block.  An adapter: the labels become their parts,
+    and the labels of each flavor are walked by :func:`parts_images`,
+    whose images are merged back in label order."""
+    flavors = dict.fromkeys(label.flavor for blocks in groups.values()
+                            for labels in blocks.values() for label in labels)
+    walks = {flavor: parts_images(model, SHAPES[flavor], {
+        src: {dst: [_label_parts(x) for x in labels if x.flavor == flavor]
+              for dst, labels in blocks.items()}
+        for src, blocks in groups.items()}) for flavor in flavors}
     for src, blocks in groups.items():
-        memo = {}
-        start = {model.word_index[ordered_word(src)]: 1} if min(src) >= 0 else {}
         for dst, labels in blocks.items():
-            yield (src, dst), [_act(model, label, start, memo, src) for label in labels]
+            found = {flavor: iter(next(walk)[1]) for flavor, walk in walks.items()}
+            yield (src, dst), [next(found[label.flavor]) for label in labels]
 
 
 def label_image(model, label):

@@ -64,15 +64,16 @@ from itertools import permutations
 from math import comb
 
 from .bases import (
+    _block_labels,
     _specialized_row,
     block_dimension,
-    enumerate_blocks,
-    grouped_ranks,
+    enumerate_block_parts,
+    parts_ranks,
     rank_of_family,
 )
 from .errors import CertificateError, HypothesisError
 from .ring import LaurentPoly
-from .rootvectors import _prefix_image, block_images, root_vector
+from .rootvectors import SHAPES, _walker, parts_images, root_vector
 from .tensormodel import (
     _apply_flat,
     _cartan_values,
@@ -259,7 +260,7 @@ class _Images:
         self.model = model
         self.words = [model.word_index[ordered_word(lam)] for lam in model.weight_set]
         self._word = {lam: [j] for lam, j in zip(model.weight_set, self.words)}
-        self._powers = {}
+        self._powers, self._walkers = {}, {}
 
     def acting(self, op):
         """``op`` as a map of flat vectors, through its flat columns."""
@@ -268,15 +269,18 @@ class _Images:
     def divided(self, root, sign, m):
         """The divided power x^(m) of the root vector x for (root, sign)
         as a map of flat vectors, by the recurrence of
-        ``rootvectors._prefix_image``: x^(m) p = x x^(m-1) p / [m].  The
+        ``rootvectors._walker``: x^(m) p = x x^(m-1) p / [m].  The
         images of each vector p are kept, by sign, for as long as this
-        object lives, so the powers of one root vector at p share them."""
+        object lives, so the powers of one root vector at p share them,
+        and so is the recurrence of each sign."""
         model, powers = self.model, self._powers
-        exponents = tuple(m if r == root else 0 for r in model.root_data.positive_roots)
+        parts = (tuple(m if r == root else 0 for r in model.root_data.positive_roots),)
+        image = self._walkers.get(sign)
+        if image is None:
+            image = self._walkers[sign] = _walker(model, (("A", sign),))
 
         def power(vec):
-            memo = powers.setdefault((sign, frozenset(vec.items())), {})
-            return _prefix_image(model, exponents, sign, vec, memo)
+            return image(powers.setdefault((sign, frozenset(vec.items())), {(): vec}), parts)
         return power
 
     def sum(self, *terms):
@@ -679,9 +683,9 @@ def _triangular_items(model, rep):
     monomials, Cartan products and MINUS monomials span S(n, d).
 
     The three orders that put S+ left of S- read the block ranks of the
-    basis B1, grouped as it is enumerated
-    (:func:`~schuralg.bases.enumerate_blocks`,
-    :func:`~schuralg.bases.grouped_ranks`), the other three those of
+    basis B1, grouped as it is enumerated and read on its parts, with
+    no label built (:func:`~schuralg.bases.enumerate_block_parts`,
+    :func:`~schuralg.bases.parts_ranks`), the other three those of
     B2, with 0 for a block without labels.  A B1 label
     e_A 1_lam f_C of block (src, dst) is also e_A f_C 1_src and
     1_dst e_A f_C, because f_C maps M^src into M^lam and e_A maps M^lam
@@ -700,7 +704,7 @@ def _triangular_items(model, rep):
     weights = model.weight_set
     ranks = {}
     for kind in ("B1", "B2"):
-        found = grouped_ranks(model, enumerate_blocks(model.n, model.d, kind))
+        found = parts_ranks(model, kind, enumerate_block_parts(model.n, model.d, kind))
         ranks[kind] = {(src, dst): found.get((src, dst), 0)
                        for src in weights for dst in weights}
     for perm in permutations("+0-"):
@@ -763,18 +767,20 @@ def check_specialization(classical, quantum):
     rep = CheckReport("specialization", n, d, "both")
     size = quantum.num_words
     for kind in ("B1", "B2"):
-        groups = enumerate_blocks(n, d, kind)
+        groups, shape = enumerate_block_parts(n, d, kind), SHAPES[kind]
         # The images of both modes come block by block, in step; a
         # quantum image is read at v = 1 by specializing its flat form.
-        # The first failure is reported in enumeration order: lam in the
-        # order of ``compositions``, then the parts A, C ascending.
+        # Only a failing member is made a label, and the first failure
+        # is reported in enumeration order: lam in the order of
+        # ``compositions``, then the parts A, C ascending.
         agg, failed = _Agg(), []
-        for ((src, dst), images), (_, expected) in zip(block_images(quantum, groups),
-                                                      block_images(classical, groups)):
-            labels = groups[src][dst]
-            agg.count += len(labels)
-            failed += [label for label, image, want in zip(labels, images, expected)
-                       if _specialized_row(image, 1, size) != want]
+        for ((src, dst), images), (_, expected) in zip(parts_images(quantum, shape, groups),
+                                                      parts_images(classical, shape, groups)):
+            members = groups[src][dst]
+            agg.count += len(members)
+            failed += _block_labels(n, kind, src, [
+                parts for parts, image, want in zip(members, images, expected)
+                if _specialized_row(image, 1, size) != want])
         if failed:
             first = min(failed, key=lambda x: ([-m for m in x.lam], x.A, x.C))
             agg.first_failure = f"label {first}"

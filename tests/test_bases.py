@@ -26,8 +26,10 @@ from schuralg.bases import (
     content_low,
     coordinates,
     enumerate_basis,
+    enumerate_block_parts,
     enumerate_blocks,
     grouped_ranks,
+    parts_ranks,
     rank_of_family,
     rank_of_labels,
     root_sum,
@@ -449,6 +451,60 @@ def test_enumerate_blocks_is_the_regrouped_enumeration(n, d, mode):
         assert _in_order(grouped) == _in_order(block_index(m, enumerate_basis(n, d, kind)))
     with pytest.raises(ValueError):
         enumerate_blocks(n, d, "B3")
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (2, 7), (4, 3)])
+@pytest.mark.parametrize("kind", ["B1", "B2"])
+def test_parts_path_is_the_labelled_path(kind, n, d, mode):
+    # The parts enumeration is the labels' (A, C), in the same blocks,
+    # each in the same order, and the parts ranks are the labels' ranks,
+    # block by block and in the same order.
+    m = build_model(n, d, mode=mode)
+    labelled, parts = enumerate_blocks(n, d, kind), enumerate_block_parts(n, d, kind)
+    assert _in_order(parts) == [
+        (src, [(dst, [(x.A, x.C) for x in labels]) for dst, labels in by_dst.items()])
+        for src, by_dst in labelled.items()]
+    ranks = parts_ranks(m, kind, parts)
+    assert list(ranks.items()) == list(grouped_ranks(m, labelled).items())
+    assert sum(ranks.values()) == comb(n * n - 1 + d, d)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_unit_determinants_divide_by_a_shift_and_a_sign(mode, monkeypatch):
+    # N / D for a unit D, +-1 or +-v^k, takes no exact division.  Any
+    # other D still goes through the ring's exact division, to an
+    # integral quotient or, on a remainder, to a fraction.
+    scalars = ring.scalar_ring(mode)
+    divisions = []
+    real = type(scalars).exact_quotient
+
+    def counted(a, b):
+        divisions.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(type(scalars), "exact_quotient", staticmethod(counted))
+    if mode == "classical":
+        num, units = 6, [1, -1]
+        others = [(2, 3), (4, Fraction(3, 2)), (-5, Fraction(-6, 5))]
+    else:
+        v, two = LaurentPoly.v_power, ring.quantum_integer(2)
+        num, units = LaurentPoly({2: 3, 0: 5, -1: -1}), [v(0), -v(0), v(3), -v(-2)]
+        others = [(two * v(-1), None), (v(1) * 2, LaurentFraction(num, v(1) * 2)),
+                  (ring.quantum_integer(3), LaurentFraction(num, ring.quantum_integer(3)))]
+    for det in units:
+        quotient = bases._ring_quotient(scalars, num, det)
+        assert quotient * det == num and type(quotient) is type(num)
+    assert divisions == []
+    if mode == "quantum":
+        # An integral quotient by a non-unit: num * D / D is num.
+        det = others.pop(0)[0]
+        assert bases._ring_quotient(scalars, num * det, det) == num
+        assert divisions == [(num * det, det)]
+    for det, want in others:
+        divisions.clear()
+        assert bases._ring_quotient(scalars, num, det) == want
+        assert divisions == [(num, det)]
 
 
 @st.composite

@@ -138,16 +138,17 @@ def test_corner_block_equals_full_scan(n, d, mode):
                                       (4, 3, "quantum")])
 def test_truncation_evaluates_d_factorial_labels(n, d, mode, monkeypatch):
     calls = []
-    real = rootvectors._act
+    real = rootvectors.parts_images
 
-    def counted(model, label, vec, memo, key=None):
-        calls.append(label)
-        return real(model, label, vec, memo, key)
+    def counted(model, shape, groups):
+        for block, images in real(model, shape, groups):
+            calls.extend(images)
+            yield block, images
 
     # Every label image, one built alone by label_image or one of a
-    # block_images walk, is one _act call: each corner label's image is
-    # built once.
-    monkeypatch.setattr(rootvectors, "_act", counted)
+    # block_images walk, is one member of a parts_images walk: each
+    # corner label's image is built once.
+    monkeypatch.setattr(rootvectors, "parts_images", counted)
     result = omega_truncation(build_model(n, d, mode=mode))
     assert len(calls) == factorial(d)
     assert result.dim == factorial(d)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+from itertools import zip_longest
 
 import pytest
 
@@ -22,7 +23,7 @@ from schuralg.rootvectors import (
     SHAPES,
     BasisLabel,
     _label_block,
-    _prefix_image,
+    _walker,
     apply_label,
     block_images,
     divided_power,
@@ -193,11 +194,12 @@ def test_wrong_twist_on_the_image_path_is_not_divisible():
     # certificate would reject the untwisted generator before any image.
     m = build_model(2, 2, mode="quantum")
     start = {m.word_index[(2, 2)]: 1}
-    assert _prefix_image(m, (2,), "plus", start, {}) == {m.word_index[(1, 1)]: 1}
+    plus = SHAPES["PLUS"]
+    assert _walker(m, plus)({(): start}, ((2,),)) == {m.word_index[(1, 1)]: 1}
     e = root_vector(m, (1, 2), "plus")
     e.flat = {j: {i: 1 for i in col} for j, col in e.cols.items()}
     with pytest.raises(NotDivisible):
-        _prefix_image(m, (2,), "plus", start, {})
+        _walker(m, plus)({(): start}, ((2,),))
 
 
 def test_wrong_twist_in_the_recursion(monkeypatch):
@@ -461,10 +463,14 @@ def test_label_image_is_the_operator_column_at_the_ordered_word(n, d, mode):
 @pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (4, 2)])
 def test_shared_prefix_image_is_the_operator_column(n, d, mode):
     # The images block_ranks builds: one memo per source weight, every
-    # monomial by the recurrence x_r (x_(A - eps_r) p) / [a_r].
+    # monomial by the recurrence x_r (x_(A - eps_r) p) / [a_r].  Last, a
+    # family of the four kinds interleaved: block_images walks each
+    # flavor apart and merges the images back in label order.
     m = build_model(n, d, mode=mode)
-    for kind in ("B1", "B2", "BOREL_UP", "BOREL_DOWN"):
-        groups = block_index(m, enumerate_basis(n, d, kind))
+    families = [enumerate_basis(n, d, kind) for kind in ("B1", "B2", "BOREL_UP", "BOREL_DOWN")]
+    mixed = [x for row in zip_longest(*families) for x in row if x is not None]
+    for family in [*families, mixed]:
+        groups = block_index(m, family)
         for (src, dst), images in block_images(m, groups):
             u_src = m.word_index[ordered_word(src)]
             for label, image in zip(groups[src][dst], images, strict=True):

@@ -20,6 +20,9 @@ from schuralg.bases import (
     block_index,
     block_ranks,
     enumerate_basis,
+    enumerate_block_parts,
+    enumerate_blocks,
+    parts_ranks,
 )
 from schuralg.errors import HypothesisError
 from schuralg.ring import LaurentPoly, quantum_integer
@@ -34,7 +37,13 @@ from schuralg.tensormodel import (
     ordered_word_row,
     weight_idempotent,
 )
-from schuralg.rootvectors import SHAPES, _label_block, eval_label, root_divided_power
+from schuralg.rootvectors import (
+    SHAPES,
+    BasisLabel,
+    _label_block,
+    eval_label,
+    root_divided_power,
+)
 from schuralg.verify import (
     SUITES,
     CheckReport,
@@ -341,27 +350,38 @@ def test_specialization_matches_entrywise_reference(n, d):
     assert all(item.ok and not item.vacuous for item in expected)
 
 
+def _members(model, labels):
+    """The labels as the walk of their kind sees them: (kind, source
+    weight, parts)."""
+    return {(x.flavor, _label_block(x, model.root_data)[1][0], (x.A, x.C)) for x in labels}
+
+
+def _breaking(real, broken):
+    """A parts_images walk whose classical images of the members in
+    ``broken`` (see :func:`_members`) get a wrong entry."""
+    def wrong(model, shape, groups):
+        kind = next(k for k, s in SHAPES.items() if s == shape)
+        for (src, dst), images in real(model, shape, groups):
+            yield (src, dst), [
+                {**image, 0: 99} if model.mode == "classical" and (kind, src, parts) in broken
+                else image for parts, image in zip(groups[src][dst], images)]
+    return wrong
+
+
 def test_specialization_reports_the_first_failing_label(monkeypatch):
     # The quantum images come source weight by source weight, out of
     # enumeration order: at (2, 3) B1 label 2 is built before label 1.
     # With both wrong, the report still names label 1.  The classical
-    # images are made wrong where block_images builds them, in _act.
-    from schuralg import rootvectors
+    # images are made wrong where the parts_images walk yields them.
+    from schuralg import verify
 
     labels = enumerate_basis(2, 3, "B1")
     m = build_model(2, 3, mode="quantum")
     order = [lab for by_dst in block_index(m, labels).values()
              for members in by_dst.values() for lab in members]
     assert order.index(labels[2]) < order.index(labels[1])
-    real = rootvectors._act
-
-    def wrong(model, label, vec, memo, key=None):
-        image = real(model, label, vec, memo, key)
-        if model.mode == "classical" and label in (labels[1], labels[2]):
-            return {**image, 0: 99}
-        return image
-
-    monkeypatch.setattr(rootvectors, "_act", wrong)
+    monkeypatch.setattr(verify, "parts_images",
+                        _breaking(verify.parts_images, _members(m, [labels[1], labels[2]])))
     item = check_specialization(*_pair(2, 3)).items[0]
     assert (item.id, item.ok, item.detail) == ("B1[v=1]", False, f"failed at label {labels[1]}")
 
@@ -374,33 +394,29 @@ def test_specialization_names_a_broken_label_in_enumeration_order(kind, monkeypa
     # names the one that comes first in the flat enumeration (lam in the
     # order of compositions, then the parts ascending), not the first
     # in block order.
-    from schuralg import rootvectors
+    from schuralg import verify
 
     labels = enumerate_basis(3, 3, kind)
-    order = [lab for by_dst in block_index(build_model(3, 3), labels).values()
+    m = build_model(3, 3)
+    order = [lab for by_dst in block_index(m, labels).values()
              for members in by_dst.values() for lab in members]
-    real, broken = rootvectors._act, set()
-
-    def wrong(model, label, vec, memo, key=None):
-        image = real(model, label, vec, memo, key)
-        if model.mode == "classical" and label in broken:
-            return {**image, 0: 99}
-        return image
-
-    monkeypatch.setattr(rootvectors, "_act", wrong)
+    real, broken = verify.parts_images, set()
+    monkeypatch.setattr(verify, "parts_images", _breaking(real, broken))
     index = 0 if kind == "B1" else 1
     models = _pair(3, 3)
     for target in (labels[0], labels[len(labels) // 2], labels[-1]):
-        broken = {target}
+        broken.clear()
+        broken.update(_members(m, [target]))
         item = check_specialization(*models).items[index]
         assert (item.id, item.ok, item.detail) == (f"{kind}[v=1]", False,
                                                    f"failed at label {target}")
-    broken = set(order[len(order) // 2:])
-    first = next(lab for lab in labels if lab in broken)
+    broken.clear()
+    broken.update(_members(m, order[len(order) // 2:]))
+    first = next(lab for lab in labels if _members(m, [lab]) <= broken)
     assert first != order[len(order) // 2]
     item = check_specialization(*models).items[index]
     assert item.detail == f"failed at label {first}"
-    broken = set()
+    broken.clear()
     item = check_specialization(*models).items[index]
     assert item.ok and item.detail == f"{len(labels)} instance(s)"
 
@@ -654,14 +670,14 @@ def test_structural_report_ranks_two_sign_pairs(monkeypatch):
     from schuralg import verify
 
     calls = []
-    real = verify.grouped_ranks
+    real = verify.parts_ranks
 
-    def recording(model, groups):
-        calls.append({label.flavor for blocks in groups.values()
-                      for labels in blocks.values() for label in labels})
-        return real(model, groups)
+    def recording(model, kind, groups):
+        calls.append({flavor for flavor in ("B1", "B2")
+                      if groups == enumerate_block_parts(model.n, model.d, flavor)})
+        return real(model, kind, groups)
 
-    monkeypatch.setattr(verify, "grouped_ranks", recording)
+    monkeypatch.setattr(verify, "parts_ranks", recording)
     rep = check_structural_facts(build_model(2, 3))
     assert rep.passed
     assert calls == [{"B1"}, {"B2"}]
@@ -679,6 +695,63 @@ def test_failing_triangular_item_names_its_block(mode):
         assert item.detail == "rank 18 of 20; block (3, 0)->(0, 3) rank 0 of 1"
     item = _triangular_item(m, "+0-", _basis_ranks(m, "+0-"))
     assert item.ok and item.detail == "rank 20 of 20"
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_a_zeroed_one_label_block_ranks_zero_and_is_named(mode, monkeypatch):
+    # A block of one label is ranked by whether its image is nonzero.
+    # With the image of the first such B1 block zeroed where the walk
+    # yields it, that block ranks 0, and the three orders that read B1
+    # fail and name it; those that read B2 still pass.
+    from schuralg import bases
+
+    m = build_model(2, 3, mode=mode)
+    groups = enumerate_block_parts(2, 3, "B1")
+    block = next((src, dst) for src, by_dst in groups.items()
+                 for dst, members in by_dst.items() if len(members) == 1)
+    assert parts_ranks(m, "B1", groups)[block] == 1
+    real = bases.parts_images
+
+    def zeroed(model, shape, groups):
+        for found, images in real(model, shape, groups):
+            yield found, [{}] if shape == SHAPES["B1"] and found == block else images
+
+    monkeypatch.setattr(bases, "parts_images", zeroed)
+    ranks = parts_ranks(m, "B1", groups)
+    assert ranks[block] == 0 and sum(ranks.values()) == 19
+    items = {item.id: item for item in check_structural_facts(m).items}
+    src, dst = block
+    for perm in permutations("+0-"):
+        tag = "".join(perm)
+        item = items[f"triangular[{tag}]"]
+        if tag.index("+") < tag.index("-"):
+            assert not item.ok
+            assert item.detail == f"rank 19 of 20; block {src}->{dst} rank 0 of 1"
+        else:
+            assert item.ok and item.detail == "rank 20 of 20"
+
+
+def test_dim_and_the_structural_check_build_no_label(monkeypatch, capsys):
+    # dim and the triangular items enumerate, walk and rank the blocks
+    # of B1 and B2 on their parts: no BasisLabel is built.  The counter
+    # does see the labels that the adapter enumerate_blocks builds.
+    from schuralg import cli
+
+    built, real = [], BasisLabel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BasisLabel, "__init__", counting)
+    labels = [x for by_dst in enumerate_blocks(2, 2, "B1").values()
+              for members in by_dst.values() for x in members]
+    assert len(built) == len(labels) == 10
+    built.clear()
+    assert cli.main(["dim", "3", "4", "--quantum"]) == 0
+    assert capsys.readouterr().out == "count=495 rank=495 expected=495 pass\n"
+    assert check_structural_facts(build_model(3, 3)).passed
+    assert built == []
 
 
 def test_failing_triangular_item_block_is_short():
