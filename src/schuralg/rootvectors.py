@@ -67,7 +67,7 @@ with r the first root with a_r > 0, x_r^(a) = x_r x_r^(a-1) / [a]
 gives x_A p = x_r (x_(A - eps_r) p) / [a_r], one application and one
 exact division by [a_r], or a_r, per step, from the image one root
 step shorter, which is the image of another label of the same source
-weight (:func:`_walker`, the one place the recurrence is written).
+weight (:class:`_Walker`, the one place the recurrence is written).
 
 The walk and the recurrence run on parts, not labels: a member of a
 shaped kind is its exponent tuples, one per monomial part in shape
@@ -367,11 +367,11 @@ def _label_parts(label):
     return tuple(getattr(label, name) for name, _ in filter(None, SHAPES[label.flavor]))
 
 
-def _walker(model, shape):
+class _Walker:
     """The one recurrence that applies the monomial parts of ``shape``:
-    a function image(memo, parts) of exponent tuples ``parts``, one per
-    part in shape order, that returns them applied right to left to the
-    flat vector memo[()].
+    ``image(memo, parts)`` of exponent tuples ``parts``, one per part in
+    shape order, returns them applied right to left to the flat vector
+    memo[()].
 
     The flat columns of a root vector, signed as a part, are fetched
     once, when the recurrence first applies it: a root vector that no
@@ -382,41 +382,45 @@ def _walker(model, shape):
     NotDivisible.  The memo is keyed by suffixes of parts, each the
     image of that suffix of memo[()], and receives those built on the
     way: x_(A - eps_r) f_C p is the image of another label of p's
-    source weight."""
-    size, divide = model.num_words, model.scalars.divide_integer
-    roots = model.root_data.positive_roots
-    signs = [sign for _, sign in filter(None, shape)]
-    columns = [[None] * len(roots) for _ in signs]  # [part][root], fetched when first read
+    source weight.  The recurrence is a method, not a closure that
+    calls itself, so a walk leaves no reference cycle: its model is
+    freed when the walk ends, not at the next cyclic collection."""
 
-    def image(memo, parts):
+    def __init__(self, model, shape):
+        self.model = model
+        self.size, self.divide = model.num_words, model.scalars.divide_integer
+        self.roots = model.root_data.positive_roots
+        self.signs = [sign for _, sign in filter(None, shape)]
+        self.columns = [[None] * len(self.roots) for _ in self.signs]  # [part][root]
+
+    def image(self, memo, parts):
         vec = memo.get(parts)
         if vec is None:
             exps, rest = parts[0], parts[1:]
             for r, m in enumerate(exps):
                 if m:
-                    vec = image(memo, ((*exps[:r], m - 1, *exps[r + 1:]), *rest))
+                    vec = self.image(memo, ((*exps[:r], m - 1, *exps[r + 1:]), *rest))
                     if vec:
-                        part = columns[-len(parts)]
+                        part = self.columns[-len(parts)]
                         cols = part[r]
                         if cols is None:
-                            cols = part[r] = _flat_columns(
-                                model, root_vector(model, roots[r], signs[-len(parts)]))
-                        vec = divide(_apply_flat(cols, vec, size), m, size)
+                            cols = part[r] = _flat_columns(self.model, root_vector(
+                                self.model, self.roots[r], self.signs[-len(parts)]))
+                        vec = self.divide(_apply_flat(cols, vec, self.size), m, self.size)
                     break
             else:
-                vec = image(memo, rest)
+                vec = self.image(memo, rest)
             memo[parts] = vec
         return vec
-    return image
 
 
 def _act(model, label, vec):
     """The parts of a label's shape (``SHAPES``), right to left, applied
-    to a flat vector that its 1_lam keeps whole, by :func:`_walker`: the
+    to a flat vector that its 1_lam keeps whole, by :class:`_Walker`: the
     caller has restricted the vector to the label's source weight, and
     the part None is passed over.  The caller has checked the length of
     each multi-index (:func:`_label_block`)."""
-    return _walker(model, SHAPES[label.flavor])({(): vec}, _label_parts(label))
+    return _Walker(model, SHAPES[label.flavor]).image({(): vec}, _label_parts(label))
 
 
 def apply_label(model, label, vec):
@@ -455,11 +459,11 @@ def parts_images(model, shape, groups):
     The certificate is checked once, when the walk starts, and u_src is
     built once per source weight (one with a negative entry has no word,
     and its images are empty).  Each member's parts act on u_src by the
-    recurrence of :func:`_walker`, sharing prefixes (f_C u_src serves
+    recurrence of :class:`_Walker`, sharing prefixes (f_C u_src serves
     every e_A of B1) through one memo per source weight, keyed by the
     parts and dropped when the next starts."""
     certify_hecke_commutation(model)
-    image = _walker(model, shape)
+    image = _Walker(model, shape).image
     for src, blocks in groups.items():
         memo = {(): {model.word_index[ordered_word(src)]: 1} if min(src) >= 0 else {}}
         for dst, members in blocks.items():

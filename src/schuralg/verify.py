@@ -73,7 +73,7 @@ from .bases import (
 )
 from .errors import CertificateError, HypothesisError
 from .ring import LaurentPoly
-from .rootvectors import SHAPES, _walker, parts_images, root_vector
+from .rootvectors import SHAPES, _Walker, parts_images, root_vector
 from .tensormodel import (
     _apply_flat,
     _cartan_values,
@@ -269,7 +269,7 @@ class _Images:
     def divided(self, root, sign, m):
         """The divided power x^(m) of the root vector x for (root, sign)
         as a map of flat vectors, by the recurrence of
-        ``rootvectors._walker``: x^(m) p = x x^(m-1) p / [m].  The
+        ``rootvectors._Walker``: x^(m) p = x x^(m-1) p / [m].  The
         images of each vector p are kept, by sign, for as long as this
         object lives, so the powers of one root vector at p share them,
         and so is the recurrence of each sign."""
@@ -277,7 +277,7 @@ class _Images:
         parts = (tuple(m if r == root else 0 for r in model.root_data.positive_roots),)
         image = self._walkers.get(sign)
         if image is None:
-            image = self._walkers[sign] = _walker(model, (("A", sign),))
+            image = self._walkers[sign] = _Walker(model, (("A", sign),)).image
 
         def power(vec):
             return image(powers.setdefault((sign, frozenset(vec.items())), {(): vec}), parts)

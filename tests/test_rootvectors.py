@@ -1,7 +1,9 @@
 """Tests for root vectors, divided powers, and label evaluation."""
 
 import dataclasses
+import gc
 import pickle
+import weakref
 from itertools import zip_longest
 
 import pytest
@@ -12,6 +14,8 @@ from schuralg.bases import (
     block_index,
     block_ranks,
     enumerate_basis,
+    enumerate_block_parts,
+    parts_ranks,
     rank_of_labels,
     structure_constants,
 )
@@ -23,7 +27,7 @@ from schuralg.rootvectors import (
     SHAPES,
     BasisLabel,
     _label_block,
-    _walker,
+    _Walker,
     apply_label,
     block_images,
     divided_power,
@@ -195,11 +199,11 @@ def test_wrong_twist_on_the_image_path_is_not_divisible():
     m = build_model(2, 2, mode="quantum")
     start = {m.word_index[(2, 2)]: 1}
     plus = SHAPES["PLUS"]
-    assert _walker(m, plus)({(): start}, ((2,),)) == {m.word_index[(1, 1)]: 1}
+    assert _Walker(m, plus).image({(): start}, ((2,),)) == {m.word_index[(1, 1)]: 1}
     e = root_vector(m, (1, 2), "plus")
     e.flat = {j: {i: 1 for i in col} for j, col in e.cols.items()}
     with pytest.raises(NotDivisible):
-        _walker(m, plus)({(): start}, ((2,),))
+        _Walker(m, plus).image({(): start}, ((2,),))
 
 
 def test_wrong_twist_in_the_recursion(monkeypatch):
@@ -555,6 +559,28 @@ def test_block_ranks_keep_no_image_on_the_model(mode):
     assert check_specialization(*models).passed
     for model in models:
         assert not any(isinstance(value, dict) for value in model._op_cache.values())
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_a_walked_model_is_freed_by_reference_counting(mode):
+    # With the cyclic collector off, a model that walks have read is
+    # freed when its last reference goes: no walk leaves a cycle that
+    # holds it.  A recurrence written as a closure that calls itself
+    # would, and each command's model would then stay in memory until
+    # the next full collection.
+    gc.collect()
+    gc.disable()
+    try:
+        m = build_model(3, 3, mode=mode)
+        for kind in ("B1", "B2"):
+            assert sum(parts_ranks(m, kind, enumerate_block_parts(3, 3, kind)).values()) == 165
+        assert sum(block_ranks(m, enumerate_basis(3, 3, "B1")).values()) == 165
+        assert label_image(m, BasisLabel(flavor="B1", A=(1, 0, 0), lam=(1, 1, 1), C=(0, 1, 0)))
+        freed = weakref.ref(m)
+        del m
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
