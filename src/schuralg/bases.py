@@ -347,18 +347,24 @@ def enumerate_block_parts(n, d, kind):
     return out
 
 
-def _block_labels(n, kind, src, members):
+def _block_labels(n, kind, src, by_dst):
     """The labels of members of a kind, given by their parts (see
-    :func:`enumerate_block_parts`), in a block with source weight
-    ``src``: each lam is src moved by the parts right of 1_lam."""
+    :func:`enumerate_block_parts`) and grouped by target ``{dst:
+    [parts]}``, of the source weight ``src``: ``{dst: [labels]}``.  Each
+    lam is src moved by the parts right of 1_lam, found once per source
+    weight for each such right part."""
     _, signs, a, c, zero = _parts(n, kind)
     left = SHAPES[kind].index(None)
-    labels = []
-    for parts in members:
-        lam = _moved(n, src, parts[left:], signs[left:])
-        parts += zero
-        labels.append(BasisLabel(kind, parts[a], lam, parts[c]))
-    return labels
+    lams, out = {}, {}  # right parts -> lam
+    for dst, members in by_dst.items():
+        labels = out[dst] = []
+        for parts in members:
+            lam = lams.get(parts[left:])
+            if lam is None:
+                lam = lams[parts[left:]] = _moved(n, src, parts[left:], signs[left:])
+            parts += zero
+            labels.append(BasisLabel(kind, parts[a], lam, parts[c]))
+    return out
 
 
 def enumerate_blocks(n, d, kind):
@@ -375,7 +381,7 @@ def enumerate_blocks(n, d, kind):
     [((1, 0), (1, 0), [((0,), (1, 0), (0,))]), ((1, 0), (0, 1), [((0,), (0, 1), (1,))]),
      ((0, 1), (0, 1), [((0,), (0, 1), (0,))]), ((0, 1), (1, 0), [((1,), (0, 1), (0,))])]
     """
-    return {src: {dst: _block_labels(n, kind, src, members) for dst, members in by_dst.items()}
+    return {src: _block_labels(n, kind, src, by_dst)
             for src, by_dst in enumerate_block_parts(n, d, kind).items()}
 
 

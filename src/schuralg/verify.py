@@ -778,9 +778,9 @@ def check_specialization(classical, quantum):
                                                       parts_images(classical, shape, groups)):
             members = groups[src][dst]
             agg.count += len(members)
-            failed += _block_labels(n, kind, src, [
+            failed += _block_labels(n, kind, src, {dst: [
                 parts for parts, image, want in zip(members, images, expected)
-                if _specialized_row(image, 1, size) != want])
+                if _specialized_row(image, 1, size) != want]})[dst]
         if failed:
             first = min(failed, key=lambda x: ([-m for m in x.lam], x.A, x.C))
             agg.first_failure = f"label {first}"
