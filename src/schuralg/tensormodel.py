@@ -1,8 +1,10 @@
 """Tensor-space realization of the Schur algebra and its q-analogue.
 
 A model for parameters (n, d) consists of the n^d basis words of length
-d over the alphabet {1..n}, listed lexicographically, together with the
-action of the generators on them:
+d over the alphabet {1..n}, listed lexicographically, so that the index
+of a word w is sum_p (w_p - 1) n^(d-1-p) and moving its letters moves
+its index by arithmetic, together with the action of the generators on
+them:
 
 * quantum mode: E_i, F_i, K_i act on a single factor by
   K_i u_j = v^{delta_ij} u_j, E_i u_j = delta_{j,i+1} u_i,
@@ -44,8 +46,11 @@ the fixed words too.
 
 The generators commute with every T_p (quantum Schur-Weyl duality,
 Jimbo, Lett. Math. Phys. 11, 1986); :func:`certify_hecke_commutation`
-checks this exactly on the model's own operators.  By the quadratic
-relation it compares each generator g at the coefficient-0 member w of
+checks this exactly on the model's own operators.  Classically T_p is
+the permutation s_p, and a generator commutes with it when its entries
+are unchanged as s_p moves both their row and their column: one
+comparison per generator and T_p.  Quantumly, by the quadratic
+relation, it compares each generator g at the coefficient-0 member w of
 each pair and at the fixed words only: if g T_p w = T_p g w, that is
 g s_p w = T_p g w, then at s_p w as well
 
@@ -289,34 +294,40 @@ def _build_generators(model):
     letters left of p (the factor K_i^{-1} K_{i+1}).  Classically
     v^k = 1 and this is the Leibniz rule.  Distinct positions give
     distinct target words, so each image entry is a single twist.
+    Words are listed lexicographically, so a letter at position p moved
+    by 1 moves the word's index by n^(d-1-p), and no word is looked up.
+    The Cartan entries, v^{+-mu_k} (classically mu_k), come from one
+    table of ``scalars.cartan`` at -d..d.
     """
-    n, scalars, names = model.n, model.scalars, model.names
-    index = model.word_index
-    twist = {k: scalars.v_power(k) for k in range(-model.d, model.d + 1)}
+    n, d, scalars, names = model.n, model.d, model.scalars, model.names
+    twist = {k: scalars.v_power(k) for k in range(-d, d + 1)}
+    steps = [n ** (d - 1 - p) for p in range(d)]
     e_cols = {i: {} for i in range(1, n)}
     f_cols = {i: {} for i in range(1, n)}
     for j, (word, mu) in enumerate(zip(model.words, model.weights)):
         seen = [0] * (n + 1)  # seen[a]: letters a left of p
-        for p, a in enumerate(word):
+        for a, step in zip(word, steps):
             if a > 1:
                 i = a - 1
                 k = (mu[i - 1] - seen[i]) - (mu[i] - seen[a] - 1)
-                target = index[word[:p] + (i,) + word[p + 1:]]
-                e_cols[i].setdefault(j, {})[target] = twist[k]
+                e_cols[i].setdefault(j, {})[j - step] = twist[k]
             if a < n:
-                target = index[word[:p] + (a + 1,) + word[p + 1:]]
-                f_cols[a].setdefault(j, {})[target] = twist[seen[a + 1] - seen[a]]
+                f_cols[a].setdefault(j, {})[j + step] = twist[seen[a + 1] - seen[a]]
             seen[a] += 1
+    cartan = {k: scalars.cartan(k) for k in range(-d, d + 1)}
+
+    def diagonal(k, sign):
+        return SparseOperator({j: {j: s} for j, mu in enumerate(model.weights)
+                               if (s := cartan[sign * mu[k - 1]])})
+
     gens = {}
     for i in range(1, n):
         gens[(names.plus, i)] = SparseOperator(e_cols[i])
         gens[(names.minus, i)] = SparseOperator(f_cols[i])
     for k in range(1, n + 1):
-        count = [w[k - 1] for w in model.weights]
-        gens[(names.cartan, k)] = model.diagonal(lambda j: scalars.cartan(count[j]))
+        gens[(names.cartan, k)] = diagonal(k, 1)
         if names.cartan_inverse:
-            gens[(names.cartan_inverse, k)] = model.diagonal(
-                lambda j: scalars.cartan(-count[j]))
+            gens[(names.cartan_inverse, k)] = diagonal(k, -1)
     return gens
 
 
@@ -469,15 +480,18 @@ def hecke_table(model, p):
     """T_p (1 <= p < d) as a table over the words, as in the module
     docstring: (partner, coeff), two lists over the word indices, with
     T_p w = s_p w + coeff[w] w where partner[w] = s_p w is another word,
-    and T_p w = coeff[w] w on a fixed word, its own partner."""
-    scalars, index = model.scalars, model.word_index
+    and T_p w = coeff[w] w on a fixed word, its own partner.  Words are
+    listed lexicographically, so swapping the letters a, b at positions
+    p, p + 1 moves a word's index by (b - a)(n - 1) n^(d-1-p)."""
+    scalars = model.scalars
     v = scalars.v_power(1)
-    gap = v - scalars.v_power(-1)
+    gap, zero = v - scalars.v_power(-1), scalars.zero
+    step = (model.n - 1) * model.n ** (model.d - 1 - p)
     partner, coeff = [], []
-    for word in model.words:
+    for j, word in enumerate(model.words):
         a, b = word[p - 1], word[p]
-        partner.append(index[word[:p - 1] + (b, a) + word[p + 1:]])
-        coeff.append(v if a == b else gap if a > b else scalars.zero)
+        partner.append(j + (b - a) * step)
+        coeff.append(v if a == b else gap if a > b else zero)
     return partner, coeff
 
 
@@ -495,11 +509,11 @@ def hecke_generator(model, p):
 
 def _constant_by_weight(model, gen):
     """Whether ``gen`` is diagonal with one value on each weight space."""
-    zero, value = model.scalars.zero, {}
+    zero, value, cols = model.scalars.zero, {}, gen.cols
     for j, mu in enumerate(model.weights):
-        col = gen.cols.get(j, {})
+        col = cols.get(j, {})
         s = col.get(j, zero)
-        if col.keys() - {j} or value.setdefault(mu, s) != s:
+        if len(col) > (j in col) or value.setdefault(mu, s) != s:  # an entry off j
             return False
     return True
 
@@ -575,12 +589,14 @@ def _apply_flat(cols, vec, size):
 
 def _compared_words(model, p, partner, coeff):
     """The words at which :func:`certify_hecke_commutation` compares a
-    generator with T_p, given by its :func:`hecke_table`: each fixed
-    word and the coefficient-0 member of each pair.  Raises
+    quantum generator with T_p, given by its :func:`hecke_table`: each
+    fixed word and the coefficient-0 member of each pair.  Raises
     CertificateError, naming T_p, unless the table has the form of the
     module docstring (a partner map that is an involution, coefficient v
     on the fixed words and the coefficients {0, v - v^-1} on each pair),
-    on which the comparison at these words alone is a proof."""
+    on which the comparison at these words alone is a proof; classically
+    that form makes T_p the permutation of the words by its partner
+    map."""
     scalars = model.scalars
     v = scalars.v_power(1)
     gap = v - scalars.v_power(-1)
@@ -609,19 +625,44 @@ def _compared_words(model, p, partner, coeff):
 
 
 def _apply_table(vec, move, gap_rows, size):
-    """T_p applied to a flat vector, N = ``size``: the key k of row
-    r = k % N moves to k + move[r], at r's partner, or to k + N (v
-    times it; k itself classically) for a fixed row r; a row in
-    ``gap_rows`` also gets its term times v - v^-1, and classically
-    there is no such row."""
+    """A quantum T_p applied to a flat vector, N = ``size``: the key k
+    of row r = k % N moves to k + move[r], at r's partner, or to k + N
+    (v times it) for a fixed row r; a row in ``gap_rows`` also gets its
+    term times v - v^-1."""
     out = {k + move[k % size]: c for k, c in vec.items()}
-    if not gap_rows:
-        return out
     for k, c in vec.items():
         if k % size in gap_rows:
             out[k + size] = out.get(k + size, 0) + c
             out[k - size] = out.get(k - size, 0) - c
     return {k: c for k, c in out.items() if c}
+
+
+def _commutes_at(cols, words, partner, move, gap_rows, size):
+    """Whether a generator with the flat columns ``cols`` commutes with
+    a quantum T_p at the ``words`` of :func:`_compared_words`, v being
+    a shift by N = ``size`` on flat keys: g s_p w = T_p g w at the
+    coefficient-0 member w of each pair, T_p g w = v g w at a fixed
+    word w (see :func:`_apply_table`)."""
+    for j in words:
+        col, s = cols.get(j), partner[j]
+        if col:
+            want = cols.get(s) if s != j else {k + size: c for k, c in col.items()}
+            if _apply_table(col, move, gap_rows, size) != want:
+                return False
+        elif s != j and cols.get(s):  # g w = 0, so T_p g w = 0
+            return False
+    return True
+
+
+def _fixed_by_swap(cols, partner):
+    """Whether the operator of ``cols`` commutes with the permutation
+    ``partner`` of the words, an involution: whether each entry c at
+    (row i, column j) is also the entry at (partner[i], partner[j]).
+    The permutation moves distinct entries to distinct places, so when
+    each lands on an equal entry, the moved entries are the entries."""
+    empty = {}
+    return all(cols.get(partner[j], empty).get(partner[i]) == c
+               for j, col in cols.items() for i, c in col.items())
 
 
 def certify_hecke_commutation(model):
@@ -632,40 +673,41 @@ def certify_hecke_commutation(model):
     first (:func:`_compared_words`).  A generator that is diagonal with
     one value on each weight space commutes with every T_p that keeps
     weight: the first fact is checked once per generator, the second
-    once per T_p.  Every other generator g is compared on flat columns
-    at the coefficient-0 member w of each pair, g s_p w = T_p g w, and
-    at each fixed word w, T_p g w = v g w, which by the quadratic
-    relation of the module docstring proves g T_p = T_p g.  The check
-    runs once per model and its success is kept on the model.  Every
-    operator the package builds is a polynomial in the generators, so
-    it commutes with H_d too, and is fixed by its images of the ordered
-    words (see the module docstring).
+    once per T_p.  Classically T_p is the place permutation s_p, and
+    every other generator is compared with it whole, at every word
+    (:func:`_fixed_by_swap`).  Quantumly every other generator g is
+    compared on flat columns at the coefficient-0 member w of each
+    pair, g s_p w = T_p g w, and at each fixed word w, T_p g w = v g w,
+    which by the quadratic relation of the module docstring proves
+    g T_p = T_p g.  The check runs once per model and its success is
+    kept on the model.  Every operator the package builds is a
+    polynomial in the generators, so it commutes with H_d too, and is
+    fixed by its images of the ordered words (see the module
+    docstring).
     """
     if model._hecke_certified:
         return
     gens, weights, size = model._generators, model.weights, model.num_words
     by_weight = {key for key, gen in gens.items() if _constant_by_weight(model, gen)}
-    v_shift = size if model.mode == "quantum" else 0  # v on flat keys
+    classical = model.mode == "classical"
     for p in range(1, model.d):
         partner, coeff = hecke_table(model, p)
         words = _compared_words(model, p, partner, coeff)
         keeps_weight = all(weights[s] == weights[j] for j, s in enumerate(partner))
-        move = [s - j if s != j else v_shift for j, s in enumerate(partner)]
-        gap_rows = {j for j, (s, c) in enumerate(zip(partner, coeff)) if s != j and c}
+        if not classical:
+            move = [s - j if s != j else size for j, s in enumerate(partner)]
+            gap_rows = {j for j, (s, c) in enumerate(zip(partner, coeff)) if s != j and c}
         for (sym, i), gen in gens.items():
             if keeps_weight and (sym, i) in by_weight:
                 continue
-            cols = _flat_columns(model, gen)
-            for j in words:
-                col, s = cols.get(j), partner[j]
-                if col:
-                    want = cols.get(s) if s != j else {k + v_shift: c for k, c in col.items()}
-                    commutes = _apply_table(col, move, gap_rows, size) == want
-                else:  # g w = 0, so T_p g w = 0
-                    commutes = s == j or not cols.get(s)
-                if not commutes:
-                    raise CertificateError(
-                        f"{sym}_{i} does not commute with T_{p} at (n, d) = "
-                        f"({model.n}, {model.d}) in {model.mode} mode"
-                    )
+            if classical:
+                commutes = _fixed_by_swap(gen.cols, partner)
+            else:
+                commutes = _commutes_at(_flat_columns(model, gen), words, partner,
+                                        move, gap_rows, size)
+            if not commutes:
+                raise CertificateError(
+                    f"{sym}_{i} does not commute with T_{p} at (n, d) = "
+                    f"({model.n}, {model.d}) in {model.mode} mode"
+                )
     model._hecke_certified = True

@@ -2,6 +2,7 @@
 package's scalars are embedded to check its ranks and coordinates, the
 full row of an operator, the reference its ordered-word rows are
 compared with, the full-product reference for the Hecke certificate,
+the word-slicing references for the Hecke tables and the generators,
 the operator-product references for the Cartan binomials and the root
 vectors, and the Bareiss elimination over the scalar ring itself, which
 the package runs on integers.  The sum, difference and scalar multiple of operators
@@ -102,6 +103,55 @@ def commutes_with_hecke(model):
     full operator products: the reference for the certificate."""
     ts = [hecke_generator(model, p) for p in range(1, model.d)]
     return all(gen @ t == t @ gen for t in ts for gen in model._generators.values())
+
+
+def hecke_table_by_slicing(model, p):
+    """T_p's :func:`~schuralg.tensormodel.hecke_table` with each partner
+    found by slicing the word and looking the swapped word up: the
+    reference for the table built by index arithmetic."""
+    scalars, index = model.scalars, model.word_index
+    v = scalars.v_power(1)
+    gap = v - scalars.v_power(-1)
+    partner, coeff = [], []
+    for word in model.words:
+        a, b = word[p - 1], word[p]
+        partner.append(index[word[:p - 1] + (b, a) + word[p + 1:]])
+        coeff.append(v if a == b else gap if a > b else scalars.zero)
+    return partner, coeff
+
+
+def generators_by_slicing(model):
+    """The model's generators with each moved word built by slicing and
+    looked up, and each Cartan entry computed per word: the reference
+    for the generators built by index arithmetic."""
+    n, scalars, names = model.n, model.scalars, model.names
+    index = model.word_index
+    twist = {k: scalars.v_power(k) for k in range(-model.d, model.d + 1)}
+    e_cols = {i: {} for i in range(1, n)}
+    f_cols = {i: {} for i in range(1, n)}
+    for j, (word, mu) in enumerate(zip(model.words, model.weights)):
+        seen = [0] * (n + 1)  # seen[a]: letters a left of p
+        for p, a in enumerate(word):
+            if a > 1:
+                i = a - 1
+                k = (mu[i - 1] - seen[i]) - (mu[i] - seen[a] - 1)
+                target = index[word[:p] + (i,) + word[p + 1:]]
+                e_cols[i].setdefault(j, {})[target] = twist[k]
+            if a < n:
+                target = index[word[:p] + (a + 1,) + word[p + 1:]]
+                f_cols[a].setdefault(j, {})[target] = twist[seen[a + 1] - seen[a]]
+            seen[a] += 1
+    gens = {}
+    for i in range(1, n):
+        gens[(names.plus, i)] = SparseOperator(e_cols[i])
+        gens[(names.minus, i)] = SparseOperator(f_cols[i])
+    for k in range(1, n + 1):
+        count = [w[k - 1] for w in model.weights]
+        gens[(names.cartan, k)] = model.diagonal(lambda j: scalars.cartan(count[j]))
+        if names.cartan_inverse:
+            gens[(names.cartan_inverse, k)] = model.diagonal(
+                lambda j: scalars.cartan(-count[j]))
+    return gens
 
 
 def cartan_binomial_by_products(model, k, m):

@@ -11,6 +11,8 @@ from oracle import (
     add,
     cartan_binomial_by_products,
     commutes_with_hecke,
+    generators_by_slicing,
+    hecke_table_by_slicing,
     scale,
     sub,
     with_one_entry,
@@ -582,8 +584,9 @@ def _single_entry_changes(model, key, gen):
                 yield changed(j, i, lambda s: one)
 
 
-@pytest.mark.parametrize("mode", ["classical", "quantum"])
-@pytest.mark.parametrize("n,d", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("n,d,mode", [(2, 4, "classical"), (2, 4, "quantum"),
+                                      (3, 3, "classical"), (3, 3, "quantum"),
+                                      (4, 3, "classical")])
 def test_certificate_agrees_with_full_products(n, d, mode):
     # Each single-entry change of a generator is rejected exactly when a
     # full operator product finds a T_p it does not commute with.
@@ -606,6 +609,65 @@ def test_certificate_agrees_with_full_products(n, d, mode):
     assert verdicts == {True, False}
 
 
+def test_classical_certificate_names_the_first_swap_an_entry_breaks():
+    # A classical generator with one entry changed in a column whose word
+    # has a > b at p, a column the quantum certificate never compares,
+    # commutes with no T_q that moves the entry's row or column; the
+    # permutation check names the first such q, which is p when the row
+    # and column are fixed by every earlier swap.
+    m = build_model(3, 4)
+    real = dict(m._generators)
+    checked = set()
+    for (sym, i), gen in real.items():
+        for p in range(1, m.d):
+            entries = [(j, r) for j, col in sorted(gen.cols.items()) for r in sorted(col)
+                       if m.words[j][p - 1] > m.words[j][p]]
+            for j, r in entries[:1] + entries[-1:]:
+                cols = {c: dict(col) for c, col in gen.cols.items()}
+                cols[j][r] += 1
+                m._generators = {**real, (sym, i): SparseOperator(cols)}
+                m._hecke_certified = False
+                first = min(q for q in range(1, p + 1)
+                            if any(m.words[w][q - 1] != m.words[w][q] for w in (j, r)))
+                with pytest.raises(CertificateError,
+                                   match=f"^{sym}_{i} does not commute with T_{first} "):
+                    certify_hecke_commutation(m)
+                assert not m._hecke_certified
+                if first == p:
+                    checked.add((sym, p))
+    # Each T_p is named for some raising, lowering and Cartan generator.
+    assert {sym for sym, p in checked if p == m.d - 1} == {"e", "f", "H"}
+    assert {p for _, p in checked} == set(range(1, m.d))
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (5, 4)])
+def test_classical_certificate_applies_no_table(n, d, monkeypatch):
+    m = build_model(n, d)
+    calls = []
+    real = tensormodel._apply_table
+    monkeypatch.setattr(tensormodel, "_apply_table",
+                        lambda *args: calls.append(1) or real(*args))
+    certify_hecke_commutation(m)
+    assert m._hecke_certified and not calls
+    # The quantum certificate still applies T_p column by column.
+    certify_hecke_commutation(build_model(n, d, mode="quantum"))
+    assert calls
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("n,d", [(2, 1), (2, 7), (3, 4), (4, 3), (5, 4)])
+def test_index_arithmetic_matches_word_slicing(n, d, mode):
+    # The generators and the Hecke tables are built by moving word
+    # indices; the references slice each word and look it up.
+    m = build_model(n, d, mode=mode)
+    reference = generators_by_slicing(m)
+    assert m._generators.keys() == reference.keys()
+    for key, gen in reference.items():
+        assert m._generators[key].cols == gen.cols, key
+    for p in range(1, d):
+        assert hecke_table(m, p) == hecke_table_by_slicing(m, p), p
+
+
 def test_certificate_passes_a_commuting_non_diagonal_generator():
     # K_1 + E_1 is not diagonal, so the column check decides it.
     m = build_model(3, 3, mode="quantum")
@@ -624,6 +686,19 @@ def test_certificate_rejects_a_cartan_generator_split_on_a_weight_space():
     m._generators[("K", 1)] = SparseOperator(cols)
     assert not commutes_with_hecke(m)
     with pytest.raises(CertificateError, match="K_1 does not commute"):
+        certify_hecke_commutation(m)
+
+
+def test_certificate_rejects_a_cartan_entry_in_an_empty_column():
+    # H_1 has no entry in the column of 222.  An entry there off the
+    # diagonal makes H_1 no longer diagonal, so it is compared with each
+    # T_p, and 223 is not fixed by s_2.
+    m = build_model(3, 3)
+    j, i = m.word_index[(2, 2, 2)], m.word_index[(2, 2, 3)]
+    assert j not in m._generators[("H", 1)].cols
+    m._generators[("H", 1)] = add(m._generators[("H", 1)], SparseOperator({j: {i: 1}}))
+    assert not commutes_with_hecke(m)
+    with pytest.raises(CertificateError, match="H_1 does not commute with T_2"):
         certify_hecke_commutation(m)
 
 
